@@ -149,9 +149,10 @@ def check_finite(params: dict):
 # primitives with paired backward
 
 def _layernorm(x, g, b):
-    mu = x.mean(-1, keepdims=True)
+    h = x.shape[-1]
+    mu = np.add.reduce(x, -1, keepdims=True) / h
     xc = x - mu
-    var = (xc * xc).mean(-1, keepdims=True)
+    var = np.add.reduce(xc * xc, -1, keepdims=True) / h
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
     return xhat * g + b, (xhat, inv, g)
@@ -163,17 +164,19 @@ def _layernorm_backward(dy, cache):
     dg = (dy * xhat).sum(0)
     db = dy.sum(0)
     dxhat = dy * g
-    dx = inv * (dxhat - dxhat.mean(-1, keepdims=True) - xhat * (dxhat * xhat).mean(-1, keepdims=True))
-    assert h == dx.shape[-1]
+    dx = inv * (dxhat - np.add.reduce(dxhat, -1, keepdims=True) / h
+                - xhat * (np.add.reduce(dxhat * xhat, -1, keepdims=True) / h))
     return dx, dg, db
 
 
 def _gelu(x):
-    return 0.5 * x * (1.0 + erf(x / SQRT2))
+    """GELU and its erf term, which _gelu_backward reuses."""
+    e = erf(x / SQRT2)
+    return 0.5 * x * (1.0 + e), e
 
 
-def _gelu_backward(dy, x):
-    cdf = 0.5 * (1.0 + erf(x / SQRT2))
+def _gelu_backward(dy, x, e):
+    cdf = 0.5 * (1.0 + e)
     pdf = INV_SQRT_2PI * np.exp(-0.5 * x * x)
     return dy * (cdf + x * pdf)
 
@@ -194,7 +197,6 @@ class Activations:
 
     def __init__(self):
         self.embedded = None
-        self.layer_hidden = []
         self.attn_probs = []
         self.hidden = None
         self.cache = []
@@ -250,26 +252,55 @@ def encode(params: dict, ids, positions, attn_mask, cfg: ModelConfig, prefix: st
         attn_out, keep1 = dropout(attn_out)
         y, ln1_cache = _layernorm(x + attn_out, params[p + "ln1_g"], params[p + "ln1_b"])
         pre = y @ params[p + "w1"] + params[p + "b1"]
-        act = _gelu(pre)
+        act, pre_erf = _gelu(pre)
         ffn_out = act @ params[p + "w2"] + params[p + "b2"]
         ffn_out, keep2 = dropout(ffn_out)
         z, ln2_cache = _layernorm(y + ffn_out, params[p + "ln2_g"], params[p + "ln2_b"])
         acts.cache.append(
             dict(x=x, qh=qh, kh=kh, vh=vh, probs=probs, ctx=ctx, ln1=ln1_cache,
-                 y=y, pre=pre, act=act, ln2=ln2_cache, keep1=keep1, keep2=keep2)
+                 y=y, pre=pre, pre_erf=pre_erf, act=act, ln2=ln2_cache, keep1=keep1,
+                 keep2=keep2)
         )
         acts.attn_probs.append(probs)
         x = z
-        acts.layer_hidden.append(x)
     acts.hidden = x
     return acts
 
 
+def _accumulate(grads: dict, name: str, value):
+    """Add ``value`` into ``grads[name]`` in place; the first value is stored as is."""
+    if name in grads:
+        grads[name] += value
+    else:
+        grads[name] = value
+
+
+def _accumulate_rows(grads: dict, name: str, param, index, rows):
+    """Scatter-add ``rows`` into the dense gradient of ``param`` at ``index``.
+
+    Rows sharing an index are summed first, in order, in a small buffer of
+    the parameter dtype; the buffer is then added once into the dense
+    gradient, which is allocated on the first call for ``grads``.
+    """
+    uniq, inverse = np.unique(index, return_inverse=True)
+    summed = np.zeros((len(uniq), param.shape[1]), dtype=param.dtype)
+    np.add.at(summed, inverse, rows)
+    dense = grads.get(name)
+    if dense is None:
+        dense = grads[name] = np.zeros_like(param)
+    dense[uniq] += summed
+
+
 def encode_backward(params: dict, acts: Activations, d_hidden, cfg: ModelConfig,
-                    prefix: str = "") -> dict:
+                    prefix: str = "", *, grads: dict | None = None) -> dict:
     """Gradients of a scalar loss w.r.t. all ``prefix`` encoder parameters,
-    given the gradient at the final hidden states."""
-    grads = {}
+    given the gradient at the final hidden states.
+
+    With ``grads`` given, the gradients are added into it in place and it
+    is returned; otherwise a fresh dict is returned.
+    """
+    if grads is None:
+        grads = {}
     A, dk = cfg.heads, cfg.head_dim
     scale = 1.0 / np.sqrt(dk)
     dx = np.asarray(d_hidden)
@@ -282,22 +313,22 @@ def encode_backward(params: dict, acts: Activations, d_hidden, cfg: ModelConfig,
         p = prefix + f"l{i}_"
         c = acts.cache[i]
         d_sum2, dg2, db2 = _layernorm_backward(dx, c["ln2"])
-        grads[p + "ln2_g"] = dg2
-        grads[p + "ln2_b"] = db2
+        _accumulate(grads, p + "ln2_g", dg2)
+        _accumulate(grads, p + "ln2_b", db2)
         d_ffn = undrop(d_sum2, c["keep2"])
-        grads[p + "w2"] = c["act"].T @ d_ffn
-        grads[p + "b2"] = d_ffn.sum(0)
+        _accumulate(grads, p + "w2", c["act"].T @ d_ffn)
+        _accumulate(grads, p + "b2", d_ffn.sum(0))
         d_act = d_ffn @ params[p + "w2"].T
-        d_pre = _gelu_backward(d_act, c["pre"])
-        grads[p + "w1"] = c["y"].T @ d_pre
-        grads[p + "b1"] = d_pre.sum(0)
+        d_pre = _gelu_backward(d_act, c["pre"], c["pre_erf"])
+        _accumulate(grads, p + "w1", c["y"].T @ d_pre)
+        _accumulate(grads, p + "b1", d_pre.sum(0))
         dy = d_sum2 + d_pre @ params[p + "w1"].T
         d_sum1, dg1, db1 = _layernorm_backward(dy, c["ln1"])
-        grads[p + "ln1_g"] = dg1
-        grads[p + "ln1_b"] = db1
+        _accumulate(grads, p + "ln1_g", dg1)
+        _accumulate(grads, p + "ln1_b", db1)
         d_attn_out = undrop(d_sum1, c["keep1"])
-        grads[p + "wo"] = c["ctx"].T @ d_attn_out
-        grads[p + "bo"] = d_attn_out.sum(0)
+        _accumulate(grads, p + "wo", c["ctx"].T @ d_attn_out)
+        _accumulate(grads, p + "bo", d_attn_out.sum(0))
         d_ctx = (d_attn_out @ params[p + "wo"].T).reshape(n, A, dk).transpose(1, 0, 2)
         d_probs = d_ctx @ c["vh"].transpose(0, 2, 1)
         d_vh = c["probs"].transpose(0, 2, 1) @ d_ctx
@@ -308,25 +339,21 @@ def encode_backward(params: dict, acts: Activations, d_hidden, cfg: ModelConfig,
         dk_ = d_kh.transpose(1, 0, 2).reshape(n, cfg.hidden)
         dv = d_vh.transpose(1, 0, 2).reshape(n, cfg.hidden)
         x = c["x"]
-        grads[p + "wq"] = x.T @ dq
-        grads[p + "bq"] = dq.sum(0)
-        grads[p + "wk"] = x.T @ dk_
-        grads[p + "bk"] = dk_.sum(0)
-        grads[p + "wv"] = x.T @ dv
-        grads[p + "bv"] = dv.sum(0)
+        _accumulate(grads, p + "wq", x.T @ dq)
+        _accumulate(grads, p + "bq", dq.sum(0))
+        _accumulate(grads, p + "wk", x.T @ dk_)
+        _accumulate(grads, p + "bk", dk_.sum(0))
+        _accumulate(grads, p + "wv", x.T @ dv)
+        _accumulate(grads, p + "bv", dv.sum(0))
         dx = d_sum1 + dq @ params[p + "wq"].T + dk_ @ params[p + "wk"].T + dv @ params[p + "wv"].T
 
     ids, positions, ln_cache, emb_keep = acts.emb_cache
     dx = undrop(dx, emb_keep)
     d_x0, dg, db = _layernorm_backward(dx, ln_cache)
-    grads[prefix + "emb_ln_g"] = dg
-    grads[prefix + "emb_ln_b"] = db
-    d_tok = np.zeros_like(params[prefix + "tok_emb"])
-    np.add.at(d_tok, ids, d_x0)
-    grads[prefix + "tok_emb"] = d_tok
-    d_pos = np.zeros_like(params[prefix + "pos_emb"])
-    np.add.at(d_pos, positions - 1, d_x0)
-    grads[prefix + "pos_emb"] = d_pos
+    _accumulate(grads, prefix + "emb_ln_g", dg)
+    _accumulate(grads, prefix + "emb_ln_b", db)
+    _accumulate_rows(grads, prefix + "tok_emb", params[prefix + "tok_emb"], ids, d_x0)
+    _accumulate_rows(grads, prefix + "pos_emb", params[prefix + "pos_emb"], positions - 1, d_x0)
     return grads
 
 
@@ -349,19 +376,26 @@ def predict_rtd(acts: Activations, context_indexes, params: dict):
 
 
 def head_backward(acts: Activations, indexes, d_logits, w_name: str, b_name: str,
-                  params: dict, d_hidden):
+                  params: dict, d_hidden, *, grads: dict | None = None) -> dict:
     """Accumulate head gradients and scatter d_logits back into d_hidden."""
+    if grads is None:
+        grads = {}
     idx = list(indexes)
     h = acts.hidden[idx]
-    grads = {w_name: h.T @ d_logits, b_name: d_logits.sum(0)}
+    _accumulate(grads, w_name, h.T @ d_logits)
+    _accumulate(grads, b_name, d_logits.sum(0))
     np.add.at(d_hidden, idx, d_logits @ params[w_name].T)
     return grads
 
 
-def rtd_backward(acts: Activations, context_indexes, d_logits, params: dict, d_hidden):
+def rtd_backward(acts: Activations, context_indexes, d_logits, params: dict, d_hidden,
+                 *, grads: dict | None = None) -> dict:
+    if grads is None:
+        grads = {}
     idx = list(context_indexes)
     h = acts.hidden[idx]
-    grads = {"rtd_w": h.T @ d_logits, "rtd_b": np.array([d_logits.sum()], dtype=h.dtype)}
+    _accumulate(grads, "rtd_w", h.T @ d_logits)
+    _accumulate(grads, "rtd_b", np.array([d_logits.sum()], dtype=h.dtype))
     np.add.at(d_hidden, idx, np.outer(d_logits, params["rtd_w"]))
     return grads
 

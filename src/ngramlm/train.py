@@ -181,34 +181,37 @@ def _plan_indexes(plan: MaskPlan):
 
 
 def plan_loss_terms(params: dict, plan: MaskPlan, cfg: ModelConfig,
-                    scales: dict | None = None):
+                    scales: dict | None = None, *, grads: dict | None = None):
     """Loss sums for one plan; gradients accumulated when scales given.
 
     ``scales`` maps term name -> factor applied to that term's dlogits
-    (e.g. weight / batch target count).  Returns (terms, grads).
+    (e.g. weight / batch target count).  Gradients are added into
+    ``grads`` in place when it is given, else into a fresh dict.
+    Returns (terms, grads).
     """
+    if grads is None:
+        grads = {}
     mask = build_attention_mask(plan, dtype=params["tok_emb"].dtype)
     acts = encode(params, plan.all_ids(), plan.all_positions(), mask, cfg)
     slots, coarse_t, fine_idx, fine_t = _plan_indexes(plan)
     terms = {"coarse_sum": 0.0, "fine_sum": 0.0, "rtd_sum": 0.0,
              "n_coarse": len(coarse_t), "n_fine": len(fine_t), "n_rtd": 0}
     d_hidden = np.zeros_like(acts.hidden) if scales is not None else None
-    grads = {}
 
     if coarse_t:
         logits = predict_ngram(acts, slots, params)
         nll, dlog = _xent(logits, coarse_t)
         terms["coarse_sum"] = float(nll.sum())
         if scales is not None:
-            _merge(grads, head_backward(acts, slots, dlog * scales["coarse"],
-                                        "ngram_w", "ngram_b", params, d_hidden))
+            head_backward(acts, slots, dlog * scales["coarse"], "ngram_w", "ngram_b",
+                          params, d_hidden, grads=grads)
     if fine_t:
         logits = predict_fine(acts, fine_idx, params)
         nll, dlog = _xent(logits, fine_t)
         terms["fine_sum"] = float(nll.sum())
         if scales is not None:
-            _merge(grads, head_backward(acts, fine_idx, dlog * scales["fine"],
-                                        "fine_w", "fine_b", params, d_hidden))
+            head_backward(acts, fine_idx, dlog * scales["fine"], "fine_w", "fine_b",
+                          params, d_hidden, grads=grads)
     if plan.rtd_labels is not None:
         ctx = list(range(plan.T))
         logits = predict_rtd(acts, ctx, params)
@@ -217,18 +220,23 @@ def plan_loss_terms(params: dict, plan: MaskPlan, cfg: ModelConfig,
         terms["n_rtd"] = plan.T
         if scales is not None:
             dlog = (dlog * scales["rtd"]).astype(acts.hidden.dtype)
-            _merge(grads, rtd_backward(acts, ctx, dlog, params, d_hidden))
+            rtd_backward(acts, ctx, dlog, params, d_hidden, grads=grads)
     if scales is not None:
-        _merge(grads, encode_backward(params, acts, d_hidden, cfg))
+        encode_backward(params, acts, d_hidden, cfg, grads=grads)
     return terms, grads
 
 
 def generator_loss_terms(params: dict, plan: MaskPlan, cfg: ModelConfig,
-                         scale: float | None = None):
-    """Generator explicit-MLM loss on a plan's context; slots predict y."""
+                         scale: float | None = None, *, grads: dict | None = None):
+    """Generator explicit-MLM loss on a plan's context; slots predict y.
+
+    Gradients go into ``grads`` as in :func:`plan_loss_terms`.
+    """
+    if grads is None:
+        grads = {}
     slots, coarse_t, _, _ = _plan_indexes(plan)
     if not coarse_t:
-        return {"gen_sum": 0.0, "n_gen": 0}, {}
+        return {"gen_sum": 0.0, "n_gen": 0}, grads
     gcfg = cfg.generator_view()
     T = plan.T
     mask = np.zeros((T, T), dtype=params["gen_tok_emb"].dtype)
@@ -236,22 +244,12 @@ def generator_loss_terms(params: dict, plan: MaskPlan, cfg: ModelConfig,
     logits = predict_ngram(acts, slots, params, prefix="gen_")
     nll, dlog = _xent(logits, coarse_t)
     terms = {"gen_sum": float(nll.sum()), "n_gen": len(coarse_t)}
-    grads = {}
     if scale is not None:
         d_hidden = np.zeros_like(acts.hidden)
-        _merge(grads, head_backward(acts, slots, dlog * scale,
-                                    "gen_ngram_w", "gen_ngram_b", params, d_hidden))
-        _merge(grads, encode_backward(params, acts, d_hidden, gcfg, prefix="gen_"))
+        head_backward(acts, slots, dlog * scale, "gen_ngram_w", "gen_ngram_b",
+                      params, d_hidden, grads=grads)
+        encode_backward(params, acts, d_hidden, gcfg, prefix="gen_", grads=grads)
     return terms, grads
-
-
-def _merge(acc: dict, new: dict):
-    for k, v in new.items():
-        if k in acc:
-            acc[k] = acc[k] + v
-        else:
-            acc[k] = v
-    return acc
 
 
 def batch_loss_and_grad(params: dict, plans, cfg: ModelConfig, tcfg: TrainConfig,
@@ -288,17 +286,16 @@ def batch_loss_and_grad(params: dict, plans, cfg: ModelConfig, tcfg: TrainConfig
             "fine": tcfg.fine_weight / max(n_fine, 1),
             "rtd": tcfg.rtd_weight / max(n_rtd, 1),
         }
+    # one accumulator for the whole batch: each plan adds into it in plan order
     grads: dict = {}
     sums = {"coarse_sum": 0.0, "fine_sum": 0.0, "rtd_sum": 0.0, "gen_sum": 0.0}
     for plan, gen_plan in work:
-        terms, g = plan_loss_terms(params, plan, cfg, scales)
-        _merge(grads, g)
+        terms, _ = plan_loss_terms(params, plan, cfg, scales, grads=grads)
         for key in ("coarse_sum", "fine_sum", "rtd_sum"):
             sums[key] += terms[key]
         if relation and gen_plan is not None:
-            gterms, gg = generator_loss_terms(
-                params, gen_plan, cfg, scales and 1.0 / max(n_gen, 1))
-            _merge(grads, gg)
+            gterms, _ = generator_loss_terms(
+                params, gen_plan, cfg, scales and 1.0 / max(n_gen, 1), grads=grads)
             sums["gen_sum"] += gterms["gen_sum"]
 
     report = LossReport(
@@ -330,6 +327,7 @@ class AdamState:
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
         self.t = 0
+        self.scratch: dict = {}  # one work buffer per parameter, not checkpointed
 
 
 def _decayable(name: str) -> bool:
@@ -349,19 +347,34 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float, tcfg: Trai
     bc2 = 1.0 - tcfg.beta2**state.t
     for name, g in grads.items():
         p = params[name]
-        g = g.astype(p.dtype)
+        g = g.astype(p.dtype, copy=False)
         if not np.isfinite(g).all():
             raise NumericError(f"non-finite gradient in {name}")
         m = state.m[name]
         v = state.v[name]
+        buf = state.scratch.get(name)
+        if buf is None:
+            buf = state.scratch[name] = np.empty_like(p)
+        # the parent's expression order, evaluated in place:
+        # m = b1 m + (1-b1) g;  v = b2 v + (1-b2) g g
+        # p -= lr ((m / bc1) / (sqrt(v / bc2) + eps) + wd p)
+        np.multiply(g, 1 - tcfg.beta1, out=buf)
         m *= tcfg.beta1
-        m += (1 - tcfg.beta1) * g
+        m += buf
+        np.multiply(g, 1 - tcfg.beta2, out=buf)
+        buf *= g
         v *= tcfg.beta2
-        v += (1 - tcfg.beta2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + tcfg.eps)
+        v += buf
+        denom = v / bc2
+        np.sqrt(denom, out=denom)
+        denom += tcfg.eps
+        np.divide(m, bc1, out=buf)
+        buf /= denom
         if tcfg.weight_decay and _decayable(name):
-            update = update + tcfg.weight_decay * p
-        p -= (lr * update).astype(p.dtype)
+            np.multiply(p, tcfg.weight_decay, out=denom)
+            buf += denom
+        buf *= lr
+        p -= buf
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,8 @@ from ngramlm import (
 )
 from ngramlm.corpus import FineVocab
 from ngramlm.errors import NumericError, UsageError
+from ngramlm.maskplan import relation_from_comprehensive
+from ngramlm.model import generator_forward_and_sample
 from ngramlm.train import (
     AdamState,
     _contiguous_gram_groups,
@@ -38,7 +40,9 @@ from ngramlm.train import (
     _xent,
     adam_step,
     batch_loss_and_grad,
+    generator_loss_terms,
     lr_at,
+    plan_loss_terms,
 )
 from ngramlm.synth import collocation_corpus, CollocationSpec
 
@@ -205,6 +209,57 @@ def test_resume_equals_uninterrupted_run(small_pipeline, tmp_path):
     assert [r["step"] for r in mres] == [4, 5, 6, 7]
     assert [r["total"] for r in mres] == [r["total"] for r in mref[4:]]
     assert all(np.array_equal(ref[k], resumed[k]) for k in ref)
+
+
+def per_plan_reference_grads(params, batch, cfg, tcfg, rng):
+    """Batch gradients as the plan-order sum of per-plan gradient dicts.
+
+    Each plan's terms write into their own fresh dict; the relation
+    objective replays the generator samples from the same RngState."""
+    relation = tcfg.objective == Objective.RELATION
+    work, n = [], {"coarse": 0, "fine": 0, "rtd": 0, "gen": 0}
+    for plan in batch:
+        gen_plan = plan if relation else None
+        if relation and plan.targets_coarse:
+            sampled = generator_forward_and_sample(params, plan, cfg, rng, tcfg.temperature)
+            plan = relation_from_comprehensive(plan, sampled)
+        if relation:
+            n["rtd"] += plan.T if plan.rtd_labels is not None else 0
+            n["gen"] += len(plan.targets_coarse)
+        n["coarse"] += len(plan.targets_coarse)
+        n["fine"] += len(plan.targets_fine)
+        work.append((plan, gen_plan))
+    scales = {"coarse": tcfg.coarse_weight / max(n["coarse"], 1),
+              "fine": tcfg.fine_weight / max(n["fine"], 1),
+              "rtd": tcfg.rtd_weight / max(n["rtd"], 1)}
+    per_plan = []
+    for plan, gen_plan in work:
+        per_plan.append(plan_loss_terms(params, plan, cfg, scales)[1])
+        if gen_plan is not None:
+            per_plan.append(generator_loss_terms(params, gen_plan, cfg,
+                                                 1.0 / max(n["gen"], 1))[1])
+    total = {}
+    for g in per_plan:
+        for k, v in g.items():
+            total[k] = total[k] + v if k in total else v
+    return total
+
+
+@pytest.mark.parametrize("objective", list(Objective))
+def test_batch_grads_equal_plan_order_sum(small_pipeline, objective):
+    # the shared in-place accumulator adds in the same order as summing
+    # the per-plan dicts, so the two agree exactly, not just closely
+    stream, vocab, lex, jv, cfg = small_pipeline
+    plans = make_plans(stream, lex, jv, objective, seed=1)
+    tcfg = TrainConfig(objective, total_steps=1, batch_size=6, warmup_steps=0, seed=0)
+    params = init_params(cfg, 4)
+    batch = plans[:6]
+    _, grads = batch_loss_and_grad(params, batch, cfg, tcfg, RngState(9))
+    want = per_plan_reference_grads(params, batch, cfg, tcfg, RngState(9))
+    assert set(grads) == set(want)
+    for k in want:
+        assert grads[k].dtype == want[k].dtype, k
+        assert np.array_equal(grads[k], want[k]), k
 
 
 def test_nan_aborts_with_diagnostic_checkpoint(small_pipeline, tmp_path):
