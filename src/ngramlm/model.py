@@ -5,11 +5,20 @@ One parameter dictionary holds both the standard model and (prefixed
 {0, -inf}; forbidden positions get exactly zero post-softmax weight, so
 the number of appended query symbols can never leak into context
 representations.
+
+The model computes in the parameter dtype: float32 parameters give
+float32 activations and gradients, float64 parameters (used by the
+finite-difference gradient check) give float64.  Under NumPy 2's
+promotion rules (NEP 50) a NumPy scalar such as ``np.sqrt(2.0)`` is a
+float64 array operand and upcasts every float32 array it touches, while
+a Python float takes the array's dtype.  Constants used inside the
+forward and backward passes are therefore Python floats (``math``).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -21,8 +30,8 @@ from .maskplan import MaskPlan, RngState, build_attention_mask
 CHECKPOINT_VERSION = 1
 INIT_STD = 0.02
 LN_EPS = 1e-12
-SQRT2 = np.sqrt(2.0)
-INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+SQRT2 = math.sqrt(2.0)
+INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 @dataclass
@@ -236,7 +245,7 @@ def encode(params: dict, ids, positions, attn_mask, cfg: ModelConfig, prefix: st
     acts.emb_cache = (ids, positions, ln_cache, emb_keep)
 
     A, dk = cfg.heads, cfg.head_dim
-    scale = 1.0 / np.sqrt(dk)
+    scale = 1.0 / math.sqrt(dk)
     for i in range(cfg.layers):
         p = prefix + f"l{i}_"
         q = x @ params[p + "wq"] + params[p + "bq"]
@@ -302,7 +311,7 @@ def encode_backward(params: dict, acts: Activations, d_hidden, cfg: ModelConfig,
     if grads is None:
         grads = {}
     A, dk = cfg.heads, cfg.head_dim
-    scale = 1.0 / np.sqrt(dk)
+    scale = 1.0 / math.sqrt(dk)
     dx = np.asarray(d_hidden)
     n = dx.shape[0]
 

@@ -211,6 +211,33 @@ def test_resume_equals_uninterrupted_run(small_pipeline, tmp_path):
     assert all(np.array_equal(ref[k], resumed[k]) for k in ref)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("objective", list(Objective))
+def test_model_computes_in_parameter_dtype(small_pipeline, objective, dtype, monkeypatch):
+    # a NumPy float64 scalar anywhere in the forward or backward pass would
+    # promote float32 activations and gradients to float64
+    import importlib
+    train_mod = importlib.import_module("ngramlm.train")
+    stream, vocab, lex, jv, cfg = small_pipeline
+    plans = make_plans(stream, lex, jv, objective, seed=1)
+    tcfg = TrainConfig(objective, total_steps=1, batch_size=4, warmup_steps=0, seed=0)
+    params = init_params(cfg, 0, dtype=dtype)
+    seen = []
+    encode = train_mod.encode
+
+    def recording_encode(*args, **kwargs):
+        acts = encode(*args, **kwargs)
+        seen.append((acts.hidden.dtype, [p.dtype for p in acts.attn_probs]))
+        return acts
+
+    monkeypatch.setattr(train_mod, "encode", recording_encode)
+    _, grads = batch_loss_and_grad(params, plans[:4], cfg, tcfg, RngState(0))
+    assert len(seen) >= 4
+    for hidden, probs in seen:
+        assert hidden == dtype and all(p == dtype for p in probs)
+    assert set(grads) and all(g.dtype == dtype for g in grads.values())
+
+
 def per_plan_reference_grads(params, batch, cfg, tcfg, rng):
     """Batch gradients as the plan-order sum of per-plan gradient dicts.
 
