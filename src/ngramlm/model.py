@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import json
 import math
+import zipfile
 from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import erf
 
-from .errors import NumericError, UsageError, VersionError
+from .errors import DataError, NumericError, UsageError, VersionError
 from .maskplan import MaskPlan, RngState, build_attention_mask
 
 CHECKPOINT_VERSION = 1
@@ -485,22 +486,29 @@ def save_checkpoint(path, params: dict, cfg: ModelConfig, extra: dict | None = N
 
 
 def load_checkpoint(path):
-    """Returns (params, config, extra, arrays)."""
-    from .errors import DataError
+    """Returns (params, config, extra, arrays).
 
+    A file that cannot be read as a checkpoint raises DataError; an npz
+    file of another format or version raises its subclass VersionError.
+    """
     try:
-        z = np.load(path)
-    except OSError as e:
+        z = np.load(path, allow_pickle=False)
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as e:
         raise DataError(f"cannot read checkpoint {path}: {e}") from e
+    if not isinstance(z, np.lib.npyio.NpzFile):
+        raise VersionError(f"{path}: not a checkpoint file")
     with z:
         if "__meta__" not in z:
             raise VersionError(f"{path}: not a checkpoint file")
-        meta = json.loads(z["__meta__"].tobytes().decode("utf-8"))
-        if meta.get("format_version") != CHECKPOINT_VERSION:
-            raise VersionError(
-                f"checkpoint version {meta.get('format_version')}, expected {CHECKPOINT_VERSION}"
-            )
-        params = {k[2:]: z[k] for k in z.files if k.startswith("p/")}
-        arrays = {k[2:]: z[k] for k in z.files if k.startswith("a/")}
+        try:
+            meta = json.loads(z["__meta__"].tobytes().decode("utf-8"))
+            params = {k[2:]: z[k] for k in z.files if k.startswith("p/")}
+            arrays = {k[2:]: z[k] for k in z.files if k.startswith("a/")}
+        except (OSError, EOFError, ValueError, zipfile.BadZipFile) as e:
+            raise DataError(f"cannot read checkpoint {path}: {e}") from e
+    if meta.get("format_version") != CHECKPOINT_VERSION:
+        raise VersionError(
+            f"checkpoint version {meta.get('format_version')}, expected {CHECKPOINT_VERSION}"
+        )
     cfg = ModelConfig(**meta["config"])
     return params, cfg, meta["extra"], arrays

@@ -336,43 +336,48 @@ def _decayable(name: str) -> bool:
 
 
 def adam_step(params: dict, grads: dict, state: AdamState, lr: float, tcfg: TrainConfig):
+    factor = None
     if tcfg.clip_norm > 0:
         sq = sum(float((g * g).sum()) for g in grads.values())
         norm = np.sqrt(sq)
         if norm > tcfg.clip_norm:
             factor = tcfg.clip_norm / norm
-            grads = {k: g * factor for k, g in grads.items()}
     state.t += 1
     bc1 = 1.0 - tcfg.beta1**state.t
     bc2 = 1.0 - tcfg.beta2**state.t
     for name, g in grads.items():
         p = params[name]
-        g = g.astype(p.dtype, copy=False)
+        buf = state.scratch.get(name)
+        if buf is None:
+            buf = state.scratch[name] = np.empty_like(p)
+        if factor is None:
+            g = g.astype(p.dtype, copy=False)
+        else:
+            # factor is a float64 scalar: the product is formed in float64 and
+            # rounded once to the parameter dtype, without a float64 copy
+            g = np.multiply(g, factor, out=buf)
         if not np.isfinite(g).all():
             raise NumericError(f"non-finite gradient in {name}")
         m = state.m[name]
         v = state.v[name]
-        buf = state.scratch.get(name)
-        if buf is None:
-            buf = state.scratch[name] = np.empty_like(p)
-        # the parent's expression order, evaluated in place:
+        # in place, in this operation order (rounding included):
         # m = b1 m + (1-b1) g;  v = b2 v + (1-b2) g g
         # p -= lr ((m / bc1) / (sqrt(v / bc2) + eps) + wd p)
-        np.multiply(g, 1 - tcfg.beta1, out=buf)
+        tmp = np.multiply(g, 1 - tcfg.beta1)
         m *= tcfg.beta1
-        m += buf
-        np.multiply(g, 1 - tcfg.beta2, out=buf)
-        buf *= g
+        m += tmp
+        np.multiply(g, 1 - tcfg.beta2, out=tmp)
+        tmp *= g
         v *= tcfg.beta2
-        v += buf
-        denom = v / bc2
-        np.sqrt(denom, out=denom)
-        denom += tcfg.eps
+        v += tmp
+        np.divide(v, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += tcfg.eps
         np.divide(m, bc1, out=buf)
-        buf /= denom
+        buf /= tmp
         if tcfg.weight_decay and _decayable(name):
-            np.multiply(p, tcfg.weight_decay, out=denom)
-            buf += denom
+            np.multiply(p, tcfg.weight_decay, out=tmp)
+            buf += tmp
         buf *= lr
         p -= buf
 
@@ -395,7 +400,15 @@ def train(tcfg: TrainConfig, plans, params: dict, cfg: ModelConfig,
     sample_rng = RngState(tcfg.seed ^ 0x5EED)
     start_step = 0
     if resume_from is not None:
-        params_r, _, extra, arrays = load_checkpoint(resume_from)
+        params_r, cfg_r, extra, arrays = load_checkpoint(resume_from)
+        if cfg_r != cfg:
+            raise UsageError(f"checkpoint {resume_from} has model config {asdict(cfg_r)}, "
+                             f"not {asdict(cfg)}")
+        objective_r = extra.get("train_config", {}).get("objective")
+        if objective_r != int(tcfg.objective):
+            raise UsageError(f"checkpoint {resume_from} was trained with objective "
+                             f"{objective_r}, not {int(tcfg.objective)} "
+                             f"({tcfg.objective.name.lower()})")
         params.clear()
         params.update(params_r)
         state = AdamState(params)

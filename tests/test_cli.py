@@ -169,6 +169,31 @@ def test_exit_codes(corpus_dir, tmp_path):
                  "--out", str(tmp_path / "m.npz")]) == 3
 
 
+def test_unreadable_checkpoint_is_a_data_error(corpus_dir, tmp_path):
+    plans = run_pipeline(corpus_dir, tmp_path)
+    ck = tmp_path / "model.npz"
+    assert main(["train", "--plans", str(plans), "--layers", "1", "--hidden", "16",
+                 "--heads", "2", "--steps", "1", "--batch-size", "2", "--out", str(ck)]) == 0
+    not_npz = tmp_path / "text.npz"
+    not_npz.write_text("not a checkpoint\n", encoding="utf-8")
+    truncated = tmp_path / "truncated.npz"
+    truncated.write_bytes(ck.read_bytes()[: ck.stat().st_size // 2])
+    for bad in (not_npz, truncated):
+        assert main(["eval-ppl", "--plans", str(plans), "--checkpoint", str(bad)]) == 3
+
+
+def test_resume_refuses_a_mismatched_checkpoint(corpus_dir, tmp_path):
+    plans = run_pipeline(corpus_dir, tmp_path, objective="comprehensive")
+    ck = tmp_path / "model.npz"
+    base = ["train", "--plans", str(plans), "--layers", "1", "--heads", "2",
+            "--steps", "2", "--batch-size", "2"]
+    assert main(base + ["--hidden", "16", "--out", str(ck)]) == 0
+    resume = ["--resume", str(ck), "--out", str(tmp_path / "resumed.npz")]
+    assert main(base + ["--hidden", "16", "--steps", "3"] + resume) == 0
+    assert main(base + ["--hidden", "32"] + resume) == 2
+    assert main(base + ["--hidden", "16", "--objective", "relation"] + resume) == 2
+
+
 def test_console_entry_point():
     import subprocess
     import sys
