@@ -278,7 +278,11 @@ def encode(params: dict, ids, positions, attn_mask, cfg: ModelConfig, prefix: st
 
 
 def _accumulate(grads: dict, name: str, value):
-    """Add ``value`` into ``grads[name]`` in place; the first value is stored as is."""
+    """Add ``value`` into ``grads[name]`` in place.
+
+    The first value for a name is stored as is, so it must be a fresh array
+    that nothing else holds.
+    """
     if name in grads:
         grads[name] += value
     else:
@@ -493,22 +497,20 @@ def load_checkpoint(path):
     """
     try:
         z = np.load(path, allow_pickle=False)
-    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as e:
-        raise DataError(f"cannot read checkpoint {path}: {e}") from e
-    if not isinstance(z, np.lib.npyio.NpzFile):
-        raise VersionError(f"{path}: not a checkpoint file")
-    with z:
-        if "__meta__" not in z:
+        if not isinstance(z, np.lib.npyio.NpzFile):
             raise VersionError(f"{path}: not a checkpoint file")
-        try:
+        with z:
+            if "__meta__" not in z:
+                raise VersionError(f"{path}: not a checkpoint file")
             meta = json.loads(z["__meta__"].tobytes().decode("utf-8"))
+            if meta.get("format_version") != CHECKPOINT_VERSION:
+                raise VersionError(
+                    f"checkpoint version {meta.get('format_version')}, "
+                    f"expected {CHECKPOINT_VERSION}"
+                )
             params = {k[2:]: z[k] for k in z.files if k.startswith("p/")}
             arrays = {k[2:]: z[k] for k in z.files if k.startswith("a/")}
-        except (OSError, EOFError, ValueError, zipfile.BadZipFile) as e:
-            raise DataError(f"cannot read checkpoint {path}: {e}") from e
-    if meta.get("format_version") != CHECKPOINT_VERSION:
-        raise VersionError(
-            f"checkpoint version {meta.get('format_version')}, expected {CHECKPOINT_VERSION}"
-        )
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as e:
+        raise DataError(f"cannot read checkpoint {path}: {e}") from e
     cfg = ModelConfig(**meta["config"])
     return params, cfg, meta["extra"], arrays

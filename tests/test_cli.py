@@ -178,7 +178,10 @@ def test_unreadable_checkpoint_is_a_data_error(corpus_dir, tmp_path):
     not_npz.write_text("not a checkpoint\n", encoding="utf-8")
     truncated = tmp_path / "truncated.npz"
     truncated.write_bytes(ck.read_bytes()[: ck.stat().st_size // 2])
-    for bad in (not_npz, truncated):
+    npy = tmp_path / "array.npz"
+    with open(npy, "wb") as f:
+        np.save(f, np.zeros(3))
+    for bad in (not_npz, truncated, npy):
         assert main(["eval-ppl", "--plans", str(plans), "--checkpoint", str(bad)]) == 3
 
 

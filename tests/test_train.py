@@ -4,6 +4,7 @@ Loss oracles are closed-form: uniform logits over C classes cost ln C;
 controlled head biases make the evaluation perplexities exact.
 """
 
+import importlib
 import math
 
 import numpy as np
@@ -216,7 +217,6 @@ def test_resume_equals_uninterrupted_run(small_pipeline, tmp_path):
 def test_model_computes_in_parameter_dtype(small_pipeline, objective, dtype, monkeypatch):
     # a NumPy float64 scalar anywhere in the forward or backward pass would
     # promote float32 activations and gradients to float64
-    import importlib
     train_mod = importlib.import_module("ngramlm.train")
     stream, vocab, lex, jv, cfg = small_pipeline
     plans = make_plans(stream, lex, jv, objective, seed=1)
