@@ -50,11 +50,6 @@ from .train import (
     LossReport,
     TrainConfig,
     eval_ngram_ppl,
-    loss_comprehensive,
-    loss_contiguous,
-    loss_explicit,
-    loss_joint_relation,
-    loss_rtd,
     train,
 )
 

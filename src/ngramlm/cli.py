@@ -1,8 +1,9 @@
 """Command line front end: the pipeline end to end, reproducible.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric error.
-Every command takes --seed and stamps its outputs with a provenance
-header (argument hash plus input file hashes).
+Only the commands that draw random numbers (make-masks, train) take
+--seed.  Lexicon, plan and attention files carry a provenance header
+(argument hash plus input file hashes).
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .errors import DataError, NumericError, UsageError
 from .lexicon import NGramLexicon, build_joint_vocab, extract_lexicon
 from .maskplan import (
     Objective,
-    build_attention_mask,
     plan_to_json,
     read_plan_file,
     segment_example,
@@ -139,7 +139,6 @@ def _model_config(args, fine_size, ngram_size) -> ModelConfig:
         fine_vocab_size=fine_size,
         ngram_vocab_size=ngram_size,
         generator_layers=args.generator_layers,
-        dropout=args.dropout,
     )
 
 
@@ -224,7 +223,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k3", type=int, default=1000)
     p.add_argument("--k4", type=int, default=0)
     p.add_argument("--min-count", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_extract_lexicon)
 
@@ -247,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lexicon", required=True)
     p.add_argument("--input", help="default: stdin")
     p.add_argument("--no-lowercase", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_segment)
 
     p = sub.add_parser("train", help="train on a plan file")
@@ -259,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ffn", type=int, default=0, help="default 4*hidden")
     p.add_argument("--max-positions", type=int, default=256)
     p.add_argument("--generator-layers", type=int, default=1)
-    p.add_argument("--dropout", type=float, default=0.0)
     p.add_argument("--steps", type=int, default=200)
     p.add_argument("--batch-size", type=int, default=8)
     p.add_argument("--lr", type=float, default=1e-3)
@@ -278,12 +274,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval-ppl", help="n-gram perplexity on a held-out plan file")
     p.add_argument("--plans", required=True)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_eval_ppl)
 
     p = sub.add_parser("export", help="prune to fine-tuning weights (drop n-gram rows, heads, generator)")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_export)
 
@@ -293,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vocab", required=True)
     p.add_argument("--text", required=True)
     p.add_argument("--no-lowercase", action="store_true")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_inspect_attention)
     return ap

@@ -12,11 +12,10 @@ sigma^2 = p(w)(1 - p(w)).
 
 from __future__ import annotations
 
-import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .corpus import CountTables, FineVocab
+from .corpus import CountTables, FineVocab, _read_text
 from .errors import DataError, DegenerateStatisticError, DomainError, UsageError
 
 DEFAULT_MIN_COUNT = 5
@@ -96,22 +95,23 @@ class NGramLexicon:
     @classmethod
     def load(cls, path) -> "NGramLexicon":
         per_order: dict = {}
-        with open(path, encoding="utf-8") as f:
-            header = f.readline()
-            if not header.startswith("# ngramlm-lexicon v1"):
-                raise DataError(f"{path}: not a lexicon file")
-            for lineno, line in enumerate(f, start=2):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 4:
-                    raise DataError(f"{path}:{lineno}: expected 4 columns")
-                words = tuple(parts[0].split(" "))
+        lines = _read_text(path).splitlines()
+        if not lines or not lines[0].startswith("# ngramlm-lexicon v1"):
+            raise DataError(f"{path}: not a lexicon file")
+        for lineno, line in enumerate(lines[1:], start=2):
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 4:
+                raise DataError(f"{path}:{lineno}: expected 4 columns")
+            words = tuple(parts[0].split(" "))
+            try:
                 sg = ScoredNGram(words, int(parts[1]), float(parts[2]), int(parts[3]))
-                if sg.order != len(words):
-                    raise DataError(f"{path}:{lineno}: order/surface mismatch")
-                per_order.setdefault(sg.order, []).append(sg)
+            except ValueError as e:
+                raise DataError(f"{path}:{lineno}: {e}") from e
+            if sg.order != len(words):
+                raise DataError(f"{path}:{lineno}: order/surface mismatch")
+            per_order.setdefault(sg.order, []).append(sg)
         return cls(per_order)
 
 
@@ -147,14 +147,9 @@ class JointVocab:
 
     fine: FineVocab
     ngrams: NGramLexicon
-    _cache: dict = field(default_factory=dict, repr=False)
 
     def __len__(self):
         return len(self.fine) + len(self.ngrams)
-
-    @property
-    def fine_size(self):
-        return len(self.fine)
 
     def id_of_subword(self, subword: str):
         return self.fine.index.get(subword)
@@ -177,12 +172,3 @@ class JointVocab:
 
 def build_joint_vocab(fine: FineVocab, lex: NGramLexicon) -> JointVocab:
     return JointVocab(fine, lex)
-
-
-def corpus_hash(paths) -> str:
-    """Stable sha256 over file contents, for provenance headers."""
-    h = hashlib.sha256()
-    for path in paths:
-        with open(path, "rb") as f:
-            h.update(f.read())
-    return h.hexdigest()[:16]

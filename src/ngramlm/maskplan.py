@@ -419,11 +419,20 @@ def read_plan_file(path):
         data = f.read()
     if data[:4] != FILE_MAGIC:
         raise PlanFormatError(f"{path}: bad magic, not a plan file", 0)
+    if len(data) < 10:
+        raise PlanFormatError(f"{path}: truncated file header", len(data))
     version, header_len = struct.unpack_from("<HI", data, 4)
     if version != PLAN_VERSION:
         raise VersionError(f"plan file version {version}, expected {PLAN_VERSION}")
     pos = 10 + header_len
-    provenance = json.loads(data[10:pos].decode("utf-8"))
+    if pos > len(data):
+        raise PlanFormatError(f"{path}: truncated provenance header", 10)
+    try:
+        provenance = json.loads(data[10:pos].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise PlanFormatError(f"{path}: provenance header is not UTF-8 JSON: {e}", 10) from e
+    if not isinstance(provenance, dict):
+        raise PlanFormatError(f"{path}: provenance header is not a JSON object", 10)
     plans = []
     while pos < len(data):
         if pos + 4 > len(data):

@@ -25,10 +25,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.special import erf
 
-from .errors import DataError, NumericError, UsageError, VersionError
-from .maskplan import MaskPlan, RngState, build_attention_mask
+from .errors import DataError, UsageError, VersionError
+from .maskplan import MaskPlan, RngState
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 INIT_STD = 0.02
 LN_EPS = 1e-12
 SQRT2 = math.sqrt(2.0)
@@ -45,8 +45,6 @@ class ModelConfig:
     fine_vocab_size: int
     ngram_vocab_size: int
     generator_layers: int = 1
-    dropout: float = 0.0
-    max_query: int = 8
 
     def __post_init__(self):
         if self.hidden % self.heads != 0:
@@ -61,27 +59,21 @@ class ModelConfig:
         return self.hidden // self.heads
 
     @property
-    def generator_heads(self) -> int:
-        return self.heads
-
-    @property
     def generator_hidden(self) -> int:
         # one third of the standard width, floored to a multiple of the heads
-        h = (self.hidden // 3 // self.generator_heads) * self.generator_heads
-        return max(h, self.generator_heads)
+        h = (self.hidden // 3 // self.heads) * self.heads
+        return max(h, self.heads)
 
     def generator_view(self) -> "ModelConfig":
         return ModelConfig(
             layers=self.generator_layers,
             hidden=self.generator_hidden,
-            heads=self.generator_heads,
+            heads=self.heads,
             ffn=max(self.ffn // 3, self.generator_hidden),
             max_positions=self.max_positions,
             fine_vocab_size=self.fine_vocab_size,
             ngram_vocab_size=self.ngram_vocab_size,
             generator_layers=self.generator_layers,
-            dropout=self.dropout,
-            max_query=self.max_query,
         )
 
 
@@ -149,12 +141,6 @@ def init_params(cfg: ModelConfig, seed: int, dtype=np.float32) -> dict:
     return params
 
 
-def check_finite(params: dict):
-    for name, arr in params.items():
-        if not np.isfinite(arr).all():
-            raise NumericError(f"non-finite values in parameter {name}")
-
-
 # ---------------------------------------------------------------------------
 # primitives with paired backward
 
@@ -206,15 +192,14 @@ class Activations:
     """Per-layer hidden states, attention tensors and backward caches."""
 
     def __init__(self):
-        self.embedded = None
         self.attn_probs = []
         self.hidden = None
         self.cache = []
         self.emb_cache = None
 
 
-def encode(params: dict, ids, positions, attn_mask, cfg: ModelConfig, prefix: str = "",
-           train: bool = False, dropout_rng: RngState | None = None) -> Activations:
+def encode(params: dict, ids, positions, attn_mask, cfg: ModelConfig,
+           prefix: str = "") -> Activations:
     """Forward pass; retains everything needed for encode_backward."""
     ids = np.asarray(ids, dtype=np.int64)
     positions = np.asarray(positions, dtype=np.int64)
@@ -230,20 +215,9 @@ def encode(params: dict, ids, positions, attn_mask, cfg: ModelConfig, prefix: st
         raise UsageError(f"attention mask shape {attn_mask.shape} != ({n}, {n})")
 
     acts = Activations()
-    drop = cfg.dropout if train else 0.0
-    g_drop = dropout_rng.next_generator() if (drop > 0 and dropout_rng is not None) else None
-
-    def dropout(x):
-        if drop <= 0 or g_drop is None:
-            return x, None
-        keep = (g_drop.random(x.shape) >= drop).astype(x.dtype) / (1.0 - drop)
-        return x * keep, keep
-
     x0 = tok[ids] + pos[positions - 1]
     x, ln_cache = _layernorm(x0, params[prefix + "emb_ln_g"], params[prefix + "emb_ln_b"])
-    x, emb_keep = dropout(x)
-    acts.embedded = x
-    acts.emb_cache = (ids, positions, ln_cache, emb_keep)
+    acts.emb_cache = (ids, positions, ln_cache)
 
     A, dk = cfg.heads, cfg.head_dim
     scale = 1.0 / math.sqrt(dk)
@@ -259,17 +233,14 @@ def encode(params: dict, ids, positions, attn_mask, cfg: ModelConfig, prefix: st
         probs = _masked_softmax(scores)
         ctx = (probs @ vh).transpose(1, 0, 2).reshape(n, cfg.hidden)
         attn_out = ctx @ params[p + "wo"] + params[p + "bo"]
-        attn_out, keep1 = dropout(attn_out)
         y, ln1_cache = _layernorm(x + attn_out, params[p + "ln1_g"], params[p + "ln1_b"])
         pre = y @ params[p + "w1"] + params[p + "b1"]
         act, pre_erf = _gelu(pre)
         ffn_out = act @ params[p + "w2"] + params[p + "b2"]
-        ffn_out, keep2 = dropout(ffn_out)
         z, ln2_cache = _layernorm(y + ffn_out, params[p + "ln2_g"], params[p + "ln2_b"])
         acts.cache.append(
             dict(x=x, qh=qh, kh=kh, vh=vh, probs=probs, ctx=ctx, ln1=ln1_cache,
-                 y=y, pre=pre, pre_erf=pre_erf, act=act, ln2=ln2_cache, keep1=keep1,
-                 keep2=keep2)
+                 y=y, pre=pre, pre_erf=pre_erf, act=act, ln2=ln2_cache)
         )
         acts.attn_probs.append(probs)
         x = z
@@ -319,20 +290,15 @@ def encode_backward(params: dict, acts: Activations, d_hidden, cfg: ModelConfig,
     scale = 1.0 / math.sqrt(dk)
     dx = np.asarray(d_hidden)
     n = dx.shape[0]
-
-    def undrop(d, keep):
-        return d if keep is None else d * keep
-
     for i in reversed(range(cfg.layers)):
         p = prefix + f"l{i}_"
         c = acts.cache[i]
         d_sum2, dg2, db2 = _layernorm_backward(dx, c["ln2"])
         _accumulate(grads, p + "ln2_g", dg2)
         _accumulate(grads, p + "ln2_b", db2)
-        d_ffn = undrop(d_sum2, c["keep2"])
-        _accumulate(grads, p + "w2", c["act"].T @ d_ffn)
-        _accumulate(grads, p + "b2", d_ffn.sum(0))
-        d_act = d_ffn @ params[p + "w2"].T
+        _accumulate(grads, p + "w2", c["act"].T @ d_sum2)
+        _accumulate(grads, p + "b2", d_sum2.sum(0))
+        d_act = d_sum2 @ params[p + "w2"].T
         d_pre = _gelu_backward(d_act, c["pre"], c["pre_erf"])
         _accumulate(grads, p + "w1", c["y"].T @ d_pre)
         _accumulate(grads, p + "b1", d_pre.sum(0))
@@ -340,10 +306,9 @@ def encode_backward(params: dict, acts: Activations, d_hidden, cfg: ModelConfig,
         d_sum1, dg1, db1 = _layernorm_backward(dy, c["ln1"])
         _accumulate(grads, p + "ln1_g", dg1)
         _accumulate(grads, p + "ln1_b", db1)
-        d_attn_out = undrop(d_sum1, c["keep1"])
-        _accumulate(grads, p + "wo", c["ctx"].T @ d_attn_out)
-        _accumulate(grads, p + "bo", d_attn_out.sum(0))
-        d_ctx = (d_attn_out @ params[p + "wo"].T).reshape(n, A, dk).transpose(1, 0, 2)
+        _accumulate(grads, p + "wo", c["ctx"].T @ d_sum1)
+        _accumulate(grads, p + "bo", d_sum1.sum(0))
+        d_ctx = (d_sum1 @ params[p + "wo"].T).reshape(n, A, dk).transpose(1, 0, 2)
         d_probs = d_ctx @ c["vh"].transpose(0, 2, 1)
         d_vh = c["probs"].transpose(0, 2, 1) @ d_ctx
         d_scores = _softmax_backward(d_probs, c["probs"])
@@ -361,8 +326,7 @@ def encode_backward(params: dict, acts: Activations, d_hidden, cfg: ModelConfig,
         _accumulate(grads, p + "bv", dv.sum(0))
         dx = d_sum1 + dq @ params[p + "wq"].T + dk_ @ params[p + "wk"].T + dv @ params[p + "wv"].T
 
-    ids, positions, ln_cache, emb_keep = acts.emb_cache
-    dx = undrop(dx, emb_keep)
+    ids, positions, ln_cache = acts.emb_cache
     d_x0, dg, db = _layernorm_backward(dx, ln_cache)
     _accumulate(grads, prefix + "emb_ln_g", dg)
     _accumulate(grads, prefix + "emb_ln_b", db)
@@ -415,7 +379,15 @@ def rtd_backward(acts: Activations, context_indexes, d_logits, params: dict, d_h
 
 
 # ---------------------------------------------------------------------------
-# generator sampling
+# generator
+
+def encode_generator(params: dict, plan: MaskPlan, cfg: ModelConfig) -> Activations:
+    """Generator pass over a plan's context only, with nothing masked out,
+    under ``cfg.generator_view()``."""
+    mask = np.zeros((plan.T, plan.T), dtype=params["gen_tok_emb"].dtype)
+    return encode(params, plan.context_ids, plan.context_positions, mask, cfg.generator_view(),
+                  prefix="gen_")
+
 
 def generator_forward_and_sample(params: dict, plan: MaskPlan, cfg: ModelConfig,
                                  rng: RngState, temperature: float = 1.0):
@@ -428,10 +400,7 @@ def generator_forward_and_sample(params: dict, plan: MaskPlan, cfg: ModelConfig,
         raise UsageError("temperature must be > 0")
     if not plan.targets_coarse:
         raise UsageError("plan has no masked slots to sample for")
-    gcfg = cfg.generator_view()
-    T = plan.T
-    mask = np.zeros((T, T), dtype=params["gen_tok_emb"].dtype)
-    acts = encode(params, plan.context_ids, plan.context_positions, mask, gcfg, prefix="gen_")
+    acts = encode_generator(params, plan, cfg)
     slots = [slot for slot, _ in plan.targets_coarse]
     logits = predict_ngram(acts, slots, params, prefix="gen_").astype(np.float64)
     z = logits / temperature
@@ -492,8 +461,9 @@ def save_checkpoint(path, params: dict, cfg: ModelConfig, extra: dict | None = N
 def load_checkpoint(path):
     """Returns (params, config, extra, arrays).
 
-    A file that cannot be read as a checkpoint raises DataError; an npz
-    file of another format or version raises its subclass VersionError.
+    A file that cannot be read as a checkpoint, or whose metadata does not
+    build a ModelConfig, raises DataError; an npz file of another format or
+    version raises its subclass VersionError.
     """
     try:
         z = np.load(path, allow_pickle=False)
@@ -503,6 +473,8 @@ def load_checkpoint(path):
             if "__meta__" not in z:
                 raise VersionError(f"{path}: not a checkpoint file")
             meta = json.loads(z["__meta__"].tobytes().decode("utf-8"))
+            if not isinstance(meta, dict):
+                raise VersionError(f"{path}: not a checkpoint file")
             if meta.get("format_version") != CHECKPOINT_VERSION:
                 raise VersionError(
                     f"checkpoint version {meta.get('format_version')}, "
@@ -512,5 +484,9 @@ def load_checkpoint(path):
             arrays = {k[2:]: z[k] for k in z.files if k.startswith("a/")}
     except (OSError, EOFError, ValueError, zipfile.BadZipFile) as e:
         raise DataError(f"cannot read checkpoint {path}: {e}") from e
-    cfg = ModelConfig(**meta["config"])
-    return params, cfg, meta["extra"], arrays
+    try:
+        cfg = ModelConfig(**meta["config"])
+        extra = meta["extra"]
+    except (KeyError, TypeError, UsageError) as e:
+        raise DataError(f"checkpoint {path}: bad metadata: {e!r}") from e
+    return params, cfg, extra, arrays

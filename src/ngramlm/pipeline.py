@@ -3,7 +3,7 @@ sample masked segments and build one plan per document."""
 
 from __future__ import annotations
 
-from .corpus import FineVocab, WordStream
+from .corpus import WordStream
 from .errors import UsageError
 from .lexicon import JointVocab, NGramLexicon
 from .maskplan import (

@@ -1,16 +1,16 @@
 """Loss functions, the joint training loop and n-gram perplexity.
 
-Every cross-entropy term is computed through one shared summation helper
-so that the comprehensive loss equals its explicit and contiguous parts
-with the identical floating-point sequence (sum convention); per-target
-means are reported alongside for logging.
+Every cross-entropy term goes through ``_xent`` and every replaced-token
+term through ``_bce_with_logits``; each plan's terms are kept as sums
+(sum convention), so the comprehensive loss is exactly its coarse and
+fine parts, and per-target means are reported alongside for logging.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -23,9 +23,11 @@ from .maskplan import (
     relation_from_comprehensive,
 )
 from .model import (
+    Activations,
     ModelConfig,
     encode,
     encode_backward,
+    encode_generator,
     generator_forward_and_sample,
     head_backward,
     load_checkpoint,
@@ -57,39 +59,6 @@ def _xent(logits, targets):
     return nll, d
 
 
-def _xent_sum(logits, targets) -> float:
-    nll, _ = _xent(logits, targets)
-    return float(nll.sum())
-
-
-def loss_contiguous(logits, targets) -> float:
-    """Mean NLL over masked tokens (fine vocabulary)."""
-    if len(targets) == 0:
-        raise UsageError("no masked tokens")
-    return _xent_sum(logits, targets) / len(targets)
-
-
-def loss_explicit(logits, targets) -> float:
-    """Mean NLL over masked slots (joint vocabulary)."""
-    if len(targets) == 0:
-        raise UsageError("no masked slots")
-    return _xent_sum(logits, targets) / len(targets)
-
-
-def loss_comprehensive(coarse_logits, coarse_targets, fine_logits, fine_targets) -> dict:
-    """Joint coarse + fine loss; sum convention, per-target mean alongside."""
-    coarse_sum = _xent_sum(coarse_logits, coarse_targets)
-    fine_sum = _xent_sum(fine_logits, fine_targets)
-    total = coarse_sum + fine_sum
-    n = len(coarse_targets) + len(fine_targets)
-    return {
-        "sum": total,
-        "per_target": total / n if n else 0.0,
-        "coarse_sum": coarse_sum,
-        "fine_sum": fine_sum,
-    }
-
-
 def _bce_with_logits(logits, labels):
     """(per-position nll, dlogits)."""
     logits = np.asarray(logits, dtype=np.float64)
@@ -98,21 +67,6 @@ def _bce_with_logits(logits, labels):
     nll = np.maximum(logits, 0) - logits * labels + np.log1p(np.exp(-np.abs(logits)))
     d = 1.0 / (1.0 + np.exp(-logits)) - labels
     return nll, d
-
-
-def loss_rtd(logits, labels) -> float:
-    """Mean binary cross-entropy over the context positions."""
-    if len(labels) == 0:
-        raise UsageError("no rtd labels")
-    nll, _ = _bce_with_logits(logits, labels)
-    return float(nll.mean())
-
-
-def loss_joint_relation(gen_loss: float, std_comprehensive: float, rtd: float,
-                        rtd_weight: float) -> float:
-    """Total relation-modeling objective: generator explicit MLM plus the
-    standard model's comprehensive loss plus weighted RTD."""
-    return gen_loss + std_comprehensive + rtd_weight * rtd
 
 
 @dataclass
@@ -172,6 +126,13 @@ def lr_at(step: int, tcfg: TrainConfig) -> float:
 # ---------------------------------------------------------------------------
 # per-plan forward/backward
 
+def _encode_plan(params: dict, plan: MaskPlan, cfg: ModelConfig) -> Activations:
+    """Standard-model pass over a plan's context and queries under its
+    length-hiding attention mask."""
+    mask = build_attention_mask(plan, dtype=params["tok_emb"].dtype)
+    return encode(params, plan.all_ids(), plan.all_positions(), mask, cfg)
+
+
 def _plan_indexes(plan: MaskPlan):
     slots = [s for s, _ in plan.targets_coarse]
     coarse_t = [y for _, y in plan.targets_coarse]
@@ -191,8 +152,7 @@ def plan_loss_terms(params: dict, plan: MaskPlan, cfg: ModelConfig,
     """
     if grads is None:
         grads = {}
-    mask = build_attention_mask(plan, dtype=params["tok_emb"].dtype)
-    acts = encode(params, plan.all_ids(), plan.all_positions(), mask, cfg)
+    acts = _encode_plan(params, plan, cfg)
     slots, coarse_t, fine_idx, fine_t = _plan_indexes(plan)
     terms = {"coarse_sum": 0.0, "fine_sum": 0.0, "rtd_sum": 0.0,
              "n_coarse": len(coarse_t), "n_fine": len(fine_t), "n_rtd": 0}
@@ -237,10 +197,7 @@ def generator_loss_terms(params: dict, plan: MaskPlan, cfg: ModelConfig,
     slots, coarse_t, _, _ = _plan_indexes(plan)
     if not coarse_t:
         return {"gen_sum": 0.0, "n_gen": 0}, grads
-    gcfg = cfg.generator_view()
-    T = plan.T
-    mask = np.zeros((T, T), dtype=params["gen_tok_emb"].dtype)
-    acts = encode(params, plan.context_ids, plan.context_positions, mask, gcfg, prefix="gen_")
+    acts = encode_generator(params, plan, cfg)
     logits = predict_ngram(acts, slots, params, prefix="gen_")
     nll, dlog = _xent(logits, coarse_t)
     terms = {"gen_sum": float(nll.sum()), "n_gen": len(coarse_t)}
@@ -248,7 +205,8 @@ def generator_loss_terms(params: dict, plan: MaskPlan, cfg: ModelConfig,
         d_hidden = np.zeros_like(acts.hidden)
         head_backward(acts, slots, dlog * scale, "gen_ngram_w", "gen_ngram_b",
                       params, d_hidden, grads=grads)
-        encode_backward(params, acts, d_hidden, gcfg, prefix="gen_", grads=grads)
+        encode_backward(params, acts, d_hidden, cfg.generator_view(), prefix="gen_",
+                        grads=grads)
     return terms, grads
 
 
@@ -499,8 +457,7 @@ def eval_ngram_ppl(params: dict, plans, cfg: ModelConfig) -> float:
     """
     log_ppls = []
     for plan in plans:
-        mask = build_attention_mask(plan, dtype=params["tok_emb"].dtype)
-        acts = encode(params, plan.all_ids(), plan.all_positions(), mask, cfg)
+        acts = _encode_plan(params, plan, cfg)
         if plan.objective == Objective.CONTIGUOUS:
             target_of = dict(plan.targets_fine)
             for group in _contiguous_gram_groups(plan):

@@ -185,6 +185,81 @@ def test_unreadable_checkpoint_is_a_data_error(corpus_dir, tmp_path):
         assert main(["eval-ppl", "--plans", str(plans), "--checkpoint", str(bad)]) == 3
 
 
+def rewrite_meta(src, dst, edit):
+    """Copy checkpoint ``src`` to ``dst`` with its metadata edited in place
+    by ``edit``, or replaced by what ``edit`` returns."""
+    with np.load(src) as z:
+        store = {k: z[k] for k in z.files}
+    meta = json.loads(store["__meta__"].tobytes().decode("utf-8"))
+    meta = edit(meta) or meta
+    store["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    with open(dst, "wb") as f:
+        np.savez(f, **store)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda m: m["config"].update(unknown=1),  # a key ModelConfig does not take
+    lambda m: m["config"].pop("hidden"),
+    lambda m: m["config"].update(heads=3),  # hidden not divisible by heads
+    lambda m: m.update(config=[1, 2]),
+    lambda m: [m],
+    lambda m: m.update(format_version=1),  # carried dropout and max_query
+], ids=["unknown-key", "missing-key", "invalid", "config-not-object", "meta-not-object",
+        "format-1"])
+def test_bad_checkpoint_metadata_is_a_data_error(corpus_dir, tmp_path, edit):
+    plans = run_pipeline(corpus_dir, tmp_path)
+    ck = tmp_path / "model.npz"
+    assert main(["train", "--plans", str(plans), "--layers", "1", "--hidden", "16",
+                 "--heads", "2", "--steps", "1", "--batch-size", "2", "--out", str(ck)]) == 0
+    bad = tmp_path / "bad.npz"
+    rewrite_meta(ck, bad, edit)
+    assert main(["eval-ppl", "--plans", str(plans), "--checkpoint", str(bad)]) == 3
+
+
+def with_provenance(data, raw):
+    """Plan file bytes with the provenance header replaced by ``raw``."""
+    n = int.from_bytes(data[6:10], "little")
+    return data[:6] + len(raw).to_bytes(4, "little") + raw + data[10 + n:]
+
+
+@pytest.mark.parametrize("damage", [
+    lambda data: data[:7],  # cut inside the 10-byte file header
+    lambda data: data[:12],  # cut inside the provenance header
+    lambda data: with_provenance(data, b'{"a": "\xff"}'),
+    lambda data: with_provenance(data, b'{"a": '),
+    lambda data: with_provenance(data, b'"fine_vocab_size"'),
+], ids=["truncated-header", "truncated-provenance", "provenance-not-utf8",
+        "provenance-not-json", "provenance-not-object"])
+def test_malformed_plan_file_is_a_data_error(corpus_dir, tmp_path, damage):
+    plans = run_pipeline(corpus_dir, tmp_path)
+    broken = tmp_path / "broken.bin"
+    broken.write_bytes(damage(plans.read_bytes()))
+    assert main(["train", "--plans", str(broken), "--steps", "1",
+                 "--out", str(tmp_path / "m.npz")]) == 3
+
+
+@pytest.mark.parametrize("column", [1, 2, 3], ids=["order", "score", "count"])
+def test_non_numeric_lexicon_field_is_a_data_error(corpus_dir, tmp_path, column):
+    lines = (corpus_dir / "lex.tsv").read_text(encoding="utf-8").splitlines()
+    fields = lines[1].split("\t")
+    fields[column] = "x"
+    lines[1] = "\t".join(fields)
+    bad = tmp_path / "lex.tsv"
+    bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    src = tmp_path / "in.txt"
+    src.write_text("topic00 t00p0a t00p0b fill01\n", encoding="utf-8")
+    assert main(["segment", "--lexicon", str(bad), "--input", str(src)]) == 3
+
+
+def test_unreadable_lexicon_is_a_data_error(tmp_path):
+    bad = tmp_path / "lex.tsv"
+    bad.write_bytes(b"# ngramlm-lexicon v1\t{}\n\xff b\t2\t1.0\t3\n")
+    src = tmp_path / "in.txt"
+    src.write_text("a b\n", encoding="utf-8")
+    for lexicon in (bad, tmp_path / "missing.tsv"):
+        assert main(["segment", "--lexicon", str(lexicon), "--input", str(src)]) == 3
+
+
 def test_resume_refuses_a_mismatched_checkpoint(corpus_dir, tmp_path):
     plans = run_pipeline(corpus_dir, tmp_path, objective="comprehensive")
     ck = tmp_path / "model.npz"

@@ -21,11 +21,6 @@ from ngramlm import (
     extract_lexicon,
     init_params,
     load_checkpoint,
-    loss_comprehensive,
-    loss_contiguous,
-    loss_explicit,
-    loss_joint_relation,
-    loss_rtd,
     make_plans,
     train,
 )
@@ -35,6 +30,7 @@ from ngramlm.maskplan import relation_from_comprehensive
 from ngramlm.model import generator_forward_and_sample
 from ngramlm.train import (
     AdamState,
+    _bce_with_logits,
     _contiguous_gram_groups,
     _decayable,
     _save_train_checkpoint,
@@ -54,8 +50,10 @@ from conftest import tiny_config
 
 def test_uniform_logits_cost_log_classes():
     # [DERIVED] softmax over zeros is uniform: NLL = ln C for any target
-    assert loss_contiguous(np.zeros((3, 4)), [0, 1, 3]) == pytest.approx(math.log(4), abs=1e-12)
-    assert loss_explicit(np.zeros((2, 107)), [5, 99]) == pytest.approx(math.log(107), abs=1e-12)
+    nll, _ = _xent(np.zeros((3, 4)), [0, 1, 3])
+    assert nll == pytest.approx([math.log(4)] * 3, abs=1e-12)
+    nll, _ = _xent(np.zeros((2, 107)), [5, 99])
+    assert nll == pytest.approx([math.log(107)] * 2, abs=1e-12)
 
 
 def test_xent_hand_value():
@@ -72,31 +70,13 @@ def test_xent_rejects_bad_targets():
     with pytest.raises(UsageError):
         _xent(np.zeros((1, 3)), [3])
     with pytest.raises(UsageError):
-        loss_contiguous(np.zeros((0, 3)), [])
-
-
-def test_comprehensive_additivity_is_exact():
-    g = np.random.default_rng(0)
-    coarse = g.normal(size=(3, 11))
-    fine = g.normal(size=(5, 7))
-    ct, ft = [1, 2, 10], [0, 6, 3, 3, 1]
-    out = loss_comprehensive(coarse, ct, fine, ft)
-    # bitwise equality: the parts are computed through the same helper
-    assert out["sum"] == out["coarse_sum"] + out["fine_sum"]
-    assert out["coarse_sum"] == pytest.approx(loss_explicit(coarse, ct) * 3, rel=1e-12)
-    assert out["fine_sum"] == pytest.approx(loss_contiguous(fine, ft) * 5, rel=1e-12)
-    assert out["per_target"] == out["sum"] / 8
+        _xent(np.zeros((1, 3)), [-1])
 
 
 def test_rtd_zero_logits_is_ln2():
     # [DERIVED] p = 0.5 regardless of label: cost is exactly ln 2
-    assert loss_rtd(np.zeros(9), [1, 0, 1, 1, 0, 0, 1, 0, 1]) == pytest.approx(
-        math.log(2), abs=1e-12)
-
-
-def test_joint_relation_weighting():
-    assert loss_joint_relation(1.5, 2.0, 3.0, 0.0) == 3.5
-    assert loss_joint_relation(1.5, 2.0, 3.0, 0.5) == 5.0
+    nll, _ = _bce_with_logits(np.zeros(9), [1, 0, 1, 1, 0, 0, 1, 0, 1])
+    assert nll == pytest.approx([math.log(2)] * 9, abs=1e-12)
 
 
 # --- schedule & optimizer --------------------------------------------------------
@@ -218,6 +198,7 @@ def test_model_computes_in_parameter_dtype(small_pipeline, objective, dtype, mon
     # a NumPy float64 scalar anywhere in the forward or backward pass would
     # promote float32 activations and gradients to float64
     train_mod = importlib.import_module("ngramlm.train")
+    model_mod = importlib.import_module("ngramlm.model")
     stream, vocab, lex, jv, cfg = small_pipeline
     plans = make_plans(stream, lex, jv, objective, seed=1)
     tcfg = TrainConfig(objective, total_steps=1, batch_size=4, warmup_steps=0, seed=0)
@@ -230,7 +211,9 @@ def test_model_computes_in_parameter_dtype(small_pipeline, objective, dtype, mon
         seen.append((acts.hidden.dtype, [p.dtype for p in acts.attn_probs]))
         return acts
 
+    # plans are encoded through ngramlm.train, the generator through ngramlm.model
     monkeypatch.setattr(train_mod, "encode", recording_encode)
+    monkeypatch.setattr(model_mod, "encode", recording_encode)
     _, grads = batch_loss_and_grad(params, plans[:4], cfg, tcfg, RngState(0))
     assert len(seen) >= 4
     for hidden, probs in seen:
@@ -238,11 +221,10 @@ def test_model_computes_in_parameter_dtype(small_pipeline, objective, dtype, mon
     assert set(grads) and all(g.dtype == dtype for g in grads.values())
 
 
-def per_plan_reference_grads(params, batch, cfg, tcfg, rng):
-    """Batch gradients as the plan-order sum of per-plan gradient dicts.
-
-    Each plan's terms write into their own fresh dict; the relation
-    objective replays the generator samples from the same RngState."""
+def sampled_work(params, batch, cfg, tcfg, rng):
+    """(plan, generator plan) pairs and target counts, as a batch sees them:
+    the relation objective fills each plan with generator samples drawn
+    from ``rng``, in plan order."""
     relation = tcfg.objective == Objective.RELATION
     work, n = [], {"coarse": 0, "fine": 0, "rtd": 0, "gen": 0}
     for plan in batch:
@@ -256,6 +238,15 @@ def per_plan_reference_grads(params, batch, cfg, tcfg, rng):
         n["coarse"] += len(plan.targets_coarse)
         n["fine"] += len(plan.targets_fine)
         work.append((plan, gen_plan))
+    return work, n
+
+
+def per_plan_reference_grads(params, batch, cfg, tcfg, rng):
+    """Batch gradients as the plan-order sum of per-plan gradient dicts.
+
+    Each plan's terms write into their own fresh dict; the relation
+    objective replays the generator samples from the same RngState."""
+    work, n = sampled_work(params, batch, cfg, tcfg, rng)
     scales = {"coarse": tcfg.coarse_weight / max(n["coarse"], 1),
               "fine": tcfg.fine_weight / max(n["fine"], 1),
               "rtd": tcfg.rtd_weight / max(n["rtd"], 1)}
@@ -287,6 +278,34 @@ def test_batch_grads_equal_plan_order_sum(small_pipeline, objective):
     for k in want:
         assert grads[k].dtype == want[k].dtype, k
         assert np.array_equal(grads[k], want[k]), k
+
+
+def test_relation_total_is_weighted_sum(small_pipeline):
+    # total = coarse + fine + rtd_weight * rtd + generator, each term the
+    # batch sum of its per-plan loss sums over the batch target count
+    stream, vocab, lex, jv, cfg = small_pipeline
+    plans = make_plans(stream, lex, jv, Objective.RELATION, seed=1)
+    tcfg = TrainConfig(Objective.RELATION, total_steps=1, batch_size=6, warmup_steps=0,
+                       seed=0, rtd_weight=0.5)
+    params = init_params(cfg, 4)
+    batch = plans[:6]
+    report, _ = batch_loss_and_grad(params, batch, cfg, tcfg, RngState(9))
+    work, n = sampled_work(params, batch, cfg, tcfg, RngState(9))
+    sums = {"coarse_sum": 0.0, "fine_sum": 0.0, "rtd_sum": 0.0, "gen_sum": 0.0}
+    for plan, gen_plan in work:
+        terms, _ = plan_loss_terms(params, plan, cfg)
+        for key in ("coarse_sum", "fine_sum", "rtd_sum"):
+            sums[key] += terms[key]
+        sums["gen_sum"] += generator_loss_terms(params, gen_plan, cfg)[0]["gen_sum"]
+    assert min(n.values()) > 0
+    coarse = sums["coarse_sum"] / n["coarse"]
+    fine = sums["fine_sum"] / n["fine"]
+    rtd = sums["rtd_sum"] / n["rtd"]
+    generator = sums["gen_sum"] / n["gen"]
+    assert (report.coarse, report.fine, report.rtd, report.generator) == pytest.approx(
+        (coarse, fine, rtd, generator), rel=1e-12)
+    assert report.total == pytest.approx(coarse + fine + 0.5 * rtd + generator, rel=1e-12)
+    assert report.total != pytest.approx(coarse + fine + rtd + generator, rel=1e-6)
 
 
 def test_nan_aborts_with_diagnostic_checkpoint(small_pipeline, tmp_path):
