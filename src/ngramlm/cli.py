@@ -142,6 +142,24 @@ def _model_config(args, fine_size, ngram_size) -> ModelConfig:
     )
 
 
+def _check_plan_ids(path, plans, cfg: ModelConfig):
+    """Refuse plans whose ids or indexes fall outside the model's sizes."""
+    joint, fine = cfg.joint_size, cfg.fine_vocab_size
+    for k, plan in enumerate(plans):
+        where = f"{path}: plan {k}"
+        n = plan.T + plan.Q
+        if max(plan.all_ids(), default=0) >= joint:
+            raise DataError(f"{where}: token id outside the joint vocabulary 0..{joint - 1}")
+        for slot, y in plan.targets_coarse:
+            if slot >= plan.T or y >= joint:
+                raise DataError(f"{where}: coarse target ({slot}, {y}) outside "
+                                f"{plan.T} context slots or joint vocabulary 0..{joint - 1}")
+        for idx, x in plan.targets_fine:
+            if idx >= n or x >= fine:
+                raise DataError(f"{where}: fine target ({idx}, {x}) outside "
+                                f"{n} positions or fine vocabulary 0..{fine - 1}")
+
+
 def cmd_train(args):
     prov_in, plans = read_plan_file(args.plans)
     if "fine_vocab_size" not in prov_in:
@@ -153,6 +171,7 @@ def cmd_train(args):
     elif any(p.objective != objective for p in plans):
         raise UsageError(f"plan objectives do not match --objective {objective.name.lower()}")
     cfg = _model_config(args, prov_in["fine_vocab_size"], prov_in["ngram_vocab_size"])
+    _check_plan_ids(args.plans, plans, cfg)
     tcfg = TrainConfig(
         objective=objective,
         total_steps=args.steps,
@@ -174,6 +193,7 @@ def cmd_train(args):
 def cmd_eval_ppl(args):
     _, plans = read_plan_file(args.plans)
     params, cfg, _, _ = load_checkpoint(args.checkpoint)
+    _check_plan_ids(args.plans, plans, cfg)
     ppl = eval_ngram_ppl(params, plans, cfg)
     print(json.dumps({"ngram_ppl": ppl, "plans": len(plans)}))
     return 0

@@ -100,6 +100,8 @@ class FineVocab:
 
     File format: plain text, one subword per line, id = 0-based line
     number.  Reserved symbols come first (see ``reserved_symbols``).
+    ``subword_tokenize`` caches each word's ids on the instance, so the
+    entries must not change after construction.
     """
 
     def __init__(self, tokens: list[str], max_query: int = DEFAULT_MAX_QUERY):
@@ -112,6 +114,7 @@ class FineVocab:
         for sym in reserved_symbols(max_query):
             if sym not in self.index:
                 raise DataError(f"vocabulary missing reserved symbol {sym}")
+        self._word_ids: dict = {}  # word -> tuple of ids, filled by subword_tokenize
 
     @classmethod
     def from_subwords(cls, subwords, max_query: int = DEFAULT_MAX_QUERY) -> "FineVocab":
@@ -197,18 +200,12 @@ def count_ngrams(stream: WordStream, n_max: int) -> CountTables:
         tables.counts[l] = Counter()
         tables.totals[l] = 0
     for doc in stream:
-        for word in doc:
-            if not word:
-                raise DataError("empty word in stream")
+        if not all(doc):
+            raise DataError("empty word in stream")
         n = len(doc)
-        for l in range(1, n_max + 1):
-            m = n - l + 1
-            if m <= 0:
-                continue
-            tables.totals[l] += m
-            c = tables.counts[l]
-            for i in range(m):
-                c[tuple(doc[i : i + l])] += 1
+        for l in range(1, min(n, n_max) + 1):
+            tables.totals[l] += n - l + 1
+            tables.counts[l].update(zip(*(doc[k:] for k in range(l))))
     return tables
 
 
@@ -217,16 +214,22 @@ def subword_tokenize(words, vocab: FineVocab):
 
     Returns (ids, spans) where spans[j] = (lo, hi) is the contiguous
     subword range covering words[j].  Unknown material maps to [UNK].
+    Each distinct word is split once per vocabulary and its ids cached.
     """
+    cache = vocab._word_ids
     ids: list[int] = []
     spans: list[tuple[int, int]] = []
     for word in words:
         lo = len(ids)
-        pieces = _split_word(word, vocab)
-        if pieces is None:
-            ids.append(vocab.unk_id)
-        else:
-            ids.extend(vocab.index[p] for p in pieces)
+        word_ids = cache.get(word)
+        if word_ids is None:
+            pieces = _split_word(word, vocab)
+            if pieces is None:
+                word_ids = (vocab.unk_id,)
+            else:
+                word_ids = tuple(vocab.index[p] for p in pieces)
+            cache[word] = word_ids
+        ids.extend(word_ids)
         spans.append((lo, len(ids)))
     return ids, spans
 

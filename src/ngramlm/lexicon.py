@@ -60,6 +60,8 @@ class NGramLexicon:
     """Per-order ranked n-gram tables and the merged lexicon.
 
     Merged ids are stable: orders ascending, rank within order.
+    ``index`` maps each n-gram to its merged id and ``first_words`` holds
+    the words that begin an n-gram; neither may change after construction.
     """
 
     def __init__(self, per_order: dict):
@@ -67,19 +69,20 @@ class NGramLexicon:
         self.merged: list[ScoredNGram] = []
         for l in sorted(self.per_order):
             self.merged.extend(self.per_order[l])
-        self._index = {sg.words: i for i, sg in enumerate(self.merged)}
-        if len(self._index) != len(self.merged):
+        self.index = {sg.words: i for i, sg in enumerate(self.merged)}
+        if len(self.index) != len(self.merged):
             raise DataError("duplicate n-grams in lexicon")
+        self.first_words = frozenset(w[0] for w in self.index)
 
     def __len__(self):
         return len(self.merged)
 
     def __contains__(self, words: tuple):
-        return tuple(words) in self._index
+        return tuple(words) in self.index
 
     def ngram_index(self, words: tuple):
         """Rank of an n-gram in the merged lexicon, or None."""
-        return self._index.get(tuple(words))
+        return self.index.get(tuple(words))
 
     @property
     def max_order(self) -> int:

@@ -74,23 +74,26 @@ def extract_boundaries(words, lex: NGramLexicon) -> BoundarySeq:
     words = tuple(words)
     n = len(words)
     max_order = max(lex.max_order, 1)
-    # minseg[i] = fewest segments tiling words[i:]
+    index = lex.index
+    first_words = lex.first_words
+    # minseg[i] = fewest segments tiling words[i:]; take[i] = the longest
+    # segment starting at i that reaches minseg[i]
     minseg = [0] * (n + 1)
+    take = [1] * n
     for i in range(n - 1, -1, -1):
         best = 1 + minseg[i + 1]  # unigram always valid
-        for l in range(2, min(max_order, n - i) + 1):
-            if words[i : i + l] in lex:
-                best = min(best, 1 + minseg[i + l])
+        longest = 1
+        if words[i] in first_words:
+            for l in range(2, min(max_order, n - i) + 1):
+                if words[i : i + l] in index and 1 + minseg[i + l] <= best:
+                    best = 1 + minseg[i + l]
+                    longest = l
         minseg[i] = best
-    # walk left to right taking the longest segment consistent with minseg
+        take[i] = longest
+    # walk left to right along the recorded segments
     bounds = [1]
     i = 0
     while i < n:
-        take = 1
-        for l in range(min(max_order, n - i), 1, -1):
-            if words[i : i + l] in lex and 1 + minseg[i + l] == minseg[i]:
-                take = l
-                break
-        i += take
+        i += take[i]
         bounds.append(i + 1)
     return BoundarySeq(tuple(bounds), words)

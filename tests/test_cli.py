@@ -1,5 +1,6 @@
 """Command line front end: end-to-end pipeline, determinism, exit codes."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from ngramlm import FineVocab, load_checkpoint
 from ngramlm.cli import main
 from ngramlm.corpus import tokenize_words
-from ngramlm.maskplan import read_plan_file
+from ngramlm.maskplan import read_plan_file, write_plan_file
 from ngramlm.synth import CollocationSpec, collocation_corpus, write_corpus
 
 
@@ -236,6 +237,26 @@ def test_malformed_plan_file_is_a_data_error(corpus_dir, tmp_path, damage):
     broken.write_bytes(damage(plans.read_bytes()))
     assert main(["train", "--plans", str(broken), "--steps", "1",
                  "--out", str(tmp_path / "m.npz")]) == 3
+
+
+@pytest.mark.parametrize("edit", [
+    lambda p: {"context_ids": (1_000_000,) + p.context_ids[1:]},
+    lambda p: {"targets_coarse": ((p.targets_coarse[0][0], 1_000_000),) + p.targets_coarse[1:]},
+    lambda p: {"targets_coarse": ((p.T, p.targets_coarse[0][1]),) + p.targets_coarse[1:]},
+    lambda p: {"targets_fine": ((p.targets_fine[0][0], 1_000_000),) + p.targets_fine[1:]},
+], ids=["context-id", "coarse-target", "coarse-slot", "fine-target"])
+def test_out_of_range_plan_is_a_data_error(corpus_dir, tmp_path, edit):
+    plans_path = run_pipeline(corpus_dir, tmp_path, objective="comprehensive")
+    ck = tmp_path / "model.npz"
+    assert main(["train", "--plans", str(plans_path), "--layers", "1", "--hidden", "16",
+                 "--heads", "2", "--steps", "1", "--batch-size", "2", "--out", str(ck)]) == 0
+    prov, plans = read_plan_file(plans_path)
+    bad = tmp_path / "bad.bin"
+    write_plan_file(bad, [dataclasses.replace(plans[0], **edit(plans[0]))] + plans[1:], prov)
+    assert main(["eval-ppl", "--plans", str(bad), "--checkpoint", str(ck)]) == 3
+    assert main(["train", "--plans", str(bad), "--layers", "1", "--hidden", "16",
+                 "--heads", "2", "--steps", "1", "--batch-size", "2",
+                 "--out", str(tmp_path / "m2.npz")]) == 3
 
 
 @pytest.mark.parametrize("column", [1, 2, 3], ids=["order", "score", "count"])

@@ -95,6 +95,18 @@ def test_count_ngrams_rejects_empty_word():
         count_ngrams(WordStream([["a", ""]]), 2)
 
 
+def naive_count(docs, n_max):
+    """Per-position reference count: one Counter increment per l-gram."""
+    counts = {l: collections.Counter() for l in range(1, n_max + 1)}
+    totals = {l: 0 for l in range(1, n_max + 1)}
+    for doc in docs:
+        for l in range(1, n_max + 1):
+            for i in range(len(doc) - l + 1):
+                counts[l][tuple(doc[i : i + l])] += 1
+                totals[l] += 1
+    return counts, totals
+
+
 doc_st = st.lists(st.text(alphabet="abcde", min_size=1, max_size=4),
                   min_size=1, max_size=10)
 corpus_st = st.lists(doc_st, min_size=0, max_size=8)
@@ -103,14 +115,19 @@ corpus_st = st.lists(doc_st, min_size=0, max_size=8)
 @settings(max_examples=60, deadline=None)
 @given(docs=corpus_st, split=st.integers(min_value=0, max_value=8))
 def test_count_merge_equals_whole(docs, split):
-    # [DERIVED] sharding property: count(shard1) + count(shard2) == count(all)
+    # [DERIVED] sharding property: count(shard1) + count(shard2) == count(all),
+    # and count(all) equals the per-position reference count, insertion
+    # order included.  Documents of 1 or 2 words are shorter than order 3.
     split = min(split, len(docs))
-    whole = count_ngrams(WordStream(docs), 3) if docs else None
+    whole = count_ngrams(WordStream(docs), 3)
+    counts, totals = naive_count(docs, 3)
+    assert whole.counts == counts
+    assert whole.totals == totals
+    for l in counts:
+        assert list(whole.counts[l]) == list(counts[l])
     a = count_ngrams(WordStream(docs[:split]), 3)
     b = count_ngrams(WordStream(docs[split:]), 3)
     merged = a.merge(b)
-    if whole is None:
-        return
     assert merged.counts == whole.counts
     assert merged.totals == whole.totals
 
@@ -186,3 +203,34 @@ def test_subword_spans_tile_the_ids(words):
     assert spans[0][0] == 0 and spans[-1][1] == len(ids)
     for (lo, hi), (lo2, _) in zip(spans, spans[1:]):
         assert hi == lo2 and lo < hi
+
+
+def test_subword_cache_is_per_vocabulary():
+    # "abc" splits as [ab, ##c] under one vocabulary and [a, ##bc] under the
+    # other, and the ids differ too ("zz" shifts the second vocabulary's)
+    v1 = FineVocab.from_subwords(["ab", "##c"])
+    v2 = FineVocab.from_subwords(["zz", "a", "##bc"])
+    ids1, _ = subword_tokenize(["abc"], v1)
+    ids2, _ = subword_tokenize(["abc"], v2)
+    assert [v1.tokens[i] for i in ids1] == ["ab", "##c"]
+    assert [v2.tokens[i] for i in ids2] == ["a", "##bc"]
+    assert subword_tokenize(["abc"], v1)[0] == ids1
+
+
+def test_subword_oov_stays_unk_when_repeated():
+    v = FineVocab.from_subwords(["ab"])
+    first = subword_tokenize(["zq", "ab", "zq"], v)
+    assert first == ([v.unk_id, v.index["ab"], v.unk_id], [(0, 1), (1, 2), (2, 3)])
+    assert subword_tokenize(["zq"], v) == ([v.unk_id], [(0, 1)])
+
+
+SHARED_VOCAB = FineVocab.from_subwords(["a", "b", "ab", "##a", "##b", "##ab", "c"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.text(alphabet="abcz", min_size=1, max_size=6), min_size=1, max_size=8))
+def test_subword_repeated_calls_agree(words):
+    # one vocabulary shared across examples, so later calls hit words cached earlier
+    first = subword_tokenize(words, SHARED_VOCAB)
+    assert subword_tokenize(words, SHARED_VOCAB) == first
+    assert subword_tokenize(words, FineVocab(SHARED_VOCAB.tokens)) == first

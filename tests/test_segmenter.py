@@ -62,18 +62,25 @@ def test_enumeration_cap():
         enumerate_paths(("a",) * (ENUMERATION_CAP + 1), lex)
 
 
-def test_random_oracle_equivalence():
-    # [DERIVED] 300 random sequences (length <= 12) against the exhaustive oracle
+@pytest.mark.parametrize("n_words,n_starts", [(8, 8), (12, 4)],
+                         ids=["every-word-starts", "some-words-start-nothing"])
+def test_random_oracle_equivalence(n_words, n_starts):
+    # [DERIVED] 300 random sequences (length <= 12) against the exhaustive
+    # oracle.  Entries begin with one of the first n_starts words, so with
+    # n_starts < n_words the sequences hold words that begin no entry.
     g = np.random.default_rng(12345)
-    alphabet = [f"w{i}" for i in range(8)]
+    alphabet = [f"w{i}" for i in range(n_words)]
     entries = set()
     while len(entries) < 50:
         l = int(g.integers(2, 4))
-        entries.add(tuple(alphabet[int(i)] for i in g.integers(0, 8, size=l)))
+        picks = g.integers(0, n_words, size=l)
+        picks[0] %= n_starts
+        entries.add(tuple(alphabet[int(i)] for i in picks))
     lex = lex_from(entries)
+    assert lex.first_words <= set(alphabet[:n_starts])
     for _ in range(300):
         n = int(g.integers(1, 13))
-        words = tuple(alphabet[int(i)] for i in g.integers(0, 8, size=n))
+        words = tuple(alphabet[int(i)] for i in g.integers(0, n_words, size=n))
         got = extract_boundaries(words, lex)
         want = oracle(words, lex)
         assert got == want, (words, got.boundaries, want.boundaries)
