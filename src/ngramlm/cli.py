@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import sys
 
 import numpy as np
 
 from . import __version__
-from .corpus import FineVocab, TokenizerConfig, count_ngrams, ingest, tokenize_words
+from .corpus import FineVocab, TokenizerConfig, _read_text, count_ngrams, ingest, tokenize_words
 from .errors import DataError, NumericError, UsageError
 from .lexicon import NGramLexicon, build_joint_vocab, extract_lexicon
 from .maskplan import (
@@ -113,19 +114,17 @@ def cmd_make_masks(args):
 
 def cmd_segment(args):
     lex = NGramLexicon.load(args.lexicon)
-    src = open(args.input, encoding="utf-8") if args.input else sys.stdin
-    try:
-        for line in src:
-            words = tokenize_words(line, not args.no_lowercase)
-            if not words:
-                continue
-            b = extract_boundaries(words, lex)
-            fields = [",".join(str(x) for x in b.boundaries)]
-            fields += [" ".join(seg) for seg in b.segments()]
-            print("\t".join(fields))
-    finally:
-        if args.input:
-            src.close()
+    # the whole file is read and decoded first, so a missing or non-UTF-8
+    # input fails before any output; newline=None splits lines as open() does
+    src = io.StringIO(_read_text(args.input), newline=None) if args.input else sys.stdin
+    for line in src:
+        words = tokenize_words(line, not args.no_lowercase)
+        if not words:
+            continue
+        b = extract_boundaries(words, lex)
+        fields = [",".join(str(x) for x in b.boundaries)]
+        fields += [" ".join(seg) for seg in b.segments()]
+        print("\t".join(fields))
     return 0
 
 
@@ -143,13 +142,16 @@ def _model_config(args, fine_size, ngram_size) -> ModelConfig:
 
 
 def _check_plan_ids(path, plans, cfg: ModelConfig):
-    """Refuse plans whose ids or indexes fall outside the model's sizes."""
-    joint, fine = cfg.joint_size, cfg.fine_vocab_size
+    """Refuse plans whose ids, positions or indexes fall outside the model's sizes."""
+    joint, fine, max_pos = cfg.joint_size, cfg.fine_vocab_size, cfg.max_positions
     for k, plan in enumerate(plans):
         where = f"{path}: plan {k}"
         n = plan.T + plan.Q
         if max(plan.all_ids(), default=0) >= joint:
             raise DataError(f"{where}: token id outside the joint vocabulary 0..{joint - 1}")
+        positions = plan.all_positions()
+        if positions and (min(positions) < 1 or max(positions) > max_pos):
+            raise DataError(f"{where}: position id outside 1..{max_pos}")
         for slot, y in plan.targets_coarse:
             if slot >= plan.T or y >= joint:
                 raise DataError(f"{where}: coarse target ({slot}, {y}) outside "

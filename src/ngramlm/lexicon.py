@@ -60,8 +60,10 @@ class NGramLexicon:
     """Per-order ranked n-gram tables and the merged lexicon.
 
     Merged ids are stable: orders ascending, rank within order.
-    ``index`` maps each n-gram to its merged id and ``first_words`` holds
-    the words that begin an n-gram; neither may change after construction.
+    ``index`` maps each n-gram to its merged id.  ``trie`` holds the same
+    n-grams as nested dicts, one per distinct prefix: each node maps a word
+    to the node of the longer prefix, and the node of a whole n-gram holds
+    the key ``None``.  Neither may change after construction.
     """
 
     def __init__(self, per_order: dict):
@@ -72,7 +74,12 @@ class NGramLexicon:
         self.index = {sg.words: i for i, sg in enumerate(self.merged)}
         if len(self.index) != len(self.merged):
             raise DataError("duplicate n-grams in lexicon")
-        self.first_words = frozenset(w[0] for w in self.index)
+        self.trie: dict = {}
+        for words in self.index:
+            node = self.trie
+            for w in words:
+                node = node.setdefault(w, {})
+            node[None] = True
 
     def __len__(self):
         return len(self.merged)

@@ -15,6 +15,7 @@ import json
 import logging
 import struct
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -327,79 +328,106 @@ def _check_masked(ex: SegmentedExample, masked):
 # ---------------------------------------------------------------------------
 # binary record format (little-endian, length-prefixed)
 
+_OBJECTIVES = tuple(Objective)  # indexed by the objective byte
+
+
 def serialize_plan(plan: MaskPlan) -> bytes:
+    """u32 payload length, then the payload: u16 version, u8 objective,
+    u32 T, u32 Q, T context ids, T + Q positions, Q query ids, u32 count
+    and (index, id) pairs for the coarse then the fine targets, u8 RTD
+    flag and, when set, T label bits packed low bit first."""
     T, Q = plan.T, plan.Q
-    parts = [struct.pack("<HBII", PLAN_VERSION, int(plan.objective), T, Q)]
-    parts.append(struct.pack(f"<{T}I", *plan.context_ids))
-    parts.append(struct.pack(f"<{T + Q}I", *plan.all_positions()))
-    parts.append(struct.pack(f"<{Q}I", *plan.query_ids))
-    parts.append(struct.pack("<I", len(plan.targets_coarse)))
-    for slot, y in plan.targets_coarse:
-        parts.append(struct.pack("<II", slot, y))
-    parts.append(struct.pack("<I", len(plan.targets_fine)))
-    for idx, x in plan.targets_fine:
-        parts.append(struct.pack("<II", idx, x))
+    nc, nf = len(plan.targets_coarse), len(plan.targets_fine)
     if plan.rtd_labels is None:
-        parts.append(b"\x00")
+        has_rtd, bits = 0, bytearray()
     else:
-        bits = bytearray((T + 7) // 8)
+        has_rtd, bits = 1, bytearray((T + 7) // 8)
         for i, lab in enumerate(plan.rtd_labels):
             if lab:
                 bits[i // 8] |= 1 << (i % 8)
-        parts.append(b"\x01" + bytes(bits))
-    payload = b"".join(parts)
-    return struct.pack("<I", len(payload)) + payload
+    k = 2 * T + 2 * Q + 2 + 2 * nc + 2 * nf  # u32 fields after the header
+    # one count for all the u32 fields: a count per field would give too many
+    # distinct formats for struct's format cache, and each miss compiles one
+    return struct.pack(
+        f"<IHBII{k}IB{len(bits)}s",
+        11 + 4 * k + 1 + len(bits), PLAN_VERSION, int(plan.objective), T, Q,
+        *plan.context_ids, *plan.context_positions, *plan.query_positions, *plan.query_ids,
+        nc, *chain.from_iterable(plan.targets_coarse),
+        nf, *chain.from_iterable(plan.targets_fine),
+        has_rtd, bits,
+    )
 
 
-class _Reader:
-    def __init__(self, buf: bytes, base_offset: int = 0):
-        self.buf = buf
-        self.pos = 0
-        self.base = base_offset
+def _truncated(shift: int, end: int, *fields) -> PlanFormatError:
+    """The error for a record cut at ``end``, placed at the first of the
+    ``(start, size, item)`` fields that runs past it: at the field's start,
+    or for a list of ``item``-byte pairs at its first incomplete pair."""
+    offset = next(start + (end - start) // item * item
+                  for start, size, item in fields if start + size > end)
+    return PlanFormatError("truncated plan record", shift + offset)
 
-    def take(self, fmt: str):
-        size = struct.calcsize(fmt)
-        if self.pos + size > len(self.buf):
-            raise PlanFormatError("truncated plan record", self.base + self.pos)
-        out = struct.unpack_from(fmt, self.buf, self.pos)
-        self.pos += size
-        return out
+
+def _decode(buf, pos: int, end: int, shift: int) -> MaskPlan:
+    """The plan whose payload spans ``buf[pos:end]``; an error's offset is
+    ``shift`` plus its position in ``buf``."""
+    if pos + 11 > end:
+        raise _truncated(shift, end, (pos, 11, 11))
+    version, objective, T, Q = struct.unpack_from("<HBII", buf, pos)
+    if version != PLAN_VERSION:
+        raise VersionError(f"plan record version {version}, expected {PLAN_VERSION}")
+    if objective >= len(_OBJECTIVES):
+        raise PlanFormatError(f"unknown objective {objective}", shift + pos + 2)
+    pos += 11
+    # context ids, positions, query ids and the coarse count in one read
+    n = 2 * T + 2 * Q
+    if pos + 4 * n + 4 > end:
+        raise _truncated(shift, end, (pos, 4 * T, 4 * T), (pos + 4 * T, 4 * (T + Q), 4 * (T + Q)),
+                         (pos + 4 * (2 * T + Q), 4 * Q, 4 * Q), (pos + 4 * n, 4, 4))
+    head = struct.unpack_from(f"<{n + 1}I", buf, pos)
+    pos += 4 * n + 4
+    # coarse pairs and the fine count, then fine pairs and the RTD flag
+    nc = head[n]
+    if pos + 8 * nc + 4 > end:
+        raise _truncated(shift, end, (pos, 8 * nc, 8), (pos + 8 * nc, 4, 4))
+    coarse = struct.unpack_from(f"<{2 * nc + 1}I", buf, pos)
+    pos += 8 * nc + 4
+    nf = coarse[-1]
+    if pos + 8 * nf + 1 > end:
+        raise _truncated(shift, end, (pos, 8 * nf, 8), (pos + 8 * nf, 1, 1))
+    fine = struct.unpack_from(f"<{2 * nf}IB", buf, pos)
+    pos += 8 * nf + 1
+    rtd = None
+    if fine[-1]:
+        k = (T + 7) // 8
+        if pos + k > end:
+            raise _truncated(shift, end, (pos, k, k))
+        raw = buf[pos : pos + k]
+        pos += k
+        rtd = tuple((raw[i // 8] >> (i % 8)) & 1 for i in range(T))
+    if pos != end:
+        raise PlanFormatError("trailing bytes after plan record", shift + pos)
+    return MaskPlan(
+        _OBJECTIVES[objective],
+        head[:T],
+        head[T : 2 * T],
+        head[2 * T + Q : n],
+        head[2 * T : 2 * T + Q],
+        tuple(zip(coarse[0:-1:2], coarse[1:-1:2])),
+        tuple(zip(fine[0:-1:2], fine[1:-1:2])),
+        rtd_labels=rtd,
+    )
 
 
 def parse_plan(data: bytes, base_offset: int = 0) -> MaskPlan:
-    r = _Reader(data, base_offset)
-    (payload_len,) = r.take("<I")
+    """One length-prefixed record; error offsets count from ``base_offset``."""
+    if len(data) < 4:
+        raise PlanFormatError("truncated plan record", base_offset)
+    (payload_len,) = struct.unpack_from("<I", data)
     if payload_len != len(data) - 4:
         raise PlanFormatError(
             f"record length {payload_len} does not match payload {len(data) - 4}", base_offset
         )
-    version, objective, T, Q = r.take("<HBII")
-    if version != PLAN_VERSION:
-        raise VersionError(f"plan record version {version}, expected {PLAN_VERSION}")
-    context_ids = r.take(f"<{T}I")
-    positions = r.take(f"<{T + Q}I")
-    query_ids = r.take(f"<{Q}I")
-    (n_coarse,) = r.take("<I")
-    coarse = tuple(r.take("<II") for _ in range(n_coarse))
-    (n_fine,) = r.take("<I")
-    fine = tuple(r.take("<II") for _ in range(n_fine))
-    (has_rtd,) = r.take("<B")
-    rtd = None
-    if has_rtd:
-        (raw,) = r.take(f"<{(T + 7) // 8}s")
-        rtd = tuple((raw[i // 8] >> (i % 8)) & 1 for i in range(T))
-    if r.pos != len(data):
-        raise PlanFormatError("trailing bytes after plan record", base_offset + r.pos)
-    return MaskPlan(
-        Objective(objective),
-        context_ids,
-        positions[:T],
-        query_ids,
-        positions[T:],
-        coarse,
-        fine,
-        rtd_labels=rtd,
-    )
+    return _decode(data, 4, len(data), base_offset)
 
 
 def write_plan_file(path, plans, provenance: dict | None = None):
@@ -441,7 +469,7 @@ def read_plan_file(path):
         end = pos + 4 + payload_len
         if end > len(data):
             raise PlanFormatError("truncated plan record", pos)
-        plans.append(parse_plan(data[pos:end], pos))
+        plans.append(_decode(data, pos + 4, end, 0))
         pos = end
     return provenance, plans
 

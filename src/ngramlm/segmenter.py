@@ -69,27 +69,29 @@ def enumerate_paths(words, lex: NGramLexicon) -> list:
 def extract_boundaries(words, lex: NGramLexicon) -> BoundarySeq:
     """Shortest tiling via dynamic programming, leftmost-longest on ties.
 
-    Linear in len(words) * max lexicon order.
+    Linear in len(words) * max lexicon order: from each position the pass
+    walks the lexicon's word trie until a word has no child node.
     """
     words = tuple(words)
     n = len(words)
-    max_order = max(lex.max_order, 1)
-    index = lex.index
-    first_words = lex.first_words
+    trie = lex.trie
     # minseg[i] = fewest segments tiling words[i:]; take[i] = the longest
     # segment starting at i that reaches minseg[i]
     minseg = [0] * (n + 1)
     take = [1] * n
     for i in range(n - 1, -1, -1):
         best = 1 + minseg[i + 1]  # unigram always valid
-        longest = 1
-        if words[i] in first_words:
-            for l in range(2, min(max_order, n - i) + 1):
-                if words[i : i + l] in index and 1 + minseg[i + l] <= best:
-                    best = 1 + minseg[i + l]
-                    longest = l
+        node = trie.get(words[i])
+        if node is not None:
+            for j in range(i + 1, n):
+                node = node.get(words[j])
+                if node is None:
+                    break
+                # 1 + minseg[j + 1] <= best: j grows, so ties keep the longest
+                if None in node and minseg[j + 1] < best:
+                    best = 1 + minseg[j + 1]
+                    take[i] = j + 1 - i
         minseg[i] = best
-        take[i] = longest
     # walk left to right along the recorded segments
     bounds = [1]
     i = 0

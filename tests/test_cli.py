@@ -1,6 +1,7 @@
 """Command line front end: end-to-end pipeline, determinism, exit codes."""
 
 import dataclasses
+import io
 import json
 
 import numpy as np
@@ -223,14 +224,19 @@ def with_provenance(data, raw):
     return data[:6] + len(raw).to_bytes(4, "little") + raw + data[10 + n:]
 
 
+def with_byte(data, offset, value):
+    return data[:offset] + bytes([value]) + data[offset + 1:]
+
+
 @pytest.mark.parametrize("damage", [
     lambda data: data[:7],  # cut inside the 10-byte file header
     lambda data: data[:12],  # cut inside the provenance header
     lambda data: with_provenance(data, b'{"a": "\xff"}'),
     lambda data: with_provenance(data, b'{"a": '),
     lambda data: with_provenance(data, b'"fine_vocab_size"'),
+    lambda data: with_byte(data, 10 + int.from_bytes(data[6:10], "little") + 6, 9),
 ], ids=["truncated-header", "truncated-provenance", "provenance-not-utf8",
-        "provenance-not-json", "provenance-not-object"])
+        "provenance-not-json", "provenance-not-object", "unknown-objective"])
 def test_malformed_plan_file_is_a_data_error(corpus_dir, tmp_path, damage):
     plans = run_pipeline(corpus_dir, tmp_path)
     broken = tmp_path / "broken.bin"
@@ -244,7 +250,10 @@ def test_malformed_plan_file_is_a_data_error(corpus_dir, tmp_path, damage):
     lambda p: {"targets_coarse": ((p.targets_coarse[0][0], 1_000_000),) + p.targets_coarse[1:]},
     lambda p: {"targets_coarse": ((p.T, p.targets_coarse[0][1]),) + p.targets_coarse[1:]},
     lambda p: {"targets_fine": ((p.targets_fine[0][0], 1_000_000),) + p.targets_fine[1:]},
-], ids=["context-id", "coarse-target", "coarse-slot", "fine-target"])
+    lambda p: {"context_positions": (0,) + p.context_positions[1:]},
+    lambda p: {"query_positions": p.query_positions[:-1] + (257,)},  # --max-positions 256
+], ids=["context-id", "coarse-target", "coarse-slot", "fine-target", "context-position",
+        "query-position"])
 def test_out_of_range_plan_is_a_data_error(corpus_dir, tmp_path, edit):
     plans_path = run_pipeline(corpus_dir, tmp_path, objective="comprehensive")
     ck = tmp_path / "model.npz"
@@ -279,6 +288,29 @@ def test_unreadable_lexicon_is_a_data_error(tmp_path):
     src.write_text("a b\n", encoding="utf-8")
     for lexicon in (bad, tmp_path / "missing.tsv"):
         assert main(["segment", "--lexicon", str(lexicon), "--input", str(src)]) == 3
+
+
+def test_segment_input_errors_are_data_errors(corpus_dir, tmp_path):
+    lexicon = str(corpus_dir / "lex.tsv")
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes("topic00 caf\xe9\n".encode("latin-1"))
+    for src in (tmp_path / "missing.txt", bad):
+        assert main(["segment", "--lexicon", lexicon, "--input", str(src)]) == 3
+
+
+def test_segment_file_and_stdin_agree(corpus_dir, tmp_path, capsys, monkeypatch):
+    text = "topic00 t00p0a t00p0b\r\nfill01\rt00p0a t00p0b\x0cfill02\n\n  \nTOPIC00"
+    src = tmp_path / "in.txt"
+    src.write_bytes(text.encode("utf-8"))
+    lexicon = str(corpus_dir / "lex.tsv")
+    capsys.readouterr()
+    assert main(["segment", "--lexicon", lexicon, "--input", str(src)]) == 0
+    from_file = capsys.readouterr().out
+    monkeypatch.setattr("sys.stdin", io.StringIO(text, newline=None))
+    assert main(["segment", "--lexicon", lexicon]) == 0
+    assert capsys.readouterr().out == from_file
+    # lines split as a text-mode file splits them: \r\n, \r and \n only
+    assert len(from_file.splitlines()) == 4
 
 
 def test_resume_refuses_a_mismatched_checkpoint(corpus_dir, tmp_path):

@@ -4,6 +4,8 @@ The six-word toy example (fixtures) mirrors the classic worked layout:
 segments [x1][x2 x3][x4][x5][x6], masked set {2, 4}.
 """
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,8 +27,9 @@ from ngramlm import (
     segment_example,
     serialize_plan,
 )
-from ngramlm.errors import PlanError, PlanFormatError, UsageError, VersionError
+from ngramlm.errors import NgramlmError, PlanError, PlanFormatError, UsageError, VersionError
 from ngramlm.maskplan import (
+    PLAN_VERSION,
     read_plan_file,
     relation_from_comprehensive,
     write_plan_file,
@@ -276,3 +279,196 @@ def test_plan_file_bad_magic(tmp_path):
     p.write_bytes(b"XXXX garbage")
     with pytest.raises(PlanFormatError):
         read_plan_file(p)
+
+
+# --- the per-field codec as references for the packed one ---------------------
+
+def reference_serialize(plan):
+    T, Q = plan.T, plan.Q
+    parts = [struct.pack("<HBII", PLAN_VERSION, int(plan.objective), T, Q)]
+    parts.append(struct.pack(f"<{T}I", *plan.context_ids))
+    parts.append(struct.pack(f"<{T + Q}I", *plan.all_positions()))
+    parts.append(struct.pack(f"<{Q}I", *plan.query_ids))
+    parts.append(struct.pack("<I", len(plan.targets_coarse)))
+    for slot, y in plan.targets_coarse:
+        parts.append(struct.pack("<II", slot, y))
+    parts.append(struct.pack("<I", len(plan.targets_fine)))
+    for idx, x in plan.targets_fine:
+        parts.append(struct.pack("<II", idx, x))
+    if plan.rtd_labels is None:
+        parts.append(b"\x00")
+    else:
+        bits = bytearray((T + 7) // 8)
+        for i, lab in enumerate(plan.rtd_labels):
+            if lab:
+                bits[i // 8] |= 1 << (i % 8)
+        parts.append(b"\x01" + bytes(bits))
+    payload = b"".join(parts)
+    return struct.pack("<I", len(payload)) + payload
+
+
+def reference_parse(data, base_offset=0):
+    pos = 0
+
+    def take(fmt):
+        nonlocal pos
+        size = struct.calcsize(fmt)
+        if pos + size > len(data):
+            raise PlanFormatError("truncated plan record", base_offset + pos)
+        out = struct.unpack_from(fmt, data, pos)
+        pos += size
+        return out
+
+    (payload_len,) = take("<I")
+    if payload_len != len(data) - 4:
+        raise PlanFormatError("record length mismatch", base_offset)
+    version, objective, T, Q = take("<HBII")
+    if version != PLAN_VERSION:
+        raise VersionError(f"plan record version {version}")
+    context_ids = take(f"<{T}I")
+    positions = take(f"<{T + Q}I")
+    query_ids = take(f"<{Q}I")
+    (n_coarse,) = take("<I")
+    coarse = tuple(take("<II") for _ in range(n_coarse))
+    (n_fine,) = take("<I")
+    fine = tuple(take("<II") for _ in range(n_fine))
+    (has_rtd,) = take("<B")
+    rtd = None
+    if has_rtd:
+        (raw,) = take(f"<{(T + 7) // 8}s")
+        rtd = tuple((raw[i // 8] >> (i % 8)) & 1 for i in range(T))
+    if pos != len(data):
+        raise PlanFormatError("trailing bytes after plan record", base_offset + pos)
+    return MaskPlan(Objective(objective), context_ids, positions[:T], query_ids, positions[T:],
+                    coarse, fine, rtd_labels=rtd)
+
+
+def reference_read_records(data, pos):
+    """Plans of a plan file's records from byte ``pos`` on, each parsed from a copy."""
+    plans = []
+    while pos < len(data):
+        if pos + 4 > len(data):
+            raise PlanFormatError("truncated record length prefix", pos)
+        end = pos + 4 + int.from_bytes(data[pos:pos + 4], "little")
+        if end > len(data):
+            raise PlanFormatError("truncated plan record", pos)
+        plans.append(reference_parse(data[pos:end], pos))
+        pos = end
+    return plans
+
+
+def outcome(f, *args):
+    """f's result, or the class and offset of the error it raised."""
+    try:
+        return f(*args)
+    except (PlanFormatError, VersionError) as e:
+        return type(e), getattr(e, "offset", None)
+
+
+@settings(max_examples=120, deadline=None)
+@given(plan_st())
+def test_serialize_matches_reference_encoder(plan):
+    assert serialize_plan(plan) == reference_serialize(plan)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(plan_st(), min_size=1, max_size=6))
+def test_plan_file_reads_back_as_reference_decoder(tmp_path_factory, plans):
+    path = tmp_path_factory.mktemp("plans") / "plans.bin"
+    write_plan_file(path, plans, {"n": len(plans)})
+    data = path.read_bytes()
+    prov, back = read_plan_file(path)
+    assert prov == {"n": len(plans)}
+    assert back == reference_read_records(data, 10 + int.from_bytes(data[6:10], "little"))
+    assert back == plans
+
+
+@settings(max_examples=80, deadline=None)
+@given(plan_st(), st.integers(min_value=1, max_value=200), st.integers(min_value=0, max_value=99))
+def test_errors_keep_class_and_offset(plan, cut, base):
+    # truncation at any cut, trailing bytes, a length mismatch and a
+    # version mismatch, each against the per-field decoder
+    data = serialize_plan(plan)
+    cut = min(cut, len(data) - 4)
+    short = (len(data) - 4 - cut).to_bytes(4, "little") + data[4:-cut]  # prefix fixed up
+    longer = (len(data) - 3).to_bytes(4, "little") + data[4:] + b"\x00"
+    for bad in (short, data[:-cut], longer, longer[:4] + data[4:], data[:4] + b"\x63" + data[5:]):
+        got = outcome(parse_plan, bad, base)
+        assert got == outcome(reference_parse, bad, base)
+        assert isinstance(got, tuple) and got[0] in (PlanFormatError, VersionError)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(plan_st(), min_size=1, max_size=4), st.data())
+def test_file_error_offsets_match_reference(tmp_path_factory, plans, data):
+    path = tmp_path_factory.mktemp("plans") / "plans.bin"
+    write_plan_file(path, plans)
+    raw = path.read_bytes()
+    first = 10 + int.from_bytes(raw[6:10], "little")
+    cut = data.draw(st.integers(min_value=first + 1, max_value=len(raw) - 1))
+    bad = bytearray(raw[:cut])
+    start = first
+    while start + 4 + int.from_bytes(raw[start:start + 4], "little") <= cut:
+        start += 4 + int.from_bytes(raw[start:start + 4], "little")
+    if data.draw(st.booleans()) and cut - start >= 4:
+        # the length prefix of the cut record agrees with the cut
+        bad[start:start + 4] = (cut - start - 4).to_bytes(4, "little")
+    path.write_bytes(bytes(bad))
+    got = outcome(lambda p: read_plan_file(p)[1], path)
+    assert got == outcome(reference_read_records, bytes(bad), first)
+    if start < cut:  # a cut between records leaves a shorter valid file
+        assert got[0] is PlanFormatError
+
+
+def test_unknown_objective_is_a_format_error(toy_example, toy_vocab, tmp_path):
+    data = bytearray(serialize_plan(plan_contiguous(toy_example, MASKED, toy_vocab)))
+    data[6] = 9  # objective byte: u32 length prefix, u16 version
+    with pytest.raises(PlanFormatError) as e:
+        parse_plan(bytes(data), 100)
+    assert e.value.offset == 106
+    path = tmp_path / "plans.bin"
+    write_plan_file(path, [])
+    path.write_bytes(path.read_bytes() + bytes(data))
+    with pytest.raises(PlanFormatError) as e:
+        read_plan_file(path)
+    assert e.value.offset == 12 + 6  # 10-byte file header, "{}" provenance
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(plan_st(), min_size=1, max_size=4), st.data())
+def test_damaged_plan_file_raises_only_package_errors(tmp_path_factory, plans, data):
+    # ROADMAP item 4: flipped and truncated bytes of a valid plan file
+    path = tmp_path_factory.mktemp("plans") / "plans.bin"
+    write_plan_file(path, plans, {"note": "fuzz"})
+    raw = bytearray(path.read_bytes())
+    rnd = data.draw(st.randoms(use_true_random=False))  # uniform offsets, unlike st.integers
+    lo = rnd.choice((0, 26, 26, 26))  # mostly in the records: 26 bytes of file header
+    for _ in range(rnd.randint(1, 4)):
+        raw[rnd.randrange(lo, len(raw))] ^= rnd.randrange(1, 256)
+    if rnd.random() < 0.5:
+        raw = raw[: rnd.randrange(len(raw))]
+    path.write_bytes(bytes(raw))
+    try:
+        read_plan_file(path)
+    except NgramlmError:
+        pass
+
+
+def test_every_single_byte_flip_raises_only_package_errors(tmp_path, toy_example, toy_vocab,
+                                                           toy_jv):
+    comp = plan_comprehensive(toy_example, MASKED, toy_jv)
+    plans = [plan_contiguous(toy_example, MASKED, toy_vocab),
+             plan_explicit(toy_example, MASKED, toy_jv),
+             comp, relation_from_comprehensive(comp, [0, 1])]
+    path = tmp_path / "plans.bin"
+    write_plan_file(path, plans, {"note": "flip"})
+    good = path.read_bytes()
+    damaged = [good[:cut] for cut in range(len(good))]
+    damaged += [good[:i] + bytes([good[i] ^ mask]) + good[i + 1:]
+                for i in range(len(good)) for mask in (0x01, 0x08, 0x80, 0xFF)]
+    for data in damaged:
+        path.write_bytes(data)
+        try:
+            read_plan_file(path)
+        except NgramlmError:
+            pass

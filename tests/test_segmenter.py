@@ -62,9 +62,27 @@ def test_enumeration_cap():
         enumerate_paths(("a",) * (ENUMERATION_CAP + 1), lex)
 
 
-@pytest.mark.parametrize("n_words,n_starts", [(8, 8), (12, 4)],
-                         ids=["every-word-starts", "some-words-start-nothing"])
-def test_random_oracle_equivalence(n_words, n_starts):
+def test_proper_prefix_that_is_not_an_entry():
+    # [DERIVED] "a b" is only a prefix of the entry "a b c": it joins nothing
+    lex = lex_from([("a", "b", "c")])
+    assert extract_boundaries(("a", "b", "c"), lex).boundaries == (1, 4)
+    assert extract_boundaries(("a", "b", "d"), lex).boundaries == (1, 2, 3, 4)
+    assert extract_boundaries(("x", "a", "b", "c", "a", "b"), lex).boundaries == (1, 2, 5, 6, 7)
+
+
+def test_four_gram_past_a_trigram_past_a_non_entry():
+    # [DERIVED] "a b c" and "a b c d" are entries, their prefix "a b" is not
+    lex = lex_from([("a", "b", "c"), ("a", "b", "c", "d")])
+    assert extract_boundaries(("a", "b", "c", "d"), lex).boundaries == (1, 5)
+    assert extract_boundaries(("a", "b", "c", "e"), lex).boundaries == (1, 4, 5)
+    assert extract_boundaries(("a", "b", "e", "d"), lex).boundaries == (1, 2, 3, 4, 5)
+    words = ("e", "a", "b", "c", "d", "a", "b", "c")
+    assert extract_boundaries(words, lex).boundaries == (1, 2, 6, 9)
+
+
+@pytest.mark.parametrize("n_words,n_starts,max_order", [(8, 8, 3), (12, 4, 3), (4, 4, 4)],
+                         ids=["every-word-starts", "some-words-start-nothing", "orders-2-to-4"])
+def test_random_oracle_equivalence(n_words, n_starts, max_order):
     # [DERIVED] 300 random sequences (length <= 12) against the exhaustive
     # oracle.  Entries begin with one of the first n_starts words, so with
     # n_starts < n_words the sequences hold words that begin no entry.
@@ -72,18 +90,21 @@ def test_random_oracle_equivalence(n_words, n_starts):
     alphabet = [f"w{i}" for i in range(n_words)]
     entries = set()
     while len(entries) < 50:
-        l = int(g.integers(2, 4))
+        l = int(g.integers(2, max_order + 1))
         picks = g.integers(0, n_words, size=l)
         picks[0] %= n_starts
         entries.add(tuple(alphabet[int(i)] for i in picks))
     lex = lex_from(entries)
-    assert lex.first_words <= set(alphabet[:n_starts])
+    assert set(lex.trie) <= set(alphabet[:n_starts])
+    longest = 1
     for _ in range(300):
         n = int(g.integers(1, 13))
         words = tuple(alphabet[int(i)] for i in g.integers(0, n_words, size=n))
         got = extract_boundaries(words, lex)
         want = oracle(words, lex)
         assert got == want, (words, got.boundaries, want.boundaries)
+        longest = max(longest, *map(len, got.segments()))
+    assert longest == max_order  # the draws reach the longest entries
 
 
 def test_segments_tile_the_words(toy_lex):
