@@ -121,6 +121,10 @@ class NGramLexicon:
                 raise DataError(f"{path}:{lineno}: {e}") from e
             if sg.order != len(words):
                 raise DataError(f"{path}:{lineno}: order/surface mismatch")
+            if sg.order < 2 or "" in words:
+                raise DataError(f"{path}:{lineno}: not an n-gram of two or more words")
+            if not math.isfinite(sg.score) or sg.count < 0:
+                raise DataError(f"{path}:{lineno}: score must be finite and count >= 0")
             per_order.setdefault(sg.order, []).append(sg)
         return cls(per_order)
 

@@ -276,10 +276,30 @@ def _accumulate_rows(grads: dict, name: str, param, index, rows):
     dense[uniq] += summed
 
 
-def encode_backward(params: dict, acts: Activations, d_hidden, cfg: ModelConfig,
+def _pack(parts):
+    """Arrays of consecutive plans stacked row-wise; one plan's array as is."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _pack_layernorm(caches):
+    return _pack([c[0] for c in caches]), _pack([c[1] for c in caches]), caches[0][2]
+
+
+def _head_major(packed, rows: slice, heads: int, dk: int):
+    """``rows`` of a packed (N, hidden) array as a (heads, rows, dk) view."""
+    return packed[rows].reshape(rows.stop - rows.start, heads, dk).transpose(1, 0, 2)
+
+
+def encode_backward(params: dict, acts: list, d_hidden, cfg: ModelConfig,
                     prefix: str = "", *, grads: dict | None = None) -> dict:
     """Gradients of a scalar loss w.r.t. all ``prefix`` encoder parameters,
-    given the gradient at the final hidden states.
+    given the gradient at the final hidden states of one or more plans.
+
+    ``acts`` lists the plans' forward passes and ``d_hidden`` packs their
+    hidden-state gradients row-wise, one plan after another in list order.
+    The row-wise work (layer norms, FFN, the Q/K/V/O projections and their
+    parameter gradients, the embedding scatter) runs once over the packed
+    rows; attention runs per plan on that plan's rows.
 
     With ``grads`` given, the gradients are added into it in place and it
     is returned; otherwise a fresh dict is returned.
@@ -290,34 +310,41 @@ def encode_backward(params: dict, acts: Activations, d_hidden, cfg: ModelConfig,
     scale = 1.0 / math.sqrt(dk)
     dx = np.asarray(d_hidden)
     n = dx.shape[0]
+    bounds = np.cumsum([0] + [len(a.hidden) for a in acts]).tolist()
+    plan_rows = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
     for i in reversed(range(cfg.layers)):
         p = prefix + f"l{i}_"
-        c = acts.cache[i]
-        d_sum2, dg2, db2 = _layernorm_backward(dx, c["ln2"])
+        cs = [a.cache[i] for a in acts]
+        d_sum2, dg2, db2 = _layernorm_backward(dx, _pack_layernorm([c["ln2"] for c in cs]))
         _accumulate(grads, p + "ln2_g", dg2)
         _accumulate(grads, p + "ln2_b", db2)
-        _accumulate(grads, p + "w2", c["act"].T @ d_sum2)
+        _accumulate(grads, p + "w2", _pack([c["act"] for c in cs]).T @ d_sum2)
         _accumulate(grads, p + "b2", d_sum2.sum(0))
         d_act = d_sum2 @ params[p + "w2"].T
-        d_pre = _gelu_backward(d_act, c["pre"], c["pre_erf"])
-        _accumulate(grads, p + "w1", c["y"].T @ d_pre)
+        d_pre = _gelu_backward(d_act, _pack([c["pre"] for c in cs]),
+                               _pack([c["pre_erf"] for c in cs]))
+        _accumulate(grads, p + "w1", _pack([c["y"] for c in cs]).T @ d_pre)
         _accumulate(grads, p + "b1", d_pre.sum(0))
         dy = d_sum2 + d_pre @ params[p + "w1"].T
-        d_sum1, dg1, db1 = _layernorm_backward(dy, c["ln1"])
+        d_sum1, dg1, db1 = _layernorm_backward(dy, _pack_layernorm([c["ln1"] for c in cs]))
         _accumulate(grads, p + "ln1_g", dg1)
         _accumulate(grads, p + "ln1_b", db1)
-        _accumulate(grads, p + "wo", c["ctx"].T @ d_sum1)
+        _accumulate(grads, p + "wo", _pack([c["ctx"] for c in cs]).T @ d_sum1)
         _accumulate(grads, p + "bo", d_sum1.sum(0))
-        d_ctx = (d_sum1 @ params[p + "wo"].T).reshape(n, A, dk).transpose(1, 0, 2)
-        d_probs = d_ctx @ c["vh"].transpose(0, 2, 1)
-        d_vh = c["probs"].transpose(0, 2, 1) @ d_ctx
-        d_scores = _softmax_backward(d_probs, c["probs"])
-        d_qh = d_scores @ c["kh"] * scale
-        d_kh = d_scores.transpose(0, 2, 1) @ c["qh"] * scale
-        dq = d_qh.transpose(1, 0, 2).reshape(n, cfg.hidden)
-        dk_ = d_kh.transpose(1, 0, 2).reshape(n, cfg.hidden)
-        dv = d_vh.transpose(1, 0, 2).reshape(n, cfg.hidden)
-        x = c["x"]
+        d_ctx = d_sum1 @ params[p + "wo"].T
+        # attention, plan by plan: the head-major results are written
+        # straight into each plan's rows of the packed dq, dk, dv
+        dqkv = np.empty((3, n, cfg.hidden), dtype=dx.dtype)
+        dq, dk_, dv = dqkv
+        for c, rows in zip(cs, plan_rows):
+            probs = c["probs"]
+            d_ctx_h = _head_major(d_ctx, rows, A, dk)
+            d_scores = _softmax_backward(d_ctx_h @ c["vh"].transpose(0, 2, 1), probs)
+            np.matmul(probs.transpose(0, 2, 1), d_ctx_h, out=_head_major(dv, rows, A, dk))
+            np.matmul(d_scores, c["kh"], out=_head_major(dq, rows, A, dk))
+            np.matmul(d_scores.transpose(0, 2, 1), c["qh"], out=_head_major(dk_, rows, A, dk))
+        dqkv[:2] *= scale
+        x = _pack([c["x"] for c in cs])
         _accumulate(grads, p + "wq", x.T @ dq)
         _accumulate(grads, p + "bq", dq.sum(0))
         _accumulate(grads, p + "wk", x.T @ dk_)
@@ -326,8 +353,9 @@ def encode_backward(params: dict, acts: Activations, d_hidden, cfg: ModelConfig,
         _accumulate(grads, p + "bv", dv.sum(0))
         dx = d_sum1 + dq @ params[p + "wq"].T + dk_ @ params[p + "wk"].T + dv @ params[p + "wv"].T
 
-    ids, positions, ln_cache = acts.emb_cache
-    d_x0, dg, db = _layernorm_backward(dx, ln_cache)
+    ids = _pack([a.emb_cache[0] for a in acts])
+    positions = _pack([a.emb_cache[1] for a in acts])
+    d_x0, dg, db = _layernorm_backward(dx, _pack_layernorm([a.emb_cache[2] for a in acts]))
     _accumulate(grads, prefix + "emb_ln_g", dg)
     _accumulate(grads, prefix + "emb_ln_b", db)
     _accumulate_rows(grads, prefix + "tok_emb", params[prefix + "tok_emb"], ids, d_x0)
@@ -353,28 +381,22 @@ def predict_rtd(acts: Activations, context_indexes, params: dict):
     return acts.hidden[list(context_indexes)] @ params["rtd_w"] + params["rtd_b"][0]
 
 
-def head_backward(acts: Activations, indexes, d_logits, w_name: str, b_name: str,
-                  params: dict, d_hidden, *, grads: dict | None = None) -> dict:
-    """Accumulate head gradients and scatter d_logits back into d_hidden."""
+def head_backward(hidden, rows, d_logits, w_name: str, b_name: str, params: dict,
+                  d_hidden, *, grads: dict | None = None) -> dict:
+    """Accumulate one head's gradients and scatter d_logits back into d_hidden.
+
+    ``d_logits`` holds the head's logit gradients at ``rows`` of ``hidden``;
+    ``d_hidden`` has the shape of ``hidden``.  A head whose weight is a
+    vector, the replaced-token head, has one logit per row and ``d_logits``
+    one value per row.
+    """
     if grads is None:
         grads = {}
-    idx = list(indexes)
-    h = acts.hidden[idx]
-    _accumulate(grads, w_name, h.T @ d_logits)
-    _accumulate(grads, b_name, d_logits.sum(0))
-    np.add.at(d_hidden, idx, d_logits @ params[w_name].T)
-    return grads
-
-
-def rtd_backward(acts: Activations, context_indexes, d_logits, params: dict, d_hidden,
-                 *, grads: dict | None = None) -> dict:
-    if grads is None:
-        grads = {}
-    idx = list(context_indexes)
-    h = acts.hidden[idx]
-    _accumulate(grads, "rtd_w", h.T @ d_logits)
-    _accumulate(grads, "rtd_b", np.array([d_logits.sum()], dtype=h.dtype))
-    np.add.at(d_hidden, idx, np.outer(d_logits, params["rtd_w"]))
+    w = params[w_name]
+    d = d_logits.reshape(len(rows), -1)
+    _accumulate(grads, w_name, (hidden[rows].T @ d).reshape(w.shape))
+    _accumulate(grads, b_name, d.sum(0))
+    np.add.at(d_hidden, rows, d @ w.reshape(len(w), -1).T)
     return grads
 
 

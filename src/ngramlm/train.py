@@ -34,7 +34,6 @@ from .model import (
     predict_fine,
     predict_ngram,
     predict_rtd,
-    rtd_backward,
     save_checkpoint,
 )
 
@@ -124,7 +123,65 @@ def lr_at(step: int, tcfg: TrainConfig) -> float:
 
 
 # ---------------------------------------------------------------------------
-# per-plan forward/backward
+# per-plan forward, packed backward
+
+class BackwardGroup:
+    """Consecutive plans of one encoder whose backward runs as one packed pass.
+
+    Each plan's forward pass, logits and loss run on their own; the group
+    keeps the plans' activations and, per head, the scaled dlogits with
+    their rows counted across the group.  :meth:`backward` then runs one
+    head backward per head and one packed :func:`encode_backward`.
+
+    The group holds at most ``cfg.max_positions`` rows: :meth:`start` runs
+    the pending backward first when the next plan would take it past that,
+    so the activations kept never exceed those of one maximal plan.  A plan
+    longer than the bound forms a group of its own.
+    """
+
+    def __init__(self, params: dict, cfg: ModelConfig, grads: dict | None = None,
+                 prefix: str = ""):
+        self.params = params
+        self.cfg = cfg
+        self.grads = {} if grads is None else grads
+        self.prefix = prefix
+        self._clear()
+
+    def _clear(self):
+        self.acts: list = []
+        self.rows = 0
+        self.offset = 0  # first row of the newest plan
+        self.heads: dict = {}  # (w_name, b_name) -> ([row arrays], [dlogits])
+
+    def start(self, rows: int):
+        """Make room for the next plan, which has ``rows`` rows."""
+        if self.acts and self.rows + rows > self.cfg.max_positions:
+            self.backward()
+        self.offset = self.rows
+        self.rows += rows
+
+    def add(self, acts: Activations):
+        self.acts.append(acts)
+
+    def add_head(self, w_name: str, b_name: str, indexes, d_logits):
+        """Scaled dlogits of a head at the current plan's ``indexes``."""
+        rows, dlogs = self.heads.setdefault((w_name, b_name), ([], []))
+        rows.append(self.offset + np.asarray(indexes, dtype=np.int64))
+        dlogs.append(d_logits)
+
+    def backward(self):
+        """Add the pending plans' gradients into ``grads`` and empty the group."""
+        if not self.acts:
+            return
+        hidden = np.concatenate([a.hidden for a in self.acts])
+        d_hidden = np.zeros_like(hidden)
+        for (w_name, b_name), (rows, dlogs) in self.heads.items():
+            head_backward(hidden, np.concatenate(rows), np.concatenate(dlogs), w_name, b_name,
+                          self.params, d_hidden, grads=self.grads)
+        encode_backward(self.params, self.acts, d_hidden, self.cfg, self.prefix,
+                        grads=self.grads)
+        self._clear()
+
 
 def _encode_plan(params: dict, plan: MaskPlan, cfg: ModelConfig) -> Activations:
     """Standard-model pass over a plan's context and queries under its
@@ -142,71 +199,79 @@ def _plan_indexes(plan: MaskPlan):
 
 
 def plan_loss_terms(params: dict, plan: MaskPlan, cfg: ModelConfig,
-                    scales: dict | None = None, *, grads: dict | None = None):
+                    scales: dict | None = None, *, group: BackwardGroup | None = None):
     """Loss sums for one plan; gradients accumulated when scales given.
 
     ``scales`` maps term name -> factor applied to that term's dlogits
-    (e.g. weight / batch target count).  Gradients are added into
-    ``grads`` in place when it is given, else into a fresh dict.
-    Returns (terms, grads).
+    (e.g. weight / batch target count).  The plan's backward joins
+    ``group`` when one is given and runs with the group's; otherwise the
+    plan forms a group of one whose backward runs before this returns.
+    Returns (terms, the group's gradient dict); without scales the dict
+    is empty.
     """
-    if grads is None:
-        grads = {}
+    own = scales is not None and group is None
+    if own:
+        group = BackwardGroup(params, cfg)
+    if scales is not None:
+        group.start(plan.T + plan.Q)
     acts = _encode_plan(params, plan, cfg)
+    if scales is not None:
+        group.add(acts)
     slots, coarse_t, fine_idx, fine_t = _plan_indexes(plan)
     terms = {"coarse_sum": 0.0, "fine_sum": 0.0, "rtd_sum": 0.0,
              "n_coarse": len(coarse_t), "n_fine": len(fine_t), "n_rtd": 0}
-    d_hidden = np.zeros_like(acts.hidden) if scales is not None else None
 
     if coarse_t:
         logits = predict_ngram(acts, slots, params)
         nll, dlog = _xent(logits, coarse_t)
         terms["coarse_sum"] = float(nll.sum())
         if scales is not None:
-            head_backward(acts, slots, dlog * scales["coarse"], "ngram_w", "ngram_b",
-                          params, d_hidden, grads=grads)
+            group.add_head("ngram_w", "ngram_b", slots, dlog * scales["coarse"])
     if fine_t:
         logits = predict_fine(acts, fine_idx, params)
         nll, dlog = _xent(logits, fine_t)
         terms["fine_sum"] = float(nll.sum())
         if scales is not None:
-            head_backward(acts, fine_idx, dlog * scales["fine"], "fine_w", "fine_b",
-                          params, d_hidden, grads=grads)
+            group.add_head("fine_w", "fine_b", fine_idx, dlog * scales["fine"])
     if plan.rtd_labels is not None:
-        ctx = list(range(plan.T))
+        ctx = range(plan.T)
         logits = predict_rtd(acts, ctx, params)
         nll, dlog = _bce_with_logits(logits, plan.rtd_labels)
         terms["rtd_sum"] = float(nll.sum())
         terms["n_rtd"] = plan.T
         if scales is not None:
-            dlog = (dlog * scales["rtd"]).astype(acts.hidden.dtype)
-            rtd_backward(acts, ctx, dlog, params, d_hidden, grads=grads)
-    if scales is not None:
-        encode_backward(params, acts, d_hidden, cfg, grads=grads)
-    return terms, grads
+            group.add_head("rtd_w", "rtd_b", ctx,
+                           (dlog * scales["rtd"]).astype(acts.hidden.dtype))
+    if own:
+        group.backward()
+    return terms, group.grads if scales is not None else {}
 
 
 def generator_loss_terms(params: dict, plan: MaskPlan, cfg: ModelConfig,
-                         scale: float | None = None, *, grads: dict | None = None):
+                         scale: float | None = None, *, group: BackwardGroup | None = None):
     """Generator explicit-MLM loss on a plan's context; slots predict y.
 
-    Gradients go into ``grads`` as in :func:`plan_loss_terms`.
+    Gradients go through ``group`` as in :func:`plan_loss_terms`; a group
+    made here runs under ``cfg.generator_view()`` on the ``gen_`` tensors.
     """
-    if grads is None:
-        grads = {}
+    own = scale is not None and group is None
+    if own:
+        group = BackwardGroup(params, cfg.generator_view(), prefix="gen_")
+    grads = group.grads if scale is not None else {}
     slots, coarse_t, _, _ = _plan_indexes(plan)
     if not coarse_t:
         return {"gen_sum": 0.0, "n_gen": 0}, grads
+    if scale is not None:
+        group.start(plan.T)
     acts = encode_generator(params, plan, cfg)
     logits = predict_ngram(acts, slots, params, prefix="gen_")
     nll, dlog = _xent(logits, coarse_t)
     terms = {"gen_sum": float(nll.sum()), "n_gen": len(coarse_t)}
     if scale is not None:
-        d_hidden = np.zeros_like(acts.hidden)
-        head_backward(acts, slots, dlog * scale, "gen_ngram_w", "gen_ngram_b",
-                      params, d_hidden, grads=grads)
-        encode_backward(params, acts, d_hidden, cfg.generator_view(), prefix="gen_",
-                        grads=grads)
+        group.add(acts)
+        group.add_head("gen_ngram_w", "gen_ngram_b", slots, dlog * scale)
+    if own:
+        group.backward()
     return terms, grads
 
 
@@ -244,17 +309,25 @@ def batch_loss_and_grad(params: dict, plans, cfg: ModelConfig, tcfg: TrainConfig
             "fine": tcfg.fine_weight / max(n_fine, 1),
             "rtd": tcfg.rtd_weight / max(n_rtd, 1),
         }
-    # one accumulator for the whole batch: each plan adds into it in plan order
+    # one accumulator for the whole batch; the standard model and the
+    # generator each run their backward in groups of consecutive plans
     grads: dict = {}
+    main = gen = None
+    if want_grads:
+        main = BackwardGroup(params, cfg, grads)
+        gen = BackwardGroup(params, cfg.generator_view(), grads, prefix="gen_")
     sums = {"coarse_sum": 0.0, "fine_sum": 0.0, "rtd_sum": 0.0, "gen_sum": 0.0}
     for plan, gen_plan in work:
-        terms, _ = plan_loss_terms(params, plan, cfg, scales, grads=grads)
+        terms, _ = plan_loss_terms(params, plan, cfg, scales, group=main)
         for key in ("coarse_sum", "fine_sum", "rtd_sum"):
             sums[key] += terms[key]
         if relation and gen_plan is not None:
             gterms, _ = generator_loss_terms(
-                params, gen_plan, cfg, scales and 1.0 / max(n_gen, 1), grads=grads)
+                params, gen_plan, cfg, scales and 1.0 / max(n_gen, 1), group=gen)
             sums["gen_sum"] += gterms["gen_sum"]
+    if want_grads:
+        main.backward()
+        gen.backward()
 
     report = LossReport(
         fine=sums["fine_sum"] / max(n_fine, 1),
@@ -294,12 +367,12 @@ def _decayable(name: str) -> bool:
 
 
 def adam_step(params: dict, grads: dict, state: AdamState, lr: float, tcfg: TrainConfig):
+    """One AdamW update in place.  Returns (global gradient norm, whether the
+    gradients were scaled down to ``tcfg.clip_norm``)."""
     factor = None
-    if tcfg.clip_norm > 0:
-        sq = sum(float((g * g).sum()) for g in grads.values())
-        norm = np.sqrt(sq)
-        if norm > tcfg.clip_norm:
-            factor = tcfg.clip_norm / norm
+    norm = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+    if 0 < tcfg.clip_norm < norm:
+        factor = tcfg.clip_norm / norm
     state.t += 1
     bc1 = 1.0 - tcfg.beta1**state.t
     bc2 = 1.0 - tcfg.beta2**state.t
@@ -338,6 +411,7 @@ def adam_step(params: dict, grads: dict, state: AdamState, lr: float, tcfg: Trai
             buf += tmp
         buf *= lr
         p -= buf
+    return float(norm), factor is not None
 
 
 # ---------------------------------------------------------------------------
@@ -389,13 +463,13 @@ def train(tcfg: TrainConfig, plans, params: dict, cfg: ModelConfig,
             lr = lr_at(step, tcfg)
             try:
                 report, grads = batch_loss_and_grad(params, batch, cfg, tcfg, sample_rng)
-                adam_step(params, grads, state, lr, tcfg)
+                grad_norm, clipped = adam_step(params, grads, state, lr, tcfg)
             except NumericError:
                 if checkpoint_path:
                     _save_train_checkpoint(str(checkpoint_path) + ".diag", params, cfg,
                                            tcfg, state, step, sample_rng)
                 raise
-            rec = {"step": step, "lr": lr,
+            rec = {"step": step, "lr": lr, "grad_norm": grad_norm, "clipped": clipped,
                    "wall_ms": round((time.monotonic() - t0) * 1e3, 3)
                    if tcfg.record_wall_time else 0.0}
             rec.update(report.to_dict())

@@ -281,6 +281,26 @@ def test_non_numeric_lexicon_field_is_a_data_error(corpus_dir, tmp_path, column)
     assert main(["segment", "--lexicon", str(bad), "--input", str(src)]) == 3
 
 
+@pytest.mark.parametrize("row", [
+    "foo\t1\t1.0\t5",
+    "foo bar\t2\tnan\t5",
+    "foo bar\t2\tinf\t5",
+    "foo bar\t2\t-inf\t5",
+    "foo bar\t2\t1.0\t-1",
+    "foo  bar\t3\t1.0\t5",
+], ids=["order-1", "nan-score", "inf-score", "minus-inf-score", "negative-count", "empty-word"])
+def test_malformed_lexicon_row_is_a_data_error(corpus_dir, tmp_path, row):
+    # each row parses and its order matches its surface, but it is no
+    # n-gram a lexicon can hold; the same file with a good row loads
+    lines = (corpus_dir / "lex.tsv").read_text(encoding="utf-8").splitlines()
+    src = tmp_path / "in.txt"
+    src.write_text("topic00 t00p0a t00p0b fill01\n", encoding="utf-8")
+    for name, row_1, code in (("good.tsv", lines[1], 0), ("bad.tsv", row, 3)):
+        path = tmp_path / name
+        path.write_text("\n".join([lines[0], row_1] + lines[2:]) + "\n", encoding="utf-8")
+        assert main(["segment", "--lexicon", str(path), "--input", str(src)]) == code, name
+
+
 def test_unreadable_lexicon_is_a_data_error(tmp_path):
     bad = tmp_path / "lex.tsv"
     bad.write_bytes(b"# ngramlm-lexicon v1\t{}\n\xff b\t2\t1.0\t3\n")

@@ -24,7 +24,7 @@ from ngramlm import (
     make_plans,
     train,
 )
-from ngramlm.corpus import FineVocab
+from ngramlm.corpus import FineVocab, WordStream
 from ngramlm.errors import NumericError, UsageError
 from ngramlm.maskplan import relation_from_comprehensive
 from ngramlm.model import generator_forward_and_sample
@@ -109,8 +109,10 @@ def test_adam_clip_and_nan_detection():
                        weight_decay=0.0)
     params = {"w": np.zeros(4, dtype=np.float64)}
     state = AdamState(params)
-    adam_step(params, {"w": np.full(4, 100.0)}, state, lr=0.1, tcfg=tcfg)
+    # [DERIVED] the global norm of four entries of 100 is sqrt(4 * 100^2) = 200
+    assert adam_step(params, {"w": np.full(4, 100.0)}, state, lr=0.1, tcfg=tcfg) == (200.0, True)
     assert np.all(params["w"] < 0)  # moved against the gradient
+    assert adam_step(params, {"w": np.full(4, 0.25)}, state, lr=0.1, tcfg=tcfg) == (0.5, False)
     with pytest.raises(NumericError):
         adam_step(params, {"w": np.array([np.nan] * 4)}, AdamState(params), 0.1, tcfg)
 
@@ -139,6 +141,7 @@ def test_every_objective_trains_and_reports(small_pipeline, objective):
     for rec in metrics:
         assert np.isfinite(rec["total"])
         assert rec["wall_ms"] == 0.0  # byte-reproducible by default
+        assert rec["grad_norm"] > 0 and rec["clipped"] == (rec["grad_norm"] > tcfg.clip_norm)
     if objective == Objective.RELATION:
         assert metrics[0]["n_rtd"] > 0 and metrics[0]["generator"] > 0
 
@@ -263,21 +266,103 @@ def per_plan_reference_grads(params, batch, cfg, tcfg, rng):
     return total
 
 
+def assert_grads_close(grads, want):
+    """Same keys and dtypes; every entry within 1e-12 of the largest |entry|."""
+    assert set(grads) == set(want)
+    bound = 1e-12 * max(float(np.abs(v).max()) for v in want.values())
+    for k in want:
+        assert grads[k].dtype == want[k].dtype, k
+        assert float(np.abs(grads[k] - want[k]).max()) <= bound, k
+
+
 @pytest.mark.parametrize("objective", list(Objective))
 def test_batch_grads_equal_plan_order_sum(small_pipeline, objective):
-    # the shared in-place accumulator adds in the same order as summing
-    # the per-plan dicts, so the two agree exactly, not just closely
+    # the packed backward sums over the rows of a group of plans in
+    # another order than adding up per-plan gradients, so in float64 the
+    # two agree to rounding; in float32 the gradients keep the dtype
+    stream, vocab, lex, jv, cfg = small_pipeline
+    plans = make_plans(stream, lex, jv, objective, seed=1)
+    tcfg = TrainConfig(objective, total_steps=1, batch_size=6, warmup_steps=0, seed=0)
+    batch = plans[:6]
+    for dtype in (np.float64, np.float32):
+        params = init_params(cfg, 4, dtype=dtype)
+        _, grads = batch_loss_and_grad(params, batch, cfg, tcfg, RngState(9))
+        want = per_plan_reference_grads(params, batch, cfg, tcfg, RngState(9))
+        assert set(grads) == set(want)
+        assert all(grads[k].dtype == want[k].dtype == dtype for k in want)
+        if dtype == np.float64:
+            assert_grads_close(grads, want)
+
+
+def long_plan_batch(small_pipeline):
+    """A relation batch for max_positions 32 around one plan of 34 rows
+    (28 context positions, 6 queries) made from two joined documents."""
+    stream, vocab, lex, jv, _ = small_pipeline
+    cfg = tiny_config(len(vocab), len(lex), max_positions=32)
+    plans = make_plans(stream, lex, jv, Objective.RELATION, seed=1)
+    docs = stream.documents
+    long = make_plans(WordStream([docs[0] + docs[1]]), lex, jv, Objective.RELATION, seed=0)[0]
+    assert long.T <= cfg.max_positions < long.T + long.Q
+    tcfg = TrainConfig(Objective.RELATION, total_steps=1, batch_size=7, warmup_steps=0, seed=0)
+    return cfg, tcfg, plans[:3] + [long] + plans[3:6]
+
+
+def test_groups_over_max_positions_keep_reference_grads(small_pipeline):
+    cfg, tcfg, batch = long_plan_batch(small_pipeline)
+    params = init_params(cfg, 4, dtype=np.float64)
+    assert sum(p.T + p.Q for p in batch) > 3 * cfg.max_positions
+    _, grads = batch_loss_and_grad(params, batch, cfg, tcfg, RngState(9))
+    assert_grads_close(grads, per_plan_reference_grads(params, batch, cfg, tcfg, RngState(9)))
+
+
+def test_backward_groups_stay_within_max_positions(small_pipeline, monkeypatch):
+    # each packed backward holds at most max_positions rows, unless it is
+    # one plan; the plan longer than the bound runs alone
+    train_mod = importlib.import_module("ngramlm.train")
+    cfg, tcfg, batch = long_plan_batch(small_pipeline)
+    encode_backward = train_mod.encode_backward
+    calls = []
+
+    def recording(params, acts, d_hidden, cfg_, prefix="", **kwargs):
+        calls.append((prefix, [len(a.hidden) for a in acts]))
+        assert len(d_hidden) == sum(calls[-1][1])
+        return encode_backward(params, acts, d_hidden, cfg_, prefix, **kwargs)
+
+    monkeypatch.setattr(train_mod, "encode_backward", recording)
+    batch_loss_and_grad(init_params(cfg, 4), batch, cfg, tcfg, RngState(9))
+    main = [rows for prefix, rows in calls if not prefix]
+    gen = [rows for prefix, rows in calls if prefix == "gen_"]
+    for rows in main + gen:
+        assert sum(rows) <= cfg.max_positions or len(rows) == 1, rows
+    long = batch[3].T + batch[3].Q
+    assert [long] in main
+    assert [r for rows in main for r in rows] == [p.T + p.Q for p in batch]
+    assert [r for rows in gen for r in rows] == [p.T for p in batch if p.targets_coarse]
+    assert len(main) < len(batch) and max(len(rows) for rows in main) > 1
+
+
+@pytest.mark.parametrize("objective", list(Objective))
+def test_loss_report_does_not_depend_on_backward(small_pipeline, objective):
+    # the forward pass, logits and losses run per plan whether or not a
+    # backward follows, so the report is bitwise the one without gradients
+    # and the plan-order sum of the per-plan loss terms
     stream, vocab, lex, jv, cfg = small_pipeline
     plans = make_plans(stream, lex, jv, objective, seed=1)
     tcfg = TrainConfig(objective, total_steps=1, batch_size=6, warmup_steps=0, seed=0)
     params = init_params(cfg, 4)
     batch = plans[:6]
-    _, grads = batch_loss_and_grad(params, batch, cfg, tcfg, RngState(9))
-    want = per_plan_reference_grads(params, batch, cfg, tcfg, RngState(9))
-    assert set(grads) == set(want)
-    for k in want:
-        assert grads[k].dtype == want[k].dtype, k
-        assert np.array_equal(grads[k], want[k]), k
+    report, _ = batch_loss_and_grad(params, batch, cfg, tcfg, RngState(9))
+    forward_only, grads = batch_loss_and_grad(params, batch, cfg, tcfg, RngState(9),
+                                              want_grads=False)
+    assert report == forward_only and grads == {}
+    work, _ = sampled_work(params, batch, cfg, tcfg, RngState(9))
+    coarse_sum = fine_sum = 0.0
+    for plan, _ in work:
+        terms, _ = plan_loss_terms(params, plan, cfg)
+        coarse_sum += terms["coarse_sum"]
+        fine_sum += terms["fine_sum"]
+    assert report.comprehensive_sum == coarse_sum + fine_sum
+    assert report.coarse == coarse_sum / max(report.n_coarse, 1)
 
 
 def test_relation_total_is_weighted_sum(small_pipeline):
