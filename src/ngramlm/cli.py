@@ -142,7 +142,8 @@ def _model_config(args, fine_size, ngram_size) -> ModelConfig:
 
 
 def _check_plan_ids(path, plans, cfg: ModelConfig):
-    """Refuse plans whose ids, positions or indexes fall outside the model's sizes."""
+    """Refuse plans whose ids, positions or indexes fall outside the model's
+    sizes, or whose coarse slots or fine indexes repeat."""
     joint, fine, max_pos = cfg.joint_size, cfg.fine_vocab_size, cfg.max_positions
     for k, plan in enumerate(plans):
         where = f"{path}: plan {k}"
@@ -160,6 +161,9 @@ def _check_plan_ids(path, plans, cfg: ModelConfig):
             if idx >= n or x >= fine:
                 raise DataError(f"{where}: fine target ({idx}, {x}) outside "
                                 f"{n} positions or fine vocabulary 0..{fine - 1}")
+        for targets in (plan.targets_coarse, plan.targets_fine):
+            if len({i for i, _ in targets}) < len(targets):
+                raise DataError(f"{where}: a coarse slot or fine index is a target twice")
 
 
 def cmd_train(args):
@@ -194,7 +198,9 @@ def cmd_train(args):
 
 def cmd_eval_ppl(args):
     _, plans = read_plan_file(args.plans)
-    params, cfg, _, _ = load_checkpoint(args.checkpoint)
+    params, cfg, extra, _ = load_checkpoint(args.checkpoint)
+    if extra.get("exported"):
+        raise DataError(f"{args.checkpoint}: an exported checkpoint has no n-gram head")
     _check_plan_ids(args.plans, plans, cfg)
     ppl = eval_ngram_ppl(params, plans, cfg)
     print(json.dumps({"ngram_ppl": ppl, "plans": len(plans)}))

@@ -47,7 +47,7 @@ class ModelConfig:
     generator_layers: int = 1
 
     def __post_init__(self):
-        if self.hidden % self.heads != 0:
+        if self.heads < 1 or self.hidden % self.heads != 0:
             raise UsageError(f"hidden {self.hidden} not divisible by heads {self.heads}")
 
     @property
@@ -139,6 +139,32 @@ def init_params(cfg: ModelConfig, seed: int, dtype=np.float32) -> dict:
         else:
             params[name] = _trunc_normal(g, shape, INIT_STD, dtype)
     return params
+
+
+class FlatLayout:
+    """Named tensors laid one after another, in dict order, over one vector.
+    Parameters, gradients and Adam's moments share a layout: the model uses
+    reshaped views of a vector by name, the optimizer whole vectors."""
+
+    def __init__(self, tensors: dict):
+        self.shapes = {name: a.shape for name, a in tensors.items()}
+        self.bounds = np.cumsum([0] + [a.size for a in tensors.values()]).tolist()
+        self.dtype = np.result_type(*{a.dtype for a in tensors.values()})
+
+    def views(self, vector) -> dict:
+        """``vector`` seen as one tensor per name."""
+        return {name: vector[lo:hi].reshape(shape) for (name, shape), lo, hi
+                in zip(self.shapes.items(), self.bounds, self.bounds[1:])}
+
+    def zeros(self):
+        """(vector, views) of a new zeroed vector, such as a gradient buffer."""
+        vector = np.zeros(self.bounds[-1], dtype=self.dtype)
+        return vector, self.views(vector)
+
+    def flatten(self, tensors: dict):
+        """(vector, views) of a new vector holding a copy of ``tensors``."""
+        vector = np.concatenate([tensors[n].ravel() for n in self.shapes], dtype=self.dtype)
+        return vector, self.views(vector)
 
 
 # ---------------------------------------------------------------------------
@@ -248,32 +274,16 @@ def encode(params: dict, ids, positions, attn_mask, cfg: ModelConfig,
     return acts
 
 
-def _accumulate(grads: dict, name: str, value):
-    """Add ``value`` into ``grads[name]`` in place.
-
-    The first value for a name is stored as is, so it must be a fresh array
-    that nothing else holds.
-    """
-    if name in grads:
-        grads[name] += value
-    else:
-        grads[name] = value
-
-
-def _accumulate_rows(grads: dict, name: str, param, index, rows):
-    """Scatter-add ``rows`` into the dense gradient of ``param`` at ``index``.
+def _accumulate_rows(grad, index, rows):
+    """Scatter-add ``rows`` into the gradient ``grad`` at ``index``.
 
     Rows sharing an index are summed first, in order, in a small buffer of
-    the parameter dtype; the buffer is then added once into the dense
-    gradient, which is allocated on the first call for ``grads``.
+    the gradient's dtype; the buffer is then added once into ``grad``.
     """
     uniq, inverse = np.unique(index, return_inverse=True)
-    summed = np.zeros((len(uniq), param.shape[1]), dtype=param.dtype)
+    summed = np.zeros((len(uniq), grad.shape[1]), dtype=grad.dtype)
     np.add.at(summed, inverse, rows)
-    dense = grads.get(name)
-    if dense is None:
-        dense = grads[name] = np.zeros_like(param)
-    dense[uniq] += summed
+    grad[uniq] += summed
 
 
 def _pack(parts):
@@ -291,21 +301,16 @@ def _head_major(packed, rows: slice, heads: int, dk: int):
 
 
 def encode_backward(params: dict, acts: list, d_hidden, cfg: ModelConfig,
-                    prefix: str = "", *, grads: dict | None = None) -> dict:
-    """Gradients of a scalar loss w.r.t. all ``prefix`` encoder parameters,
-    given the gradient at the final hidden states of one or more plans.
+                    prefix: str = "", *, grads: dict):
+    """Add into ``grads`` the gradients of a scalar loss w.r.t. all ``prefix``
+    encoder parameters, given the gradient at the final hidden states.
 
     ``acts`` lists the plans' forward passes and ``d_hidden`` packs their
     hidden-state gradients row-wise, one plan after another in list order.
     The row-wise work (layer norms, FFN, the Q/K/V/O projections and their
     parameter gradients, the embedding scatter) runs once over the packed
     rows; attention runs per plan on that plan's rows.
-
-    With ``grads`` given, the gradients are added into it in place and it
-    is returned; otherwise a fresh dict is returned.
     """
-    if grads is None:
-        grads = {}
     A, dk = cfg.heads, cfg.head_dim
     scale = 1.0 / math.sqrt(dk)
     dx = np.asarray(d_hidden)
@@ -316,21 +321,21 @@ def encode_backward(params: dict, acts: list, d_hidden, cfg: ModelConfig,
         p = prefix + f"l{i}_"
         cs = [a.cache[i] for a in acts]
         d_sum2, dg2, db2 = _layernorm_backward(dx, _pack_layernorm([c["ln2"] for c in cs]))
-        _accumulate(grads, p + "ln2_g", dg2)
-        _accumulate(grads, p + "ln2_b", db2)
-        _accumulate(grads, p + "w2", _pack([c["act"] for c in cs]).T @ d_sum2)
-        _accumulate(grads, p + "b2", d_sum2.sum(0))
+        grads[p + "ln2_g"] += dg2
+        grads[p + "ln2_b"] += db2
+        grads[p + "w2"] += _pack([c["act"] for c in cs]).T @ d_sum2
+        grads[p + "b2"] += d_sum2.sum(0)
         d_act = d_sum2 @ params[p + "w2"].T
         d_pre = _gelu_backward(d_act, _pack([c["pre"] for c in cs]),
                                _pack([c["pre_erf"] for c in cs]))
-        _accumulate(grads, p + "w1", _pack([c["y"] for c in cs]).T @ d_pre)
-        _accumulate(grads, p + "b1", d_pre.sum(0))
+        grads[p + "w1"] += _pack([c["y"] for c in cs]).T @ d_pre
+        grads[p + "b1"] += d_pre.sum(0)
         dy = d_sum2 + d_pre @ params[p + "w1"].T
         d_sum1, dg1, db1 = _layernorm_backward(dy, _pack_layernorm([c["ln1"] for c in cs]))
-        _accumulate(grads, p + "ln1_g", dg1)
-        _accumulate(grads, p + "ln1_b", db1)
-        _accumulate(grads, p + "wo", _pack([c["ctx"] for c in cs]).T @ d_sum1)
-        _accumulate(grads, p + "bo", d_sum1.sum(0))
+        grads[p + "ln1_g"] += dg1
+        grads[p + "ln1_b"] += db1
+        grads[p + "wo"] += _pack([c["ctx"] for c in cs]).T @ d_sum1
+        grads[p + "bo"] += d_sum1.sum(0)
         d_ctx = d_sum1 @ params[p + "wo"].T
         # attention, plan by plan: the head-major results are written
         # straight into each plan's rows of the packed dq, dk, dv
@@ -345,22 +350,21 @@ def encode_backward(params: dict, acts: list, d_hidden, cfg: ModelConfig,
             np.matmul(d_scores.transpose(0, 2, 1), c["qh"], out=_head_major(dk_, rows, A, dk))
         dqkv[:2] *= scale
         x = _pack([c["x"] for c in cs])
-        _accumulate(grads, p + "wq", x.T @ dq)
-        _accumulate(grads, p + "bq", dq.sum(0))
-        _accumulate(grads, p + "wk", x.T @ dk_)
-        _accumulate(grads, p + "bk", dk_.sum(0))
-        _accumulate(grads, p + "wv", x.T @ dv)
-        _accumulate(grads, p + "bv", dv.sum(0))
+        grads[p + "wq"] += x.T @ dq
+        grads[p + "bq"] += dq.sum(0)
+        grads[p + "wk"] += x.T @ dk_
+        grads[p + "bk"] += dk_.sum(0)
+        grads[p + "wv"] += x.T @ dv
+        grads[p + "bv"] += dv.sum(0)
         dx = d_sum1 + dq @ params[p + "wq"].T + dk_ @ params[p + "wk"].T + dv @ params[p + "wv"].T
 
     ids = _pack([a.emb_cache[0] for a in acts])
     positions = _pack([a.emb_cache[1] for a in acts])
     d_x0, dg, db = _layernorm_backward(dx, _pack_layernorm([a.emb_cache[2] for a in acts]))
-    _accumulate(grads, prefix + "emb_ln_g", dg)
-    _accumulate(grads, prefix + "emb_ln_b", db)
-    _accumulate_rows(grads, prefix + "tok_emb", params[prefix + "tok_emb"], ids, d_x0)
-    _accumulate_rows(grads, prefix + "pos_emb", params[prefix + "pos_emb"], positions - 1, d_x0)
-    return grads
+    grads[prefix + "emb_ln_g"] += dg
+    grads[prefix + "emb_ln_b"] += db
+    _accumulate_rows(grads[prefix + "tok_emb"], ids, d_x0)
+    _accumulate_rows(grads[prefix + "pos_emb"], positions - 1, d_x0)
 
 
 # ---------------------------------------------------------------------------
@@ -382,22 +386,19 @@ def predict_rtd(acts: Activations, context_indexes, params: dict):
 
 
 def head_backward(hidden, rows, d_logits, w_name: str, b_name: str, params: dict,
-                  d_hidden, *, grads: dict | None = None) -> dict:
-    """Accumulate one head's gradients and scatter d_logits back into d_hidden.
+                  d_hidden, *, grads: dict):
+    """Add one head's gradients into ``grads``; scatter d_logits into d_hidden.
 
     ``d_logits`` holds the head's logit gradients at ``rows`` of ``hidden``;
     ``d_hidden`` has the shape of ``hidden``.  A head whose weight is a
     vector, the replaced-token head, has one logit per row and ``d_logits``
     one value per row.
     """
-    if grads is None:
-        grads = {}
     w = params[w_name]
     d = d_logits.reshape(len(rows), -1)
-    _accumulate(grads, w_name, (hidden[rows].T @ d).reshape(w.shape))
-    _accumulate(grads, b_name, d.sum(0))
+    grads[w_name] += (hidden[rows].T @ d).reshape(w.shape)
+    grads[b_name] += d.sum(0)
     np.add.at(d_hidden, rows, d @ w.reshape(len(w), -1).T)
-    return grads
 
 
 # ---------------------------------------------------------------------------
@@ -439,15 +440,8 @@ def generator_forward_and_sample(params: dict, plan: MaskPlan, cfg: ModelConfig,
 def export_finetune_weights(params: dict, cfg: ModelConfig) -> dict:
     """Prune to a vanilla encoder: truncate embeddings to the fine rows,
     drop all heads and every generator tensor.  Encoder weights intact."""
-    out = {}
-    for name, arr in params.items():
-        if name.startswith("gen_") or name.startswith(("fine_", "ngram_", "rtd_")):
-            continue
-        if name == "tok_emb":
-            out[name] = arr[: cfg.fine_vocab_size].copy()
-        else:
-            out[name] = arr.copy()
-    return out
+    shapes = _encoder_param_shapes(cfg, cfg.fine_vocab_size)
+    return {name: params[name][: shape[0]].copy() for name, shape in shapes.items()}
 
 
 def param_count(params: dict) -> int:
@@ -481,11 +475,11 @@ def save_checkpoint(path, params: dict, cfg: ModelConfig, extra: dict | None = N
 
 
 def load_checkpoint(path):
-    """Returns (params, config, extra, arrays).
+    """Returns (params, config, extra, arrays), the parameters laid out flat.
 
-    A file that cannot be read as a checkpoint, or whose metadata does not
-    build a ModelConfig, raises DataError; an npz file of another format or
-    version raises its subclass VersionError.
+    A file that cannot be read as a checkpoint, or whose metadata or tensors
+    do not match a ModelConfig, raises DataError; an npz file of another
+    format or version raises its subclass VersionError.
     """
     try:
         z = np.load(path, allow_pickle=False)
@@ -508,7 +502,25 @@ def load_checkpoint(path):
         raise DataError(f"cannot read checkpoint {path}: {e}") from e
     try:
         cfg = ModelConfig(**meta["config"])
-        extra = meta["extra"]
-    except (KeyError, TypeError, UsageError) as e:
+        extra = dict(meta["extra"])
+        shapes = (_encoder_param_shapes(cfg, cfg.fine_vocab_size) if extra.get("exported")
+                  else param_shapes(cfg))
+    except (KeyError, TypeError, ValueError, UsageError) as e:
         raise DataError(f"checkpoint {path}: bad metadata: {e!r}") from e
-    return params, cfg, extra, arrays
+    params = checked_tensors(f"checkpoint {path}", params, shapes)
+    return FlatLayout(params).flatten(params)[1], cfg, extra, arrays
+
+
+def checked_tensors(where: str, tensors: dict, shapes: dict) -> dict:
+    """``tensors`` in the order of ``shapes``, which they must match name for
+    name, all float32 or all float64; otherwise DataError."""
+    found = {name: a.shape for name, a in tensors.items()}
+    wrong = sorted(n for n in found.keys() | shapes.keys() if found.get(n) != shapes.get(n))
+    if wrong:
+        raise DataError(f"{where}: tensor {wrong[0]} has shape {found.get(wrong[0])}, expected "
+                        f"{shapes.get(wrong[0])} ({len(wrong)} tensors missing or mismatched)")
+    dtypes = {str(a.dtype) for a in tensors.values()}
+    if dtypes not in ({"float32"}, {"float64"}):
+        raise DataError(f"{where}: tensors of dtype {sorted(dtypes)}, "
+                        "expected all float32 or all float64")
+    return {name: tensors[name] for name in shapes}

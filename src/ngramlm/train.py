@@ -24,7 +24,9 @@ from .maskplan import (
 )
 from .model import (
     Activations,
+    FlatLayout,
     ModelConfig,
+    checked_tensors,
     encode,
     encode_backward,
     encode_generator,
@@ -139,11 +141,10 @@ class BackwardGroup:
     longer than the bound forms a group of its own.
     """
 
-    def __init__(self, params: dict, cfg: ModelConfig, grads: dict | None = None,
-                 prefix: str = ""):
+    def __init__(self, params: dict, cfg: ModelConfig, grads: dict, prefix: str = ""):
         self.params = params
         self.cfg = cfg
-        self.grads = {} if grads is None else grads
+        self.grads = grads
         self.prefix = prefix
         self._clear()
 
@@ -200,18 +201,9 @@ def _plan_indexes(plan: MaskPlan):
 
 def plan_loss_terms(params: dict, plan: MaskPlan, cfg: ModelConfig,
                     scales: dict | None = None, *, group: BackwardGroup | None = None):
-    """Loss sums for one plan; gradients accumulated when scales given.
-
-    ``scales`` maps term name -> factor applied to that term's dlogits
-    (e.g. weight / batch target count).  The plan's backward joins
-    ``group`` when one is given and runs with the group's; otherwise the
-    plan forms a group of one whose backward runs before this returns.
-    Returns (terms, the group's gradient dict); without scales the dict
-    is empty.
-    """
-    own = scales is not None and group is None
-    if own:
-        group = BackwardGroup(params, cfg)
+    """Loss sums for one plan.  With ``scales``, term name -> factor applied
+    to that term's dlogits (e.g. weight / batch target count), the plan's
+    backward joins ``group``."""
     if scales is not None:
         group.start(plan.T + plan.Q)
     acts = _encode_plan(params, plan, cfg)
@@ -242,25 +234,16 @@ def plan_loss_terms(params: dict, plan: MaskPlan, cfg: ModelConfig,
         if scales is not None:
             group.add_head("rtd_w", "rtd_b", ctx,
                            (dlog * scales["rtd"]).astype(acts.hidden.dtype))
-    if own:
-        group.backward()
-    return terms, group.grads if scales is not None else {}
+    return terms
 
 
 def generator_loss_terms(params: dict, plan: MaskPlan, cfg: ModelConfig,
                          scale: float | None = None, *, group: BackwardGroup | None = None):
     """Generator explicit-MLM loss on a plan's context; slots predict y.
-
-    Gradients go through ``group`` as in :func:`plan_loss_terms`; a group
-    made here runs under ``cfg.generator_view()`` on the ``gen_`` tensors.
-    """
-    own = scale is not None and group is None
-    if own:
-        group = BackwardGroup(params, cfg.generator_view(), prefix="gen_")
-    grads = group.grads if scale is not None else {}
+    With ``scale``, the backward joins ``group``, one over the ``gen_`` tensors."""
     slots, coarse_t, _, _ = _plan_indexes(plan)
     if not coarse_t:
-        return {"gen_sum": 0.0, "n_gen": 0}, grads
+        return {"gen_sum": 0.0, "n_gen": 0}
     if scale is not None:
         group.start(plan.T)
     acts = encode_generator(params, plan, cfg)
@@ -270,14 +253,12 @@ def generator_loss_terms(params: dict, plan: MaskPlan, cfg: ModelConfig,
     if scale is not None:
         group.add(acts)
         group.add_head("gen_ngram_w", "gen_ngram_b", slots, dlog * scale)
-    if own:
-        group.backward()
-    return terms, grads
+    return terms
 
 
-def batch_loss_and_grad(params: dict, plans, cfg: ModelConfig, tcfg: TrainConfig,
-                        sample_rng: RngState | None = None, want_grads: bool = True):
-    """Loss report and parameter gradients for one batch of plans.
+def batch_loss_and_grad(params: dict, plans, cfg: ModelConfig, tcfg: TrainConfig, grads: dict,
+                        sample_rng: RngState | None = None):
+    """Loss report for one batch; its gradients are added into ``grads``.
 
     For the relation objective each comprehensive-layout plan is filled
     with generator samples first; sampling is non-differentiable, so the
@@ -302,32 +283,26 @@ def batch_loss_and_grad(params: dict, plans, cfg: ModelConfig, tcfg: TrainConfig
         n_coarse += len(plan.targets_coarse)
         n_fine += len(plan.targets_fine)
 
-    scales = None
-    if want_grads:
-        scales = {
-            "coarse": tcfg.coarse_weight / max(n_coarse, 1),
-            "fine": tcfg.fine_weight / max(n_fine, 1),
-            "rtd": tcfg.rtd_weight / max(n_rtd, 1),
-        }
-    # one accumulator for the whole batch; the standard model and the
-    # generator each run their backward in groups of consecutive plans
-    grads: dict = {}
-    main = gen = None
-    if want_grads:
-        main = BackwardGroup(params, cfg, grads)
-        gen = BackwardGroup(params, cfg.generator_view(), grads, prefix="gen_")
+    scales = {
+        "coarse": tcfg.coarse_weight / max(n_coarse, 1),
+        "fine": tcfg.fine_weight / max(n_fine, 1),
+        "rtd": tcfg.rtd_weight / max(n_rtd, 1),
+    }
+    # the standard model and the generator each run their backward in
+    # groups of consecutive plans
+    main = BackwardGroup(params, cfg, grads)
+    gen = BackwardGroup(params, cfg.generator_view(), grads, prefix="gen_")
     sums = {"coarse_sum": 0.0, "fine_sum": 0.0, "rtd_sum": 0.0, "gen_sum": 0.0}
     for plan, gen_plan in work:
-        terms, _ = plan_loss_terms(params, plan, cfg, scales, group=main)
+        terms = plan_loss_terms(params, plan, cfg, scales, group=main)
         for key in ("coarse_sum", "fine_sum", "rtd_sum"):
             sums[key] += terms[key]
         if relation and gen_plan is not None:
-            gterms, _ = generator_loss_terms(
-                params, gen_plan, cfg, scales and 1.0 / max(n_gen, 1), group=gen)
+            gterms = generator_loss_terms(
+                params, gen_plan, cfg, 1.0 / max(n_gen, 1), group=gen)
             sums["gen_sum"] += gterms["gen_sum"]
-    if want_grads:
-        main.backward()
-        gen.backward()
+    main.backward()
+    gen.backward()
 
     report = LossReport(
         fine=sums["fine_sum"] / max(n_fine, 1),
@@ -347,18 +322,22 @@ def batch_loss_and_grad(params: dict, plans, cfg: ModelConfig, tcfg: TrainConfig
     )
     if not np.isfinite(report.total):
         raise NumericError(f"non-finite loss: {report}")
-    return report, grads
+    return report
 
 
 # ---------------------------------------------------------------------------
 # optimizer
 
 class AdamState:
-    def __init__(self, params: dict):
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+    """AdamW moments ``m`` and ``v``, two work vectors and the 0/1 decay mask."""
+
+    def __init__(self, layout: FlatLayout):
+        self.layout = layout
+        self.m, self.v = np.zeros((2, layout.bounds[-1]), dtype=layout.dtype)
+        self.work = np.empty((2, layout.bounds[-1]), dtype=layout.dtype)
+        self.decay = np.repeat([_decayable(name) for name in layout.shapes],
+                               np.diff(layout.bounds)).astype(layout.dtype)
         self.t = 0
-        self.scratch: dict = {}  # one work buffer per parameter, not checkpointed
 
 
 def _decayable(name: str) -> bool:
@@ -366,51 +345,47 @@ def _decayable(name: str) -> bool:
     return not (last.startswith("b") or "ln" in name)
 
 
-def adam_step(params: dict, grads: dict, state: AdamState, lr: float, tcfg: TrainConfig):
-    """One AdamW update in place.  Returns (global gradient norm, whether the
-    gradients were scaled down to ``tcfg.clip_norm``)."""
-    factor = None
-    norm = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-    if 0 < tcfg.clip_norm < norm:
-        factor = tcfg.clip_norm / norm
+def adam_step(params, grads, state: AdamState, lr: float, tcfg: TrainConfig):
+    """One AdamW update of the vector ``params`` in place from the vector
+    ``grads``, both laid out by ``state.layout``; a tensor without gradient
+    still decays.  Returns (global gradient norm, whether it was clipped)."""
+    tmp, buf = state.work
+    # per-tensor float32 sums added in layout order
+    np.multiply(grads, grads, out=tmp)
+    b = state.layout.bounds
+    norm = np.sqrt(sum(float(tmp[lo:hi].sum()) for lo, hi in zip(b, b[1:])))
+    # a float64 scalar: the product is formed in float64 and rounded once
+    # to the parameter dtype
+    factor = tcfg.clip_norm / norm if 0 < tcfg.clip_norm < norm else None
     state.t += 1
     bc1 = 1.0 - tcfg.beta1**state.t
     bc2 = 1.0 - tcfg.beta2**state.t
-    for name, g in grads.items():
-        p = params[name]
-        buf = state.scratch.get(name)
-        if buf is None:
-            buf = state.scratch[name] = np.empty_like(p)
-        if factor is None:
-            g = g.astype(p.dtype, copy=False)
-        else:
-            # factor is a float64 scalar: the product is formed in float64 and
-            # rounded once to the parameter dtype, without a float64 copy
-            g = np.multiply(g, factor, out=buf)
-        if not np.isfinite(g).all():
-            raise NumericError(f"non-finite gradient in {name}")
-        m = state.m[name]
-        v = state.v[name]
-        # in place, in this operation order (rounding included):
-        # m = b1 m + (1-b1) g;  v = b2 v + (1-b2) g g
-        # p -= lr ((m / bc1) / (sqrt(v / bc2) + eps) + wd p)
-        tmp = np.multiply(g, 1 - tcfg.beta1)
-        m *= tcfg.beta1
-        m += tmp
-        np.multiply(g, 1 - tcfg.beta2, out=tmp)
-        tmp *= g
-        v *= tcfg.beta2
-        v += tmp
-        np.divide(v, bc2, out=tmp)
-        np.sqrt(tmp, out=tmp)
-        tmp += tcfg.eps
-        np.divide(m, bc1, out=buf)
-        buf /= tmp
-        if tcfg.weight_decay and _decayable(name):
-            np.multiply(p, tcfg.weight_decay, out=tmp)
-            buf += tmp
-        buf *= lr
-        p -= buf
+    g = grads if factor is None else np.multiply(grads, factor, out=buf)
+    if not np.isfinite(g).all():
+        at = np.searchsorted(b, np.argmin(np.isfinite(g)), side="right") - 1
+        raise NumericError(f"non-finite gradient in {list(state.layout.shapes)[at]}")
+    m, v = state.m, state.v  # rows of one array
+    # in place, in this operation order (rounding included):
+    # m = b1 m + (1-b1) g;  v = b2 v + (1-b2) g g
+    # p -= lr ((m / bc1) / (sqrt(v / bc2) + eps) + wd decay p)
+    np.multiply(g, 1 - tcfg.beta1, out=tmp)
+    m *= tcfg.beta1
+    m += tmp
+    np.multiply(g, 1 - tcfg.beta2, out=tmp)
+    tmp *= g
+    v *= tcfg.beta2
+    v += tmp
+    np.divide(v, bc2, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += tcfg.eps
+    np.divide(m, bc1, out=buf)
+    buf /= tmp
+    if tcfg.weight_decay:
+        np.multiply(params, tcfg.weight_decay, out=tmp)
+        tmp *= state.decay
+        buf += tmp
+    buf *= lr
+    params -= buf
     return float(norm), factor is not None
 
 
@@ -421,14 +396,13 @@ def train(tcfg: TrainConfig, plans, params: dict, cfg: ModelConfig,
           metrics_path=None, checkpoint_path=None, resume_from=None):
     """Run the training loop over a fixed plan list, cycling in order.
 
-    Deterministic for a fixed seed (single-threaded).  Returns (params,
-    list of per-step metric dicts).  NaN loss aborts with a diagnostic
-    checkpoint next to ``checkpoint_path``.
+    Deterministic for a fixed seed (single-threaded).  Returns (params, now
+    views of one flat vector, list of per-step metric dicts).  NaN loss
+    aborts with a diagnostic checkpoint next to ``checkpoint_path``.
     """
     plans = list(plans)
     if not plans:
         raise UsageError("empty plan stream")
-    state = AdamState(params)
     sample_rng = RngState(tcfg.seed ^ 0x5EED)
     start_step = 0
     if resume_from is not None:
@@ -436,16 +410,24 @@ def train(tcfg: TrainConfig, plans, params: dict, cfg: ModelConfig,
         if cfg_r != cfg:
             raise UsageError(f"checkpoint {resume_from} has model config {asdict(cfg_r)}, "
                              f"not {asdict(cfg)}")
+        params.clear()
+        params.update(params_r)
+    layout = FlatLayout(params)
+    flat, views = layout.flatten(params)
+    params.update(views)
+    grads_flat, grads = layout.zeros()
+    state = AdamState(layout)
+    if resume_from is not None:
+        # an exported checkpoint has no moments, so it stops here
+        for key, vec in (("m", state.m), ("v", state.v)):
+            saved = {k[2:]: a for k, a in arrays.items() if k.startswith(key + "/")}
+            vec[...] = layout.flatten(checked_tensors(
+                f"checkpoint {resume_from}, Adam moments {key}/", saved, layout.shapes))[0]
         objective_r = extra.get("train_config", {}).get("objective")
         if objective_r != int(tcfg.objective):
             raise UsageError(f"checkpoint {resume_from} was trained with objective "
                              f"{objective_r}, not {int(tcfg.objective)} "
                              f"({tcfg.objective.name.lower()})")
-        params.clear()
-        params.update(params_r)
-        state = AdamState(params)
-        state.m = {k[2:]: v for k, v in arrays.items() if k.startswith("m/")}
-        state.v = {k[2:]: v for k, v in arrays.items() if k.startswith("v/")}
         state.t = extra["adam_t"]
         start_step = extra["step"]
         sample_rng = RngState(extra["sample_seed"], extra["sample_counter"])
@@ -462,8 +444,9 @@ def train(tcfg: TrainConfig, plans, params: dict, cfg: ModelConfig,
                 cursor = (cursor + 1) % len(plans)
             lr = lr_at(step, tcfg)
             try:
-                report, grads = batch_loss_and_grad(params, batch, cfg, tcfg, sample_rng)
-                grad_norm, clipped = adam_step(params, grads, state, lr, tcfg)
+                grads_flat.fill(0)
+                report = batch_loss_and_grad(params, batch, cfg, tcfg, grads, sample_rng)
+                grad_norm, clipped = adam_step(flat, grads_flat, state, lr, tcfg)
             except NumericError:
                 if checkpoint_path:
                     _save_train_checkpoint(str(checkpoint_path) + ".diag", params, cfg,
@@ -489,11 +472,6 @@ def train(tcfg: TrainConfig, plans, params: dict, cfg: ModelConfig,
 
 
 def _save_train_checkpoint(path, params, cfg, tcfg, state, step, sample_rng):
-    arrays = {}
-    for k, v in state.m.items():
-        arrays["m/" + k] = v
-    for k, v in state.v.items():
-        arrays["v/" + k] = v
     extra = {
         "step": step,
         "adam_t": state.t,
@@ -501,6 +479,8 @@ def _save_train_checkpoint(path, params, cfg, tcfg, state, step, sample_rng):
         "sample_counter": sample_rng.counter,
         "train_config": {**asdict(tcfg), "objective": int(tcfg.objective)},
     }
+    arrays = {f"{key}/{name}": view for key, vec in (("m", state.m), ("v", state.v))
+              for name, view in state.layout.views(vec).items()}
     save_checkpoint(path, params, cfg, extra=extra, arrays=arrays)
 
 

@@ -7,7 +7,8 @@ import pytest
 from ngramlm import FineVocab, build_joint_vocab
 from ngramlm.lexicon import NGramLexicon, ScoredNGram
 from ngramlm.maskplan import segment_example
-from ngramlm.model import ModelConfig
+from ngramlm.model import FlatLayout, ModelConfig
+from ngramlm.train import BackwardGroup
 
 
 # one "ACCEPTANCE nn ...: PASS/FAIL" line per criterion, printed after the
@@ -38,6 +39,19 @@ def tiny_config(fine, ngram, **kw):
                     fine_vocab_size=fine, ngram_vocab_size=ngram)
     defaults.update(kw)
     return ModelConfig(**defaults)
+
+
+def loss_and_grads(loss_terms, params, plan, cfg, scale=None, prefix=""):
+    """One plan's ``loss_terms`` and, with ``scale``, its gradients alone:
+    the plan's backward runs as a group of its own over zeroed gradients
+    for every parameter.  Without ``scale`` the gradient dict is empty."""
+    if scale is None:
+        return loss_terms(params, plan, cfg), {}
+    grads = FlatLayout(params).zeros()[1]
+    group = BackwardGroup(params, cfg.generator_view() if prefix else cfg, grads, prefix)
+    terms = loss_terms(params, plan, cfg, scale, group=group)
+    group.backward()
+    return terms, grads
 
 
 @pytest.fixture

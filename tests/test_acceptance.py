@@ -36,7 +36,7 @@ from ngramlm import (
 from ngramlm.cli import main as cli_main
 from ngramlm.lexicon import ScoredNGram, _selection_key
 from ngramlm.maskplan import relation_from_comprehensive, segment_example
-from ngramlm.model import ModelConfig, param_count, vanilla_encoder_param_count
+from ngramlm.model import FlatLayout, ModelConfig, param_count, vanilla_encoder_param_count
 from ngramlm.segmenter import enumerate_paths, extract_boundaries
 from ngramlm.synth import CollocationSpec, collocation_corpus, write_corpus, zipf_corpus
 from ngramlm.train import (
@@ -50,7 +50,7 @@ from ngramlm.train import (
 from ngramlm.corpus import WordStream
 
 import conftest
-from conftest import lex_from, tiny_config
+from conftest import lex_from, loss_and_grads, tiny_config
 
 
 def check(n, name, passed, detail=""):
@@ -204,13 +204,14 @@ def _config_loss_and_grads(name, params, cfg, plans, comp, want_grads):
     n_f = max(len(plan.targets_fine), 1)
     n_r = max(plan.T if plan.rtd_labels is not None else 0, 1)
     scales = {"coarse": 1.0 / n_c, "fine": 1.0 / n_f, "rtd": rtd_weight / n_r}
-    terms, grads = plan_loss_terms(params, plan, cfg, scales if want_grads else None)
+    terms, grads = loss_and_grads(plan_loss_terms, params, plan, cfg,
+                                  scales if want_grads else None)
     loss = (terms["coarse_sum"] / n_c + terms["fine_sum"] / n_f
             + rtd_weight * terms["rtd_sum"] / n_r)
     if name == "relation":
         n_g = max(len(comp.targets_coarse), 1)
-        gterms, ggrads = generator_loss_terms(params, comp, cfg,
-                                              (1.0 / n_g) if want_grads else None)
+        gterms, ggrads = loss_and_grads(generator_loss_terms, params, comp, cfg,
+                                        (1.0 / n_g) if want_grads else None, "gen_")
         loss += gterms["gen_sum"] / n_g
         for k, v in ggrads.items():
             grads[k] = grads.get(k, 0) + v
@@ -225,7 +226,7 @@ def test_criterion_05_gradient_correctness():
     g = np.random.default_rng(7)
     for name in ("contiguous", "explicit", "comprehensive", "relation"):
         _, grads = _config_loss_and_grads(name, params, cfg, plans, comp, True)
-        names = sorted(k for k, v in grads.items() if np.asarray(v).size > 0)
+        names = sorted(k for k, v in grads.items() if np.any(v))
         for _ in range(50):
             pname = names[int(g.integers(len(names)))]
             arr = params[pname]
@@ -257,25 +258,29 @@ def test_criterion_06_loss_additivity():
     jv = build_joint_vocab(vocab, lex)
     cfg = tiny_config(len(vocab), len(lex), max_positions=64)
     plans = make_plans(stream, lex, jv, Objective.COMPREHENSIVE, seed=0)
-    params = init_params(cfg, 0)
+    init = init_params(cfg, 0)
+    layout = FlatLayout(init)
+    flat, params = layout.flatten(init)
+    grads_flat, grads = layout.zeros()
     tcfg = TrainConfig(Objective.COMPREHENSIVE, total_steps=100, batch_size=4,
                        warmup_steps=10, seed=0)
-    state = AdamState(params)
+    state = AdamState(layout)
     cursor, exact = 0, True
     for step in range(100):
         batch = []
         for _ in range(4):
             batch.append(plans[cursor])
             cursor = (cursor + 1) % len(plans)
-        report, grads = batch_loss_and_grad(params, batch, cfg, tcfg)
+        grads_flat.fill(0)
+        report = batch_loss_and_grad(params, batch, cfg, tcfg, grads)
         explicit_part = fine_part = 0.0
         for plan in batch:
-            terms, _ = plan_loss_terms(params, plan, cfg, None)
+            terms = plan_loss_terms(params, plan, cfg)
             explicit_part += terms["coarse_sum"]
             fine_part += terms["fine_sum"]
         if report.comprehensive_sum != explicit_part + fine_part:
             exact = False
-        adam_step(params, grads, state, 1e-3, tcfg)
+        adam_step(flat, grads_flat, state, 1e-3, tcfg)
     check(6, "comprehensive-loss additivity", exact,
           "explicit-part + contiguous-part, bitwise, 100 batches")
 

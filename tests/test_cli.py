@@ -128,11 +128,12 @@ def test_train_eval_export_inspect(corpus_dir, tmp_path):
     assert params["tok_emb"].shape[0] == cfg.fine_vocab_size
 
     csv = tmp_path / "attn.csv"
-    assert main(["inspect-attention", "--checkpoint", str(ck),
-                 "--lexicon", str(corpus_dir / "lex.tsv"),
-                 "--vocab", str(corpus_dir / "vocab.txt"),
-                 "--text", "topic00 t00p0a t00p0b fill00",
-                 "--out", str(csv)]) == 0
+    for source in (exported, ck):
+        assert main(["inspect-attention", "--checkpoint", str(source),
+                     "--lexicon", str(corpus_dir / "lex.tsv"),
+                     "--vocab", str(corpus_dir / "vocab.txt"),
+                     "--text", "topic00 t00p0a t00p0b fill00",
+                     "--out", str(csv)]) == 0
     lines = csv.read_text().splitlines()
     assert lines[0].startswith("# ")
     rows = [list(map(float, ln.split(",")[1:])) for ln in lines[2:]]
@@ -203,11 +204,12 @@ def rewrite_meta(src, dst, edit):
     lambda m: m["config"].update(unknown=1),  # a key ModelConfig does not take
     lambda m: m["config"].pop("hidden"),
     lambda m: m["config"].update(heads=3),  # hidden not divisible by heads
+    lambda m: m["config"].update(heads=0),
     lambda m: m.update(config=[1, 2]),
     lambda m: [m],
     lambda m: m.update(format_version=1),  # carried dropout and max_query
-], ids=["unknown-key", "missing-key", "invalid", "config-not-object", "meta-not-object",
-        "format-1"])
+], ids=["unknown-key", "missing-key", "invalid", "heads-zero", "config-not-object",
+        "meta-not-object", "format-1"])
 def test_bad_checkpoint_metadata_is_a_data_error(corpus_dir, tmp_path, edit):
     plans = run_pipeline(corpus_dir, tmp_path)
     ck = tmp_path / "model.npz"
@@ -252,8 +254,13 @@ def test_malformed_plan_file_is_a_data_error(corpus_dir, tmp_path, damage):
     lambda p: {"targets_fine": ((p.targets_fine[0][0], 1_000_000),) + p.targets_fine[1:]},
     lambda p: {"context_positions": (0,) + p.context_positions[1:]},
     lambda p: {"query_positions": p.query_positions[:-1] + (257,)},  # --max-positions 256
+    lambda p: {"targets_coarse": (p.targets_coarse[0], (p.targets_coarse[0][0],
+                                                        p.targets_coarse[1][1]))
+               + p.targets_coarse[2:]},
+    lambda p: {"targets_fine": (p.targets_fine[0], (p.targets_fine[0][0], p.targets_fine[1][1]))
+               + p.targets_fine[2:]},
 ], ids=["context-id", "coarse-target", "coarse-slot", "fine-target", "context-position",
-        "query-position"])
+        "query-position", "repeated-coarse-slot", "repeated-fine-index"])
 def test_out_of_range_plan_is_a_data_error(corpus_dir, tmp_path, edit):
     plans_path = run_pipeline(corpus_dir, tmp_path, objective="comprehensive")
     ck = tmp_path / "model.npz"
@@ -331,6 +338,67 @@ def test_segment_file_and_stdin_agree(corpus_dir, tmp_path, capsys, monkeypatch)
     assert capsys.readouterr().out == from_file
     # lines split as a text-mode file splits them: \r\n, \r and \n only
     assert len(from_file.splitlines()) == 4
+
+
+TRAIN_SMALL = ["train", "--layers", "1", "--hidden", "16", "--heads", "2", "--steps", "2",
+               "--batch-size", "2"]
+
+
+@pytest.fixture(scope="module")
+def trained(corpus_dir, tmp_path_factory):
+    """Comprehensive plans, a checkpoint trained on them and its export."""
+    root = tmp_path_factory.mktemp("trained")
+    plans = run_pipeline(corpus_dir, root, objective="comprehensive")
+    ck, exported = root / "model.npz", root / "export.npz"
+    assert main(TRAIN_SMALL + ["--plans", str(plans), "--out", str(ck)]) == 0
+    assert main(["export", "--checkpoint", str(ck), "--out", str(exported)]) == 0
+    return plans, ck, exported
+
+
+def rewrite_store(src, dst, edit):
+    """Copy checkpoint ``src`` to ``dst`` with its arrays edited by ``edit``."""
+    with np.load(src) as z:
+        store = {k: z[k] for k in z.files}
+    edit(store)
+    with open(dst, "wb") as f:
+        np.savez(f, **store)
+
+
+def _drop_moments(store):
+    for key in [k for k in store if k.startswith(("a/m/", "a/v/"))]:
+        del store[key]
+
+
+# each edit applies to the trained checkpoint; None runs the exported one as written
+@pytest.mark.parametrize("edit, command", [
+    (lambda s: s.pop("p/ngram_w"), "eval-ppl"),
+    (lambda s: s.update({"p/l0_wq": np.zeros((8, 3), np.float32)}), "eval-ppl"),
+    (lambda s: s.update({"p/l0_wq": s["p/l0_wq"].astype(np.int64)}), "eval-ppl"),
+    (lambda s: s.update({"p/l0_wq": s["p/l0_wq"].astype(np.float16)}), "eval-ppl"),
+    (lambda s: s.update({"p/l0_bq": s["p/l0_bq"].astype(np.float64)}), "eval-ppl"),
+    (lambda s: s.update({"p/extra_w": np.zeros(3, np.float32)}), "eval-ppl"),
+    (lambda s: s.update({"p/ngram_b": s["p/ngram_b"][None]}), "eval-ppl"),
+    (None, "eval-ppl"),
+    (None, "resume"),
+    (_drop_moments, "resume"),
+    (lambda s: s.update({"a/m/l0_wq": np.zeros(3, np.float32)}), "resume"),
+    (lambda s: s.update({"a/v/ngram_b": s["a/v/ngram_b"].astype(np.float64)}), "resume"),
+], ids=["missing-tensor", "wrong-shape", "int64-tensor", "float16-tensor", "mixed-dtype",
+        "extra-tensor", "ngram-b-2d", "exported-eval", "exported-resume", "missing-moments",
+        "moment-shape", "moment-dtype"])
+def test_malformed_checkpoint_is_a_data_error(trained, tmp_path, capsys, edit, command):
+    plans, ck, bad = trained
+    if edit is not None:
+        bad = tmp_path / "bad.npz"
+        rewrite_store(ck, bad, edit)
+    if command == "eval-ppl":
+        argv = ["eval-ppl", "--plans", str(plans), "--checkpoint", str(bad)]
+    else:
+        argv = TRAIN_SMALL + ["--plans", str(plans), "--steps", "3", "--resume", str(bad),
+                              "--out", str(tmp_path / "resumed.npz")]
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith("data error: ")
 
 
 def test_resume_refuses_a_mismatched_checkpoint(corpus_dir, tmp_path):

@@ -27,7 +27,7 @@ from ngramlm import (
 from ngramlm.corpus import FineVocab, WordStream
 from ngramlm.errors import NumericError, UsageError
 from ngramlm.maskplan import relation_from_comprehensive
-from ngramlm.model import generator_forward_and_sample
+from ngramlm.model import FlatLayout, generator_forward_and_sample
 from ngramlm.train import (
     AdamState,
     _bce_with_logits,
@@ -43,7 +43,7 @@ from ngramlm.train import (
 )
 from ngramlm.synth import collocation_corpus, CollocationSpec
 
-from conftest import tiny_config
+from conftest import loss_and_grads, tiny_config
 
 
 # --- elementary losses ---------------------------------------------------------
@@ -107,17 +107,16 @@ def test_decayable_name_heuristic():
 def test_adam_clip_and_nan_detection():
     tcfg = TrainConfig(Objective.EXPLICIT, total_steps=1, clip_norm=1.0,
                        weight_decay=0.0)
-    params = {"w": np.zeros(4, dtype=np.float64)}
-    state = AdamState(params)
+    params = np.zeros(4, dtype=np.float64)
+    layout = FlatLayout({"w": params})
+    state = AdamState(layout)
     # [DERIVED] the global norm of four entries of 100 is sqrt(4 * 100^2) = 200
-    assert adam_step(params, {"w": np.full(4, 100.0)}, state, lr=0.1, tcfg=tcfg) == (200.0, True)
-    assert np.all(params["w"] < 0)  # moved against the gradient
-    assert adam_step(params, {"w": np.full(4, 0.25)}, state, lr=0.1, tcfg=tcfg) == (0.5, False)
+    assert adam_step(params, np.full(4, 100.0), state, lr=0.1, tcfg=tcfg) == (200.0, True)
+    assert np.all(params < 0)  # moved against the gradient
+    assert adam_step(params, np.full(4, 0.25), state, lr=0.1, tcfg=tcfg) == (0.5, False)
     with pytest.raises(NumericError):
-        adam_step(params, {"w": np.array([np.nan] * 4)}, AdamState(params), 0.1, tcfg)
+        adam_step(params, np.array([np.nan] * 4), AdamState(layout), 0.1, tcfg)
 
-
-# --- training loop ---------------------------------------------------------------
 
 @pytest.fixture(scope="module")
 def small_pipeline():
@@ -128,6 +127,86 @@ def small_pipeline():
     jv = build_joint_vocab(vocab, lex)
     cfg = tiny_config(len(vocab), len(lex), max_positions=64)
     return stream, vocab, lex, jv, cfg
+
+
+def test_flat_layout(small_pipeline, tmp_path):
+    # every parameter train() updates, and every parameter a checkpoint
+    # loads, is a view of one vector; the decay mask follows _decayable
+    stream, vocab, lex, jv, cfg = small_pipeline
+    plans = make_plans(stream, lex, jv, Objective.EXPLICIT, seed=1)
+    tcfg = TrainConfig(Objective.EXPLICIT, total_steps=1, batch_size=2, warmup_steps=0)
+    init = init_params(cfg, 3)
+    layout = FlatLayout(init)
+    params, _ = train(tcfg, plans, dict(init), cfg, checkpoint_path=tmp_path / "ck.npz")
+    for got in (params, load_checkpoint(tmp_path / "ck.npz")[0]):
+        flat = got["tok_emb"].base
+        assert flat.shape == (sum(a.size for a in init.values()),)
+        assert list(got) == list(init)
+        assert all(a.base is flat and a.shape == init[k].shape for k, a in got.items())
+    for name, mask in layout.views(AdamState(layout).decay).items():
+        assert np.all(mask == _decayable(name)), name
+
+
+def reference_adam_step(params, grads, m, v, t, lr, tcfg):
+    """AdamW one tensor at a time, with the norm summed in dict order: the
+    loop that the flat-vector adam_step replaced."""
+    norm = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+    factor = tcfg.clip_norm / norm if 0 < tcfg.clip_norm < norm else None
+    bc1 = 1.0 - tcfg.beta1**t
+    bc2 = 1.0 - tcfg.beta2**t
+    for name, g in grads.items():
+        p = params[name]
+        buf = np.empty_like(p)
+        if factor is not None:
+            g = np.multiply(g, factor, out=buf)
+        tmp = np.multiply(g, 1 - tcfg.beta1)
+        m[name] *= tcfg.beta1
+        m[name] += tmp
+        np.multiply(g, 1 - tcfg.beta2, out=tmp)
+        tmp *= g
+        v[name] *= tcfg.beta2
+        v[name] += tmp
+        np.divide(v[name], bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += tcfg.eps
+        np.divide(m[name], bc1, out=buf)
+        buf /= tmp
+        if tcfg.weight_decay and _decayable(name):
+            np.multiply(p, tcfg.weight_decay, out=tmp)
+            buf += tmp
+        buf *= lr
+        p -= buf
+    return float(norm), factor is not None
+
+
+@pytest.mark.parametrize("clip_norm", [1.0, 0.0], ids=["clipped", "unclipped"])
+def test_adam_step_equals_per_tensor_reference(small_pipeline, clip_norm):
+    stream, vocab, lex, jv, cfg = small_pipeline
+    plans = make_plans(stream, lex, jv, Objective.EXPLICIT, seed=1)
+    tcfg = TrainConfig(Objective.EXPLICIT, total_steps=3, batch_size=4, warmup_steps=0,
+                       clip_norm=clip_norm)
+    init = init_params(cfg, 3)
+    layout = FlatLayout(init)
+    flat, params = layout.flatten(init)
+    grads_flat, grads = layout.zeros()
+    state = AdamState(layout)
+    ref = {k: a.copy() for k, a in params.items()}
+    m = {k: np.zeros_like(a) for k, a in ref.items()}
+    v = {k: np.zeros_like(a) for k, a in ref.items()}
+    for step in range(3):
+        grads_flat.fill(0)
+        batch_loss_and_grad(params, plans[4 * step:4 * step + 4], cfg, tcfg, grads)
+        ref_grads = {k: g.copy() for k, g in grads.items()}
+        got = adam_step(flat, grads_flat, state, 1e-3, tcfg)
+        assert got == reference_adam_step(ref, ref_grads, m, v, step + 1, 1e-3, tcfg)
+        assert got[1] == (clip_norm > 0)
+        for k in ref:
+            assert np.array_equal(params[k], ref[k]), k
+        assert all(np.array_equal(a, m[k]) for k, a in layout.views(state.m).items())
+        assert all(np.array_equal(a, v[k]) for k, a in layout.views(state.v).items())
+
+
+# --- training loop ---------------------------------------------------------------
 
 
 @pytest.mark.parametrize("objective", list(Objective))
@@ -176,8 +255,11 @@ def test_resume_equals_uninterrupted_run(small_pipeline, tmp_path):
     # reference: a single uninterrupted run
     ref, mref = train(tcfg, plans, init_params(cfg, 5), cfg)
     # interrupted: replicate the first 4 steps manually, checkpoint, resume
-    params = init_params(cfg, 5)
-    state = AdamState(params)
+    init = init_params(cfg, 5)
+    layout = FlatLayout(init)
+    flat, params = layout.flatten(init)
+    grads_flat, grads = layout.zeros()
+    state = AdamState(layout)
     rng = RngState(tcfg.seed ^ 0x5EED)
     cursor = 0
     for step in range(4):
@@ -185,8 +267,9 @@ def test_resume_equals_uninterrupted_run(small_pipeline, tmp_path):
         for _ in range(tcfg.batch_size):
             batch.append(plans[cursor])
             cursor = (cursor + 1) % len(plans)
-        _, grads = batch_loss_and_grad(params, batch, cfg, tcfg, rng)
-        adam_step(params, grads, state, lr_at(step, tcfg), tcfg)
+        grads_flat.fill(0)
+        batch_loss_and_grad(params, batch, cfg, tcfg, grads, rng)
+        adam_step(flat, grads_flat, state, lr_at(step, tcfg), tcfg)
     ck = tmp_path / "half.npz"
     _save_train_checkpoint(ck, params, cfg, tcfg, state, 4, rng)
     resumed, mres = train(tcfg, plans, init_params(cfg, 5), cfg, resume_from=ck)
@@ -217,7 +300,8 @@ def test_model_computes_in_parameter_dtype(small_pipeline, objective, dtype, mon
     # plans are encoded through ngramlm.train, the generator through ngramlm.model
     monkeypatch.setattr(train_mod, "encode", recording_encode)
     monkeypatch.setattr(model_mod, "encode", recording_encode)
-    _, grads = batch_loss_and_grad(params, plans[:4], cfg, tcfg, RngState(0))
+    grads = FlatLayout(params).zeros()[1]
+    batch_loss_and_grad(params, plans[:4], cfg, tcfg, grads, RngState(0))
     assert len(seen) >= 4
     for hidden, probs in seen:
         assert hidden == dtype and all(p == dtype for p in probs)
@@ -255,10 +339,10 @@ def per_plan_reference_grads(params, batch, cfg, tcfg, rng):
               "rtd": tcfg.rtd_weight / max(n["rtd"], 1)}
     per_plan = []
     for plan, gen_plan in work:
-        per_plan.append(plan_loss_terms(params, plan, cfg, scales)[1])
+        per_plan.append(loss_and_grads(plan_loss_terms, params, plan, cfg, scales)[1])
         if gen_plan is not None:
-            per_plan.append(generator_loss_terms(params, gen_plan, cfg,
-                                                 1.0 / max(n["gen"], 1))[1])
+            per_plan.append(loss_and_grads(generator_loss_terms, params, gen_plan, cfg,
+                                           1.0 / max(n["gen"], 1), "gen_")[1])
     total = {}
     for g in per_plan:
         for k, v in g.items():
@@ -286,7 +370,8 @@ def test_batch_grads_equal_plan_order_sum(small_pipeline, objective):
     batch = plans[:6]
     for dtype in (np.float64, np.float32):
         params = init_params(cfg, 4, dtype=dtype)
-        _, grads = batch_loss_and_grad(params, batch, cfg, tcfg, RngState(9))
+        grads = FlatLayout(params).zeros()[1]
+        batch_loss_and_grad(params, batch, cfg, tcfg, grads, RngState(9))
         want = per_plan_reference_grads(params, batch, cfg, tcfg, RngState(9))
         assert set(grads) == set(want)
         assert all(grads[k].dtype == want[k].dtype == dtype for k in want)
@@ -311,7 +396,8 @@ def test_groups_over_max_positions_keep_reference_grads(small_pipeline):
     cfg, tcfg, batch = long_plan_batch(small_pipeline)
     params = init_params(cfg, 4, dtype=np.float64)
     assert sum(p.T + p.Q for p in batch) > 3 * cfg.max_positions
-    _, grads = batch_loss_and_grad(params, batch, cfg, tcfg, RngState(9))
+    grads = FlatLayout(params).zeros()[1]
+    batch_loss_and_grad(params, batch, cfg, tcfg, grads, RngState(9))
     assert_grads_close(grads, per_plan_reference_grads(params, batch, cfg, tcfg, RngState(9)))
 
 
@@ -329,7 +415,8 @@ def test_backward_groups_stay_within_max_positions(small_pipeline, monkeypatch):
         return encode_backward(params, acts, d_hidden, cfg_, prefix, **kwargs)
 
     monkeypatch.setattr(train_mod, "encode_backward", recording)
-    batch_loss_and_grad(init_params(cfg, 4), batch, cfg, tcfg, RngState(9))
+    params = init_params(cfg, 4)
+    batch_loss_and_grad(params, batch, cfg, tcfg, FlatLayout(params).zeros()[1], RngState(9))
     main = [rows for prefix, rows in calls if not prefix]
     gen = [rows for prefix, rows in calls if prefix == "gen_"]
     for rows in main + gen:
@@ -343,22 +430,20 @@ def test_backward_groups_stay_within_max_positions(small_pipeline, monkeypatch):
 
 @pytest.mark.parametrize("objective", list(Objective))
 def test_loss_report_does_not_depend_on_backward(small_pipeline, objective):
-    # the forward pass, logits and losses run per plan whether or not a
-    # backward follows, so the report is bitwise the one without gradients
-    # and the plan-order sum of the per-plan loss terms
+    # the forward pass, logits and losses run per plan and the backward is
+    # packed over groups of plans, so the report is bitwise the plan-order
+    # sum of the per-plan loss terms computed without gradients
     stream, vocab, lex, jv, cfg = small_pipeline
     plans = make_plans(stream, lex, jv, objective, seed=1)
     tcfg = TrainConfig(objective, total_steps=1, batch_size=6, warmup_steps=0, seed=0)
     params = init_params(cfg, 4)
     batch = plans[:6]
-    report, _ = batch_loss_and_grad(params, batch, cfg, tcfg, RngState(9))
-    forward_only, grads = batch_loss_and_grad(params, batch, cfg, tcfg, RngState(9),
-                                              want_grads=False)
-    assert report == forward_only and grads == {}
+    report = batch_loss_and_grad(params, batch, cfg, tcfg, FlatLayout(params).zeros()[1],
+                                 RngState(9))
     work, _ = sampled_work(params, batch, cfg, tcfg, RngState(9))
     coarse_sum = fine_sum = 0.0
     for plan, _ in work:
-        terms, _ = plan_loss_terms(params, plan, cfg)
+        terms = plan_loss_terms(params, plan, cfg)
         coarse_sum += terms["coarse_sum"]
         fine_sum += terms["fine_sum"]
     assert report.comprehensive_sum == coarse_sum + fine_sum
@@ -374,14 +459,15 @@ def test_relation_total_is_weighted_sum(small_pipeline):
                        seed=0, rtd_weight=0.5)
     params = init_params(cfg, 4)
     batch = plans[:6]
-    report, _ = batch_loss_and_grad(params, batch, cfg, tcfg, RngState(9))
+    report = batch_loss_and_grad(params, batch, cfg, tcfg, FlatLayout(params).zeros()[1],
+                                 RngState(9))
     work, n = sampled_work(params, batch, cfg, tcfg, RngState(9))
     sums = {"coarse_sum": 0.0, "fine_sum": 0.0, "rtd_sum": 0.0, "gen_sum": 0.0}
     for plan, gen_plan in work:
-        terms, _ = plan_loss_terms(params, plan, cfg)
+        terms = plan_loss_terms(params, plan, cfg)
         for key in ("coarse_sum", "fine_sum", "rtd_sum"):
             sums[key] += terms[key]
-        sums["gen_sum"] += generator_loss_terms(params, gen_plan, cfg)[0]["gen_sum"]
+        sums["gen_sum"] += generator_loss_terms(params, gen_plan, cfg)["gen_sum"]
     assert min(n.values()) > 0
     coarse = sums["coarse_sum"] / n["coarse"]
     fine = sums["fine_sum"] / n["fine"]
