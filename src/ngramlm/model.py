@@ -475,7 +475,8 @@ def save_checkpoint(path, params: dict, cfg: ModelConfig, extra: dict | None = N
 
 
 def load_checkpoint(path):
-    """Returns (params, config, extra, arrays), the parameters laid out flat.
+    """Returns (params, config, extra, arrays), params in the order of the
+    shapes they are checked against.
 
     A file that cannot be read as a checkpoint, or whose metadata or tensors
     do not match a ModelConfig, raises DataError; an npz file of another
@@ -507,8 +508,7 @@ def load_checkpoint(path):
                   else param_shapes(cfg))
     except (KeyError, TypeError, ValueError, UsageError) as e:
         raise DataError(f"checkpoint {path}: bad metadata: {e!r}") from e
-    params = checked_tensors(f"checkpoint {path}", params, shapes)
-    return FlatLayout(params).flatten(params)[1], cfg, extra, arrays
+    return checked_tensors(f"checkpoint {path}", params, shapes), cfg, extra, arrays
 
 
 def checked_tensors(where: str, tensors: dict, shapes: dict) -> dict:

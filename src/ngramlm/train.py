@@ -84,9 +84,6 @@ class LossReport:
     n_coarse: int = 0
     n_rtd: int = 0
 
-    def to_dict(self):
-        return asdict(self)
-
 
 @dataclass
 class TrainConfig:
@@ -131,8 +128,9 @@ class BackwardGroup:
     """Consecutive plans of one encoder whose backward runs as one packed pass.
 
     Each plan's forward pass, logits and loss run on their own; the group
-    keeps the plans' activations and, per head, the scaled dlogits with
-    their rows counted across the group.  :meth:`backward` then runs one
+    keeps the plans' activations and, per head, the dlogits scaled by
+    ``scales`` (loss term name -> factor, e.g. weight / batch target count)
+    with their rows counted across the group.  :meth:`backward` then runs one
     head backward per head and one packed :func:`encode_backward`.
 
     The group holds at most ``cfg.max_positions`` rows: :meth:`start` runs
@@ -141,10 +139,12 @@ class BackwardGroup:
     longer than the bound forms a group of its own.
     """
 
-    def __init__(self, params: dict, cfg: ModelConfig, grads: dict, prefix: str = ""):
+    def __init__(self, params: dict, cfg: ModelConfig, grads: dict, scales: dict,
+                 prefix: str = ""):
         self.params = params
         self.cfg = cfg
         self.grads = grads
+        self.scales = scales
         self.prefix = prefix
         self._clear()
 
@@ -200,14 +200,13 @@ def _plan_indexes(plan: MaskPlan):
 
 
 def plan_loss_terms(params: dict, plan: MaskPlan, cfg: ModelConfig,
-                    scales: dict | None = None, *, group: BackwardGroup | None = None):
-    """Loss sums for one plan.  With ``scales``, term name -> factor applied
-    to that term's dlogits (e.g. weight / batch target count), the plan's
-    backward joins ``group``."""
-    if scales is not None:
+                    group: BackwardGroup | None = None):
+    """Loss sums for one plan.  With ``group``, the plan's backward joins it,
+    each term's dlogits scaled by ``group.scales[term]``."""
+    if group is not None:
         group.start(plan.T + plan.Q)
     acts = _encode_plan(params, plan, cfg)
-    if scales is not None:
+    if group is not None:
         group.add(acts)
     slots, coarse_t, fine_idx, fine_t = _plan_indexes(plan)
     terms = {"coarse_sum": 0.0, "fine_sum": 0.0, "rtd_sum": 0.0,
@@ -217,42 +216,43 @@ def plan_loss_terms(params: dict, plan: MaskPlan, cfg: ModelConfig,
         logits = predict_ngram(acts, slots, params)
         nll, dlog = _xent(logits, coarse_t)
         terms["coarse_sum"] = float(nll.sum())
-        if scales is not None:
-            group.add_head("ngram_w", "ngram_b", slots, dlog * scales["coarse"])
+        if group is not None:
+            group.add_head("ngram_w", "ngram_b", slots, dlog * group.scales["coarse"])
     if fine_t:
         logits = predict_fine(acts, fine_idx, params)
         nll, dlog = _xent(logits, fine_t)
         terms["fine_sum"] = float(nll.sum())
-        if scales is not None:
-            group.add_head("fine_w", "fine_b", fine_idx, dlog * scales["fine"])
+        if group is not None:
+            group.add_head("fine_w", "fine_b", fine_idx, dlog * group.scales["fine"])
     if plan.rtd_labels is not None:
         ctx = range(plan.T)
         logits = predict_rtd(acts, ctx, params)
         nll, dlog = _bce_with_logits(logits, plan.rtd_labels)
         terms["rtd_sum"] = float(nll.sum())
         terms["n_rtd"] = plan.T
-        if scales is not None:
+        if group is not None:
             group.add_head("rtd_w", "rtd_b", ctx,
-                           (dlog * scales["rtd"]).astype(acts.hidden.dtype))
+                           (dlog * group.scales["rtd"]).astype(acts.hidden.dtype))
     return terms
 
 
 def generator_loss_terms(params: dict, plan: MaskPlan, cfg: ModelConfig,
-                         scale: float | None = None, *, group: BackwardGroup | None = None):
+                         group: BackwardGroup | None = None):
     """Generator explicit-MLM loss on a plan's context; slots predict y.
-    With ``scale``, the backward joins ``group``, one over the ``gen_`` tensors."""
+    With ``group``, one over the ``gen_`` tensors, the backward joins it,
+    the dlogits scaled by ``group.scales["gen"]``."""
     slots, coarse_t, _, _ = _plan_indexes(plan)
     if not coarse_t:
         return {"gen_sum": 0.0, "n_gen": 0}
-    if scale is not None:
+    if group is not None:
         group.start(plan.T)
     acts = encode_generator(params, plan, cfg)
     logits = predict_ngram(acts, slots, params, prefix="gen_")
     nll, dlog = _xent(logits, coarse_t)
     terms = {"gen_sum": float(nll.sum()), "n_gen": len(coarse_t)}
-    if scale is not None:
+    if group is not None:
         group.add(acts)
-        group.add_head("gen_ngram_w", "gen_ngram_b", slots, dlog * scale)
+        group.add_head("gen_ngram_w", "gen_ngram_b", slots, dlog * group.scales["gen"])
     return terms
 
 
@@ -290,16 +290,16 @@ def batch_loss_and_grad(params: dict, plans, cfg: ModelConfig, tcfg: TrainConfig
     }
     # the standard model and the generator each run their backward in
     # groups of consecutive plans
-    main = BackwardGroup(params, cfg, grads)
-    gen = BackwardGroup(params, cfg.generator_view(), grads, prefix="gen_")
+    main = BackwardGroup(params, cfg, grads, scales)
+    gen = BackwardGroup(params, cfg.generator_view(), grads, {"gen": 1.0 / max(n_gen, 1)},
+                        prefix="gen_")
     sums = {"coarse_sum": 0.0, "fine_sum": 0.0, "rtd_sum": 0.0, "gen_sum": 0.0}
     for plan, gen_plan in work:
-        terms = plan_loss_terms(params, plan, cfg, scales, group=main)
+        terms = plan_loss_terms(params, plan, cfg, main)
         for key in ("coarse_sum", "fine_sum", "rtd_sum"):
             sums[key] += terms[key]
         if relation and gen_plan is not None:
-            gterms = generator_loss_terms(
-                params, gen_plan, cfg, 1.0 / max(n_gen, 1), group=gen)
+            gterms = generator_loss_terms(params, gen_plan, cfg, gen)
             sums["gen_sum"] += gterms["gen_sum"]
     main.backward()
     gen.backward()
@@ -435,13 +435,10 @@ def train(tcfg: TrainConfig, plans, params: dict, cfg: ModelConfig,
     metrics = []
     out = open(metrics_path, "w", encoding="utf-8") if metrics_path else None
     try:
-        cursor = (start_step * tcfg.batch_size) % len(plans)
         for step in range(start_step, tcfg.total_steps):
             t0 = time.monotonic()
-            batch = []
-            for _ in range(tcfg.batch_size):
-                batch.append(plans[cursor])
-                cursor = (cursor + 1) % len(plans)
+            first = step * tcfg.batch_size
+            batch = [plans[(first + j) % len(plans)] for j in range(tcfg.batch_size)]
             lr = lr_at(step, tcfg)
             try:
                 grads_flat.fill(0)
@@ -455,7 +452,7 @@ def train(tcfg: TrainConfig, plans, params: dict, cfg: ModelConfig,
             rec = {"step": step, "lr": lr, "grad_norm": grad_norm, "clipped": clipped,
                    "wall_ms": round((time.monotonic() - t0) * 1e3, 3)
                    if tcfg.record_wall_time else 0.0}
-            rec.update(report.to_dict())
+            rec.update(asdict(report))
             metrics.append(rec)
             if out:
                 out.write(json.dumps(rec, sort_keys=True) + "\n")

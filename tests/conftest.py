@@ -2,6 +2,7 @@
 bigram from the lexicon, plus small helpers for building lexicons and
 model configs by hand."""
 
+import numpy as np
 import pytest
 
 from ngramlm import FineVocab, build_joint_vocab
@@ -41,15 +42,31 @@ def tiny_config(fine, ngram, **kw):
     return ModelConfig(**defaults)
 
 
-def loss_and_grads(loss_terms, params, plan, cfg, scale=None, prefix=""):
-    """One plan's ``loss_terms`` and, with ``scale``, its gradients alone:
+class SameDtypeGrad(np.ndarray):
+    """A gradient view whose ``+=`` refuses a value of another dtype, which
+    a plain buffer would cast without a sign (float64 into float32)."""
+
+    def __iadd__(self, other):
+        assert np.asarray(other).dtype == self.dtype, (np.asarray(other).dtype, self.dtype)
+        return super().__iadd__(other)
+
+
+def zero_grads(params):
+    """Zeroed gradient views over one vector laid out like ``params``,
+    each a :class:`SameDtypeGrad`."""
+    return {k: v.view(SameDtypeGrad) for k, v in FlatLayout(params).zeros()[1].items()}
+
+
+def loss_and_grads(loss_terms, params, plan, cfg, scales=None, prefix=""):
+    """One plan's ``loss_terms`` and, with ``scales``, its gradients alone:
     the plan's backward runs as a group of its own over zeroed gradients
-    for every parameter.  Without ``scale`` the gradient dict is empty."""
-    if scale is None:
+    for every parameter.  Without ``scales`` the gradient dict is empty."""
+    if scales is None:
         return loss_terms(params, plan, cfg), {}
-    grads = FlatLayout(params).zeros()[1]
-    group = BackwardGroup(params, cfg.generator_view() if prefix else cfg, grads, prefix)
-    terms = loss_terms(params, plan, cfg, scale, group=group)
+    grads = zero_grads(params)
+    group = BackwardGroup(params, cfg.generator_view() if prefix else cfg, grads, scales,
+                          prefix)
+    terms = loss_terms(params, plan, cfg, group)
     group.backward()
     return terms, grads
 

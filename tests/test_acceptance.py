@@ -211,7 +211,7 @@ def _config_loss_and_grads(name, params, cfg, plans, comp, want_grads):
     if name == "relation":
         n_g = max(len(comp.targets_coarse), 1)
         gterms, ggrads = loss_and_grads(generator_loss_terms, params, comp, cfg,
-                                        (1.0 / n_g) if want_grads else None, "gen_")
+                                        {"gen": 1.0 / n_g} if want_grads else None, "gen_")
         loss += gterms["gen_sum"] / n_g
         for k, v in ggrads.items():
             grads[k] = grads.get(k, 0) + v
