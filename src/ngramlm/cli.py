@@ -14,8 +14,6 @@ import io
 import json
 import sys
 
-import numpy as np
-
 from . import __version__
 from .corpus import FineVocab, TokenizerConfig, _read_text, count_ngrams, ingest, tokenize_words
 from .errors import DataError, NumericError, UsageError
@@ -157,10 +155,12 @@ def _check_plan_ids(path, plans, cfg: ModelConfig):
             if slot >= plan.T or y >= joint:
                 raise DataError(f"{where}: coarse target ({slot}, {y}) outside "
                                 f"{plan.T} context slots or joint vocabulary 0..{joint - 1}")
+        # a contiguous plan's fine targets are its masked context positions
+        limit = plan.T if plan.objective == Objective.CONTIGUOUS else n
         for idx, x in plan.targets_fine:
-            if idx >= n or x >= fine:
+            if idx >= limit or x >= fine:
                 raise DataError(f"{where}: fine target ({idx}, {x}) outside "
-                                f"{n} positions or fine vocabulary 0..{fine - 1}")
+                                f"{limit} positions or fine vocabulary 0..{fine - 1}")
         for targets in (plan.targets_coarse, plan.targets_fine):
             if len({i for i, _ in targets}) < len(targets):
                 raise DataError(f"{where}: a coarse slot or fine index is a target twice")
@@ -226,8 +226,7 @@ def cmd_inspect_attention(args):
     ex = segment_example(words, lex, vocab)
     ids = list(ex.subword_ids)
     n = len(ids)
-    mask = np.zeros((n, n), dtype=params["tok_emb"].dtype)
-    acts = encode(params, ids, range(1, n + 1), mask, cfg)
+    acts = encode(params, ids, range(1, n + 1), None, cfg)
     mean_attn = acts.attn_probs[-1].mean(axis=0)  # head-mean, last layer
     tokens = [vocab.tokens[i] for i in ids]
     prov = provenance("inspect-attention", args, [args.checkpoint, args.lexicon, args.vocab])

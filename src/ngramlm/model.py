@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy.special import erf
 
-from .errors import DataError, UsageError, VersionError
+from .errors import DataError, NumericError, UsageError, VersionError
 from .maskplan import MaskPlan, RngState
 
 CHECKPOINT_VERSION = 2
@@ -215,7 +215,10 @@ def _softmax_backward(dprobs, probs):
 
 
 class Activations:
-    """Per-layer hidden states, attention tensors and backward caches."""
+    """Per-layer hidden states, attention tensors and backward caches.
+
+    A forward-only pass (``encode`` with ``rows``) keeps no caches:
+    ``cache`` stays empty and ``emb_cache`` None."""
 
     def __init__(self):
         self.attn_probs = []
@@ -225,8 +228,16 @@ class Activations:
 
 
 def encode(params: dict, ids, positions, attn_mask, cfg: ModelConfig,
-           prefix: str = "") -> Activations:
-    """Forward pass; retains everything needed for encode_backward."""
+           prefix: str = "", *, rows=None) -> Activations:
+    """Forward pass; retains everything needed for encode_backward.
+
+    ``attn_mask`` is an additive (n, n) mask, or None for none.  With
+    ``rows``, the pass is forward-only and its last layer runs at those
+    rows alone: queries, attention output, layer norms and FFN run there,
+    keys and values still at every row.  ``hidden`` then holds those rows,
+    in the order given, and the last layer's attention probabilities are
+    theirs only.
+    """
     ids = np.asarray(ids, dtype=np.int64)
     positions = np.asarray(positions, dtype=np.int64)
     tok = params[prefix + "tok_emb"]
@@ -235,39 +246,54 @@ def encode(params: dict, ids, positions, attn_mask, cfg: ModelConfig,
         raise UsageError(f"token id out of range 0..{tok.shape[0] - 1}")
     if positions.min(initial=1) < 1 or positions.max(initial=1) > pos.shape[0]:
         raise UsageError(f"position id out of range 1..{pos.shape[0]}")
-    attn_mask = np.asarray(attn_mask, dtype=tok.dtype)
     n = len(ids)
-    if attn_mask.shape != (n, n):
-        raise UsageError(f"attention mask shape {attn_mask.shape} != ({n}, {n})")
+    if attn_mask is not None:
+        attn_mask = np.asarray(attn_mask, dtype=tok.dtype)
+        if attn_mask.shape != (n, n):
+            raise UsageError(f"attention mask shape {attn_mask.shape} != ({n}, {n})")
+    if rows is not None:
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.min(initial=0) < 0 or rows.max(initial=-1) >= n:
+            raise UsageError(f"row index out of range 0..{n - 1}")
 
     acts = Activations()
     x0 = tok[ids] + pos[positions - 1]
     x, ln_cache = _layernorm(x0, params[prefix + "emb_ln_g"], params[prefix + "emb_ln_b"])
-    acts.emb_cache = (ids, positions, ln_cache)
+    if rows is None:
+        acts.emb_cache = (ids, positions, ln_cache)
+    elif not cfg.layers:
+        x = x[rows]
 
     A, dk = cfg.heads, cfg.head_dim
     scale = 1.0 / math.sqrt(dk)
     for i in range(cfg.layers):
         p = prefix + f"l{i}_"
-        q = x @ params[p + "wq"] + params[p + "bq"]
+        # the queries' side: every row, or the selected rows in the last layer
+        at_rows = rows is not None and i == cfg.layers - 1
+        xq = x[rows] if at_rows else x
+        m = len(xq)
+        q = xq @ params[p + "wq"] + params[p + "bq"]
         k = x @ params[p + "wk"] + params[p + "bk"]
         v = x @ params[p + "wv"] + params[p + "bv"]
-        qh = q.reshape(n, A, dk).transpose(1, 0, 2)
+        qh = q.reshape(m, A, dk).transpose(1, 0, 2)
         kh = k.reshape(n, A, dk).transpose(1, 0, 2)
         vh = v.reshape(n, A, dk).transpose(1, 0, 2)
-        scores = qh @ kh.transpose(0, 2, 1) * scale + attn_mask[None]
+        scores = qh @ kh.transpose(0, 2, 1) * scale
+        if attn_mask is not None:
+            scores += (attn_mask[rows] if at_rows else attn_mask)[None]
         probs = _masked_softmax(scores)
-        ctx = (probs @ vh).transpose(1, 0, 2).reshape(n, cfg.hidden)
+        ctx = (probs @ vh).transpose(1, 0, 2).reshape(m, cfg.hidden)
         attn_out = ctx @ params[p + "wo"] + params[p + "bo"]
-        y, ln1_cache = _layernorm(x + attn_out, params[p + "ln1_g"], params[p + "ln1_b"])
+        y, ln1_cache = _layernorm(xq + attn_out, params[p + "ln1_g"], params[p + "ln1_b"])
         pre = y @ params[p + "w1"] + params[p + "b1"]
         act, pre_erf = _gelu(pre)
         ffn_out = act @ params[p + "w2"] + params[p + "b2"]
         z, ln2_cache = _layernorm(y + ffn_out, params[p + "ln2_g"], params[p + "ln2_b"])
-        acts.cache.append(
-            dict(x=x, qh=qh, kh=kh, vh=vh, probs=probs, ctx=ctx, ln1=ln1_cache,
-                 y=y, pre=pre, pre_erf=pre_erf, act=act, ln2=ln2_cache)
-        )
+        if rows is None:
+            acts.cache.append(
+                dict(x=x, qh=qh, kh=kh, vh=vh, probs=probs, ctx=ctx, ln1=ln1_cache,
+                     y=y, pre=pre, pre_erf=pre_erf, act=act, ln2=ln2_cache)
+            )
         acts.attn_probs.append(probs)
         x = z
     acts.hidden = x
@@ -309,8 +335,12 @@ def encode_backward(params: dict, acts: list, d_hidden, cfg: ModelConfig,
     hidden-state gradients row-wise, one plan after another in list order.
     The row-wise work (layer norms, FFN, the Q/K/V/O projections and their
     parameter gradients, the embedding scatter) runs once over the packed
-    rows; attention runs per plan on that plan's rows.
+    rows; attention runs per plan on that plan's rows.  A forward-only
+    pass (``encode`` with ``rows``) has nothing to run backward through
+    and raises UsageError.
     """
+    if any(a.emb_cache is None for a in acts):
+        raise UsageError("encode_backward needs full forward passes, not a rows pass")
     A, dk = cfg.heads, cfg.head_dim
     scale = 1.0 / math.sqrt(dk)
     dx = np.asarray(d_hidden)
@@ -390,26 +420,27 @@ def head_backward(hidden, rows, d_logits, w_name: str, b_name: str, params: dict
     """Add one head's gradients into ``grads``; scatter d_logits into d_hidden.
 
     ``d_logits`` holds the head's logit gradients at ``rows`` of ``hidden``;
-    ``d_hidden`` has the shape of ``hidden``.  A head whose weight is a
-    vector, the replaced-token head, has one logit per row and ``d_logits``
-    one value per row.
+    ``d_hidden`` has the shape of ``hidden``.  ``rows`` must be distinct
+    (``train._plan_indexes`` refuses a plan that repeats a target index).
+    A head whose weight is a vector, the replaced-token head, has one logit
+    per row and ``d_logits`` one value per row.
     """
     w = params[w_name]
     d = d_logits.reshape(len(rows), -1)
     grads[w_name] += (hidden[rows].T @ d).reshape(w.shape)
     grads[b_name] += d.sum(0)
-    np.add.at(d_hidden, rows, d @ w.reshape(len(w), -1).T)
+    d_hidden[rows] += d @ w.reshape(len(w), -1).T
 
 
 # ---------------------------------------------------------------------------
 # generator
 
-def encode_generator(params: dict, plan: MaskPlan, cfg: ModelConfig) -> Activations:
+def encode_generator(params: dict, plan: MaskPlan, cfg: ModelConfig, *,
+                     rows=None) -> Activations:
     """Generator pass over a plan's context only, with nothing masked out,
-    under ``cfg.generator_view()``."""
-    mask = np.zeros((plan.T, plan.T), dtype=params["gen_tok_emb"].dtype)
-    return encode(params, plan.context_ids, plan.context_positions, mask, cfg.generator_view(),
-                  prefix="gen_")
+    under ``cfg.generator_view()``; ``rows`` as in :func:`encode`."""
+    return encode(params, plan.context_ids, plan.context_positions, None, cfg.generator_view(),
+                  prefix="gen_", rows=rows)
 
 
 def generator_forward_and_sample(params: dict, plan: MaskPlan, cfg: ModelConfig,
@@ -417,21 +448,28 @@ def generator_forward_and_sample(params: dict, plan: MaskPlan, cfg: ModelConfig,
     """Sample one joint identity per masked slot from the generator softmax.
 
     Sampling is a non-differentiable boundary: no gradient flows back
-    through the returned ids.
+    through the returned ids.  All slots are drawn at once, exactly as
+    ``g.choice(V, p=row)`` draws them slot by slot: one uniform each, in
+    slot order, against the row's normalised cumulative sum.
     """
     if temperature <= 0:
         raise UsageError("temperature must be > 0")
     if not plan.targets_coarse:
         raise UsageError("plan has no masked slots to sample for")
-    acts = encode_generator(params, plan, cfg)
     slots = [slot for slot, _ in plan.targets_coarse]
-    logits = predict_ngram(acts, slots, params, prefix="gen_").astype(np.float64)
+    acts = encode_generator(params, plan, cfg, rows=slots)
+    logits = predict_ngram(acts, range(len(slots)), params, prefix="gen_").astype(np.float64)
     z = logits / temperature
     z -= z.max(-1, keepdims=True)
     probs = np.exp(z)
     probs /= probs.sum(-1, keepdims=True)
+    if not np.isfinite(probs).all():
+        raise NumericError("non-finite generator probabilities")
     g = rng.next_generator()
-    return np.array([g.choice(probs.shape[1], p=probs[i]) for i in range(probs.shape[0])])
+    # the count of cdf entries <= u is searchsorted(cdf, u, side="right")
+    cdf = probs.cumsum(-1)
+    cdf /= cdf[:, -1:]
+    return (cdf <= g.random(len(slots))[:, None]).sum(-1)
 
 
 # ---------------------------------------------------------------------------

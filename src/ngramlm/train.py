@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import NumericError, UsageError
+from .errors import DataError, NumericError, UsageError
 from .maskplan import (
     MaskPlan,
     Objective,
@@ -186,16 +186,21 @@ class BackwardGroup:
 
 def _encode_plan(params: dict, plan: MaskPlan, cfg: ModelConfig) -> Activations:
     """Standard-model pass over a plan's context and queries under its
-    length-hiding attention mask."""
-    mask = build_attention_mask(plan, dtype=params["tok_emb"].dtype)
+    length-hiding attention mask; a plan without queries needs no mask."""
+    mask = build_attention_mask(plan, dtype=params["tok_emb"].dtype) if plan.Q else None
     return encode(params, plan.all_ids(), plan.all_positions(), mask, cfg)
 
 
 def _plan_indexes(plan: MaskPlan):
+    """(slots, coarse targets, fine indexes, fine targets).  A slot or fine
+    index that is a target twice raises UsageError: the heads' backward
+    adds into each target row once."""
     slots = [s for s, _ in plan.targets_coarse]
     coarse_t = [y for _, y in plan.targets_coarse]
     fine_idx = [i for i, _ in plan.targets_fine]
     fine_t = [x for _, x in plan.targets_fine]
+    if len(set(slots)) < len(slots) or len(set(fine_idx)) < len(fine_idx):
+        raise UsageError("a coarse slot or fine index is a target twice")
     return slots, coarse_t, fine_idx, fine_t
 
 
@@ -361,7 +366,9 @@ def adam_step(params, grads, state: AdamState, lr: float, tcfg: TrainConfig):
     bc1 = 1.0 - tcfg.beta1**state.t
     bc2 = 1.0 - tcfg.beta2**state.t
     g = grads if factor is None else np.multiply(grads, factor, out=buf)
-    if not np.isfinite(g).all():
+    # a non-finite gradient makes the norm non-finite; a finite one whose
+    # square overflows clips to zero and passes the scan
+    if not np.isfinite(norm) and not np.isfinite(g).all():
         at = np.searchsorted(b, np.argmin(np.isfinite(g)), side="right") - 1
         raise NumericError(f"non-finite gradient in {list(state.layout.shapes)[at]}")
     m, v = state.m, state.v  # rows of one array
@@ -423,7 +430,14 @@ def train(tcfg: TrainConfig, plans, params: dict, cfg: ModelConfig,
             saved = {k[2:]: a for k, a in arrays.items() if k.startswith(key + "/")}
             vec[...] = layout.flatten(checked_tensors(
                 f"checkpoint {resume_from}, Adam moments {key}/", saved, layout.shapes))[0]
-        objective_r = extra.get("train_config", {}).get("objective")
+        train_cfg = extra.get("train_config", {})
+        if not isinstance(train_cfg, dict):
+            raise DataError(f"checkpoint {resume_from}: train_config is not an object")
+        for key in ("adam_t", "step", "sample_seed", "sample_counter"):
+            if type(extra.get(key)) is not int or extra[key] < 0:
+                raise DataError(f"checkpoint {resume_from}: {key} is {extra.get(key)!r}, "
+                                "expected a non-negative integer")
+        objective_r = train_cfg.get("objective")
         if objective_r != int(tcfg.objective):
             raise UsageError(f"checkpoint {resume_from} was trained with objective "
                              f"{objective_r}, not {int(tcfg.objective)} "
@@ -505,22 +519,31 @@ def eval_ngram_ppl(params: dict, plans, cfg: ModelConfig) -> float:
 
     Contiguous plans: PPL(w) = exp(mean token NLL within w).  Explicit
     and comprehensive plans: PPL(w) = exp(NLL of the identity).
+
+    Every scored row, a coarse slot or a contiguous plan's fine target,
+    lies in the context, and the length-hiding mask hides the queries from
+    the context.  So each plan's context is encoded alone, unmasked, and
+    its last layer runs at the scored rows only.
     """
     log_ppls = []
     for plan in plans:
-        acts = _encode_plan(params, plan, cfg)
         if plan.objective == Objective.CONTIGUOUS:
+            groups = _contiguous_gram_groups(plan)
             target_of = dict(plan.targets_fine)
-            for group in _contiguous_gram_groups(plan):
-                logits = predict_fine(acts, group, params)
-                nll, _ = _xent(logits, [target_of[i] for i in group])
-                log_ppls.append(float(nll.mean()))
+            rows = [i for group in groups for i in group]
+            targets = [target_of[i] for i in rows]
         else:
-            slots, coarse_t, _, _ = _plan_indexes(plan)
-            if not slots:
-                continue
-            logits = predict_ngram(acts, slots, params)
-            nll, _ = _xent(logits, coarse_t)
+            rows, targets, _, _ = _plan_indexes(plan)
+        acts = encode(params, plan.context_ids, plan.context_positions, None, cfg, rows=rows)
+        if not rows:
+            continue
+        scored = range(len(rows))
+        if plan.objective == Objective.CONTIGUOUS:
+            nll, _ = _xent(predict_fine(acts, scored, params), targets)
+            bounds = np.cumsum([len(group) for group in groups])[:-1]
+            log_ppls.extend(float(part.mean()) for part in np.split(nll, bounds))
+        else:
+            nll, _ = _xent(predict_ngram(acts, scored, params), targets)
             log_ppls.extend(float(x) for x in nll)
     if not log_ppls:
         raise UsageError("no masked n-grams in evaluation set")

@@ -275,6 +275,25 @@ def test_out_of_range_plan_is_a_data_error(corpus_dir, tmp_path, edit):
                  "--out", str(tmp_path / "m2.npz")]) == 3
 
 
+def test_contiguous_target_outside_the_context_is_a_data_error(corpus_dir, tmp_path):
+    # a contiguous plan's fine targets are masked context positions; one
+    # placed on an appended query position is refused
+    plans_path = run_pipeline(corpus_dir, tmp_path, objective="contiguous")
+    train = ["train", "--plans", str(plans_path), "--layers", "1", "--hidden", "16",
+             "--heads", "2", "--steps", "1", "--batch-size", "2"]
+    ck = tmp_path / "model.npz"
+    assert main(train + ["--out", str(ck)]) == 0
+    prov, plans = read_plan_file(plans_path)
+    p = plans[0]
+    moved = dataclasses.replace(p, query_ids=(p.context_ids[0],), query_positions=(1,),
+                                targets_fine=p.targets_fine + ((p.T, p.targets_fine[0][1]),))
+    bad = tmp_path / "bad.bin"
+    write_plan_file(bad, [moved] + plans[1:], prov)
+    train[2] = str(bad)
+    assert main(["eval-ppl", "--plans", str(bad), "--checkpoint", str(ck)]) == 3
+    assert main(train + ["--out", str(tmp_path / "m2.npz")]) == 3
+
+
 @pytest.mark.parametrize("column", [1, 2, 3], ids=["order", "score", "count"])
 def test_non_numeric_lexicon_field_is_a_data_error(corpus_dir, tmp_path, column):
     lines = (corpus_dir / "lex.tsv").read_text(encoding="utf-8").splitlines()
@@ -369,6 +388,15 @@ def _drop_moments(store):
         del store[key]
 
 
+def _extra(edit):
+    """A store edit that applies ``edit`` to the metadata's ``extra`` dict."""
+    def apply(store):
+        meta = json.loads(store["__meta__"].tobytes().decode("utf-8"))
+        edit(meta["extra"])
+        store["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    return apply
+
+
 # each edit applies to the trained checkpoint; None runs the exported one as written
 @pytest.mark.parametrize("edit, command", [
     (lambda s: s.pop("p/ngram_w"), "eval-ppl"),
@@ -383,9 +411,15 @@ def _drop_moments(store):
     (_drop_moments, "resume"),
     (lambda s: s.update({"a/m/l0_wq": np.zeros(3, np.float32)}), "resume"),
     (lambda s: s.update({"a/v/ngram_b": s["a/v/ngram_b"].astype(np.float64)}), "resume"),
+    (_extra(lambda e: e.pop("adam_t")), "resume"),
+    (_extra(lambda e: e.update(step=1.5)), "resume"),
+    (_extra(lambda e: e.update(sample_seed=-1)), "resume"),
+    (_extra(lambda e: e.update(sample_counter="3")), "resume"),
+    (_extra(lambda e: e.update(train_config=[1])), "resume"),
 ], ids=["missing-tensor", "wrong-shape", "int64-tensor", "float16-tensor", "mixed-dtype",
         "extra-tensor", "ngram-b-2d", "exported-eval", "exported-resume", "missing-moments",
-        "moment-shape", "moment-dtype"])
+        "moment-shape", "moment-dtype", "missing-adam-t", "float-step", "negative-seed",
+        "string-counter", "train-config-not-object"])
 def test_malformed_checkpoint_is_a_data_error(trained, tmp_path, capsys, edit, command):
     plans, ck, bad = trained
     if edit is not None:

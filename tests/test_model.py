@@ -19,9 +19,11 @@ from ngramlm import (
     predict_rtd,
     save_checkpoint,
 )
-from ngramlm.errors import DataError, UsageError, VersionError
+from ngramlm.errors import DataError, NumericError, UsageError, VersionError
 from ngramlm.model import (
     ModelConfig,
+    encode_backward,
+    encode_generator,
     param_count,
     param_shapes,
     vanilla_encoder_param_count,
@@ -91,6 +93,50 @@ def test_encode_validates_inputs():
         encode(params, [0, 1], [0, 1], mask, cfg)  # positions are 1-based
     with pytest.raises(UsageError):
         encode(params, [0, 1], [1, 2], np.zeros((3, 3), np.float32), cfg)
+    for rows in ([2], [-1]):
+        with pytest.raises(UsageError):
+            encode(params, [0, 1], [1, 2], mask, cfg, rows=rows)
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-6)])
+@pytest.mark.parametrize("layers", [1, 2])
+def test_rows_pass_equals_full_pass_at_those_rows(toy_example, toy_jv, dtype, tol, layers):
+    # rows in any order, a repeat included, with and without a mask
+    plan = plan_comprehensive(toy_example, MASKED, toy_jv)
+    cfg = tiny_config(len(toy_jv.fine), len(toy_jv.ngrams), layers=layers)
+    params = init_params(cfg, 4, dtype=dtype)
+    n = plan.T + plan.Q
+    rows = [n - 1, 0, 3, 3]
+    for mask in (build_attention_mask(plan, dtype=dtype), None):
+        full = encode(params, plan.all_ids(), plan.all_positions(), mask, cfg)
+        part = encode(params, plan.all_ids(), plan.all_positions(), mask, cfg, rows=rows)
+        assert part.hidden.dtype == dtype and part.hidden.shape == (len(rows), cfg.hidden)
+        assert np.abs(part.hidden - full.hidden[rows]).max() <= tol
+        assert np.abs(part.attn_probs[-1] - full.attn_probs[-1][:, rows]).max() <= tol
+        assert part.cache == [] and part.emb_cache is None
+    assert encode(params, plan.all_ids(), plan.all_positions(), None, cfg,
+                  rows=[]).hidden.shape == (0, cfg.hidden)
+
+
+def test_no_mask_equals_all_zero_mask(toy_example, toy_jv):
+    plan = plan_comprehensive(toy_example, MASKED, toy_jv)
+    cfg = tiny_config(len(toy_jv.fine), len(toy_jv.ngrams))
+    params = init_params(cfg, 6)
+    n = plan.T + plan.Q
+    zero = encode(params, plan.all_ids(), plan.all_positions(), np.zeros((n, n), np.float32), cfg)
+    none = encode(params, plan.all_ids(), plan.all_positions(), None, cfg)
+    assert np.array_equal(zero.hidden, none.hidden)
+    assert all(np.array_equal(a, b) for a, b in zip(zero.attn_probs, none.attn_probs))
+
+
+def test_encode_backward_refuses_a_rows_pass(toy_example, toy_jv):
+    plan = plan_comprehensive(toy_example, MASKED, toy_jv)
+    cfg = tiny_config(len(toy_jv.fine), len(toy_jv.ngrams))
+    params = init_params(cfg, 6)
+    acts = encode(params, plan.context_ids, plan.context_positions, None, cfg, rows=[1])
+    grads = {k: np.zeros_like(v) for k, v in params.items()}
+    with pytest.raises(UsageError):
+        encode_backward(params, [acts], np.ones_like(acts.hidden), cfg, grads=grads)
 
 
 def test_mask_soundness_exact_zeros(toy_example, toy_jv):
@@ -152,6 +198,49 @@ def test_generator_low_temperature_is_argmax(toy_example, toy_jv):
     assert np.array_equal(got, want)
     with pytest.raises(UsageError):
         generator_forward_and_sample(params, plan, cfg, RngState(0), 0.0)
+
+
+def per_slot_samples(params, plan, cfg, rng, temperature=1.0):
+    """The generator's draws made slot by slot with ``Generator.choice``."""
+    slots = [s for s, _ in plan.targets_coarse]
+    acts = encode_generator(params, plan, cfg, rows=slots)
+    logits = predict_ngram(acts, range(len(slots)), params, prefix="gen_").astype(np.float64)
+    z = logits / temperature
+    z -= z.max(-1, keepdims=True)
+    probs = np.exp(z)
+    probs /= probs.sum(-1, keepdims=True)
+    g = rng.next_generator()
+    return np.array([g.choice(probs.shape[1], p=probs[i]) for i in range(probs.shape[0])])
+
+
+def test_generator_draws_equal_per_slot_choice():
+    # 16 slots over 30 joint ids at three temperatures and 20 seeds: 960 draws
+    cfg = tiny_config(20, 10)
+    params = init_params(cfg, 8)
+    params = {k: v + np.float32(0.3) * np.random.default_rng(1).standard_normal(v.shape,
+                                                                              np.float32)
+              for k, v in params.items()}
+    ctx = tuple(int(i) for i in np.random.default_rng(2).integers(0, cfg.joint_size, 20))
+    plan = MaskPlan(Objective.COMPREHENSIVE, ctx, tuple(range(1, 21)), (), (),
+                    tuple((s, 0) for s in range(2, 18)), ())
+    drawn = []
+    for temperature in (0.5, 1.0, 3.0):
+        for seed in range(20):
+            got = generator_forward_and_sample(params, plan, cfg, RngState(seed), temperature)
+            want = per_slot_samples(params, plan, cfg, RngState(seed), temperature)
+            assert np.array_equal(got, want), (temperature, seed)
+            drawn.extend(got)
+    assert len(set(drawn)) > 10  # the draws are spread, not one argmax
+
+
+def test_generator_non_finite_probabilities_are_numeric_errors(toy_example, toy_jv):
+    plan = plan_comprehensive(toy_example, MASKED, toy_jv)
+    cfg = tiny_config(len(toy_jv.fine), len(toy_jv.ngrams))
+    for bad in (np.nan, np.inf):
+        params = init_params(cfg, 5)
+        params["gen_ngram_b"][3] = bad
+        with pytest.raises(NumericError), np.errstate(invalid="ignore"):
+            generator_forward_and_sample(params, plan, cfg, RngState(0))
 
 
 def test_generator_sampling_is_deterministic_per_counter(toy_example, toy_jv):

@@ -4,6 +4,7 @@ Loss oracles are closed-form: uniform logits over C classes cost ln C;
 controlled head biases make the evaluation perplexities exact.
 """
 
+import dataclasses
 import importlib
 import math
 
@@ -15,8 +16,10 @@ from ngramlm import (
     Objective,
     RngState,
     TrainConfig,
+    build_attention_mask,
     build_joint_vocab,
     count_ngrams,
+    encode,
     eval_ngram_ppl,
     extract_lexicon,
     init_params,
@@ -116,6 +119,16 @@ def test_adam_clip_and_nan_detection():
     assert adam_step(params, np.full(4, 0.25), state, lr=0.1, tcfg=tcfg) == (0.5, False)
     with pytest.raises(NumericError):
         adam_step(params, np.array([np.nan] * 4), AdamState(layout), 0.1, tcfg)
+    with pytest.raises(NumericError), np.errstate(invalid="ignore"):
+        adam_step(params, np.array([1.0, np.inf, 1.0, 1.0]), AdamState(layout), 0.1, tcfg)
+    # [DERIVED] float32 squares of 1e20 overflow to inf: the norm is inf, the
+    # clip factor 1/inf = 0 and the update zero
+    p32 = np.ones(4, dtype=np.float32)
+    state32 = AdamState(FlatLayout({"w": p32}))
+    grads32 = np.full(4, 1e20, dtype=np.float32)
+    with np.errstate(over="ignore"):
+        assert adam_step(p32, grads32, state32, lr=0.1, tcfg=tcfg) == (math.inf, True)
+    assert np.array_equal(p32, np.ones(4, dtype=np.float32))
 
 
 @pytest.fixture(scope="module")
@@ -478,6 +491,22 @@ def test_relation_total_is_weighted_sum(small_pipeline):
     assert report.total != pytest.approx(coarse + fine + rtd + generator, rel=1e-6)
 
 
+@pytest.mark.parametrize("field", ["targets_coarse", "targets_fine"])
+def test_repeated_target_index_is_a_usage_error(small_pipeline, field):
+    # each head's backward adds into a target row once, so a plan may not
+    # name a slot or fine index twice
+    stream, vocab, lex, jv, cfg = small_pipeline
+    plans = make_plans(stream, lex, jv, Objective.COMPREHENSIVE, seed=1)
+    plan = next(p for p in plans if len(getattr(p, field)) >= 2)
+    t = getattr(plan, field)
+    bad = dataclasses.replace(plan, **{field: (t[0], (t[0][0], t[1][1])) + t[2:]})
+    params = init_params(cfg, 0)
+    for objective in (Objective.COMPREHENSIVE, Objective.RELATION):
+        tcfg = TrainConfig(objective, total_steps=1, batch_size=1, warmup_steps=0)
+        with pytest.raises(UsageError):
+            batch_loss_and_grad(params, [bad], cfg, tcfg, zero_grads(params), RngState(0))
+
+
 def test_nan_aborts_with_diagnostic_checkpoint(small_pipeline, tmp_path):
     stream, vocab, lex, jv, cfg = small_pipeline
     plans = make_plans(stream, lex, jv, Objective.EXPLICIT, seed=1)
@@ -562,6 +591,58 @@ def test_untrained_explicit_ppl_near_joint_size(small_pipeline):
                        ngram_only=True)
     ppl = eval_ngram_ppl(init_params(cfg, 0), plans, cfg)
     assert ppl == pytest.approx(cfg.joint_size, rel=0.05)
+
+
+def reference_ngram_ppl(params, plans, cfg):
+    """eval_ngram_ppl with every plan encoded whole, context and queries,
+    under its attention mask."""
+    log_ppls = []
+    for plan in plans:
+        mask = build_attention_mask(plan, dtype=params["tok_emb"].dtype)
+        acts = encode(params, plan.all_ids(), plan.all_positions(), mask, cfg)
+        if plan.objective == Objective.CONTIGUOUS:
+            target_of = dict(plan.targets_fine)
+            for group in _contiguous_gram_groups(plan):
+                nll, _ = _xent(acts.hidden[group] @ params["fine_w"] + params["fine_b"],
+                               [target_of[i] for i in group])
+                log_ppls.append(float(nll.mean()))
+        elif plan.targets_coarse:
+            slots = [s for s, _ in plan.targets_coarse]
+            nll, _ = _xent(acts.hidden[slots] @ params["ngram_w"] + params["ngram_b"],
+                           [y for _, y in plan.targets_coarse])
+            log_ppls.extend(float(x) for x in nll)
+    return float(np.exp(np.mean(log_ppls)))
+
+
+def spread_params(cfg, seed):
+    """float64 parameters with weights large enough that the perplexity
+    depends on the context, not only on the head biases."""
+    g = np.random.default_rng(seed)
+    return {k: v + 0.3 * g.standard_normal(v.shape)
+            for k, v in init_params(cfg, seed, dtype=np.float64).items()}
+
+
+@pytest.mark.parametrize("objective", [Objective.CONTIGUOUS, Objective.EXPLICIT,
+                                       Objective.COMPREHENSIVE])
+def test_eval_ppl_equals_whole_plan_reference(small_pipeline, objective):
+    stream, vocab, lex, jv, cfg = small_pipeline
+    plans = make_plans(stream, lex, jv, objective, seed=5)[:40]
+    params = spread_params(cfg, 7)
+    want = reference_ngram_ppl(params, plans, cfg)
+    assert abs(eval_ngram_ppl(params, plans, cfg) - want) <= 1e-9 * want
+    assert abs(want - cfg.joint_size) > 0.05 * cfg.joint_size  # not the uniform baseline
+
+
+def test_eval_ppl_ignores_the_queries(small_pipeline):
+    # a comprehensive plan scores its coarse slots, which never see the queries
+    stream, vocab, lex, jv, cfg = small_pipeline
+    plans = make_plans(stream, lex, jv, Objective.COMPREHENSIVE, seed=5)[:40]
+    assert any(p.Q for p in plans)
+    bare = [dataclasses.replace(p, query_ids=(), query_positions=(),
+                                targets_fine=tuple(t for t in p.targets_fine if t[0] < p.T))
+            for p in plans]
+    params = spread_params(cfg, 7)
+    assert eval_ngram_ppl(params, plans, cfg) == eval_ngram_ppl(params, bare, cfg)
 
 
 def test_eval_ppl_requires_targets():
