@@ -37,6 +37,8 @@ from .pipeline import make_plans
 from .segmenter import extract_boundaries
 from .train import TrainConfig, eval_ngram_ppl, train
 
+OBJECTIVES = [o.name.lower() for o in Objective]
+
 
 def _file_hash(path) -> str:
     h = hashlib.sha256()
@@ -166,17 +168,29 @@ def _check_plan_ids(path, plans, cfg: ModelConfig):
                 raise DataError(f"{where}: a coarse slot or fine index is a target twice")
 
 
+def _plan_header(path, prov, objective_arg):
+    """The objective (--objective, else the header's) and the two vocabulary
+    sizes a plan file header names, refused as data errors if malformed."""
+    sizes = [prov.get(key) for key in ("fine_vocab_size", "ngram_vocab_size")]
+    if any(type(n) is not int or n < 0 for n in sizes):
+        raise DataError(f"{path}: plan header vocabulary sizes {sizes} are not "
+                        f"two non-negative integers")
+    name = objective_arg or prov.get("objective")
+    if not isinstance(name, str) or name.lower() not in OBJECTIVES:
+        raise DataError(f"{path}: plan header objective {name!r} is not one of "
+                        f"{', '.join(OBJECTIVES)}")
+    return Objective[name.upper()], *sizes
+
+
 def cmd_train(args):
     prov_in, plans = read_plan_file(args.plans)
-    if "fine_vocab_size" not in prov_in:
-        raise DataError(f"{args.plans}: missing vocabulary sizes in plan header")
-    objective = Objective[(args.objective or prov_in["objective"]).upper()]
+    objective, fine_size, ngram_size = _plan_header(args.plans, prov_in, args.objective)
     if objective == Objective.RELATION:
         if any(p.objective not in (Objective.COMPREHENSIVE, Objective.RELATION) for p in plans):
             raise UsageError("relation training needs comprehensive-layout plans")
     elif any(p.objective != objective for p in plans):
         raise UsageError(f"plan objectives do not match --objective {objective.name.lower()}")
-    cfg = _model_config(args, prov_in["fine_vocab_size"], prov_in["ngram_vocab_size"])
+    cfg = _model_config(args, fine_size, ngram_size)
     _check_plan_ids(args.plans, plans, cfg)
     tcfg = TrainConfig(
         objective=objective,
@@ -257,8 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_corpus_flags(p)
     p.add_argument("--lexicon", required=True)
     p.add_argument("--vocab", required=True)
-    p.add_argument("--objective", default="explicit",
-                   choices=[o.name.lower() for o in Objective])
+    p.add_argument("--objective", default="explicit", choices=OBJECTIVES)
     p.add_argument("--rate", type=float, default=0.15)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ngram-only", action="store_true",
@@ -276,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train on a plan file")
     p.add_argument("--plans", required=True)
-    p.add_argument("--objective", help="default: from the plan file header")
+    p.add_argument("--objective", choices=OBJECTIVES, help="default: from the plan file header")
     p.add_argument("--layers", type=int, default=2)
     p.add_argument("--hidden", type=int, default=64)
     p.add_argument("--heads", type=int, default=4)

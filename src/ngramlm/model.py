@@ -23,7 +23,6 @@ import zipfile
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import DataError, NumericError, UsageError, VersionError
 from .maskplan import MaskPlan, RngState
@@ -192,7 +191,14 @@ def _layernorm_backward(dy, cache):
 
 
 def _gelu(x):
-    """GELU and its erf term, which _gelu_backward reuses."""
+    """GELU and its erf term, which _gelu_backward reuses.
+
+    scipy.special is imported here, not at module level: it is the only
+    scipy use and takes about 0.3 s and 18 MB to load, which the commands
+    that never run the model (extract-lexicon, make-masks, segment) skip.
+    """
+    from scipy.special import erf
+
     e = erf(x / SQRT2)
     return 0.5 * x * (1.0 + e), e
 

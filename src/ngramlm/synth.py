@@ -7,6 +7,8 @@ statistically real collocations, for training experiments.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 
 from .corpus import WordStream
@@ -19,12 +21,14 @@ def zipf_corpus(n_words: int, seed: int = 0, vocab_size: int = 400,
     ranks = np.arange(1, vocab_size + 1, dtype=np.float64)
     probs = 1.0 / ranks
     probs /= probs.sum()
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
     words = [f"w{i:03d}" for i in range(vocab_size)]
     docs = []
     remaining = n_words
     while remaining > 0:
         n = int(min(max(2, g.poisson(mean_doc_len)), remaining))
-        idx = g.choice(vocab_size, size=n, p=probs)
+        idx = cdf.searchsorted(g.random(n), side="right")
         docs.append([words[i] for i in idx])
         remaining -= n
     return WordStream(docs)
@@ -72,7 +76,8 @@ def collocation_corpus(n_sentences: int, seed: int = 0,
     phrases = spec.build_phrases()
     fillers = [f"fill{i:02d}" for i in range(spec.n_fillers)]
     topics = [f"topic{t:02d}" for t in range(spec.n_topics)]
-    probs = spec.topic_probs()
+    cdf = spec.topic_probs().cumsum()
+    cdf = (cdf / cdf[-1]).tolist()
     docs = []
     for _ in range(n_sentences):
         t = int(g.integers(spec.n_topics))
@@ -80,7 +85,7 @@ def collocation_corpus(n_sentences: int, seed: int = 0,
         for _ in range(spec.phrases_per_sentence):
             if g.random() < spec.filler_prob:
                 words.append(fillers[int(g.integers(spec.n_fillers))])
-            p = int(g.choice(spec.phrases_per_topic, p=probs))
+            p = bisect_right(cdf, g.random())
             words.extend(phrases[t * spec.phrases_per_topic + p])
         docs.append(words)
     inventory = sorted({w for ph in phrases for w in ph} | set(fillers) | set(topics))

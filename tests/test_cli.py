@@ -3,16 +3,23 @@
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ngramlm
 from ngramlm import FineVocab, load_checkpoint
 from ngramlm.cli import main
 from ngramlm.corpus import tokenize_words
 from ngramlm.maskplan import read_plan_file, write_plan_file
 from ngramlm.synth import CollocationSpec, collocation_corpus, write_corpus
 
+# a child interpreter that imports this checkout's package
+SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
 
 @pytest.fixture(scope="module")
 def corpus_dir(tmp_path_factory):
@@ -294,6 +301,55 @@ def test_contiguous_target_outside_the_context_is_a_data_error(corpus_dir, tmp_p
     assert main(train + ["--out", str(tmp_path / "m2.npz")]) == 3
 
 
+@pytest.mark.parametrize("edit", [
+    lambda prov: prov.pop("objective"),
+    lambda prov: prov.update(objective="foo"),
+    lambda prov: prov.update(objective=3),
+    lambda prov: prov.update(objective=["explicit"]),
+    lambda prov: prov.pop("ngram_vocab_size"),
+    lambda prov: prov.update(fine_vocab_size="40"),
+    lambda prov: prov.update(fine_vocab_size=-1),
+    lambda prov: prov.update(ngram_vocab_size=24.0),
+    lambda prov: prov.update(ngram_vocab_size=True),
+], ids=["objective-missing", "objective-unknown", "objective-int", "objective-list",
+        "ngram-size-missing", "fine-size-string", "fine-size-negative", "ngram-size-float",
+        "ngram-size-bool"])
+def test_malformed_plan_header_is_a_data_error(corpus_dir, tmp_path, capsys, edit):
+    prov, plans = read_plan_file(run_pipeline(corpus_dir, tmp_path))
+    edit(prov)
+    bad = tmp_path / "bad.bin"
+    write_plan_file(bad, plans, prov)
+    capsys.readouterr()
+    try:
+        code = main(["train", "--plans", str(bad), "--layers", "1", "--hidden", "16",
+                     "--heads", "2", "--steps", "1", "--batch-size", "2",
+                     "--out", str(tmp_path / "m.npz")])
+    except Exception as e:  # main turns every NgramlmError into an exit code
+        pytest.fail(f"{type(e).__name__} escaped main: {e}")
+    assert code == 3
+    assert capsys.readouterr().err.startswith("data error: ")
+
+
+def test_train_header_objective_is_used_unless_given(corpus_dir, tmp_path):
+    # --objective overrides the header, whose objective is then not read
+    prov, plans = read_plan_file(run_pipeline(corpus_dir, tmp_path))
+    prov["objective"] = "foo"
+    bad = tmp_path / "bad.bin"
+    write_plan_file(bad, plans, prov)
+    assert main(["train", "--plans", str(bad), "--objective", "explicit", "--layers", "1",
+                 "--hidden", "16", "--heads", "2", "--steps", "1", "--batch-size", "2",
+                 "--out", str(tmp_path / "m.npz")]) == 0
+
+
+def test_train_unknown_objective_is_a_usage_error(corpus_dir, tmp_path, capsys):
+    plans = run_pipeline(corpus_dir, tmp_path)
+    with pytest.raises(SystemExit) as e:
+        main(["train", "--plans", str(plans), "--objective", "foo",
+              "--out", str(tmp_path / "m.npz")])
+    assert e.value.code == 2
+    assert "invalid choice: 'foo'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("column", [1, 2, 3], ids=["order", "score", "count"])
 def test_non_numeric_lexicon_field_is_a_data_error(corpus_dir, tmp_path, column):
     lines = (corpus_dir / "lex.tsv").read_text(encoding="utf-8").splitlines()
@@ -448,8 +504,35 @@ def test_resume_refuses_a_mismatched_checkpoint(corpus_dir, tmp_path):
 
 
 def test_console_entry_point():
-    import subprocess
-    import sys
-    r = subprocess.run([sys.executable, "-m", "ngramlm.cli", "--version"],
-                       capture_output=True, text=True)
-    assert r.returncode == 0
+    for module in ("ngramlm.cli", "ngramlm"):
+        r = subprocess.run([sys.executable, "-m", module, "--version"],
+                           capture_output=True, text=True, env=SRC_ENV)
+        assert r.returncode == 0
+        assert r.stdout.strip() == ngramlm.__version__
+
+
+COLD_START = """
+import sys
+from ngramlm.cli import main
+from ngramlm.model import ModelConfig, encode, init_params
+
+corpus, vocab, out = sys.argv[1:]
+assert main(["extract-lexicon", "--corpus", corpus, "--k2", "24", "--min-count", "3",
+             "--out", out + "/lex.tsv"]) == 0
+assert main(["make-masks", "--corpus", corpus, "--lexicon", out + "/lex.tsv",
+             "--vocab", vocab, "--out", out + "/plans.bin"]) == 0
+assert "scipy.special" not in sys.modules, "loaded before the model ran"
+cfg = ModelConfig(layers=1, hidden=8, heads=2, ffn=16, max_positions=8,
+                  fine_vocab_size=5, ngram_vocab_size=1)
+encode(init_params(cfg, 0), [1, 2], [1, 2], None, cfg)
+assert "scipy.special" in sys.modules, "not loaded by the model"
+"""
+
+
+def test_scipy_loads_only_when_the_model_runs(corpus_dir, tmp_path):
+    # the data-side commands never run the model, so they skip the
+    # scipy.special import that the GELU's erf needs
+    r = subprocess.run([sys.executable, "-c", COLD_START, str(corpus_dir / "corpus.txt"),
+                        str(corpus_dir / "vocab.txt"), str(tmp_path)],
+                       capture_output=True, text=True, env=SRC_ENV)
+    assert r.returncode == 0, r.stderr
