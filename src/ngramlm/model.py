@@ -194,7 +194,7 @@ def _gelu(x):
     """GELU and its erf term, which _gelu_backward reuses.
 
     scipy.special is imported here, not at module level: it is the only
-    scipy use and takes about 0.3 s and 18 MB to load, which the commands
+    scipy use and takes about 0.3 s and 20 MB to load, which the commands
     that never run the model (extract-lexicon, make-masks, segment) skip.
     """
     from scipy.special import erf

@@ -21,6 +21,8 @@ def zipf_corpus(n_words: int, seed: int = 0, vocab_size: int = 400,
     ranks = np.arange(1, vocab_size + 1, dtype=np.float64)
     probs = 1.0 / ranks
     probs /= probs.sum()
+    # the draw Generator.choice(p=probs) makes, the same uniforms against the
+    # same normalised cumulative sums, without its per-call validation
     cdf = probs.cumsum()
     cdf /= cdf[-1]
     words = [f"w{i:03d}" for i in range(vocab_size)]
@@ -76,6 +78,7 @@ def collocation_corpus(n_sentences: int, seed: int = 0,
     phrases = spec.build_phrases()
     fillers = [f"fill{i:02d}" for i in range(spec.n_fillers)]
     topics = [f"topic{t:02d}" for t in range(spec.n_topics)]
+    # phrase draws as in zipf_corpus, one uniform each, bisected in Python
     cdf = spec.topic_probs().cumsum()
     cdf = (cdf / cdf[-1]).tolist()
     docs = []
