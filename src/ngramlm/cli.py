@@ -3,7 +3,7 @@
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric error.
 Only the commands that draw random numbers (make-masks, train) take
 --seed.  Lexicon, plan and attention files carry a provenance header
-(argument hash plus input file hashes).
+(argument hash plus input file names and hashes).
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import io
 import json
+import os
 import sys
 
 from . import __version__
@@ -51,8 +52,23 @@ def _file_hash(path) -> str:
     return h.hexdigest()[:16]
 
 
+# arguments that name files; provenance keeps only their file names
+_PATH_ARGS = frozenset({"corpus", "lexicon", "vocab", "input", "plans", "checkpoint",
+                       "resume", "metrics", "dump_json", "out"})
+
+
+def _file_names(value):
+    if isinstance(value, list):
+        return [os.path.basename(p) for p in value]
+    return None if value is None else os.path.basename(value)
+
+
 def provenance(command: str, args: argparse.Namespace, inputs) -> dict:
-    cfg = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
+    """The header for an output file.  Inputs and path arguments appear as
+    file names, so the same command on the same files gives the same header
+    from any directory."""
+    cfg = {k: _file_names(v) if k in _PATH_ARGS else v
+           for k, v in sorted(vars(args).items()) if k != "func"}
     cfg_hash = hashlib.sha256(
         json.dumps(cfg, sort_keys=True, default=str).encode()
     ).hexdigest()[:16]
@@ -61,7 +77,7 @@ def provenance(command: str, args: argparse.Namespace, inputs) -> dict:
         "command": command,
         "seed": getattr(args, "seed", None),
         "config_hash": cfg_hash,
-        "inputs": {str(p): _file_hash(p) for p in inputs},
+        "inputs": [[os.path.basename(p), _file_hash(p)] for p in inputs],
     }
 
 

@@ -74,23 +74,25 @@ def extract_boundaries(words, lex: NGramLexicon) -> BoundarySeq:
     """
     words = tuple(words)
     n = len(words)
-    trie = lex.trie
+    first = lex.trie.get
     # minseg[i] = fewest segments tiling words[i:]; take[i] = the longest
     # segment starting at i that reaches minseg[i]
     minseg = [0] * (n + 1)
     take = [1] * n
     for i in range(n - 1, -1, -1):
         best = 1 + minseg[i + 1]  # unigram always valid
-        node = trie.get(words[i])
+        node = first(words[i])
         if node is not None:
-            for j in range(i + 1, n):
+            j = i + 1
+            while j < n:
                 node = node.get(words[j])
                 if node is None:
                     break
-                # 1 + minseg[j + 1] <= best: j grows, so ties keep the longest
-                if None in node and minseg[j + 1] < best:
-                    best = 1 + minseg[j + 1]
-                    take[i] = j + 1 - i
+                j += 1
+                # node is words[i:j]; j grows, so ties keep the longest
+                if None in node and minseg[j] < best:
+                    best = 1 + minseg[j]
+                    take[i] = j - i
         minseg[i] = best
     # walk left to right along the recorded segments
     bounds = [1]

@@ -9,6 +9,7 @@ fine parts, and per-target means are reported alongside for logging.
 from __future__ import annotations
 
 import json
+import os
 import time
 from dataclasses import asdict, dataclass
 
@@ -482,6 +483,11 @@ def train(tcfg: TrainConfig, plans, params: dict, cfg: ModelConfig,
     return params, metrics
 
 
+# environment variables that set the BLAS thread count: matrix products,
+# and so trained weights, can differ in the last bits between thread counts
+BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def _save_train_checkpoint(path, params, cfg, tcfg, state, step, sample_rng):
     extra = {
         "step": step,
@@ -489,6 +495,7 @@ def _save_train_checkpoint(path, params, cfg, tcfg, state, step, sample_rng):
         "sample_seed": sample_rng.seed,
         "sample_counter": sample_rng.counter,
         "train_config": {**asdict(tcfg), "objective": int(tcfg.objective)},
+        "blas_threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARS},
     }
     arrays = {f"{key}/{name}": view for key, vec in (("m", state.m), ("v", state.v))
               for name, view in state.layout.views(vec).items()}

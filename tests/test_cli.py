@@ -79,6 +79,26 @@ def test_make_masks_byte_identical_across_runs(corpus_dir, tmp_path, monkeypatch
     assert outs[0] == outs[1]
 
 
+def test_outputs_do_not_depend_on_the_input_directory(corpus_dir, tmp_path):
+    # the same commands on the same files, named by absolute paths in two
+    # directories: byte-identical lexicon and plan files
+    outs = []
+    for name in ("a", "deeper/b"):
+        d = tmp_path / name
+        d.mkdir(parents=True)
+        for f in ("corpus.txt", "vocab.txt"):
+            (d / f).write_bytes((corpus_dir / f).read_bytes())
+        assert main(["extract-lexicon", "--corpus", str(d / "corpus.txt"), "--k2", "24",
+                     "--k3", "8", "--min-count", "3", "--out", str(d / "lex.tsv")]) == 0
+        assert main(["make-masks", "--corpus", str(d / "corpus.txt"), "--lexicon",
+                     str(d / "lex.tsv"), "--vocab", str(d / "vocab.txt"), "--seed", "11",
+                     "--out", str(d / "plans.bin")]) == 0
+        outs.append([(d / f).read_bytes() for f in ("lex.tsv", "plans.bin")])
+    assert outs[0] == outs[1]
+    prov, _ = read_plan_file(tmp_path / "a" / "plans.bin")
+    assert [name for name, _ in prov["inputs"]] == ["corpus.txt", "lex.tsv", "vocab.txt"]
+
+
 def test_make_masks_seed_changes_plans(corpus_dir, tmp_path):
     p1 = run_pipeline(corpus_dir, tmp_path, seed=0)
     prov1, plans1 = read_plan_file(p1)

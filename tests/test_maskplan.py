@@ -18,6 +18,9 @@ from ngramlm import (
     RngState,
     build_attention_mask,
     build_joint_vocab,
+    count_ngrams,
+    extract_lexicon,
+    make_plans,
     parse_plan,
     plan_comprehensive,
     plan_contiguous,
@@ -27,6 +30,7 @@ from ngramlm import (
     segment_example,
     serialize_plan,
 )
+from ngramlm import pipeline
 from ngramlm.errors import NgramlmError, PlanError, PlanFormatError, UsageError, VersionError
 from ngramlm.maskplan import (
     PLAN_VERSION,
@@ -34,6 +38,7 @@ from ngramlm.maskplan import (
     relation_from_comprehensive,
     write_plan_file,
 )
+from ngramlm.synth import CollocationSpec, collocation_corpus
 
 from conftest import lex_from
 
@@ -202,6 +207,72 @@ def test_rng_state_is_deterministic_and_advances():
     x = RngState(42, 0).next_generator().integers(1 << 30)
     y = RngState(42, 1).next_generator().integers(1 << 30)
     assert x != y
+
+
+BLOCK = RngState.BLOCK
+
+
+@pytest.mark.parametrize("seed", [0, 11, 2**32 - 1, 2**32, 2**64 - 1, -5])
+@pytest.mark.parametrize("start", [0, BLOCK - 1, BLOCK, 3 * BLOCK + BLOCK // 2 + 1,
+                                   2**32 - 1, 2**32])
+def test_keyed_draw_equals_default_rng(seed, start):
+    # three consecutive keys from ``start``: from BLOCK - 1 the walk crosses a
+    # block boundary, from 2**32 - 1 the counter gains a second 32-bit word
+    rng = RngState(seed, start)
+    for c in range(start, start + 3):
+        g = rng.next_generator()
+        want = np.random.default_rng([seed & (2**64 - 1), c])
+        assert np.array_equal(g.permutation(14), want.permutation(14)), c
+        assert np.array_equal(g.random(5), want.random(5)), c
+        assert np.array_equal(g.integers(0, 2**40, 5), want.integers(0, 2**40, 5)), c
+    assert rng.counter == start + 3
+
+
+def test_keyed_draw_beyond_two_words_and_negative_counter():
+    g = RngState(7, 2**64 + 3).next_generator()
+    assert np.array_equal(g.permutation(9), np.random.default_rng([7, 2**64 + 3]).permutation(9))
+    with pytest.raises(ValueError):
+        RngState(7, -1).next_generator()
+
+
+def default_rng_sample_mask(b, rate, rng, candidates=None):
+    """``sample_mask`` drawing from a fresh ``np.random.default_rng`` per key."""
+    n = b.num_segments
+    if candidates is None:
+        candidates = list(range(1, n + 1))
+    quota = max(1, round(rate * n))
+    g = np.random.default_rng([rng.seed & (2**64 - 1), rng.counter])
+    rng.counter += 1
+    chosen = set()
+    for idx in g.permutation(len(candidates)):
+        j = candidates[idx]
+        if j - 1 in chosen or j + 1 in chosen:
+            continue
+        chosen.add(j)
+        if len(chosen) >= quota:
+            break
+    return tuple(sorted(chosen))
+
+
+@pytest.fixture(scope="module")
+def plan_pipeline():
+    # more documents than one block of keys
+    spec = CollocationSpec(n_topics=6, phrases_per_topic=4)
+    stream, inventory, _ = collocation_corpus(2 * BLOCK + 40, seed=3, spec=spec)
+    lex = extract_lexicon(count_ngrams(stream, 2), {2: 24}, min_count=3)
+    return stream, lex, build_joint_vocab(FineVocab.from_subwords(inventory), lex)
+
+
+@pytest.mark.parametrize("ngram_only", [False, True])
+@pytest.mark.parametrize("objective", list(Objective))
+def test_make_plans_equal_default_rng_draws(plan_pipeline, objective, ngram_only, monkeypatch):
+    stream, lex, jv = plan_pipeline
+    got = make_plans(stream, lex, jv, objective, seed=2**40 + 9, ngram_only=ngram_only)
+    monkeypatch.setattr(pipeline, "sample_mask", default_rng_sample_mask)
+    want = make_plans(stream, lex, jv, objective, seed=2**40 + 9, ngram_only=ngram_only)
+    assert len(got) > BLOCK
+    assert got == want
+    assert [p.masked_set for p in got] == [p.masked_set for p in want]
 
 
 # --- binary format -------------------------------------------------------------

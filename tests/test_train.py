@@ -259,13 +259,16 @@ def test_zero_lr_leaves_params_untouched(small_pipeline):
     assert all(np.array_equal(before[k], params[k]) for k in params)
 
 
-def test_resume_equals_uninterrupted_run(small_pipeline, tmp_path):
+def check_resume_equals_uninterrupted_run(small_pipeline, tmp_path, objective):
+    """Eight steps in one run equal four steps, a checkpoint and a resume,
+    down to the generator's sample counter."""
     stream, vocab, lex, jv, cfg = small_pipeline
     plans = make_plans(stream, lex, jv, Objective.COMPREHENSIVE, seed=1)
-    tcfg = TrainConfig(Objective.COMPREHENSIVE, total_steps=8, batch_size=4,
+    tcfg = TrainConfig(objective, total_steps=8, batch_size=4,
                        warmup_steps=2, seed=5)
     # reference: a single uninterrupted run
-    ref, mref = train(tcfg, plans, init_params(cfg, 5), cfg)
+    ref_ck = tmp_path / "ref.npz"
+    ref, mref = train(tcfg, plans, init_params(cfg, 5), cfg, checkpoint_path=ref_ck)
     # interrupted: replicate the first 4 steps manually, checkpoint, resume
     init = init_params(cfg, 5)
     layout = FlatLayout(init)
@@ -282,12 +285,42 @@ def test_resume_equals_uninterrupted_run(small_pipeline, tmp_path):
         grads_flat.fill(0)
         batch_loss_and_grad(params, batch, cfg, tcfg, grads, rng)
         adam_step(flat, grads_flat, state, lr_at(step, tcfg), tcfg)
+    if objective == Objective.RELATION:
+        # the generator drew once per plan; resume inside a block of keys
+        assert rng.counter % RngState.BLOCK not in (0, RngState.BLOCK - 1)
     ck = tmp_path / "half.npz"
     _save_train_checkpoint(ck, params, cfg, tcfg, state, 4, rng)
-    resumed, mres = train(tcfg, plans, init_params(cfg, 5), cfg, resume_from=ck)
+    res_ck = tmp_path / "resumed.npz"
+    resumed, mres = train(tcfg, plans, init_params(cfg, 5), cfg, checkpoint_path=res_ck,
+                          resume_from=ck)
     assert [r["step"] for r in mres] == [4, 5, 6, 7]
     assert [r["total"] for r in mres] == [r["total"] for r in mref[4:]]
     assert all(np.array_equal(ref[k], resumed[k]) for k in ref)
+    # one key per relation plan with coarse slots
+    drawn = sum(bool(plans[i % len(plans)].targets_coarse) for i in range(8 * 4))
+    counters = [load_checkpoint(p)[2]["sample_counter"] for p in (ref_ck, res_ck)]
+    assert counters[0] == counters[1] == (drawn if objective == Objective.RELATION else 0)
+
+
+def test_resume_equals_uninterrupted_run(small_pipeline, tmp_path):
+    check_resume_equals_uninterrupted_run(small_pipeline, tmp_path, Objective.COMPREHENSIVE)
+
+
+def test_relation_resume_equals_uninterrupted_run(small_pipeline, tmp_path):
+    check_resume_equals_uninterrupted_run(small_pipeline, tmp_path, Objective.RELATION)
+
+
+def test_checkpoint_records_blas_threads(small_pipeline, tmp_path, monkeypatch):
+    stream, vocab, lex, jv, cfg = small_pipeline
+    plans = make_plans(stream, lex, jv, Objective.EXPLICIT, seed=1)
+    tcfg = TrainConfig(Objective.EXPLICIT, total_steps=1, batch_size=2, warmup_steps=0)
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.setenv("MKL_NUM_THREADS", "3")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    ck = tmp_path / "model.npz"
+    train(tcfg, plans, init_params(cfg, 3), cfg, checkpoint_path=ck)
+    assert load_checkpoint(ck)[2]["blas_threads"] == {
+        "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": None, "MKL_NUM_THREADS": "3"}
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
