@@ -217,7 +217,6 @@ def cmd_train(args):
         seed=args.seed,
         rtd_weight=args.rtd_weight,
         checkpoint_every=args.checkpoint_every,
-        record_wall_time=args.record_wall_time,
     )
     params = init_params(cfg, args.seed)
     train(tcfg, plans, params, cfg, metrics_path=args.metrics,
@@ -241,7 +240,7 @@ def cmd_export(args):
     params, cfg, extra, _ = load_checkpoint(args.checkpoint)
     exported = export_finetune_weights(params, cfg)
     save_checkpoint(args.out, exported, cfg,
-                    extra={"exported": True, "source": str(args.checkpoint)})
+                    extra={"exported": True, "source": os.path.basename(args.checkpoint)})
     print(f"exported {len(exported)} tensors to {args.out}")
     return 0
 
@@ -320,8 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rtd-weight", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--checkpoint-every", type=int, default=0)
-    p.add_argument("--record-wall-time", action="store_true",
-                   help="include wall-clock ms in metrics (breaks byte reproducibility)")
     p.add_argument("--metrics", help="JSON-lines metrics log path")
     p.add_argument("--resume", help="resume from this checkpoint")
     p.add_argument("--out", required=True, help="checkpoint path (.npz)")

@@ -16,7 +16,6 @@ import logging
 import struct
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import ClassVar
 
 import numpy as np
 
@@ -39,106 +38,40 @@ class Objective(enum.IntEnum):
     RELATION = 3
 
 
-# NumPy's SeedSequence hash and mix constants and PCG64's 128-bit LCG
-# multiplier (numpy/random/bit_generator.pyx and src/pcg64).  NumPy keeps
-# both seeding algorithms fixed under its stream-compatibility policy
-# (NEP 19), so the states computed here are default_rng's, bit for bit.
-_MASK32 = 0xFFFFFFFF
 _MASK64 = (1 << 64) - 1
-_MASK128 = (1 << 128) - 1
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-
-
-def _hash_constants(init: int, mult: int, n: int):
-    """The hash constant before and after each of ``n`` successive updates."""
-    h = [init]
-    for _ in range(n):
-        h.append(h[-1] * mult & _MASK32)
-    return np.array(h[:-1], np.uint32)[:, None], np.array(h[1:], np.uint32)[:, None]
-
-
-_MIX_IN = _hash_constants(0x43B0D7E5, 0x931E8875, 16)  # 4 + 12 hashmix calls
-_STATE_OUT = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)  # 8 uint32 output words
-
-
-def _seed_words(seed: int, start: int, n: int) -> list:
-    """``SeedSequence([seed, c]).generate_state(4, np.uint64)`` as four
-    ints for each counter c in ``start .. start + n - 1``; the seed and
-    every c lie in 0 .. 2**64 - 1.
-
-    SeedSequence splits each int into 32-bit words, low first (one word
-    for zero), and mixes them into a pool of four words, zero-padded.  The
-    counters' pools differ only in their counter words, so the mixing runs
-    on all ``n`` pools at once in wrapping uint32 arithmetic.
-    """
-    counters = np.uint64(start) + np.arange(n, dtype=np.uint64)
-    pool = np.zeros((4, n), np.uint32)
-    k = 1 if seed <= _MASK32 else 2
-    pool[:k] = np.array([seed & _MASK32, seed >> 32][:k], np.uint32)[:, None]
-    pool[k] = counters & np.uint64(_MASK32)
-    pool[k + 1] = counters >> np.uint64(32)
-    pre, post = _MIX_IN
-    pool ^= pre[:4]
-    pool *= post[:4]
-    pool ^= pool >> 16
-    i = 4
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                h = (pool[src] ^ pre[i]) * post[i]
-                h ^= h >> 16
-                mixed = pool[dst] * _MIX_L - h * _MIX_R
-                pool[dst] = mixed ^ (mixed >> 16)
-                i += 1
-    pre, post = _STATE_OUT
-    words = pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ pre
-    words *= post
-    words ^= words >> 16
-    # pairs of little-endian uint32 words make the uint64 outputs
-    return np.ascontiguousarray(words.T, "<u4").view("<u8").tolist()
 
 
 @dataclass
 class RngState:
     """Deterministic draw source: the key (seed, counter) selects the
-    generator ``np.random.default_rng([seed mod 2**64, counter])``.
+    counter-based stream ``np.random.Philox(key=seed mod 2**64,
+    counter=counter << 64)`` (Salmon et al., SC'11).  The counter lies in
+    0 .. 2**64 - 1 and fills the second of Philox's four counter words, so
+    a key's stream reaches the next key's only after 2**66 outputs.
 
-    The seeding of a block of ``BLOCK`` consecutive counters is computed
-    at once, and each draw loads its key's state into one generator that
-    this object owns.  Only the current block is kept.
+    Each draw re-keys one Philox generator that this object owns.
     """
-
-    BLOCK: ClassVar[int] = 256
 
     seed: int
     counter: int = 0
-    _block: tuple = field(default=(None, None, ()), init=False, repr=False, compare=False)
-    _generator: np.random.Generator = field(default_factory=lambda: np.random.default_rng(0),
-                                            init=False, repr=False, compare=False)
+    _generator: np.random.Generator = field(
+        default_factory=lambda: np.random.Generator(np.random.Philox(0)),
+        init=False, repr=False, compare=False)
 
     def next_generator(self) -> np.random.Generator:
         """The current key's generator; the counter advances by one.
 
-        The returned generator is valid until the next call, which reloads
-        its state for the next key.
+        The returned generator is valid until the next call, which re-keys
+        it for the next counter.
         """
-        seed, c = self.seed & _MASK64, self.counter
+        c = self.counter
         if not 0 <= c <= _MASK64:
-            # more than two 32-bit words, or negative: default_rng raises
-            g = np.random.default_rng([seed, c])
-        else:
-            start = c - c % self.BLOCK
-            if self._block[:2] != (seed, start):
-                self._block = (seed, start, _seed_words(seed, start, self.BLOCK))
-            s_hi, s_lo, i_hi, i_lo = self._block[2][c - start]
-            # PCG64's set-seed step: inc = 2 * initseq + 1, then from state 0
-            # one LCG step, add initstate, one more LCG step
-            inc = ((i_hi << 65) | (i_lo << 1) | 1) & _MASK128
-            state = ((inc + ((s_hi << 64) | s_lo)) * _PCG64_MULT + inc) & _MASK128
-            g = self._generator
-            g.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                                     "state": {"state": state, "inc": inc}}
+            raise UsageError(f"draw counter {c} outside 0..2**64 - 1")
+        g = self._generator
+        g.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (0, c, 0, 0), "key": (self.seed & _MASK64, 0)},
+            "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
         self.counter = c + 1
         return g
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import os
-import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -104,13 +103,14 @@ class TrainConfig:
     clip_norm: float = 1.0
     temperature: float = 1.0
     checkpoint_every: int = 0  # 0: final checkpoint only
-    record_wall_time: bool = False  # off: logs are byte-reproducible
 
     def __post_init__(self):
         if self.lr < 0 or self.total_steps < 1 or self.batch_size < 1:
             raise UsageError("rates and step counts must be positive")
         if self.warmup_steps > self.total_steps:
             raise UsageError("warmup exceeds total steps")
+        if self.seed < 0:
+            raise UsageError(f"seed must be non-negative, got {self.seed}")
 
 
 def lr_at(step: int, tcfg: TrainConfig) -> float:
@@ -438,6 +438,9 @@ def train(tcfg: TrainConfig, plans, params: dict, cfg: ModelConfig,
             if type(extra.get(key)) is not int or extra[key] < 0:
                 raise DataError(f"checkpoint {resume_from}: {key} is {extra.get(key)!r}, "
                                 "expected a non-negative integer")
+        if extra["sample_counter"] > 2**64 - 1:
+            raise DataError(f"checkpoint {resume_from}: sample_counter {extra['sample_counter']} "
+                            "is above 2**64 - 1")
         objective_r = train_cfg.get("objective")
         if objective_r != int(tcfg.objective):
             raise UsageError(f"checkpoint {resume_from} was trained with objective "
@@ -451,7 +454,6 @@ def train(tcfg: TrainConfig, plans, params: dict, cfg: ModelConfig,
     out = open(metrics_path, "w", encoding="utf-8") if metrics_path else None
     try:
         for step in range(start_step, tcfg.total_steps):
-            t0 = time.monotonic()
             first = step * tcfg.batch_size
             batch = [plans[(first + j) % len(plans)] for j in range(tcfg.batch_size)]
             lr = lr_at(step, tcfg)
@@ -464,9 +466,7 @@ def train(tcfg: TrainConfig, plans, params: dict, cfg: ModelConfig,
                     _save_train_checkpoint(str(checkpoint_path) + ".diag", params, cfg,
                                            tcfg, state, step, sample_rng)
                 raise
-            rec = {"step": step, "lr": lr, "grad_norm": grad_norm, "clipped": clipped,
-                   "wall_ms": round((time.monotonic() - t0) * 1e3, 3)
-                   if tcfg.record_wall_time else 0.0}
+            rec = {"step": step, "lr": lr, "grad_norm": grad_norm, "clipped": clipped}
             rec.update(asdict(report))
             metrics.append(rec)
             if out:

@@ -81,7 +81,7 @@ def test_make_masks_byte_identical_across_runs(corpus_dir, tmp_path, monkeypatch
 
 def test_outputs_do_not_depend_on_the_input_directory(corpus_dir, tmp_path):
     # the same commands on the same files, named by absolute paths in two
-    # directories: byte-identical lexicon and plan files
+    # directories: byte-identical lexicon, plan and exported checkpoint files
     outs = []
     for name in ("a", "deeper/b"):
         d = tmp_path / name
@@ -93,8 +93,14 @@ def test_outputs_do_not_depend_on_the_input_directory(corpus_dir, tmp_path):
         assert main(["make-masks", "--corpus", str(d / "corpus.txt"), "--lexicon",
                      str(d / "lex.tsv"), "--vocab", str(d / "vocab.txt"), "--seed", "11",
                      "--out", str(d / "plans.bin")]) == 0
-        outs.append([(d / f).read_bytes() for f in ("lex.tsv", "plans.bin")])
+        assert main(TRAIN_SMALL + ["--plans", str(d / "plans.bin"),
+                                   "--out", str(d / "model.npz")]) == 0
+        assert main(["export", "--checkpoint", str(d / "model.npz"),
+                     "--out", str(d / "export.npz")]) == 0
+        outs.append([(d / f).read_bytes() for f in ("lex.tsv", "plans.bin", "export.npz")])
     assert outs[0] == outs[1]
+    _, _, extra, _ = load_checkpoint(tmp_path / "a" / "export.npz")
+    assert extra["source"] == "model.npz"
     prov, _ = read_plan_file(tmp_path / "a" / "plans.bin")
     assert [name for name, _ in prov["inputs"]] == ["corpus.txt", "lex.tsv", "vocab.txt"]
 
@@ -491,11 +497,12 @@ def _extra(edit):
     (_extra(lambda e: e.update(step=1.5)), "resume"),
     (_extra(lambda e: e.update(sample_seed=-1)), "resume"),
     (_extra(lambda e: e.update(sample_counter="3")), "resume"),
+    (_extra(lambda e: e.update(sample_counter=2**64)), "resume"),
     (_extra(lambda e: e.update(train_config=[1])), "resume"),
 ], ids=["missing-tensor", "wrong-shape", "int64-tensor", "float16-tensor", "mixed-dtype",
         "extra-tensor", "ngram-b-2d", "exported-eval", "exported-resume", "missing-moments",
         "moment-shape", "moment-dtype", "missing-adam-t", "float-step", "negative-seed",
-        "string-counter", "train-config-not-object"])
+        "string-counter", "counter-above-64-bits", "train-config-not-object"])
 def test_malformed_checkpoint_is_a_data_error(trained, tmp_path, capsys, edit, command):
     plans, ck, bad = trained
     if edit is not None:
@@ -509,6 +516,16 @@ def test_malformed_checkpoint_is_a_data_error(trained, tmp_path, capsys, edit, c
     capsys.readouterr()
     assert main(argv) == 3
     assert capsys.readouterr().err.startswith("data error: ")
+
+
+def test_train_refuses_a_negative_seed(corpus_dir, tmp_path, capsys):
+    # make-masks reduces any integer seed mod 2**64; train does not
+    plans = run_pipeline(corpus_dir, tmp_path, seed=-1)
+    capsys.readouterr()
+    assert main(TRAIN_SMALL + ["--plans", str(plans), "--seed", "-1",
+                               "--out", str(tmp_path / "model.npz")]) == 2
+    assert capsys.readouterr().err.startswith("error: seed must be non-negative")
+    assert not (tmp_path / "model.npz").exists()
 
 
 def test_resume_refuses_a_mismatched_checkpoint(corpus_dir, tmp_path):

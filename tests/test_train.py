@@ -231,7 +231,7 @@ def test_every_objective_trains_and_reports(small_pipeline, objective):
     assert len(metrics) == 3
     for rec in metrics:
         assert np.isfinite(rec["total"])
-        assert rec["wall_ms"] == 0.0  # byte-reproducible by default
+        assert "wall_ms" not in rec  # no wall-clock field: logs are byte-reproducible
         assert rec["grad_norm"] > 0 and rec["clipped"] == (rec["grad_norm"] > tcfg.clip_norm)
     if objective == Objective.RELATION:
         assert metrics[0]["n_rtd"] > 0 and metrics[0]["generator"] > 0
@@ -285,9 +285,6 @@ def check_resume_equals_uninterrupted_run(small_pipeline, tmp_path, objective):
         grads_flat.fill(0)
         batch_loss_and_grad(params, batch, cfg, tcfg, grads, rng)
         adam_step(flat, grads_flat, state, lr_at(step, tcfg), tcfg)
-    if objective == Objective.RELATION:
-        # the generator drew once per plan; resume inside a block of keys
-        assert rng.counter % RngState.BLOCK not in (0, RngState.BLOCK - 1)
     ck = tmp_path / "half.npz"
     _save_train_checkpoint(ck, params, cfg, tcfg, state, 4, rng)
     res_ck = tmp_path / "resumed.npz"
