@@ -210,16 +210,17 @@ def test_rng_state_is_deterministic_and_advances():
 
 
 def philox(seed, c):
-    """The generator that the key (seed, c) selects, built afresh.  The key
-    and counter are Python ints: a list key casts through float."""
-    return np.random.Generator(np.random.Philox(key=seed % 2**64, counter=c << 64))
+    """The generator that the key (seed, c) selects, built afresh by
+    ``np.random.default_rng`` over a new Philox bit generator.  The key and
+    counter are Python ints: a list key casts through float."""
+    return np.random.default_rng(np.random.Philox(key=seed % 2**64, counter=c << 64))
 
 
 @pytest.mark.parametrize("seed", [0, 11, 2**32 - 1, 2**32, 2**63, 2**64 - 1, -5])
-@pytest.mark.parametrize("start", [0, 2**32 - 1, 2**32, 2**63, 2**64 - 3])
-def test_keyed_draw_equals_fresh_philox(seed, start):
-    # three consecutive keys from ``start``; from 2**64 - 3 the walk ends at
-    # the last counter
+@pytest.mark.parametrize("start", [0, 255, 256, 897, 2**32 - 1, 2**32, 2**63, 2**64 - 3])
+def test_keyed_draw_equals_default_rng(seed, start):
+    # three consecutive keys from ``start``: from 2**32 - 1 the counter gains
+    # a second 32-bit word, from 2**64 - 3 the walk ends at the last counter
     rng = RngState(seed, start)
     for c in range(start, start + 3):
         g = rng.next_generator()
@@ -244,8 +245,8 @@ def test_consecutive_counters_give_distinct_streams():
     assert len(first) == 10_000
 
 
-def philox_sample_mask(b, rate, rng, candidates=None):
-    """``sample_mask`` drawing from a freshly built Philox generator per key."""
+def default_rng_sample_mask(b, rate, rng, candidates=None):
+    """``sample_mask`` drawing from a freshly built ``philox`` generator per key."""
     n = b.num_segments
     if candidates is None:
         candidates = list(range(1, n + 1))
@@ -273,10 +274,10 @@ def plan_pipeline():
 
 @pytest.mark.parametrize("ngram_only", [False, True])
 @pytest.mark.parametrize("objective", list(Objective))
-def test_make_plans_equal_philox_draws(plan_pipeline, objective, ngram_only, monkeypatch):
+def test_make_plans_equal_default_rng_draws(plan_pipeline, objective, ngram_only, monkeypatch):
     stream, lex, jv = plan_pipeline
     got = make_plans(stream, lex, jv, objective, seed=2**40 + 9, ngram_only=ngram_only)
-    monkeypatch.setattr(pipeline, "sample_mask", philox_sample_mask)
+    monkeypatch.setattr(pipeline, "sample_mask", default_rng_sample_mask)
     want = make_plans(stream, lex, jv, objective, seed=2**40 + 9, ngram_only=ngram_only)
     assert len(got) > 500
     assert got == want
