@@ -336,8 +336,8 @@ def build_attention_mask(plan: MaskPlan, dtype=np.float32) -> np.ndarray:
     m = np.zeros((n, n), dtype=dtype)
     if Q:
         m[:, T:] = NEG_INF
-        for q in range(T, n):
-            m[q, q] = 0.0
+        idx = np.arange(T, n)
+        m[idx, idx] = 0.0
     return m
 
 

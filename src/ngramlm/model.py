@@ -46,6 +46,12 @@ class ModelConfig:
     generator_layers: int = 1
 
     def __post_init__(self):
+        if min(self.hidden, self.ffn, self.max_positions) < 1:
+            raise UsageError(f"hidden {self.hidden}, ffn {self.ffn} and max_positions "
+                             f"{self.max_positions} must be positive")
+        if min(self.layers, self.generator_layers, self.fine_vocab_size,
+               self.ngram_vocab_size) < 0:
+            raise UsageError("layer counts and vocabulary sizes must be non-negative")
         if self.heads < 1 or self.hidden % self.heads != 0:
             raise UsageError(f"hidden {self.hidden} not divisible by heads {self.heads}")
 
@@ -441,18 +447,12 @@ def head_backward(hidden, rows, d_logits, w_name: str, b_name: str, params: dict
 # ---------------------------------------------------------------------------
 # generator
 
-def encode_generator(params: dict, plan: MaskPlan, cfg: ModelConfig, *,
-                     rows=None) -> Activations:
-    """Generator pass over a plan's context only, with nothing masked out,
-    under ``cfg.generator_view()``; ``rows`` as in :func:`encode`."""
-    return encode(params, plan.context_ids, plan.context_positions, None, cfg.generator_view(),
-                  prefix="gen_", rows=rows)
-
-
 def generator_forward_and_sample(params: dict, plan: MaskPlan, cfg: ModelConfig,
                                  rng: RngState, temperature: float = 1.0):
     """Sample one joint identity per masked slot from the generator softmax.
 
+    The generator runs over the plan's context only, with nothing masked
+    out, under ``cfg.generator_view()``, and its last layer at the slots.
     Sampling is a non-differentiable boundary: no gradient flows back
     through the returned ids.  All slots are drawn at once, exactly as
     ``g.choice(V, p=row)`` draws them slot by slot: one uniform each, in
@@ -463,7 +463,8 @@ def generator_forward_and_sample(params: dict, plan: MaskPlan, cfg: ModelConfig,
     if not plan.targets_coarse:
         raise UsageError("plan has no masked slots to sample for")
     slots = [slot for slot, _ in plan.targets_coarse]
-    acts = encode_generator(params, plan, cfg, rows=slots)
+    acts = encode(params, plan.context_ids, plan.context_positions, None, cfg.generator_view(),
+                  prefix="gen_", rows=slots)
     logits = predict_ngram(acts, range(len(slots)), params, prefix="gen_").astype(np.float64)
     z = logits / temperature
     z -= z.max(-1, keepdims=True)

@@ -30,6 +30,8 @@ def make_plans(stream: WordStream, lex: NGramLexicon, jv: JointVocab,
     Relation-objective plans use the comprehensive layout; generator
     samples are filled in at training time.
     """
+    if max_positions is not None and max_positions < 1:
+        raise UsageError(f"max_positions must be positive, got {max_positions}")
     vocab = jv.fine
     rng = RngState(seed)
     plans = []

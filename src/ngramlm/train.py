@@ -29,7 +29,6 @@ from .model import (
     checked_tensors,
     encode,
     encode_backward,
-    encode_generator,
     generator_forward_and_sample,
     head_backward,
     load_checkpoint,
@@ -94,19 +93,15 @@ class TrainConfig:
     warmup_steps: int = 0
     seed: int = 0
     rtd_weight: float = 1.0
-    fine_weight: float = 1.0
-    coarse_weight: float = 1.0
-    beta1: float = 0.9
-    beta2: float = 0.99
-    eps: float = 1e-6
     weight_decay: float = 0.01
     clip_norm: float = 1.0
-    temperature: float = 1.0
     checkpoint_every: int = 0  # 0: final checkpoint only
 
     def __post_init__(self):
         if self.lr < 0 or self.total_steps < 1 or self.batch_size < 1:
             raise UsageError("rates and step counts must be positive")
+        if min(self.warmup_steps, self.checkpoint_every) < 0:
+            raise UsageError("warmup and checkpoint interval must be non-negative")
         if self.warmup_steps > self.total_steps:
             raise UsageError("warmup exceeds total steps")
         if self.seed < 0:
@@ -185,13 +180,6 @@ class BackwardGroup:
         self._clear()
 
 
-def _encode_plan(params: dict, plan: MaskPlan, cfg: ModelConfig) -> Activations:
-    """Standard-model pass over a plan's context and queries under its
-    length-hiding attention mask; a plan without queries needs no mask."""
-    mask = build_attention_mask(plan, dtype=params["tok_emb"].dtype) if plan.Q else None
-    return encode(params, plan.all_ids(), plan.all_positions(), mask, cfg)
-
-
 def _plan_indexes(plan: MaskPlan):
     """(slots, coarse targets, fine indexes, fine targets).  A slot or fine
     index that is a target twice raises UsageError: the heads' backward
@@ -205,108 +193,90 @@ def _plan_indexes(plan: MaskPlan):
     return slots, coarse_t, fine_idx, fine_t
 
 
-def plan_loss_terms(params: dict, plan: MaskPlan, cfg: ModelConfig,
-                    group: BackwardGroup | None = None):
-    """Loss sums for one plan.  With ``group``, the plan's backward joins it,
-    each term's dlogits scaled by ``group.scales[term]``."""
-    if group is not None:
-        group.start(plan.T + plan.Q)
-    acts = _encode_plan(params, plan, cfg)
-    if group is not None:
-        group.add(acts)
+def plan_loss_terms(params: dict, plan: MaskPlan, cfg: ModelConfig, group: BackwardGroup):
+    """Loss sums for one plan, whose backward joins ``group``, each term's
+    dlogits scaled by ``group.scales[term]``.  The standard model runs over
+    the plan's context and queries under its length-hiding attention mask;
+    a plan without queries needs no mask."""
+    group.start(plan.T + plan.Q)
+    mask = build_attention_mask(plan, dtype=params["tok_emb"].dtype) if plan.Q else None
+    acts = encode(params, plan.all_ids(), plan.all_positions(), mask, cfg)
+    group.add(acts)
     slots, coarse_t, fine_idx, fine_t = _plan_indexes(plan)
-    terms = {"coarse_sum": 0.0, "fine_sum": 0.0, "rtd_sum": 0.0,
-             "n_coarse": len(coarse_t), "n_fine": len(fine_t), "n_rtd": 0}
+    terms = {"coarse_sum": 0.0, "fine_sum": 0.0, "rtd_sum": 0.0}
 
     if coarse_t:
-        logits = predict_ngram(acts, slots, params)
-        nll, dlog = _xent(logits, coarse_t)
+        nll, dlog = _xent(predict_ngram(acts, slots, params), coarse_t)
         terms["coarse_sum"] = float(nll.sum())
-        if group is not None:
-            group.add_head("ngram_w", "ngram_b", slots, dlog * group.scales["coarse"])
+        group.add_head("ngram_w", "ngram_b", slots, dlog * group.scales["coarse"])
     if fine_t:
-        logits = predict_fine(acts, fine_idx, params)
-        nll, dlog = _xent(logits, fine_t)
+        nll, dlog = _xent(predict_fine(acts, fine_idx, params), fine_t)
         terms["fine_sum"] = float(nll.sum())
-        if group is not None:
-            group.add_head("fine_w", "fine_b", fine_idx, dlog * group.scales["fine"])
+        group.add_head("fine_w", "fine_b", fine_idx, dlog * group.scales["fine"])
     if plan.rtd_labels is not None:
         ctx = range(plan.T)
-        logits = predict_rtd(acts, ctx, params)
-        nll, dlog = _bce_with_logits(logits, plan.rtd_labels)
+        nll, dlog = _bce_with_logits(predict_rtd(acts, ctx, params), plan.rtd_labels)
         terms["rtd_sum"] = float(nll.sum())
-        terms["n_rtd"] = plan.T
-        if group is not None:
-            group.add_head("rtd_w", "rtd_b", ctx,
-                           (dlog * group.scales["rtd"]).astype(acts.hidden.dtype))
+        group.add_head("rtd_w", "rtd_b", ctx,
+                       (dlog * group.scales["rtd"]).astype(acts.hidden.dtype))
     return terms
 
 
-def generator_loss_terms(params: dict, plan: MaskPlan, cfg: ModelConfig,
-                         group: BackwardGroup | None = None):
-    """Generator explicit-MLM loss on a plan's context; slots predict y.
-    With ``group``, one over the ``gen_`` tensors, the backward joins it,
-    the dlogits scaled by ``group.scales["gen"]``."""
+def generator_loss_terms(params: dict, plan: MaskPlan, cfg: ModelConfig, group: BackwardGroup):
+    """Generator explicit-MLM loss on a plan's context, nothing masked out;
+    slots predict y.  The backward joins ``group``, one over the ``gen_``
+    tensors, the dlogits scaled by ``group.scales["gen"]``."""
     slots, coarse_t, _, _ = _plan_indexes(plan)
     if not coarse_t:
-        return {"gen_sum": 0.0, "n_gen": 0}
-    if group is not None:
-        group.start(plan.T)
-    acts = encode_generator(params, plan, cfg)
-    logits = predict_ngram(acts, slots, params, prefix="gen_")
-    nll, dlog = _xent(logits, coarse_t)
-    terms = {"gen_sum": float(nll.sum()), "n_gen": len(coarse_t)}
-    if group is not None:
-        group.add(acts)
-        group.add_head("gen_ngram_w", "gen_ngram_b", slots, dlog * group.scales["gen"])
-    return terms
+        return {"gen_sum": 0.0}
+    group.start(plan.T)
+    acts = encode(params, plan.context_ids, plan.context_positions, None, cfg.generator_view(),
+                  prefix="gen_")
+    group.add(acts)
+    nll, dlog = _xent(predict_ngram(acts, slots, params, prefix="gen_"), coarse_t)
+    group.add_head("gen_ngram_w", "gen_ngram_b", slots, dlog * group.scales["gen"])
+    return {"gen_sum": float(nll.sum())}
 
 
 def batch_loss_and_grad(params: dict, plans, cfg: ModelConfig, tcfg: TrainConfig, grads: dict,
                         sample_rng: RngState | None = None):
     """Loss report for one batch; its gradients are added into ``grads``.
 
-    For the relation objective each comprehensive-layout plan is filled
-    with generator samples first; sampling is non-differentiable, so the
-    generator only receives gradient from its own explicit-MLM term.
+    Every dlogit is scaled by its term's batch target count as it joins a
+    group, so the counts are read from the plans first; sampling keeps
+    every target.  Then, plan by plan, the relation objective fills a
+    comprehensive-layout plan's slots with generator samples, the standard
+    model's terms run on the filled plan and the generator's explicit-MLM
+    term on the original.  Sampling is non-differentiable, so the
+    generator only receives gradient from its own term.
     """
     relation = tcfg.objective == Objective.RELATION
-    work = []
-    n_coarse = n_fine = n_rtd = n_gen = 0
-    for plan in plans:
-        gen_plan = None
-        if relation:
-            if plan.objective not in (Objective.COMPREHENSIVE, Objective.RELATION):
-                raise UsageError("relation training needs comprehensive-layout plans")
-            gen_plan = plan
-            if plan.targets_coarse:
-                sampled = generator_forward_and_sample(
-                    params, plan, cfg, sample_rng, tcfg.temperature)
-                plan = relation_from_comprehensive(plan, sampled)
-            n_rtd += plan.T if plan.rtd_labels is not None else 0
-            n_gen += len(plan.targets_coarse)
-        work.append((plan, gen_plan))
-        n_coarse += len(plan.targets_coarse)
-        n_fine += len(plan.targets_fine)
+    if relation and any(p.objective not in (Objective.COMPREHENSIVE, Objective.RELATION)
+                        for p in plans):
+        raise UsageError("relation training needs comprehensive-layout plans")
+    n_coarse = sum(len(p.targets_coarse) for p in plans)
+    n_fine = sum(len(p.targets_fine) for p in plans)
+    n_gen = n_coarse if relation else 0
+    n_rtd = (sum(p.T for p in plans if p.targets_coarse or p.rtd_labels is not None)
+             if relation else 0)
 
-    scales = {
-        "coarse": tcfg.coarse_weight / max(n_coarse, 1),
-        "fine": tcfg.fine_weight / max(n_fine, 1),
-        "rtd": tcfg.rtd_weight / max(n_rtd, 1),
-    }
+    scales = {"coarse": 1.0 / max(n_coarse, 1), "fine": 1.0 / max(n_fine, 1),
+              "rtd": tcfg.rtd_weight / max(n_rtd, 1)}
     # the standard model and the generator each run their backward in
     # groups of consecutive plans
     main = BackwardGroup(params, cfg, grads, scales)
     gen = BackwardGroup(params, cfg.generator_view(), grads, {"gen": 1.0 / max(n_gen, 1)},
                         prefix="gen_")
     sums = {"coarse_sum": 0.0, "fine_sum": 0.0, "rtd_sum": 0.0, "gen_sum": 0.0}
-    for plan, gen_plan in work:
-        terms = plan_loss_terms(params, plan, cfg, main)
-        for key in ("coarse_sum", "fine_sum", "rtd_sum"):
-            sums[key] += terms[key]
-        if relation and gen_plan is not None:
-            gterms = generator_loss_terms(params, gen_plan, cfg, gen)
-            sums["gen_sum"] += gterms["gen_sum"]
+    for plan in plans:
+        filled = plan
+        if relation and plan.targets_coarse:
+            sampled = generator_forward_and_sample(params, plan, cfg, sample_rng)
+            filled = relation_from_comprehensive(plan, sampled)
+        for key, value in plan_loss_terms(params, filled, cfg, main).items():
+            sums[key] += value
+        if relation:
+            sums["gen_sum"] += generator_loss_terms(params, plan, cfg, gen)["gen_sum"]
     main.backward()
     gen.backward()
 
@@ -320,12 +290,9 @@ def batch_loss_and_grad(params: dict, plans, cfg: ModelConfig, tcfg: TrainConfig
         n_coarse=n_coarse,
         n_rtd=n_rtd,
     )
-    report.total = (
-        tcfg.coarse_weight * report.coarse
-        + tcfg.fine_weight * report.fine
-        + (tcfg.rtd_weight * report.rtd if relation else 0.0)
-        + (report.generator if relation else 0.0)
-    )
+    report.total = (report.coarse + report.fine
+                    + (tcfg.rtd_weight * report.rtd if relation else 0.0)
+                    + (report.generator if relation else 0.0))
     if not np.isfinite(report.total):
         raise NumericError(f"non-finite loss: {report}")
     return report
@@ -333,6 +300,10 @@ def batch_loss_and_grad(params: dict, plans, cfg: ModelConfig, tcfg: TrainConfig
 
 # ---------------------------------------------------------------------------
 # optimizer
+
+# AdamW's moment decay rates and the epsilon added to its denominator
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.99, 1e-6
+
 
 class AdamState:
     """AdamW moments ``m`` and ``v``, two work vectors and the 0/1 decay mask."""
@@ -364,8 +335,8 @@ def adam_step(params, grads, state: AdamState, lr: float, tcfg: TrainConfig):
     # to the parameter dtype
     factor = tcfg.clip_norm / norm if 0 < tcfg.clip_norm < norm else None
     state.t += 1
-    bc1 = 1.0 - tcfg.beta1**state.t
-    bc2 = 1.0 - tcfg.beta2**state.t
+    bc1 = 1.0 - ADAM_BETA1**state.t
+    bc2 = 1.0 - ADAM_BETA2**state.t
     g = grads if factor is None else np.multiply(grads, factor, out=buf)
     # a non-finite gradient makes the norm non-finite; a finite one whose
     # square overflows clips to zero and passes the scan
@@ -376,16 +347,16 @@ def adam_step(params, grads, state: AdamState, lr: float, tcfg: TrainConfig):
     # in place, in this operation order (rounding included):
     # m = b1 m + (1-b1) g;  v = b2 v + (1-b2) g g
     # p -= lr ((m / bc1) / (sqrt(v / bc2) + eps) + wd decay p)
-    np.multiply(g, 1 - tcfg.beta1, out=tmp)
-    m *= tcfg.beta1
+    np.multiply(g, 1 - ADAM_BETA1, out=tmp)
+    m *= ADAM_BETA1
     m += tmp
-    np.multiply(g, 1 - tcfg.beta2, out=tmp)
+    np.multiply(g, 1 - ADAM_BETA2, out=tmp)
     tmp *= g
-    v *= tcfg.beta2
+    v *= ADAM_BETA2
     v += tmp
     np.divide(v, bc2, out=tmp)
     np.sqrt(tmp, out=tmp)
-    tmp += tcfg.eps
+    tmp += ADAM_EPS
     np.divide(m, bc1, out=buf)
     buf /= tmp
     if tcfg.weight_decay:

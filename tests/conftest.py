@@ -60,14 +60,14 @@ def zero_grads(params):
 def loss_and_grads(loss_terms, params, plan, cfg, scales=None, prefix=""):
     """One plan's ``loss_terms`` and, with ``scales``, its gradients alone:
     the plan's backward runs as a group of its own over zeroed gradients
-    for every parameter.  Without ``scales`` the gradient dict is empty."""
-    if scales is None:
-        return loss_terms(params, plan, cfg), {}
-    grads = zero_grads(params)
-    group = BackwardGroup(params, cfg.generator_view() if prefix else cfg, grads, scales,
-                          prefix)
+    for every parameter.  Without ``scales`` the group's backward never
+    runs and the gradient dict is empty."""
+    grads = zero_grads(params) if scales is not None else {}
+    group = BackwardGroup(params, cfg.generator_view() if prefix else cfg, grads,
+                          scales or dict.fromkeys(("coarse", "fine", "rtd", "gen"), 1.0), prefix)
     terms = loss_terms(params, plan, cfg, group)
-    group.backward()
+    if scales is not None:
+        group.backward()
     return terms, grads
 
 

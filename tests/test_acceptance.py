@@ -275,7 +275,7 @@ def test_criterion_06_loss_additivity():
         report = batch_loss_and_grad(params, batch, cfg, tcfg, grads)
         explicit_part = fine_part = 0.0
         for plan in batch:
-            terms = plan_loss_terms(params, plan, cfg)
+            terms, _ = loss_and_grads(plan_loss_terms, params, plan, cfg)
             explicit_part += terms["coarse_sum"]
             fine_part += terms["fine_sum"]
         if report.comprehensive_sum != explicit_part + fine_part:

@@ -528,6 +528,46 @@ def test_train_refuses_a_negative_seed(corpus_dir, tmp_path, capsys):
     assert not (tmp_path / "model.npz").exists()
 
 
+@pytest.mark.parametrize("command, args", [
+    ("train", ["--hidden", "0", "--heads", "1"]),
+    ("train", ["--ffn", "-3"]),
+    ("train", ["--max-positions", "0"]),
+    ("train", ["--layers", "-1"]),
+    ("train", ["--generator-layers", "-1"]),
+    ("train", ["--warmup", "-5"]),
+    ("train", ["--checkpoint-every", "-1"]),
+    ("make-masks", ["--max-positions", "0"]),
+], ids=["hidden-0", "ffn-negative", "max-positions-0", "layers-negative",
+        "generator-layers-negative", "warmup-negative", "checkpoint-every-negative",
+        "make-masks-max-positions-0"])
+def test_bad_sizes_are_usage_errors(corpus_dir, tmp_path, capsys, command, args):
+    out = tmp_path / "out.bin"
+    if command == "train":
+        argv = TRAIN_SMALL + ["--plans", str(run_pipeline(corpus_dir, tmp_path))]
+    else:
+        argv = ["make-masks", "--corpus", str(corpus_dir / "corpus.txt"),
+                "--lexicon", str(corpus_dir / "lex.tsv"), "--vocab", str(corpus_dir / "vocab.txt"),
+                "--objective", "explicit"]
+    capsys.readouterr()
+    assert main(argv + args + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("plan_objective, objective", [
+    ("explicit", "relation"),
+    ("comprehensive", "explicit"),
+])
+def test_train_refuses_plans_of_another_objective(corpus_dir, tmp_path, capsys,
+                                                  plan_objective, objective):
+    plans = run_pipeline(corpus_dir, tmp_path, objective=plan_objective)
+    capsys.readouterr()
+    assert main(TRAIN_SMALL + ["--plans", str(plans), "--objective", objective,
+                               "--out", str(tmp_path / "model.npz")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "model.npz").exists()
+
+
 def test_resume_refuses_a_mismatched_checkpoint(corpus_dir, tmp_path):
     plans = run_pipeline(corpus_dir, tmp_path, objective="comprehensive")
     ck = tmp_path / "model.npz"

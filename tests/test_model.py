@@ -23,7 +23,6 @@ from ngramlm.errors import DataError, NumericError, UsageError, VersionError
 from ngramlm.model import (
     ModelConfig,
     encode_backward,
-    encode_generator,
     param_count,
     param_shapes,
     vanilla_encoder_param_count,
@@ -203,7 +202,8 @@ def test_generator_low_temperature_is_argmax(toy_example, toy_jv):
 def per_slot_samples(params, plan, cfg, rng, temperature=1.0):
     """The generator's draws made slot by slot with ``Generator.choice``."""
     slots = [s for s, _ in plan.targets_coarse]
-    acts = encode_generator(params, plan, cfg, rows=slots)
+    acts = encode(params, plan.context_ids, plan.context_positions, None, cfg.generator_view(),
+                  prefix="gen_", rows=slots)
     logits = predict_ngram(acts, range(len(slots)), params, prefix="gen_").astype(np.float64)
     z = logits / temperature
     z -= z.max(-1, keepdims=True)

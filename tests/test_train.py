@@ -164,23 +164,24 @@ def reference_adam_step(params, grads, m, v, t, lr, tcfg):
     loop that the flat-vector adam_step replaced."""
     norm = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
     factor = tcfg.clip_norm / norm if 0 < tcfg.clip_norm < norm else None
-    bc1 = 1.0 - tcfg.beta1**t
-    bc2 = 1.0 - tcfg.beta2**t
+    beta1, beta2, eps = 0.9, 0.99, 1e-6
+    bc1 = 1.0 - beta1**t
+    bc2 = 1.0 - beta2**t
     for name, g in grads.items():
         p = params[name]
         buf = np.empty_like(p)
         if factor is not None:
             g = np.multiply(g, factor, out=buf)
-        tmp = np.multiply(g, 1 - tcfg.beta1)
-        m[name] *= tcfg.beta1
+        tmp = np.multiply(g, 1 - beta1)
+        m[name] *= beta1
         m[name] += tmp
-        np.multiply(g, 1 - tcfg.beta2, out=tmp)
+        np.multiply(g, 1 - beta2, out=tmp)
         tmp *= g
-        v[name] *= tcfg.beta2
+        v[name] *= beta2
         v[name] += tmp
         np.divide(v[name], bc2, out=tmp)
         np.sqrt(tmp, out=tmp)
-        tmp += tcfg.eps
+        tmp += eps
         np.divide(m[name], bc1, out=buf)
         buf /= tmp
         if tcfg.weight_decay and _decayable(name):
@@ -359,7 +360,7 @@ def sampled_work(params, batch, cfg, tcfg, rng):
     for plan in batch:
         gen_plan = plan if relation else None
         if relation and plan.targets_coarse:
-            sampled = generator_forward_and_sample(params, plan, cfg, rng, tcfg.temperature)
+            sampled = generator_forward_and_sample(params, plan, cfg, rng)
             plan = relation_from_comprehensive(plan, sampled)
         if relation:
             n["rtd"] += plan.T if plan.rtd_labels is not None else 0
@@ -376,8 +377,8 @@ def per_plan_reference_grads(params, batch, cfg, tcfg, rng):
     Each plan's terms write into their own fresh dict; the relation
     objective replays the generator samples from the same RngState."""
     work, n = sampled_work(params, batch, cfg, tcfg, rng)
-    scales = {"coarse": tcfg.coarse_weight / max(n["coarse"], 1),
-              "fine": tcfg.fine_weight / max(n["fine"], 1),
+    scales = {"coarse": 1.0 / max(n["coarse"], 1),
+              "fine": 1.0 / max(n["fine"], 1),
               "rtd": tcfg.rtd_weight / max(n["rtd"], 1)}
     per_plan = []
     for plan, gen_plan in work:
@@ -485,7 +486,7 @@ def test_loss_report_does_not_depend_on_backward(small_pipeline, objective):
     work, _ = sampled_work(params, batch, cfg, tcfg, RngState(9))
     coarse_sum = fine_sum = 0.0
     for plan, _ in work:
-        terms = plan_loss_terms(params, plan, cfg)
+        terms, _ = loss_and_grads(plan_loss_terms, params, plan, cfg)
         coarse_sum += terms["coarse_sum"]
         fine_sum += terms["fine_sum"]
     assert report.comprehensive_sum == coarse_sum + fine_sum
@@ -506,11 +507,14 @@ def test_relation_total_is_weighted_sum(small_pipeline):
     work, n = sampled_work(params, batch, cfg, tcfg, RngState(9))
     sums = {"coarse_sum": 0.0, "fine_sum": 0.0, "rtd_sum": 0.0, "gen_sum": 0.0}
     for plan, gen_plan in work:
-        terms = plan_loss_terms(params, plan, cfg)
+        terms, _ = loss_and_grads(plan_loss_terms, params, plan, cfg)
         for key in ("coarse_sum", "fine_sum", "rtd_sum"):
             sums[key] += terms[key]
-        sums["gen_sum"] += generator_loss_terms(params, gen_plan, cfg)["gen_sum"]
+        sums["gen_sum"] += loss_and_grads(generator_loss_terms, params, gen_plan, cfg,
+                                          prefix="gen_")[0]["gen_sum"]
     assert min(n.values()) > 0
+    # the counts read before sampling are those of the filled plans
+    assert (report.n_coarse, report.n_fine, report.n_rtd) == (n["coarse"], n["fine"], n["rtd"])
     coarse = sums["coarse_sum"] / n["coarse"]
     fine = sums["fine_sum"] / n["fine"]
     rtd = sums["rtd_sum"] / n["rtd"]
@@ -535,6 +539,21 @@ def test_repeated_target_index_is_a_usage_error(small_pipeline, field):
         tcfg = TrainConfig(objective, total_steps=1, batch_size=1, warmup_steps=0)
         with pytest.raises(UsageError):
             batch_loss_and_grad(params, [bad], cfg, tcfg, zero_grads(params), RngState(0))
+
+
+def test_relation_refuses_an_explicit_plan_before_any_draw(small_pipeline):
+    # the layout check covers the whole batch before the first plan is
+    # sampled, so a refused batch leaves the sampler where it was
+    stream, vocab, lex, jv, cfg = small_pipeline
+    batch = (make_plans(stream, lex, jv, Objective.COMPREHENSIVE, seed=1)[:3]
+             + make_plans(stream, lex, jv, Objective.EXPLICIT, seed=1)[:1])
+    assert all(p.targets_coarse for p in batch)
+    params = init_params(cfg, 0)
+    tcfg = TrainConfig(Objective.RELATION, total_steps=1, batch_size=4, warmup_steps=0)
+    rng = RngState(5, 17)
+    with pytest.raises(UsageError, match="comprehensive-layout"):
+        batch_loss_and_grad(params, batch, cfg, tcfg, zero_grads(params), rng)
+    assert (rng.seed, rng.counter) == (5, 17)
 
 
 def test_nan_aborts_with_diagnostic_checkpoint(small_pipeline, tmp_path):
