@@ -89,16 +89,6 @@ class SegmentedExample:
     def num_segments(self) -> int:
         return self.boundaries.num_segments
 
-    def segment_words(self, j: int) -> tuple:
-        """Words of segment j (1-based)."""
-        b = self.boundaries.boundaries
-        return self.words[b[j - 1] - 1 : b[j] - 1]
-
-    def segment_subword_range(self, j: int) -> tuple:
-        b = self.boundaries.boundaries
-        wlo, whi = b[j - 1] - 1, b[j] - 1
-        return (self.word_spans[wlo][0], self.word_spans[whi - 1][1])
-
 
 def segment_example(words, lex, vocab: FineVocab) -> SegmentedExample:
     from .corpus import subword_tokenize
@@ -167,40 +157,60 @@ def sample_mask(b: BoundarySeq, rate: float, rng: RngState, candidates=None) -> 
     return tuple(sorted(chosen))
 
 
-def _segment_info(ex: SegmentedExample, jv: JointVocab, j: int, max_query: int):
-    """(joint_id or None, subword range) for segment j.
+def _layout(ex: SegmentedExample, masked, vocab: FineVocab, jv: JointVocab | None = None):
+    """Every plan's context in one pass over the segments.
 
-    joint_id is None when the segment has no single identity in the joint
-    space (multi-subword single word, n-gram missing from the lexicon is
-    an error instead) or when it exceeds the query budget.
+    A masked segment becomes one [M] slot with a coarse target when ``jv``
+    is given and it has a joint identity (an n-gram's, or a one-subword
+    word's) within the query budget, else one [M] and one fine target per
+    subword.  Returns (context ids, coarse targets, fine targets, slots);
+    a slot is (context index, first subword, subword count).
     """
-    words = ex.segment_words(j)
-    lo, hi = ex.segment_subword_range(j)
-    n_j = hi - lo
-    if len(words) > 1:
-        jid = jv.id_of_ngram(words)
-        if jid is None:
-            raise PlanError(f"masked n-gram {words} absent from lexicon")
-    elif n_j == 1:
-        jid = ex.subword_ids[lo]
-    else:
-        jid = None  # multi-subword single word: contiguous fallback
-    if jid is not None and n_j > max_query:
-        log.warning("segment %s has %d subwords > max query %d; contiguous fallback", words, n_j, max_query)
+    n = ex.num_segments
+    if not masked:
+        raise UsageError("masked set is empty")
+    for j in masked:
+        if not 1 <= j <= n:
+            raise UsageError(f"masked index {j} outside 1..{n}")
+    masked = set(masked)
+    b = ex.boundaries.boundaries
+    sub, spans, mask_id = ex.subword_ids, ex.word_spans, vocab.mask_id
+    ids: list = []
+    coarse: list = []
+    fine: list = []
+    slots: list = []
+    for j in range(1, n + 1):
+        wlo, whi = b[j - 1] - 1, b[j] - 1
+        lo, hi = spans[wlo][0], spans[whi - 1][1]
+        if j not in masked:
+            ids.extend(sub[lo:hi])
+            continue
         jid = None
-    return jid, (lo, hi)
+        if jv is not None:
+            words = ex.words[wlo:whi]
+            if len(words) > 1:
+                jid = jv.id_of_ngram(words)
+                if jid is None:
+                    raise PlanError(f"masked n-gram {words} absent from lexicon")
+            elif hi - lo == 1:
+                jid = sub[lo]
+            if jid is not None and hi - lo > vocab.max_query:
+                log.warning("segment %s has %d subwords > max query %d; contiguous fallback",
+                            words, hi - lo, vocab.max_query)
+                jid = None
+        if jid is None:
+            fine.extend(zip(range(len(ids), len(ids) + hi - lo), sub[lo:hi]))
+            ids.extend([mask_id] * (hi - lo))
+        else:
+            coarse.append((len(ids), jid))
+            slots.append((len(ids), lo, hi - lo))
+            ids.append(mask_id)
+    return ids, coarse, fine, slots
 
 
 def plan_contiguous(ex: SegmentedExample, masked: tuple, vocab: FineVocab) -> MaskPlan:
     """Each masked subword replaced by [M]; one fine target per subword."""
-    _check_masked(ex, masked)
-    ids = list(ex.subword_ids)
-    fine = []
-    for j in masked:
-        lo, hi = ex.segment_subword_range(j)
-        for p in range(lo, hi):
-            fine.append((p, ex.subword_ids[p]))
-            ids[p] = vocab.mask_id
+    ids, _, fine, _ = _layout(ex, masked, vocab)
     T = len(ids)
     return MaskPlan(
         Objective.CONTIGUOUS,
@@ -214,40 +224,9 @@ def plan_contiguous(ex: SegmentedExample, masked: tuple, vocab: FineVocab) -> Ma
     )
 
 
-def _explicit_layout(ex: SegmentedExample, masked: tuple, jv: JointVocab):
-    """Context with masked segments collapsed to one [M] slot each.
-
-    Returns (context ids, coarse targets, fallback fine targets,
-    slot_meta) where slot_meta maps slot index -> subword length n_j of
-    the owning masked segment.
-    """
-    _check_masked(ex, masked)
-    vocab = jv.fine
-    masked = set(masked)
-    ids: list = []
-    coarse: list = []
-    fallback_fine: list = []
-    slot_meta: list = []
-    for j in range(1, ex.num_segments + 1):
-        lo, hi = ex.segment_subword_range(j)
-        if j not in masked:
-            ids.extend(ex.subword_ids[lo:hi])
-            continue
-        jid, _ = _segment_info(ex, jv, j, vocab.max_query)
-        if jid is None:
-            for p in range(lo, hi):
-                fallback_fine.append((len(ids), ex.subword_ids[p]))
-                ids.append(vocab.mask_id)
-        else:
-            coarse.append((len(ids), jid))
-            slot_meta.append((len(ids), hi - lo, lo))
-            ids.append(vocab.mask_id)
-    return ids, coarse, fallback_fine, slot_meta
-
-
 def plan_explicit(ex: SegmentedExample, masked: tuple, jv: JointVocab) -> MaskPlan:
     """One [M] slot per masked segment; targets are joint identities."""
-    ids, coarse, fallback_fine, _ = _explicit_layout(ex, masked, jv)
+    ids, coarse, fine, _ = _layout(ex, masked, jv.fine, jv)
     T = len(ids)
     return MaskPlan(
         Objective.EXPLICIT,
@@ -256,7 +235,7 @@ def plan_explicit(ex: SegmentedExample, masked: tuple, jv: JointVocab) -> MaskPl
         (),
         (),
         tuple(coarse),
-        tuple(fallback_fine),
+        tuple(fine),
         masked_set=tuple(masked),
     )
 
@@ -264,17 +243,15 @@ def plan_explicit(ex: SegmentedExample, masked: tuple, jv: JointVocab) -> MaskPl
 def plan_comprehensive(ex: SegmentedExample, masked: tuple, jv: JointVocab) -> MaskPlan:
     """Explicit layout plus [M1..Mn] queries sharing each slot's position."""
     vocab = jv.fine
-    ids, coarse, fallback_fine, slot_meta = _explicit_layout(ex, masked, jv)
+    ids, coarse, fine, slots = _layout(ex, masked, vocab, jv)
     T = len(ids)
     query_ids: list = []
     query_positions: list = []
-    fine: list = list(fallback_fine)
-    for slot, n_j, lo in slot_meta:
+    for slot, lo, n_j in slots:
         for i in range(n_j):
-            q_index = T + len(query_ids)
+            fine.append((T + len(query_ids), ex.subword_ids[lo + i]))
             query_ids.append(vocab.query_id(i + 1))
             query_positions.append(slot + 1)  # same position id as the slot
-            fine.append((q_index, ex.subword_ids[lo + i]))
     return MaskPlan(
         Objective.COMPREHENSIVE,
         tuple(ids),
@@ -339,14 +316,6 @@ def build_attention_mask(plan: MaskPlan, dtype=np.float32) -> np.ndarray:
         idx = np.arange(T, n)
         m[idx, idx] = 0.0
     return m
-
-
-def _check_masked(ex: SegmentedExample, masked):
-    if not masked:
-        raise UsageError("masked set is empty")
-    for j in masked:
-        if not 1 <= j <= ex.num_segments:
-            raise UsageError(f"masked index {j} outside 1..{ex.num_segments}")
 
 
 # ---------------------------------------------------------------------------

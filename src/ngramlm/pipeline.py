@@ -32,7 +32,17 @@ def make_plans(stream: WordStream, lex: NGramLexicon, jv: JointVocab,
     """
     if max_positions is not None and max_positions < 1:
         raise UsageError(f"max_positions must be positive, got {max_positions}")
+    if not 0 < rate < 1:
+        raise UsageError(f"mask rate must be in (0, 1), got {rate}")
     vocab = jv.fine
+    if objective == Objective.CONTIGUOUS:
+        build, space = plan_contiguous, vocab
+    elif objective == Objective.EXPLICIT:
+        build, space = plan_explicit, jv
+    elif objective in (Objective.COMPREHENSIVE, Objective.RELATION):
+        build, space = plan_comprehensive, jv
+    else:
+        raise UsageError(f"unknown objective {objective}")
     rng = RngState(seed)
     plans = []
     for doc in stream:
@@ -43,17 +53,10 @@ def make_plans(stream: WordStream, lex: NGramLexicon, jv: JointVocab,
             continue
         candidates = None
         if ngram_only:
-            candidates = [j for j in range(1, ex.num_segments + 1)
-                          if len(ex.segment_words(j)) > 1]
+            b = ex.boundaries.boundaries
+            candidates = [j for j in range(1, len(b)) if b[j] - b[j - 1] > 1]
             if not candidates:
                 continue
         masked = sample_mask(ex.boundaries, rate, rng, candidates)
-        if objective == Objective.CONTIGUOUS:
-            plans.append(plan_contiguous(ex, masked, vocab))
-        elif objective == Objective.EXPLICIT:
-            plans.append(plan_explicit(ex, masked, jv))
-        elif objective in (Objective.COMPREHENSIVE, Objective.RELATION):
-            plans.append(plan_comprehensive(ex, masked, jv))
-        else:
-            raise UsageError(f"unknown objective {objective}")
+        plans.append(build(ex, masked, space))
     return plans

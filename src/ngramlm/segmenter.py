@@ -6,6 +6,7 @@ with the fewest segments.  Ties prefer longer segments earlier
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import UsageError
@@ -26,7 +27,7 @@ class BoundarySeq:
         b = self.boundaries
         if not b or b[0] != 1 or b[-1] != len(self.words) + 1:
             raise UsageError(f"invalid boundary sequence {b} for {len(self.words)} words")
-        if any(b[i] >= b[i + 1] for i in range(len(b) - 1)):
+        if any(map(operator.ge, b, b[1:])):
             raise UsageError(f"boundaries not strictly increasing: {b}")
 
     @property

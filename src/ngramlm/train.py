@@ -98,8 +98,10 @@ class TrainConfig:
     checkpoint_every: int = 0  # 0: final checkpoint only
 
     def __post_init__(self):
-        if self.lr < 0 or self.total_steps < 1 or self.batch_size < 1:
-            raise UsageError("rates and step counts must be positive")
+        if self.total_steps < 1 or self.batch_size < 1:
+            raise UsageError("step counts must be positive")
+        if not (0 <= self.lr < np.inf and 0 <= self.rtd_weight < np.inf):
+            raise UsageError(f"lr {self.lr} and rtd_weight {self.rtd_weight} must be in [0, inf)")
         if min(self.warmup_steps, self.checkpoint_every) < 0:
             raise UsageError("warmup and checkpoint interval must be non-negative")
         if self.warmup_steps > self.total_steps:

@@ -537,9 +537,16 @@ def test_train_refuses_a_negative_seed(corpus_dir, tmp_path, capsys):
     ("train", ["--warmup", "-5"]),
     ("train", ["--checkpoint-every", "-1"]),
     ("make-masks", ["--max-positions", "0"]),
+    ("train", ["--lr", "nan", "--steps", "1"]),
+    ("train", ["--lr", "inf", "--steps", "1"]),
+    ("train", ["--rtd-weight", "-1"]),
+    ("make-masks", ["--rate", "1.5", "--max-positions", "2"]),
+    ("make-masks", ["--rate", "nan", "--max-positions", "2"]),
+    ("make-masks", ["--rate", "0", "--max-positions", "2"]),
 ], ids=["hidden-0", "ffn-negative", "max-positions-0", "layers-negative",
         "generator-layers-negative", "warmup-negative", "checkpoint-every-negative",
-        "make-masks-max-positions-0"])
+        "make-masks-max-positions-0", "lr-nan", "lr-inf", "rtd-weight-negative",
+        "rate-above-1", "rate-nan", "rate-0"])
 def test_bad_sizes_are_usage_errors(corpus_dir, tmp_path, capsys, command, args):
     out = tmp_path / "out.bin"
     if command == "train":

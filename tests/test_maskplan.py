@@ -4,6 +4,8 @@ The six-word toy example (fixtures) mirrors the classic worked layout:
 segments [x1][x2 x3][x4][x5][x6], masked set {2, 4}.
 """
 
+import dataclasses
+import hashlib
 import struct
 
 import numpy as np
@@ -16,6 +18,7 @@ from ngramlm import (
     MaskPlan,
     Objective,
     RngState,
+    WordStream,
     build_attention_mask,
     build_joint_vocab,
     count_ngrams,
@@ -144,6 +147,122 @@ def test_multi_subword_word_falls_back_to_contiguous():
     comp = plan_comprehensive(ex, (1,), build_joint_vocab(vocab, lex))
     rel = relation_from_comprehensive(comp, [])
     assert rel.rtd_labels == (0, 0, 1)
+
+
+# --- every layout against a reference built from the README's definitions -----
+
+# greedy longest match splits these words into one to four subwords
+LAYOUT_SUBWORDS = ["a", "b", "c", "ab", "##a", "##b", "##c"]
+LAYOUT_WORDS = ["a", "b", "c", "ab", "ba", "abc", "cab", "abcab", "z"]
+
+
+def reference_plan(objective, ex, masked, vocab, jv, sampled=None):
+    """The plan of ``objective`` as the README defines it, segment by segment.
+
+    contiguous: each masked subword becomes its own [M] with a fine target.
+    explicit: a masked segment with one joint identity (a lexicon n-gram,
+    or a word that is one subword) of at most ``max_query`` subwords
+    becomes one [M] slot with a coarse target; any other masked segment
+    falls back to the contiguous layout.  comprehensive: explicit plus
+    [M1..Mn] queries at the slot's position id, their fine targets after
+    the fallback ones.  relation: comprehensive with each slot filled by
+    its sampled identity, RTD label 0 at a wrong identity or a fallback
+    [M], 1 elsewhere.
+    """
+    b = ex.boundaries.boundaries
+    seg_words = [ex.words[b[k] - 1 : b[k + 1] - 1] for k in range(len(b) - 1)]
+    seg_subs = [[s for w in range(b[k] - 1, b[k + 1] - 1)
+                 for s in ex.subword_ids[ex.word_spans[w][0] : ex.word_spans[w][1]]]
+                for k in range(len(b) - 1)]
+    chosen = sorted(set(masked))
+    identity = {}
+    if objective != Objective.CONTIGUOUS:
+        for j in chosen:
+            words, subs = seg_words[j - 1], seg_subs[j - 1]
+            if len(words) > 1:
+                y = jv.id_of_ngram(words)
+                if y is None:
+                    raise PlanError(f"{words} not in the joint vocabulary")
+            else:
+                y = subs[0] if len(subs) == 1 else None
+            if y is not None and len(subs) <= vocab.max_query:
+                identity[j] = y
+    m = vocab.mask_id
+    pieces = [[m] if j in identity else [m] * len(subs) if j in chosen else list(subs)
+              for j, subs in enumerate(seg_subs, 1)]
+    start = [0]
+    for piece in pieces:
+        start.append(start[-1] + len(piece))
+    context = [t for piece in pieces for t in piece]
+    T = len(context)
+    coarse = [(start[j - 1], identity[j]) for j in chosen if j in identity]
+    fine = [(start[j - 1] + i, s) for j in chosen if j not in identity
+            for i, s in enumerate(seg_subs[j - 1])]
+    query_ids, query_positions = [], []
+    if objective in (Objective.COMPREHENSIVE, Objective.RELATION):
+        for j in chosen:
+            if j in identity:
+                for i, s in enumerate(seg_subs[j - 1]):
+                    fine.append((T + len(query_ids), s))
+                    query_ids.append(vocab.index[f"[M{i + 1}]"])
+                    query_positions.append(start[j - 1] + 1)
+    rtd = None
+    if objective == Objective.RELATION:
+        rtd = [1] * T
+        for (slot, y), y_prime in zip(coarse, sampled):
+            context[slot] = y_prime
+            rtd[slot] = int(y_prime == y)
+        for idx, _ in fine:
+            if idx < T:
+                rtd[idx] = 0
+        rtd = tuple(rtd)
+    return MaskPlan(objective, tuple(context), tuple(range(1, T + 1)), tuple(query_ids),
+                    tuple(query_positions), tuple(coarse), tuple(fine), rtd_labels=rtd,
+                    masked_set=tuple(masked))
+
+
+@st.composite
+def layout_case_st(draw):
+    """A segmented word sequence, a joint vocabulary that may lack some of
+    its n-grams, and a masked set in any order, repeats allowed."""
+    words = draw(st.lists(st.sampled_from(LAYOUT_WORDS), min_size=1, max_size=12))
+    windows = draw(st.lists(st.tuples(st.integers(0, len(words) - 1), st.integers(2, 3)),
+                            min_size=1, max_size=6))
+    ngrams = sorted({tuple(words[i : i + n]) for i, n in windows if i + n <= len(words)})
+    known = [g for g in ngrams if draw(st.booleans()) or draw(st.booleans())]
+    vocab = FineVocab.from_subwords(LAYOUT_SUBWORDS, max_query=draw(st.integers(1, 4)))
+    ex = segment_example(tuple(words), lex_from(ngrams), vocab)
+    masked = draw(st.lists(st.integers(1, ex.num_segments), min_size=1, max_size=6))
+    if draw(st.booleans()):  # mask every multi-word segment too
+        b = ex.boundaries.boundaries
+        masked = draw(st.permutations(masked + [j for j in range(1, len(b))
+                                                if b[j] - b[j - 1] > 1]))
+    return ex, masked, vocab, build_joint_vocab(vocab, lex_from(known))
+
+
+@settings(max_examples=300, deadline=None)
+@given(layout_case_st(), st.data())
+def test_every_layout_equals_the_reference(case, data):
+    ex, masked, vocab, jv = case
+    build = {Objective.CONTIGUOUS: lambda: plan_contiguous(ex, masked, vocab),
+             Objective.EXPLICIT: lambda: plan_explicit(ex, masked, jv),
+             Objective.COMPREHENSIVE: lambda: plan_comprehensive(ex, masked, jv)}
+    try:
+        slots = len(reference_plan(Objective.EXPLICIT, ex, masked, vocab, jv).targets_coarse)
+    except PlanError:
+        slots = 0
+    sampled = data.draw(st.lists(st.integers(0, len(jv) - 1), min_size=slots, max_size=slots))
+    build[Objective.RELATION] = lambda: plan_relation(ex, masked, jv, sampled)
+    for objective in Objective:
+        try:
+            want = reference_plan(objective, ex, masked, vocab, jv, sampled)
+        except PlanError:
+            with pytest.raises(PlanError):
+                build[objective]()
+            continue
+        got = build[objective]()
+        for f in dataclasses.fields(MaskPlan):
+            assert getattr(got, f.name) == getattr(want, f.name), (objective, f.name)
 
 
 # --- attention mask ------------------------------------------------------------
@@ -282,6 +401,47 @@ def test_make_plans_equal_default_rng_draws(plan_pipeline, objective, ngram_only
     assert len(got) > 500
     assert got == want
     assert [p.masked_set for p in got] == [p.masked_set for p in want]
+
+
+
+@pytest.mark.parametrize("objective, rate", [(7, 0.15), (Objective.EXPLICIT, float("nan"))])
+def test_make_plans_refuses_bad_arguments_before_any_document(plan_pipeline, objective, rate):
+    _, lex, jv = plan_pipeline
+    with pytest.raises(UsageError):
+        make_plans(WordStream([]), lex, jv, objective, rate=rate)
+
+# sha256 (first 16 hex digits) of the plan records, without a file header and
+# so without the version string, that make_plans writes for the corpus,
+# lexicon and seed below.  max_query 2 sends every masked trigram to the
+# contiguous fallback.  A deliberate change to the mask draws or the record
+# format updates these pins and says so in CHANGES.md.
+PLAN_RECORD_DIGESTS = {
+    ("contiguous", False): "a243704b5c2e30be",
+    ("contiguous", True): "4b69feec25acadbc",
+    ("explicit", False): "fd8704d11e7eb1ec",
+    ("explicit", True): "81f37f24a5247e20",
+    ("comprehensive", False): "3a88f47ac79a272d",
+    ("comprehensive", True): "ab10e43a0d0b5bc7",
+    ("relation", False): "3a88f47ac79a272d",
+    ("relation", True): "ab10e43a0d0b5bc7",
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_pipeline():
+    spec = CollocationSpec(n_topics=4, phrases_per_topic=3, phrase_len=3)
+    stream, inventory, _ = collocation_corpus(240, seed=5, spec=spec)
+    lex = extract_lexicon(count_ngrams(stream, 3), {2: 16, 3: 8}, min_count=2)
+    return stream, lex, build_joint_vocab(FineVocab.from_subwords(inventory, max_query=2), lex)
+
+
+@pytest.mark.parametrize("ngram_only", [False, True])
+@pytest.mark.parametrize("objective", list(Objective))
+def test_plan_records_match_pinned_digests(pinned_pipeline, objective, ngram_only):
+    stream, lex, jv = pinned_pipeline
+    plans = make_plans(stream, lex, jv, objective, rate=0.3, seed=7, ngram_only=ngram_only)
+    digest = hashlib.sha256(b"".join(serialize_plan(p) for p in plans)).hexdigest()[:16]
+    assert digest == PLAN_RECORD_DIGESTS[objective.name.lower(), ngram_only]
 
 
 # --- binary format -------------------------------------------------------------
