@@ -21,6 +21,7 @@ from .lexicon import (
 from .maskplan import (
     MaskPlan,
     Objective,
+    PlanStore,
     RngState,
     build_attention_mask,
     parse_plan,

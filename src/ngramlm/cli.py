@@ -15,6 +15,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import __version__
 from .corpus import FineVocab, TokenizerConfig, _read_text, count_ngrams, ingest, tokenize_words
 from .errors import DataError, NumericError, UsageError
@@ -159,29 +161,31 @@ def _model_config(args, fine_size, ngram_size) -> ModelConfig:
 
 def _check_plan_ids(path, plans, cfg: ModelConfig):
     """Refuse plans whose ids, positions or indexes fall outside the model's
-    sizes, or whose coarse slots or fine indexes repeat."""
+    sizes, or whose coarse slots or fine indexes repeat: whole-store checks,
+    each naming the first plan it refuses."""
     joint, fine, max_pos = cfg.joint_size, cfg.fine_vocab_size, cfg.max_positions
-    for k, plan in enumerate(plans):
-        where = f"{path}: plan {k}"
-        n = plan.T + plan.Q
-        if max(plan.all_ids(), default=0) >= joint:
-            raise DataError(f"{where}: token id outside the joint vocabulary 0..{joint - 1}")
-        positions = plan.all_positions()
-        if positions and (min(positions) < 1 or max(positions) > max_pos):
-            raise DataError(f"{where}: position id outside 1..{max_pos}")
-        for slot, y in plan.targets_coarse:
-            if slot >= plan.T or y >= joint:
-                raise DataError(f"{where}: coarse target ({slot}, {y}) outside "
-                                f"{plan.T} context slots or joint vocabulary 0..{joint - 1}")
-        # a contiguous plan's fine targets are its masked context positions
-        limit = plan.T if plan.objective == Objective.CONTIGUOUS else n
-        for idx, x in plan.targets_fine:
-            if idx >= limit or x >= fine:
-                raise DataError(f"{where}: fine target ({idx}, {x}) outside "
-                                f"{limit} positions or fine vocabulary 0..{fine - 1}")
-        for targets in (plan.targets_coarse, plan.targets_fine):
-            if len({i for i, _ in targets}) < len(targets):
-                raise DataError(f"{where}: a coarse slot or fine index is a target twice")
+    T = plans.T
+    # a contiguous plan's fine targets are its masked context positions
+    limit = np.where(plans.objectives == Objective.CONTIGUOUS, T, T + plans.Q)
+    coarse, at_coarse = plans.gather("coarse")
+    fine_t, at_fine = plans.gather("fine")
+    checks = [(values >= joint, at, f"token id outside the joint vocabulary 0..{joint - 1}")
+              for values, at in (plans.gather("context_ids"), plans.gather("query_ids"))]
+    positions, at_positions = plans.gather("positions")
+    checks += [
+        ((positions < 1) | (positions > max_pos), at_positions,
+         f"position id outside 1..{max_pos}"),
+        ((coarse[:, 0] >= T[at_coarse]) | (coarse[:, 1] >= joint), at_coarse,
+         f"coarse target outside its plan's context slots or joint vocabulary 0..{joint - 1}"),
+        ((fine_t[:, 0] >= limit[at_fine]) | (fine_t[:, 1] >= fine), at_fine,
+         f"fine target outside its plan's positions or fine vocabulary 0..{fine - 1}"),
+    ]
+    for bad, at, what in checks:
+        if bad.any():
+            raise DataError(f"{path}: plan {at[bad.argmax()]}: {what}")
+    k = plans.repeated_target()
+    if k is not None:
+        raise DataError(f"{path}: plan {k}: a coarse slot or fine index is a target twice")
 
 
 def _plan_header(path, prov, objective_arg):
@@ -201,10 +205,11 @@ def _plan_header(path, prov, objective_arg):
 def cmd_train(args):
     prov_in, plans = read_plan_file(args.plans)
     objective, fine_size, ngram_size = _plan_header(args.plans, prov_in, args.objective)
-    if objective == Objective.RELATION:
-        if any(p.objective not in (Objective.COMPREHENSIVE, Objective.RELATION) for p in plans):
+    layouts = ((Objective.COMPREHENSIVE, Objective.RELATION) if objective == Objective.RELATION
+               else (objective,))
+    if not np.isin(plans.objectives, layouts).all():
+        if objective == Objective.RELATION:
             raise UsageError("relation training needs comprehensive-layout plans")
-    elif any(p.objective != objective for p in plans):
         raise UsageError(f"plan objectives do not match --objective {objective.name.lower()}")
     cfg = _model_config(args, fine_size, ngram_size)
     _check_plan_ids(args.plans, plans, cfg)

@@ -105,6 +105,8 @@ class FineVocab:
     """
 
     def __init__(self, tokens: list[str], max_query: int = DEFAULT_MAX_QUERY):
+        if "" in tokens:
+            raise DataError(f"empty vocabulary entry at id {tokens.index('')}")
         if len(set(tokens)) != len(tokens):
             dupes = [t for t, c in Counter(tokens).items() if c > 1]
             raise DataError(f"duplicate vocabulary entries: {dupes[:5]}")
@@ -125,8 +127,12 @@ class FineVocab:
 
     @classmethod
     def load(cls, path, max_query: int = DEFAULT_MAX_QUERY) -> "FineVocab":
-        text = _read_text(path)
-        tokens = [line for line in text.splitlines() if line]
+        tokens = _read_text(path).splitlines()
+        while tokens and not tokens[-1]:
+            tokens.pop()  # trailing blank lines end the file; they hold no id
+        if "" in tokens:
+            raise DataError(f"{path}: line {tokens.index('') + 1} is blank, so every later "
+                            "id would move (an id is its 0-based line number)")
         return cls(tokens, max_query)
 
     def save(self, path):

@@ -6,6 +6,12 @@ replaced or blanked according to the objective), appended query symbols
 sets, optional replaced-token-detection labels, and (reconstructed on
 demand) the additive {0, -inf} attention mask that hides n-gram length
 from the context.
+
+The plan builders return a ``MaskPlan`` of tuples.  Many plans are held in
+a ``PlanStore``: the u32 fields of the binary record format in one array,
+with an offset per plan.  Plan files decode into a store and are written
+from one; training, evaluation and the command line's checks read its
+arrays, and its elements are ``PlanView``s that give MaskPlan's fields.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import enum
 import json
 import logging
 import struct
+from array import array
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -100,6 +107,9 @@ def segment_example(words, lex, vocab: FineVocab) -> SegmentedExample:
 
 @dataclass
 class MaskPlan:
+    """One plan as tuples: what the plan builders return, and the form a
+    :class:`PlanView` of a store gives with :meth:`PlanView.to_plan`."""
+
     objective: Objective
     context_ids: tuple
     context_positions: tuple
@@ -264,40 +274,33 @@ def plan_comprehensive(ex: SegmentedExample, masked: tuple, jv: JointVocab) -> M
     )
 
 
-def relation_from_comprehensive(plan: MaskPlan, sampled) -> MaskPlan:
+def relation_from_comprehensive(plan, sampled) -> "PlanView":
     """Fill each [M] slot with a sampled joint identity and derive RTD labels.
 
     ``sampled`` aligns with plan.targets_coarse.  Labels are per context
     position: 1 where the filled sequence matches the original-identity
     sequence, 0 at slots holding a wrong identity and at fallback [M]s.
+    Returns the filled plan as the view of a one-plan store.
     """
-    if len(sampled) != len(plan.targets_coarse):
-        raise UsageError(f"expected {len(plan.targets_coarse)} sampled ids, got {len(sampled)}")
-    ids = list(plan.context_ids)
-    labels = [1] * plan.T
-    slot_of = {}
-    for (slot, y), y_prime in zip(plan.targets_coarse, sampled):
-        y_prime = int(y_prime)
-        ids[slot] = y_prime
-        labels[slot] = 1 if y_prime == y else 0
-        slot_of[slot] = True
-    for idx, _ in plan.targets_fine:
-        if idx < plan.T and idx not in slot_of:
-            labels[idx] = 0  # fallback [M] position, never the original
-    return MaskPlan(
-        Objective.RELATION,
-        tuple(ids),
-        plan.context_positions,
-        plan.query_ids,
-        plan.query_positions,
-        plan.targets_coarse,
-        plan.targets_fine,
-        rtd_labels=tuple(labels),
-        masked_set=plan.masked_set,
-    )
+    plan = view_of(plan)
+    coarse = plan.coarse
+    if len(sampled) != len(coarse):
+        raise UsageError(f"expected {len(coarse)} sampled ids, got {len(sampled)}")
+    sampled = np.asarray(sampled, dtype=np.int64)
+    labels = np.ones(plan.T, dtype=np.uint8)
+    index = plan.fine[:, 0]
+    labels[index[index < plan.T]] = 0  # fallback [M] positions, never the original
+    slots = coarse[:, 0]
+    labels[slots] = sampled == coarse[:, 1]
+    store = plan.store
+    fields = store.run[store.starts[plan.k] : store.starts[plan.k + 1]].copy()
+    fields[2 + slots] = sampled  # the context ids start after T and Q
+    return PlanStore(fields, np.array([0, len(fields)]),
+                     np.array([Objective.RELATION], dtype=np.uint8), [labels],
+                     [plan.masked_set])[0]
 
 
-def plan_relation(ex: SegmentedExample, masked: tuple, jv: JointVocab, sampled) -> MaskPlan:
+def plan_relation(ex: SegmentedExample, masked: tuple, jv: JointVocab, sampled) -> "PlanView":
     base = plan_comprehensive(ex, masked, jv)
     for y_prime in sampled:
         if not 0 <= int(y_prime) < len(jv):
@@ -305,7 +308,7 @@ def plan_relation(ex: SegmentedExample, masked: tuple, jv: JointVocab, sampled) 
     return relation_from_comprehensive(base, sampled)
 
 
-def build_attention_mask(plan: MaskPlan, dtype=np.float32) -> np.ndarray:
+def build_attention_mask(plan, dtype=np.float32) -> np.ndarray:
     """Additive mask over {0, -inf}: context never sees queries; queries
     see the context and themselves only."""
     T, Q = plan.T, plan.Q
@@ -319,36 +322,298 @@ def build_attention_mask(plan: MaskPlan, dtype=np.float32) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# binary record format (little-endian, length-prefixed)
+# the plan store and the binary record format (little-endian, length-prefixed)
+#
+# A record is a u32 payload length, then the payload: u16 version, u8
+# objective, the plan's u32 fields, a u8 RTD flag and, when it is set, T
+# label bits packed low bit first.  The u32 fields, in order: T, Q, T
+# context ids, T + Q positions (context, then queries), Q query ids, the
+# coarse count and (slot, id) pairs, the fine count and (index, id) pairs.
 
 _OBJECTIVES = tuple(Objective)  # indexed by the objective byte
+_RECORD_HEAD = struct.Struct("<IHB")  # length prefix, version, objective
 
 
-def serialize_plan(plan: MaskPlan) -> bytes:
-    """u32 payload length, then the payload: u16 version, u8 objective,
-    u32 T, u32 Q, T context ids, T + Q positions, Q query ids, u32 count
-    and (index, id) pairs for the coarse then the fine targets, u8 RTD
-    flag and, when set, T label bits packed low bit first."""
-    T, Q = plan.T, plan.Q
-    nc, nf = len(plan.targets_coarse), len(plan.targets_fine)
-    if plan.rtd_labels is None:
-        has_rtd, bits = 0, bytearray()
-    else:
-        has_rtd, bits = 1, bytearray((T + 7) // 8)
-        for i, lab in enumerate(plan.rtd_labels):
-            if lab:
-                bits[i // 8] |= 1 << (i % 8)
-    k = 2 * T + 2 * Q + 2 + 2 * nc + 2 * nf  # u32 fields after the header
-    # one count for all the u32 fields: a count per field would give too many
-    # distinct formats for struct's format cache, and each miss compiles one
-    return struct.pack(
-        f"<IHBII{k}IB{len(bits)}s",
-        11 + 4 * k + 1 + len(bits), PLAN_VERSION, int(plan.objective), T, Q,
-        *plan.context_ids, *plan.context_positions, *plan.query_positions, *plan.query_ids,
-        nc, *chain.from_iterable(plan.targets_coarse),
-        nf, *chain.from_iterable(plan.targets_fine),
-        has_rtd, bits,
-    )
+def _segments(first, count):
+    """Indexes of the ranges ``first[k] .. first[k] + count[k] - 1``, concatenated."""
+    ends = np.cumsum(count)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(first - ends + count, count)
+
+
+def _pairs(a) -> tuple:
+    x = a.ravel().tolist()
+    return tuple(zip(x[0::2], x[1::2]))
+
+
+class PlanStore:
+    """Plans held as arrays, in the plan file's own layout.
+
+    ``run`` (uint32) holds the u32 fields of every plan, plan after plan;
+    plan k's are ``run[starts[k]:starts[k + 1]]``.  ``objectives`` holds one
+    objective byte a plan, ``rtd`` each plan's RTD labels (uint8 0/1) or
+    None, and ``masked`` each plan's masked set (provenance, not written to
+    files) or None.  ``T``, ``Q``, ``nc`` and ``nf`` are each plan's context
+    and query lengths and coarse and fine target counts.
+
+    An int index gives a :class:`PlanView`, a slice a new store, iteration
+    views.  Stores compare equal when their plans do, masked sets aside;
+    a list of plans compares as the store it makes.
+    """
+
+    def __init__(self, run, starts, objectives, rtd: list, masked: list):
+        self.run, self.starts, self.objectives = run, starts, objectives
+        self.rtd, self.masked = rtd, masked
+        s = starts[:-1]
+        self.T = run[s].astype(np.int64)
+        self.Q = run[s + 1].astype(np.int64)
+        self.nc = run[s + 2 + 2 * (self.T + self.Q)].astype(np.int64)
+        self.nf = run[s + 3 + 2 * (self.T + self.Q + self.nc)].astype(np.int64)
+        self._distinct = False  # True once no plan is known to repeat a target
+
+    @classmethod
+    def from_plans(cls, plans) -> "PlanStore":
+        """The store of an iterable of plans (MaskPlans or views)."""
+        run = array("I")
+        starts, objectives, rtd, masked = [0], bytearray(), [], []
+        for k, plan in enumerate(plans):
+            T, Q = len(plan.context_ids), len(plan.query_ids)
+            coarse, fine, labels = plan.targets_coarse, plan.targets_fine, plan.rtd_labels
+            try:
+                run.extend((T, Q, *plan.context_ids, *plan.context_positions,
+                            *plan.query_positions, *plan.query_ids,
+                            len(coarse), *chain.from_iterable(coarse),
+                            len(fine), *chain.from_iterable(fine)))
+            except (OverflowError, TypeError) as e:
+                raise UsageError(f"plan {k}: a field is not a u32 value: {e}") from e
+            if (len(run) - starts[-1] != 4 + 2 * (T + Q + len(coarse) + len(fine))
+                    or (labels is not None and len(labels) != T)):
+                raise UsageError(f"plan {k}: positions, targets or RTD labels do not fit "
+                                 f"{T} context and {Q} query symbols")
+            starts.append(len(run))
+            objectives.append(int(plan.objective))
+            rtd.append(None if labels is None else (np.asarray(labels) != 0).astype(np.uint8))
+            masked.append(plan.masked_set)
+        return cls(np.frombuffer(run, dtype=np.uintc).astype(np.uint32, copy=False),
+                   np.array(starts, dtype=np.int64), np.frombuffer(objectives, dtype=np.uint8),
+                   rtd, masked)
+
+    @classmethod
+    def of(cls, plans) -> "PlanStore":
+        """``plans`` if it is a store, else the store of its plans."""
+        return plans if isinstance(plans, PlanStore) else cls.from_plans(plans)
+
+    def __len__(self) -> int:
+        return len(self.objectives)
+
+    def _columns(self):
+        """Each plan's objective, first u32, T, Q, nc and nf: a view's row."""
+        return self.objectives, self.starts[:-1], self.T, self.Q, self.nc, self.nf
+
+    def __iter__(self):
+        for k, row in enumerate(np.stack(self._columns(), -1).tolist()):
+            yield PlanView(self, k, row)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return self.take(range(len(self))[key])
+        k = range(len(self))[key]
+        return PlanView(self, k, [int(column[k]) for column in self._columns()])
+
+    def take(self, indexes) -> "PlanStore":
+        """The plans at ``indexes``, in that order, as a new store."""
+        idx = np.asarray(indexes, dtype=np.int64)
+        count = (self.starts[1:] - self.starts[:-1])[idx]
+        run = self.run[_segments(self.starts[:-1][idx], count)]
+        starts = np.concatenate(([0], np.cumsum(count)))
+        store = PlanStore(run, starts, self.objectives[idx], [self.rtd[k] for k in idx.tolist()],
+                          [self.masked[k] for k in idx.tolist()])
+        store._distinct = self._distinct
+        return store
+
+    def __eq__(self, other):
+        if isinstance(other, (list, tuple)):
+            other = PlanStore.from_plans(other)
+        if not isinstance(other, PlanStore):
+            return NotImplemented
+        return (len(self) == len(other) and np.array_equal(self.objectives, other.objectives)
+                and np.array_equal(self.run, other.run)
+                and all(a is b or (a is not None and b is not None and np.array_equal(a, b))
+                        for a, b in zip(self.rtd, other.rtd)))
+
+    def gather(self, field: str):
+        """``field`` of every plan, concatenated in plan order, and the index
+        of each value's plan.  ``context_ids`` gives T values a plan,
+        ``query_ids`` Q, ``positions`` T + Q, and ``coarse`` and ``fine``
+        give (count, 2) arrays of (index, id) pairs."""
+        first, per_plan = self.starts[:-1] + 2, self.T  # context ids
+        if field == "positions":
+            first, per_plan = first + self.T, self.T + self.Q
+        elif field == "query_ids":
+            first, per_plan = first + 2 * self.T + self.Q, self.Q
+        elif field in ("coarse", "fine"):
+            first, per_plan = first + 2 * (self.T + self.Q) + 1, self.nc
+            if field == "fine":
+                first, per_plan = first + 2 * self.nc + 1, self.nf
+        elif field != "context_ids":
+            raise UsageError(f"unknown plan field {field!r}")
+        pairs = field in ("coarse", "fine")
+        values = self.run[_segments(first, 2 * per_plan if pairs else per_plan)]
+        return (values.reshape(-1, 2) if pairs else values,
+                np.repeat(np.arange(len(self)), per_plan))
+
+    def repeated_target(self) -> int | None:
+        """The first plan that names a coarse slot or a fine index as a
+        target twice, else None.  A head's backward adds into each target
+        row once, so training refuses such a plan.  A store found free of
+        repeats, and every store taken from it, is not searched again."""
+        if self._distinct:
+            return None
+        found = []
+        for field in ("coarse", "fine"):
+            pairs, plan = self.gather(field)
+            order = np.lexsort((pairs[:, 0], plan))
+            plan, index = plan[order], pairs[order, 0]
+            twice = (plan[1:] == plan[:-1]) & (index[1:] == index[:-1])
+            if twice.any():
+                found.append(int(plan[1:][twice][0]))
+        self._distinct = not found
+        return min(found, default=None)
+
+
+class PlanView:
+    """Plan ``k`` of a :class:`PlanStore`.
+
+    Gives MaskPlan's fields as tuples, each built when read, and the arrays
+    that training reads: ``ids`` (context then queries), ``positions``,
+    ``coarse`` and ``fine`` ((count, 2) pairs) and ``labels`` (RTD labels or
+    None).  Compares equal to the MaskPlan of the same fields.
+    """
+
+    __slots__ = ("store", "k", "_row")
+
+    def __init__(self, store: PlanStore, k: int, row: list):
+        self.store, self.k = store, k
+        self._row = row  # objective, first u32, T, Q, nc, nf
+
+    def _u32(self, offset: int, n: int):
+        s = self._row[1] + offset
+        return self.store.run[s : s + n]
+
+    def _tuple(self, offset: int, n: int) -> tuple:
+        return tuple(self._u32(offset, n).tolist()) if n else ()
+
+    @property
+    def objective(self) -> Objective:
+        return _OBJECTIVES[self._row[0]]
+
+    @property
+    def T(self) -> int:
+        return self._row[2]
+
+    @property
+    def Q(self) -> int:
+        return self._row[3]
+
+    @property
+    def ids(self):
+        _, _, T, Q, _, _ = self._row
+        context = self._u32(2, T)
+        return np.concatenate((context, self._u32(2 + 2 * T + Q, Q))) if Q else context
+
+    @property
+    def positions(self):
+        return self._u32(2 + self.T, self.T + self.Q)
+
+    @property
+    def coarse(self):
+        _, _, T, Q, nc, _ = self._row
+        return self._u32(3 + 2 * (T + Q), 2 * nc).reshape(nc, 2)
+
+    @property
+    def fine(self):
+        _, _, T, Q, nc, nf = self._row
+        return self._u32(4 + 2 * (T + Q + nc), 2 * nf).reshape(nf, 2)
+
+    @property
+    def labels(self):
+        return self.store.rtd[self.k]
+
+    @property
+    def context_ids(self) -> tuple:
+        return self._tuple(2, self.T)
+
+    @property
+    def context_positions(self) -> tuple:
+        return self._tuple(2 + self.T, self.T)
+
+    @property
+    def query_positions(self) -> tuple:
+        return self._tuple(2 + 2 * self.T, self.Q)
+
+    @property
+    def query_ids(self) -> tuple:
+        return self._tuple(2 + 2 * self.T + self.Q, self.Q)
+
+    @property
+    def targets_coarse(self) -> tuple:
+        return _pairs(self.coarse)
+
+    @property
+    def targets_fine(self) -> tuple:
+        return _pairs(self.fine)
+
+    @property
+    def rtd_labels(self) -> tuple | None:
+        labels = self.labels
+        return None if labels is None else tuple(labels.tolist())
+
+    @property
+    def masked_set(self) -> tuple | None:
+        return self.store.masked[self.k]
+
+    def all_ids(self) -> tuple:
+        return tuple(self.ids.tolist())
+
+    def all_positions(self) -> tuple:
+        return tuple(self.positions.tolist())
+
+    def to_plan(self) -> MaskPlan:
+        return MaskPlan(self.objective, self.context_ids, self.context_positions,
+                        self.query_ids, self.query_positions, self.targets_coarse,
+                        self.targets_fine, self.rtd_labels, self.masked_set)
+
+    def __eq__(self, other):
+        if isinstance(other, PlanView):
+            other = other.to_plan()
+        return self.to_plan() == other
+
+    def __repr__(self) -> str:
+        return f"PlanView({self.k}, {self.to_plan()!r})"
+
+
+def view_of(plan) -> PlanView:
+    """``plan`` if it is a view, else the view of a one-plan store."""
+    return plan if isinstance(plan, PlanView) else PlanStore.from_plans([plan])[0]
+
+
+def _records(store: PlanStore) -> bytes:
+    """The store's plans as length-prefixed records."""
+    raw = memoryview(store.run.astype("<u4", copy=False).tobytes())
+    starts = store.starts.tolist()
+    parts = []
+    for k, objective in enumerate(store.objectives.tolist()):
+        a, b = 4 * starts[k], 4 * starts[k + 1]
+        labels = store.rtd[k]
+        tail = (b"\x00" if labels is None
+                else b"\x01" + np.packbits(labels, bitorder="little").tobytes())
+        parts += (_RECORD_HEAD.pack(3 + b - a + len(tail), PLAN_VERSION, objective),
+                  raw[a:b], tail)
+    return b"".join(parts)
+
+
+def serialize_plan(plan) -> bytes:
+    """One plan as a record (see the record format above)."""
+    return _records(PlanStore.of([plan]))
 
 
 def _truncated(shift: int, end: int, *fields) -> PlanFormatError:
@@ -360,9 +625,10 @@ def _truncated(shift: int, end: int, *fields) -> PlanFormatError:
     return PlanFormatError("truncated plan record", shift + offset)
 
 
-def _decode(buf, pos: int, end: int, shift: int) -> MaskPlan:
-    """The plan whose payload spans ``buf[pos:end]``; an error's offset is
-    ``shift`` plus its position in ``buf``."""
+def _scan(buf, pos: int, end: int, shift: int):
+    """Check the record whose payload spans ``buf[pos:end]``; returns its
+    objective byte, the end of its u32 fields and its RTD labels or None.
+    An error's offset is ``shift`` plus its position in ``buf``."""
     if pos + 11 > end:
         raise _truncated(shift, end, (pos, 11, 11))
     version, objective, T, Q = struct.unpack_from("<HBII", buf, pos)
@@ -371,47 +637,58 @@ def _decode(buf, pos: int, end: int, shift: int) -> MaskPlan:
     if objective >= len(_OBJECTIVES):
         raise PlanFormatError(f"unknown objective {objective}", shift + pos + 2)
     pos += 11
-    # context ids, positions, query ids and the coarse count in one read
+    # context ids, positions, query ids and the coarse count
     n = 2 * T + 2 * Q
     if pos + 4 * n + 4 > end:
         raise _truncated(shift, end, (pos, 4 * T, 4 * T), (pos + 4 * T, 4 * (T + Q), 4 * (T + Q)),
                          (pos + 4 * (2 * T + Q), 4 * Q, 4 * Q), (pos + 4 * n, 4, 4))
-    head = struct.unpack_from(f"<{n + 1}I", buf, pos)
     pos += 4 * n + 4
     # coarse pairs and the fine count, then fine pairs and the RTD flag
-    nc = head[n]
+    (nc,) = struct.unpack_from("<I", buf, pos - 4)
     if pos + 8 * nc + 4 > end:
         raise _truncated(shift, end, (pos, 8 * nc, 8), (pos + 8 * nc, 4, 4))
-    coarse = struct.unpack_from(f"<{2 * nc + 1}I", buf, pos)
     pos += 8 * nc + 4
-    nf = coarse[-1]
+    (nf,) = struct.unpack_from("<I", buf, pos - 4)
     if pos + 8 * nf + 1 > end:
         raise _truncated(shift, end, (pos, 8 * nf, 8), (pos + 8 * nf, 1, 1))
-    fine = struct.unpack_from(f"<{2 * nf}IB", buf, pos)
-    pos += 8 * nf + 1
-    rtd = None
-    if fine[-1]:
+    fields_end = pos + 8 * nf
+    pos = fields_end + 1
+    labels = None
+    if buf[fields_end]:
         k = (T + 7) // 8
         if pos + k > end:
             raise _truncated(shift, end, (pos, k, k))
-        raw = buf[pos : pos + k]
+        labels = np.unpackbits(np.frombuffer(buf, np.uint8, k, pos), count=T, bitorder="little")
         pos += k
-        rtd = tuple((raw[i // 8] >> (i % 8)) & 1 for i in range(T))
     if pos != end:
         raise PlanFormatError("trailing bytes after plan record", shift + pos)
-    return MaskPlan(
-        _OBJECTIVES[objective],
-        head[:T],
-        head[T : 2 * T],
-        head[2 * T + Q : n],
-        head[2 * T : 2 * T + Q],
-        tuple(zip(coarse[0:-1:2], coarse[1:-1:2])),
-        tuple(zip(fine[0:-1:2], fine[1:-1:2])),
-        rtd_labels=rtd,
-    )
+    return objective, fields_end, labels
 
 
-def parse_plan(data: bytes, base_offset: int = 0) -> MaskPlan:
+def _decode(buf, pos: int, shift: int = 0) -> PlanStore:
+    """The store of the records from ``buf[pos:]`` on: one header walk, then
+    one array over the joined u32 fields.  An error's offset is ``shift``
+    plus its position in ``buf``."""
+    view = memoryview(buf)
+    runs, starts, objectives, rtd = [], [0], bytearray(), []
+    n = len(buf)
+    while pos < n:
+        if pos + 4 > n:
+            raise PlanFormatError("truncated record length prefix", shift + pos)
+        end = pos + 4 + struct.unpack_from("<I", buf, pos)[0]
+        if end > n:
+            raise PlanFormatError("truncated plan record", shift + pos)
+        objective, fields_end, labels = _scan(buf, pos + 4, end, shift)
+        runs.append(view[pos + 7 : fields_end])  # from T, after version and objective
+        starts.append(starts[-1] + (fields_end - pos - 7) // 4)
+        objectives.append(objective)
+        rtd.append(labels)
+        pos = end
+    return PlanStore(np.frombuffer(b"".join(runs), dtype="<u4"), np.array(starts, dtype=np.int64),
+                     np.frombuffer(objectives, dtype=np.uint8), rtd, [None] * len(rtd))
+
+
+def parse_plan(data: bytes, base_offset: int = 0) -> PlanView:
     """One length-prefixed record; error offsets count from ``base_offset``."""
     if len(data) < 4:
         raise PlanFormatError("truncated plan record", base_offset)
@@ -420,22 +697,22 @@ def parse_plan(data: bytes, base_offset: int = 0) -> MaskPlan:
         raise PlanFormatError(
             f"record length {payload_len} does not match payload {len(data) - 4}", base_offset
         )
-    return _decode(data, 4, len(data), base_offset)
+    return _decode(data, 0, base_offset)[0]
 
 
 def write_plan_file(path, plans, provenance: dict | None = None):
     """Plan container: magic, file version, provenance JSON, then records."""
     header = json.dumps(provenance or {}, sort_keys=True).encode("utf-8")
+    records = _records(PlanStore.of(plans))
     with open(path, "wb") as f:
         f.write(FILE_MAGIC)
         f.write(struct.pack("<HI", PLAN_VERSION, len(header)))
         f.write(header)
-        for plan in plans:
-            f.write(serialize_plan(plan))
+        f.write(records)
 
 
 def read_plan_file(path):
-    """Returns (provenance dict, list of plans)."""
+    """Returns (provenance dict, PlanStore)."""
     with open(path, "rb") as f:
         data = f.read()
     if data[:4] != FILE_MAGIC:
@@ -454,20 +731,10 @@ def read_plan_file(path):
         raise PlanFormatError(f"{path}: provenance header is not UTF-8 JSON: {e}", 10) from e
     if not isinstance(provenance, dict):
         raise PlanFormatError(f"{path}: provenance header is not a JSON object", 10)
-    plans = []
-    while pos < len(data):
-        if pos + 4 > len(data):
-            raise PlanFormatError("truncated record length prefix", pos)
-        (payload_len,) = struct.unpack_from("<I", data, pos)
-        end = pos + 4 + payload_len
-        if end > len(data):
-            raise PlanFormatError("truncated plan record", pos)
-        plans.append(_decode(data, pos + 4, end, 0))
-        pos = end
-    return provenance, plans
+    return provenance, _decode(data, pos)
 
 
-def plan_to_json(plan: MaskPlan) -> str:
+def plan_to_json(plan) -> str:
     """Human-readable one-line JSON dump of a plan."""
     return json.dumps(
         {

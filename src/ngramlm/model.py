@@ -18,14 +18,17 @@ forward and backward passes are therefore Python floats (``math``).
 from __future__ import annotations
 
 import json
+import lzma
 import math
+import tokenize
 import zipfile
+import zlib
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import DataError, NumericError, UsageError, VersionError
-from .maskplan import MaskPlan, RngState
+from .maskplan import RngState, view_of
 
 CHECKPOINT_VERSION = 2
 INIT_STD = 0.02
@@ -414,17 +417,19 @@ def encode_backward(params: dict, acts: list, d_hidden, cfg: ModelConfig,
 
 def predict_fine(acts: Activations, indexes, params: dict):
     """Logits over the fine vocabulary at the given sequence indexes."""
-    return acts.hidden[list(indexes)] @ params["fine_w"] + params["fine_b"]
+    return acts.hidden[np.asarray(indexes, dtype=np.intp)] @ params["fine_w"] + params["fine_b"]
 
 
 def predict_ngram(acts: Activations, indexes, params: dict, prefix: str = ""):
     """Logits over the joint vocabulary at the given sequence indexes."""
-    return acts.hidden[list(indexes)] @ params[prefix + "ngram_w"] + params[prefix + "ngram_b"]
+    hidden = acts.hidden[np.asarray(indexes, dtype=np.intp)]
+    return hidden @ params[prefix + "ngram_w"] + params[prefix + "ngram_b"]
 
 
 def predict_rtd(acts: Activations, context_indexes, params: dict):
     """One binary logit per context position (original vs replaced)."""
-    return acts.hidden[list(context_indexes)] @ params["rtd_w"] + params["rtd_b"][0]
+    hidden = acts.hidden[np.asarray(context_indexes, dtype=np.intp)]
+    return hidden @ params["rtd_w"] + params["rtd_b"][0]
 
 
 def head_backward(hidden, rows, d_logits, w_name: str, b_name: str, params: dict,
@@ -433,7 +438,8 @@ def head_backward(hidden, rows, d_logits, w_name: str, b_name: str, params: dict
 
     ``d_logits`` holds the head's logit gradients at ``rows`` of ``hidden``;
     ``d_hidden`` has the shape of ``hidden``.  ``rows`` must be distinct
-    (``train._plan_indexes`` refuses a plan that repeats a target index).
+    (training refuses a plan that repeats a target index,
+    ``PlanStore.repeated_target``).
     A head whose weight is a vector, the replaced-token head, has one logit
     per row and ``d_logits`` one value per row.
     """
@@ -447,7 +453,7 @@ def head_backward(hidden, rows, d_logits, w_name: str, b_name: str, params: dict
 # ---------------------------------------------------------------------------
 # generator
 
-def generator_forward_and_sample(params: dict, plan: MaskPlan, cfg: ModelConfig,
+def generator_forward_and_sample(params: dict, plan, cfg: ModelConfig,
                                  rng: RngState, temperature: float = 1.0):
     """Sample one joint identity per masked slot from the generator softmax.
 
@@ -460,10 +466,12 @@ def generator_forward_and_sample(params: dict, plan: MaskPlan, cfg: ModelConfig,
     """
     if temperature <= 0:
         raise UsageError("temperature must be > 0")
-    if not plan.targets_coarse:
+    plan = view_of(plan)
+    slots = plan.coarse[:, 0]
+    if not len(slots):
         raise UsageError("plan has no masked slots to sample for")
-    slots = [slot for slot, _ in plan.targets_coarse]
-    acts = encode(params, plan.context_ids, plan.context_positions, None, cfg.generator_view(),
+    T = plan.T
+    acts = encode(params, plan.ids[:T], plan.positions[:T], None, cfg.generator_view(),
                   prefix="gen_", rows=slots)
     logits = predict_ngram(acts, range(len(slots)), params, prefix="gen_").astype(np.float64)
     z = logits / temperature
@@ -544,7 +552,12 @@ def load_checkpoint(path):
                 )
             params = {k[2:]: z[k] for k in z.files if k.startswith("p/")}
             arrays = {k[2:]: z[k] for k in z.files if k.startswith("a/")}
-    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as e:
+    # zipfile raises RuntimeError for an encrypted member and its subclass
+    # NotImplementedError for an unsupported compression method, flag or
+    # version; zlib and lzma errors come from damaged compressed members,
+    # TokenError from a damaged array header
+    except (OSError, EOFError, ValueError, RuntimeError, zipfile.BadZipFile, zlib.error,
+            lzma.LZMAError, tokenize.TokenError) as e:
         raise DataError(f"cannot read checkpoint {path}: {e}") from e
     try:
         cfg = ModelConfig(**meta["config"])

@@ -7,8 +7,8 @@ from .corpus import WordStream
 from .errors import UsageError
 from .lexicon import JointVocab, NGramLexicon
 from .maskplan import (
-    MaskPlan,
     Objective,
+    PlanStore,
     RngState,
     plan_comprehensive,
     plan_contiguous,
@@ -23,9 +23,9 @@ DEFAULT_MASK_RATE = 0.15
 def make_plans(stream: WordStream, lex: NGramLexicon, jv: JointVocab,
                objective: Objective, rate: float = DEFAULT_MASK_RATE,
                seed: int = 0, ngram_only: bool = False,
-               max_positions: int | None = None) -> list[MaskPlan]:
-    """One plan per document.  ``ngram_only`` restricts masking to
-    multi-word segments (used for n-gram perplexity evaluation).
+               max_positions: int | None = None) -> PlanStore:
+    """One plan per document, in a store.  ``ngram_only`` restricts
+    masking to multi-word segments (used for n-gram perplexity evaluation).
 
     Relation-objective plans use the comprehensive layout; generator
     samples are filled in at training time.
@@ -44,19 +44,21 @@ def make_plans(stream: WordStream, lex: NGramLexicon, jv: JointVocab,
     else:
         raise UsageError(f"unknown objective {objective}")
     rng = RngState(seed)
-    plans = []
-    for doc in stream:
-        ex = segment_example(doc, lex, vocab)
-        if ex.num_segments == 0:
-            continue
-        if max_positions is not None and len(ex.subword_ids) > max_positions:
-            continue
-        candidates = None
-        if ngram_only:
-            b = ex.boundaries.boundaries
-            candidates = [j for j in range(1, len(b)) if b[j] - b[j - 1] > 1]
-            if not candidates:
+
+    def plans():
+        for doc in stream:
+            ex = segment_example(doc, lex, vocab)
+            if ex.num_segments == 0:
                 continue
-        masked = sample_mask(ex.boundaries, rate, rng, candidates)
-        plans.append(build(ex, masked, space))
-    return plans
+            if max_positions is not None and len(ex.subword_ids) > max_positions:
+                continue
+            candidates = None
+            if ngram_only:
+                b = ex.boundaries.boundaries
+                candidates = [j for j in range(1, len(b)) if b[j] - b[j - 1] > 1]
+                if not candidates:
+                    continue
+            masked = sample_mask(ex.boundaries, rate, rng, candidates)
+            yield build(ex, masked, space)
+
+    return PlanStore.from_plans(plans())

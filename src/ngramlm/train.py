@@ -16,11 +16,12 @@ import numpy as np
 
 from .errors import DataError, NumericError, UsageError
 from .maskplan import (
-    MaskPlan,
     Objective,
+    PlanStore,
     RngState,
     build_attention_mask,
     relation_from_comprehensive,
+    view_of,
 )
 from .model import (
     Activations,
@@ -182,60 +183,62 @@ class BackwardGroup:
         self._clear()
 
 
-def _plan_indexes(plan: MaskPlan):
-    """(slots, coarse targets, fine indexes, fine targets).  A slot or fine
-    index that is a target twice raises UsageError: the heads' backward
-    adds into each target row once."""
-    slots = [s for s, _ in plan.targets_coarse]
-    coarse_t = [y for _, y in plan.targets_coarse]
-    fine_idx = [i for i, _ in plan.targets_fine]
-    fine_t = [x for _, x in plan.targets_fine]
-    if len(set(slots)) < len(slots) or len(set(fine_idx)) < len(fine_idx):
-        raise UsageError("a coarse slot or fine index is a target twice")
-    return slots, coarse_t, fine_idx, fine_t
+def _refuse_repeated_targets(plans: PlanStore):
+    """UsageError if a plan names a coarse slot or a fine index as a target
+    twice: the heads' backward adds into each target row once."""
+    k = plans.repeated_target()
+    if k is not None:
+        raise UsageError(f"plan {k}: a coarse slot or fine index is a target twice")
 
 
-def plan_loss_terms(params: dict, plan: MaskPlan, cfg: ModelConfig, group: BackwardGroup):
+def plan_loss_terms(params: dict, plan, cfg: ModelConfig, group: BackwardGroup):
     """Loss sums for one plan, whose backward joins ``group``, each term's
     dlogits scaled by ``group.scales[term]``.  The standard model runs over
     the plan's context and queries under its length-hiding attention mask;
-    a plan without queries needs no mask."""
+    a plan without queries needs no mask.  The plan's targets must be
+    distinct (:func:`_refuse_repeated_targets`)."""
+    plan = view_of(plan)
     group.start(plan.T + plan.Q)
     mask = build_attention_mask(plan, dtype=params["tok_emb"].dtype) if plan.Q else None
-    acts = encode(params, plan.all_ids(), plan.all_positions(), mask, cfg)
+    acts = encode(params, plan.ids, plan.positions, mask, cfg)
     group.add(acts)
-    slots, coarse_t, fine_idx, fine_t = _plan_indexes(plan)
+    coarse, fine, labels = plan.coarse, plan.fine, plan.labels
     terms = {"coarse_sum": 0.0, "fine_sum": 0.0, "rtd_sum": 0.0}
 
-    if coarse_t:
-        nll, dlog = _xent(predict_ngram(acts, slots, params), coarse_t)
+    if len(coarse):
+        slots = coarse[:, 0]
+        nll, dlog = _xent(predict_ngram(acts, slots, params), coarse[:, 1])
         terms["coarse_sum"] = float(nll.sum())
         group.add_head("ngram_w", "ngram_b", slots, dlog * group.scales["coarse"])
-    if fine_t:
-        nll, dlog = _xent(predict_fine(acts, fine_idx, params), fine_t)
+    if len(fine):
+        index = fine[:, 0]
+        nll, dlog = _xent(predict_fine(acts, index, params), fine[:, 1])
         terms["fine_sum"] = float(nll.sum())
-        group.add_head("fine_w", "fine_b", fine_idx, dlog * group.scales["fine"])
-    if plan.rtd_labels is not None:
+        group.add_head("fine_w", "fine_b", index, dlog * group.scales["fine"])
+    if labels is not None:
         ctx = range(plan.T)
-        nll, dlog = _bce_with_logits(predict_rtd(acts, ctx, params), plan.rtd_labels)
+        nll, dlog = _bce_with_logits(predict_rtd(acts, ctx, params), labels)
         terms["rtd_sum"] = float(nll.sum())
         group.add_head("rtd_w", "rtd_b", ctx,
                        (dlog * group.scales["rtd"]).astype(acts.hidden.dtype))
     return terms
 
 
-def generator_loss_terms(params: dict, plan: MaskPlan, cfg: ModelConfig, group: BackwardGroup):
+def generator_loss_terms(params: dict, plan, cfg: ModelConfig, group: BackwardGroup):
     """Generator explicit-MLM loss on a plan's context, nothing masked out;
     slots predict y.  The backward joins ``group``, one over the ``gen_``
     tensors, the dlogits scaled by ``group.scales["gen"]``."""
-    slots, coarse_t, _, _ = _plan_indexes(plan)
-    if not coarse_t:
+    plan = view_of(plan)
+    coarse = plan.coarse
+    if not len(coarse):
         return {"gen_sum": 0.0}
-    group.start(plan.T)
-    acts = encode(params, plan.context_ids, plan.context_positions, None, cfg.generator_view(),
+    T = plan.T
+    group.start(T)
+    acts = encode(params, plan.ids[:T], plan.positions[:T], None, cfg.generator_view(),
                   prefix="gen_")
     group.add(acts)
-    nll, dlog = _xent(predict_ngram(acts, slots, params, prefix="gen_"), coarse_t)
+    slots = coarse[:, 0]
+    nll, dlog = _xent(predict_ngram(acts, slots, params, prefix="gen_"), coarse[:, 1])
     group.add_head("gen_ngram_w", "gen_ngram_b", slots, dlog * group.scales["gen"])
     return {"gen_sum": float(nll.sum())}
 
@@ -252,15 +255,17 @@ def batch_loss_and_grad(params: dict, plans, cfg: ModelConfig, tcfg: TrainConfig
     term on the original.  Sampling is non-differentiable, so the
     generator only receives gradient from its own term.
     """
+    plans = PlanStore.of(plans)
     relation = tcfg.objective == Objective.RELATION
-    if relation and any(p.objective not in (Objective.COMPREHENSIVE, Objective.RELATION)
-                        for p in plans):
+    if relation and not np.isin(plans.objectives,
+                                (Objective.COMPREHENSIVE, Objective.RELATION)).all():
         raise UsageError("relation training needs comprehensive-layout plans")
-    n_coarse = sum(len(p.targets_coarse) for p in plans)
-    n_fine = sum(len(p.targets_fine) for p in plans)
+    _refuse_repeated_targets(plans)
+    n_coarse = int(plans.nc.sum())
+    n_fine = int(plans.nf.sum())
     n_gen = n_coarse if relation else 0
-    n_rtd = (sum(p.T for p in plans if p.targets_coarse or p.rtd_labels is not None)
-             if relation else 0)
+    labelled = np.array([labels is not None for labels in plans.rtd], dtype=bool)
+    n_rtd = int(plans.T[(plans.nc > 0) | labelled].sum()) if relation else 0
 
     scales = {"coarse": 1.0 / max(n_coarse, 1), "fine": 1.0 / max(n_fine, 1),
               "rtd": tcfg.rtd_weight / max(n_rtd, 1)}
@@ -272,7 +277,7 @@ def batch_loss_and_grad(params: dict, plans, cfg: ModelConfig, tcfg: TrainConfig
     sums = {"coarse_sum": 0.0, "fine_sum": 0.0, "rtd_sum": 0.0, "gen_sum": 0.0}
     for plan in plans:
         filled = plan
-        if relation and plan.targets_coarse:
+        if relation and len(plan.coarse):
             sampled = generator_forward_and_sample(params, plan, cfg, sample_rng)
             filled = relation_from_comprehensive(plan, sampled)
         for key, value in plan_loss_terms(params, filled, cfg, main).items():
@@ -375,15 +380,16 @@ def adam_step(params, grads, state: AdamState, lr: float, tcfg: TrainConfig):
 
 def train(tcfg: TrainConfig, plans, params: dict, cfg: ModelConfig,
           metrics_path=None, checkpoint_path=None, resume_from=None):
-    """Run the training loop over a fixed plan list, cycling in order.
+    """Run the training loop over a fixed plan store (or list), cycling in order.
 
     Deterministic for a fixed seed (single-threaded).  Returns (params, now
     views of one flat vector, list of per-step metric dicts).  NaN loss
     aborts with a diagnostic checkpoint next to ``checkpoint_path``.
     """
-    plans = list(plans)
-    if not plans:
+    plans = PlanStore.of(plans)
+    if not len(plans):
         raise UsageError("empty plan stream")
+    _refuse_repeated_targets(plans)
     sample_rng = RngState(tcfg.seed ^ 0x5EED)
     start_step = 0
     if resume_from is not None:
@@ -428,7 +434,7 @@ def train(tcfg: TrainConfig, plans, params: dict, cfg: ModelConfig,
     try:
         for step in range(start_step, tcfg.total_steps):
             first = step * tcfg.batch_size
-            batch = [plans[(first + j) % len(plans)] for j in range(tcfg.batch_size)]
+            batch = plans.take([(first + j) % len(plans) for j in range(tcfg.batch_size)])
             lr = lr_at(step, tcfg)
             try:
                 grads_flat.fill(0)
@@ -478,20 +484,15 @@ def _save_train_checkpoint(path, params, cfg, tcfg, state, step, sample_rng):
 # ---------------------------------------------------------------------------
 # evaluation
 
-def _contiguous_gram_groups(plan: MaskPlan):
-    """Masked n-grams of a contiguous plan as runs of consecutive targets.
-
-    Exact because the mask sampler never selects adjacent segments."""
-    idxs = sorted(i for i, _ in plan.targets_fine)
-    groups, run = [], []
-    for i in idxs:
-        if run and i != run[-1] + 1:
-            groups.append(run)
-            run = []
-        run.append(i)
-    if run:
-        groups.append(run)
-    return groups
+def _contiguous_gram_groups(plan):
+    """A contiguous plan's masked n-grams as runs of consecutive targets:
+    (rows, targets, bounds), the fine targets sorted by row and the n-grams
+    split at ``bounds``.  Exact because the mask sampler never selects
+    adjacent segments."""
+    fine = view_of(plan).fine.astype(np.int64)
+    fine = fine[np.argsort(fine[:, 0], kind="stable")]
+    rows = fine[:, 0]
+    return rows, fine[:, 1], np.flatnonzero(np.diff(rows) != 1) + 1
 
 
 def eval_ngram_ppl(params: dict, plans, cfg: ModelConfig) -> float:
@@ -505,22 +506,22 @@ def eval_ngram_ppl(params: dict, plans, cfg: ModelConfig) -> float:
     the context.  So each plan's context is encoded alone, unmasked, and
     its last layer runs at the scored rows only.
     """
+    plans = PlanStore.of(plans)
+    _refuse_repeated_targets(plans)
     log_ppls = []
     for plan in plans:
-        if plan.objective == Objective.CONTIGUOUS:
-            groups = _contiguous_gram_groups(plan)
-            target_of = dict(plan.targets_fine)
-            rows = [i for group in groups for i in group]
-            targets = [target_of[i] for i in rows]
+        contiguous = plan.objective == Objective.CONTIGUOUS
+        if contiguous:
+            rows, targets, bounds = _contiguous_gram_groups(plan)
         else:
-            rows, targets, _, _ = _plan_indexes(plan)
-        acts = encode(params, plan.context_ids, plan.context_positions, None, cfg, rows=rows)
-        if not rows:
+            rows, targets = plan.coarse.T
+        T = plan.T
+        acts = encode(params, plan.ids[:T], plan.positions[:T], None, cfg, rows=rows)
+        if not len(rows):
             continue
         scored = range(len(rows))
-        if plan.objective == Objective.CONTIGUOUS:
+        if contiguous:
             nll, _ = _xent(predict_fine(acts, scored, params), targets)
-            bounds = np.cumsum([len(group) for group in groups])[:-1]
             log_ppls.extend(float(part.mean()) for part in np.split(nll, bounds))
         else:
             nll, _ = _xent(predict_ngram(acts, scored, params), targets)

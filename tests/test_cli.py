@@ -4,6 +4,8 @@ import dataclasses
 import io
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -280,6 +282,19 @@ def test_malformed_plan_file_is_a_data_error(corpus_dir, tmp_path, damage):
                  "--out", str(tmp_path / "m.npz")]) == 3
 
 
+def test_vocabulary_blank_line_is_a_data_error(corpus_dir, tmp_path, capsys):
+    # a blank line before the last token would move every later id
+    lines = (corpus_dir / "vocab.txt").read_text(encoding="utf-8").splitlines()
+    vocab = tmp_path / "vocab.txt"
+    vocab.write_text("\n".join(lines[:-1] + ["", lines[-1]]) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["make-masks", "--corpus", str(corpus_dir / "corpus.txt"),
+                 "--lexicon", str(corpus_dir / "lex.tsv"), "--vocab", str(vocab),
+                 "--out", str(tmp_path / "plans.bin")]) == 3
+    assert f"line {len(lines)} is blank" in capsys.readouterr().err
+    assert not (tmp_path / "plans.bin").exists()
+
+
 @pytest.mark.parametrize("edit", [
     lambda p: {"context_ids": (1_000_000,) + p.context_ids[1:]},
     lambda p: {"targets_coarse": ((p.targets_coarse[0][0], 1_000_000),) + p.targets_coarse[1:]},
@@ -301,7 +316,8 @@ def test_out_of_range_plan_is_a_data_error(corpus_dir, tmp_path, edit):
                  "--heads", "2", "--steps", "1", "--batch-size", "2", "--out", str(ck)]) == 0
     prov, plans = read_plan_file(plans_path)
     bad = tmp_path / "bad.bin"
-    write_plan_file(bad, [dataclasses.replace(plans[0], **edit(plans[0]))] + plans[1:], prov)
+    write_plan_file(bad, [dataclasses.replace(plans[0].to_plan(), **edit(plans[0])), *plans[1:]],
+                    prov)
     assert main(["eval-ppl", "--plans", str(bad), "--checkpoint", str(ck)]) == 3
     assert main(["train", "--plans", str(bad), "--layers", "1", "--hidden", "16",
                  "--heads", "2", "--steps", "1", "--batch-size", "2",
@@ -318,10 +334,10 @@ def test_contiguous_target_outside_the_context_is_a_data_error(corpus_dir, tmp_p
     assert main(train + ["--out", str(ck)]) == 0
     prov, plans = read_plan_file(plans_path)
     p = plans[0]
-    moved = dataclasses.replace(p, query_ids=(p.context_ids[0],), query_positions=(1,),
+    moved = dataclasses.replace(p.to_plan(), query_ids=(p.context_ids[0],), query_positions=(1,),
                                 targets_fine=p.targets_fine + ((p.T, p.targets_fine[0][1]),))
     bad = tmp_path / "bad.bin"
-    write_plan_file(bad, [moved] + plans[1:], prov)
+    write_plan_file(bad, [moved, *plans[1:]], prov)
     train[2] = str(bad)
     assert main(["eval-ppl", "--plans", str(bad), "--checkpoint", str(ck)]) == 3
     assert main(train + ["--out", str(tmp_path / "m2.npz")]) == 3
@@ -516,6 +532,81 @@ def test_malformed_checkpoint_is_a_data_error(trained, tmp_path, capsys, edit, c
     capsys.readouterr()
     assert main(argv) == 3
     assert capsys.readouterr().err.startswith("data error: ")
+
+
+def flipped(data: bytes, offset: int, mask: int) -> bytes:
+    return data[:offset] + bytes([data[offset] ^ mask]) + data[offset + 1:]
+
+
+def assert_exit_codes_only(path, damaged, commands):
+    """Each of ``damaged`` written to ``path`` and run through each command:
+    every failure leaves ``main`` as an exit code, never as an exception."""
+    for k, data in enumerate(damaged):
+        path.write_bytes(data)
+        for argv in commands:
+            try:
+                code = main(argv)
+            except Exception as e:
+                pytest.fail(f"case {k}: {type(e).__name__} escaped {argv[0]}: {e}")
+            assert code in (0, 2, 3, 4), (k, argv[0], code)
+
+
+def central_directory_edit(data: bytes, offset: int, value: bytes) -> bytes:
+    """``data`` with ``value`` written at ``offset`` in its first central-directory entry."""
+    at = data.index(b"PK\x01\x02") + offset
+    return data[:at] + value + data[at + len(value):]
+
+
+@pytest.mark.parametrize("offset, value", [(8, b"\x01"), (10, b"\x63\x00"), (6, b"\xff")],
+                         ids=["encrypted-flag", "compression-method-0x63", "version-needed-0xff"])
+def test_unsupported_zip_entry_is_a_data_error(trained, tmp_path, capsys, offset, value):
+    plans, ck, _ = trained
+    bad = tmp_path / "bad.npz"
+    bad.write_bytes(central_directory_edit(ck.read_bytes(), offset, value))
+    capsys.readouterr()
+    assert main(["eval-ppl", "--plans", str(plans), "--checkpoint", str(bad)]) == 3
+    assert capsys.readouterr().err.startswith("data error: cannot read checkpoint")
+
+
+def test_damaged_checkpoint_leaves_main_as_an_exit_code(trained, tmp_path):
+    # byte flips, most in the zip and array headers, and cuts of a checkpoint,
+    # through each command that reads one
+    plans, ck, _ = trained
+    few = tmp_path / "few.bin"  # two plans keep each command short
+    prov, stored = read_plan_file(plans)
+    write_plan_file(few, stored[:2], prov)
+    good = ck.read_bytes()
+    headers = sorted({m.start() + i for sig, size in ((b"PK\x03\x04", 160), (b"PK\x01\x02", 46),
+                                                      (b"PK\x05\x06", 22))
+                      for m in re.finditer(re.escape(sig), good) for i in range(size)})
+    rnd = random.Random(7)
+    offsets = rnd.sample(headers, 60) + rnd.sample(range(len(good)), 20)
+    damaged = [flipped(good, i, rnd.randrange(1, 256)) for i in offsets]
+    damaged += [good[: rnd.randrange(len(good))] for _ in range(10)]
+    bad = tmp_path / "bad.npz"
+    assert_exit_codes_only(bad, damaged, [
+        ["eval-ppl", "--plans", str(few), "--checkpoint", str(bad)],
+        ["export", "--checkpoint", str(bad), "--out", str(tmp_path / "export.npz")],
+        TRAIN_SMALL + ["--plans", str(few), "--steps", "3", "--resume", str(bad),
+                       "--out", str(tmp_path / "resumed.npz")],
+    ])
+
+
+def test_damaged_lexicon_leaves_main_as_an_exit_code(corpus_dir, tmp_path):
+    # byte flips and cuts of a lexicon through each command that reads one
+    good = (corpus_dir / "lex.tsv").read_bytes()
+    rnd = random.Random(11)
+    damaged = [flipped(good, rnd.randrange(len(good)), rnd.randrange(1, 256)) for _ in range(150)]
+    damaged += [good[: rnd.randrange(len(good))] for _ in range(30)]
+    src = tmp_path / "in.txt"
+    src.write_text("topic00 t00p0a t00p0b fill01\n", encoding="utf-8")
+    lex = tmp_path / "lex.tsv"
+    assert_exit_codes_only(lex, damaged, [
+        ["segment", "--lexicon", str(lex), "--input", str(src)],
+        ["make-masks", "--corpus", str(corpus_dir / "corpus.txt"), "--lexicon", str(lex),
+         "--vocab", str(corpus_dir / "vocab.txt"), "--objective", "comprehensive",
+         "--out", str(tmp_path / "plans.bin")],
+    ])
 
 
 def test_train_refuses_a_negative_seed(corpus_dir, tmp_path, capsys):

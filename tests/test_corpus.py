@@ -160,6 +160,24 @@ def test_fine_vocab_duplicate_rejected():
         FineVocab(reserved_symbols() + ["a", "a"])
 
 
+def test_fine_vocab_empty_entry_rejected():
+    # an empty entry could not be saved: its blank line would move every later id
+    with pytest.raises(DataError, match="empty vocabulary entry"):
+        FineVocab.from_subwords(["a", "", "b"])
+
+
+def test_fine_vocab_blank_line_before_a_token_rejected(tmp_path):
+    text = "\n".join(reserved_symbols() + ["a", "b"]) + "\n"
+    p = tmp_path / "vocab.txt"
+    p.write_text(text + "\n\n", encoding="utf-8")  # trailing blank lines hold no id
+    assert FineVocab.load(p).tokens == reserved_symbols() + ["a", "b"]
+    lines = text.splitlines()
+    for at in (0, len(lines) - 1):
+        p.write_text("\n".join(lines[:at] + [""] + lines[at:]) + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=f"line {at + 1} is blank"):
+            FineVocab.load(p)
+
+
 def test_fine_vocab_missing_reserved_rejected():
     with pytest.raises(DataError):
         FineVocab(["a", "b"])

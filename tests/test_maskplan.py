@@ -37,6 +37,7 @@ from ngramlm import pipeline
 from ngramlm.errors import NgramlmError, PlanError, PlanFormatError, UsageError, VersionError
 from ngramlm.maskplan import (
     PLAN_VERSION,
+    PlanStore,
     read_plan_file,
     relation_from_comprehensive,
     write_plan_file,
@@ -512,6 +513,35 @@ def test_plan_file_roundtrip(tmp_path, toy_example, toy_vocab, toy_jv):
     prov, back = read_plan_file(path)
     assert prov == {"note": "toy"}
     assert back == plans
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(plan_st(), max_size=6), st.data())
+def test_plan_store_indexes_like_the_list(plans, data):
+    store = PlanStore.from_plans(plans)
+    assert len(store) == len(plans) and store == plans and list(store) == plans
+    for k, plan in enumerate(plans):
+        view = store[k - len(plans) if k % 2 else k]
+        assert view.to_plan() == plan
+        assert view.ids.tolist() == list(plan.all_ids())
+        assert view.positions.tolist() == list(plan.all_positions())
+        assert [tuple(p) for p in view.fine.tolist()] == list(plan.targets_fine)
+    sl = slice(*data.draw(st.tuples(*[st.none() | st.integers(-7, 7)] * 2)),
+               data.draw(st.sampled_from([None, 1, 2, -1])))
+    assert store[sl] == plans[sl]
+    order = data.draw(st.lists(st.integers(0, max(len(plans) - 1, 0)), max_size=8)) if plans else []
+    assert store.take(order) == [plans[k] for k in order]
+    for field in ("coarse", "fine"):
+        pairs, at = store.gather(field)
+        want = [(k, tuple(t)) for k, plan in enumerate(plans)
+                for t in getattr(plan, "targets_" + field)]
+        assert [(k, tuple(p)) for k, p in zip(at.tolist(), pairs.tolist())] == want
+    ids, at = store.gather("query_ids")
+    assert ids.tolist() == [x for plan in plans for x in plan.query_ids]
+    repeats = [k for k, plan in enumerate(plans)
+               if any(len({i for i, _ in t}) < len(t)
+                      for t in (plan.targets_coarse, plan.targets_fine))]
+    assert store.repeated_target() == min(repeats, default=None)
 
 
 def test_plan_file_bad_magic(tmp_path):

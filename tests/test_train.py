@@ -6,6 +6,7 @@ controlled head biases make the evaluation perplexities exact.
 
 import dataclasses
 import importlib
+import json
 import math
 
 import numpy as np
@@ -27,9 +28,10 @@ from ngramlm import (
     make_plans,
     train,
 )
+from ngramlm.cli import _check_plan_ids
 from ngramlm.corpus import FineVocab, WordStream
 from ngramlm.errors import NumericError, UsageError
-from ngramlm.maskplan import relation_from_comprehensive
+from ngramlm.maskplan import read_plan_file, relation_from_comprehensive, write_plan_file
 from ngramlm.model import FlatLayout, generator_forward_and_sample
 from ngramlm.train import (
     AdamState,
@@ -432,7 +434,7 @@ def long_plan_batch(small_pipeline):
     long = make_plans(WordStream([docs[0] + docs[1]]), lex, jv, Objective.RELATION, seed=0)[0]
     assert long.T <= cfg.max_positions < long.T + long.Q
     tcfg = TrainConfig(Objective.RELATION, total_steps=1, batch_size=7, warmup_steps=0, seed=0)
-    return cfg, tcfg, plans[:3] + [long] + plans[3:6]
+    return cfg, tcfg, [*plans[:3], long, *plans[3:6]]
 
 
 def test_groups_over_max_positions_keep_reference_grads(small_pipeline):
@@ -533,7 +535,7 @@ def test_repeated_target_index_is_a_usage_error(small_pipeline, field):
     plans = make_plans(stream, lex, jv, Objective.COMPREHENSIVE, seed=1)
     plan = next(p for p in plans if len(getattr(p, field)) >= 2)
     t = getattr(plan, field)
-    bad = dataclasses.replace(plan, **{field: (t[0], (t[0][0], t[1][1])) + t[2:]})
+    bad = dataclasses.replace(plan.to_plan(), **{field: (t[0], (t[0][0], t[1][1])) + t[2:]})
     params = init_params(cfg, 0)
     for objective in (Objective.COMPREHENSIVE, Objective.RELATION):
         tcfg = TrainConfig(objective, total_steps=1, batch_size=1, warmup_steps=0)
@@ -545,8 +547,8 @@ def test_relation_refuses_an_explicit_plan_before_any_draw(small_pipeline):
     # the layout check covers the whole batch before the first plan is
     # sampled, so a refused batch leaves the sampler where it was
     stream, vocab, lex, jv, cfg = small_pipeline
-    batch = (make_plans(stream, lex, jv, Objective.COMPREHENSIVE, seed=1)[:3]
-             + make_plans(stream, lex, jv, Objective.EXPLICIT, seed=1)[:1])
+    batch = [*make_plans(stream, lex, jv, Objective.COMPREHENSIVE, seed=1)[:3],
+             *make_plans(stream, lex, jv, Objective.EXPLICIT, seed=1)[:1]]
     assert all(p.targets_coarse for p in batch)
     params = init_params(cfg, 0)
     tcfg = TrainConfig(Objective.RELATION, total_steps=1, batch_size=4, warmup_steps=0)
@@ -581,6 +583,39 @@ def test_metrics_file_is_json_lines(small_pipeline, tmp_path):
     lines = path.read_text().splitlines()
     assert len(lines) == 2
     assert json.loads(lines[0])["step"] == 0
+
+
+@pytest.mark.parametrize("layout, objective", [
+    (Objective.CONTIGUOUS, Objective.CONTIGUOUS),
+    (Objective.EXPLICIT, Objective.EXPLICIT),
+    (Objective.COMPREHENSIVE, Objective.COMPREHENSIVE),
+    (Objective.COMPREHENSIVE, Objective.RELATION),
+])
+def test_plan_store_paths_build_no_mask_plans(small_pipeline, tmp_path, monkeypatch,
+                                              layout, objective):
+    # writing, reading, the CLI checks, training and evaluation read the
+    # store's arrays; a list of the same plans trains to the same metrics
+    stream, vocab, lex, jv, cfg = small_pipeline
+    plans = make_plans(stream, lex, jv, layout, seed=1)
+    made = []
+    init = MaskPlan.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(MaskPlan, "__init__", counting)
+    path = tmp_path / "plans.bin"
+    write_plan_file(path, plans, {})
+    _, stored = read_plan_file(path)
+    _check_plan_ids(path, stored, cfg)
+    tcfg = TrainConfig(objective, total_steps=4, batch_size=4, warmup_steps=0, seed=3)
+    params, metrics = train(tcfg, stored, init_params(cfg, 0), cfg)
+    eval_ngram_ppl(params, stored, cfg)
+    assert made == []
+    listed = [plan.to_plan() for plan in stored]
+    _, listed_metrics = train(tcfg, listed, init_params(cfg, 0), cfg)
+    assert json.dumps(listed_metrics) == json.dumps(metrics)
 
 
 # --- evaluation -------------------------------------------------------------------
@@ -630,7 +665,9 @@ def test_eval_ppl_contiguous_uses_per_token_mean():
 def test_contiguous_gram_groups():
     plan = MaskPlan(Objective.CONTIGUOUS, (0,) * 8, tuple(range(1, 9)), (), (),
                     (), ((1, 0), (2, 0), (4, 0), (6, 0), (7, 0)))
-    assert _contiguous_gram_groups(plan) == [[1, 2], [4], [6, 7]]
+    rows, targets, bounds = _contiguous_gram_groups(plan)
+    assert [group.tolist() for group in np.split(rows, bounds)] == [[1, 2], [4], [6, 7]]
+    assert targets.tolist() == [0] * 5
 
 
 def test_untrained_explicit_ppl_near_joint_size(small_pipeline):
@@ -651,7 +688,13 @@ def reference_ngram_ppl(params, plans, cfg):
         acts = encode(params, plan.all_ids(), plan.all_positions(), mask, cfg)
         if plan.objective == Objective.CONTIGUOUS:
             target_of = dict(plan.targets_fine)
-            for group in _contiguous_gram_groups(plan):
+            groups = []  # runs of consecutive target indexes
+            for i in sorted(target_of):
+                if groups and i == groups[-1][-1] + 1:
+                    groups[-1].append(i)
+                else:
+                    groups.append([i])
+            for group in groups:
                 nll, _ = _xent(acts.hidden[group] @ params["fine_w"] + params["fine_b"],
                                [target_of[i] for i in group])
                 log_ppls.append(float(nll.mean()))
@@ -687,7 +730,7 @@ def test_eval_ppl_ignores_the_queries(small_pipeline):
     stream, vocab, lex, jv, cfg = small_pipeline
     plans = make_plans(stream, lex, jv, Objective.COMPREHENSIVE, seed=5)[:40]
     assert any(p.Q for p in plans)
-    bare = [dataclasses.replace(p, query_ids=(), query_positions=(),
+    bare = [dataclasses.replace(p.to_plan(), query_ids=(), query_positions=(),
                                 targets_fine=tuple(t for t in p.targets_fine if t[0] < p.T))
             for p in plans]
     params = spread_params(cfg, 7)
