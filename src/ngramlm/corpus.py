@@ -99,7 +99,8 @@ class FineVocab:
     """Fine-grained subword vocabulary with dense ids.
 
     File format: plain text, one subword per line, id = 0-based line
-    number.  Reserved symbols come first (see ``reserved_symbols``).
+    number, so no entry may be empty or hold a line break.  Reserved
+    symbols come first (see ``reserved_symbols``).
     ``subword_tokenize`` caches each word's ids on the instance, so the
     entries must not change after construction.
     """
@@ -107,6 +108,12 @@ class FineVocab:
     def __init__(self, tokens: list[str], max_query: int = DEFAULT_MAX_QUERY):
         if "" in tokens:
             raise DataError(f"empty vocabulary entry at id {tokens.index('')}")
+        # the file holds one entry a line, and load() splits lines where
+        # str.splitlines does: at \x0b, \x0c, \x1c-\x1e, \x85, \u2028 and \u2029 too
+        broken = next((i for i, t in enumerate(tokens) if t.splitlines() != [t]), None)
+        if broken is not None:
+            raise DataError(f"vocabulary entry at id {broken} {tokens[broken]!r} holds a "
+                            "line break, so a saved file would load with other ids")
         if len(set(tokens)) != len(tokens):
             dupes = [t for t, c in Counter(tokens).items() if c > 1]
             raise DataError(f"duplicate vocabulary entries: {dupes[:5]}")

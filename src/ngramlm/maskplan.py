@@ -274,30 +274,33 @@ def plan_comprehensive(ex: SegmentedExample, masked: tuple, jv: JointVocab) -> M
     )
 
 
-def relation_from_comprehensive(plan, sampled) -> "PlanView":
+def relation_from_comprehensive(plans, sampled):
     """Fill each [M] slot with a sampled joint identity and derive RTD labels.
 
-    ``sampled`` aligns with plan.targets_coarse.  Labels are per context
-    position: 1 where the filled sequence matches the original-identity
-    sequence, 0 at slots holding a wrong identity and at fallback [M]s.
-    Returns the filled plan as the view of a one-plan store.
+    ``plans`` is a store, a list or one plan; ``sampled`` aligns with the
+    coarse targets of its plans, in the order of ``gather("coarse")``.
+    Labels are per context position: 1 where the filled sequence matches
+    the original-identity sequence, 0 at slots holding a wrong identity and
+    at fallback [M]s.  Every plan becomes a relation plan, in one copy of
+    the store's fields.  Returns that store, or for one plan its view.
     """
-    plan = view_of(plan)
-    coarse = plan.coarse
+    store = PlanStore.of(plans)
+    coarse, owner = store.gather("coarse")
     if len(sampled) != len(coarse):
         raise UsageError(f"expected {len(coarse)} sampled ids, got {len(sampled)}")
     sampled = np.asarray(sampled, dtype=np.int64)
-    labels = np.ones(plan.T, dtype=np.uint8)
-    index = plan.fine[:, 0]
-    labels[index[index < plan.T]] = 0  # fallback [M] positions, never the original
-    slots = coarse[:, 0]
-    labels[slots] = sampled == coarse[:, 1]
-    store = plan.store
-    fields = store.run[store.starts[plan.k] : store.starts[plan.k + 1]].copy()
-    fields[2 + slots] = sampled  # the context ids start after T and Q
-    return PlanStore(fields, np.array([0, len(fields)]),
-                     np.array([Objective.RELATION], dtype=np.uint8), [labels],
-                     [plan.masked_set])[0]
+    first = np.concatenate(([0], np.cumsum(store.T)))  # each plan's first label
+    labels = np.ones(first[-1], dtype=np.uint8)
+    fine, fine_owner = store.gather("fine")
+    fallback = fine[:, 0] < store.T[fine_owner]  # fallback [M] positions, never the original
+    labels[first[fine_owner[fallback]] + fine[fallback, 0]] = 0
+    labels[first[owner] + coarse[:, 0]] = sampled == coarse[:, 1]
+    run = store.run.copy()
+    run[store.starts[owner] + 2 + coarse[:, 0]] = sampled  # the context ids start after T and Q
+    filled = PlanStore(run, store.starts, np.full(len(store), Objective.RELATION, dtype=np.uint8),
+                       np.split(labels, first[1:-1])[:len(store)], store.masked)
+    filled._distinct = store._distinct
+    return filled[0] if isinstance(plans, (MaskPlan, PlanView)) else filled
 
 
 def plan_relation(ex: SegmentedExample, masked: tuple, jv: JointVocab, sampled) -> "PlanView":
@@ -399,8 +402,13 @@ class PlanStore:
 
     @classmethod
     def of(cls, plans) -> "PlanStore":
-        """``plans`` if it is a store, else the store of its plans."""
-        return plans if isinstance(plans, PlanStore) else cls.from_plans(plans)
+        """``plans`` if it is a store, a one-plan store if it is one plan (a
+        MaskPlan or a view), else the store of its plans."""
+        if isinstance(plans, PlanStore):
+            return plans
+        if isinstance(plans, PlanView):
+            return plans.store.take([plans.k])
+        return cls.from_plans([plans] if isinstance(plans, MaskPlan) else plans)
 
     def __len__(self) -> int:
         return len(self.objectives)

@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DataError, NumericError, UsageError, VersionError
-from .maskplan import RngState, view_of
+from .maskplan import PlanStore, RngState
 
 CHECKPOINT_VERSION = 2
 INIT_STD = 0.02
@@ -233,11 +233,13 @@ class Activations:
     """Per-layer hidden states, attention tensors and backward caches.
 
     A forward-only pass (``encode`` with ``rows``) keeps no caches:
-    ``cache`` stays empty and ``emb_cache`` None."""
+    ``cache`` stays empty and ``emb_cache`` None.  ``Activations(hidden)``
+    holds hidden states alone, such as several plans' states packed
+    row-wise for one head product."""
 
-    def __init__(self):
+    def __init__(self, hidden=None):
         self.attn_probs = []
-        self.hidden = None
+        self.hidden = hidden
         self.cache = []
         self.emb_cache = None
 
@@ -453,38 +455,43 @@ def head_backward(hidden, rows, d_logits, w_name: str, b_name: str, params: dict
 # ---------------------------------------------------------------------------
 # generator
 
-def generator_forward_and_sample(params: dict, plan, cfg: ModelConfig,
+def generator_forward_and_sample(params: dict, plans, cfg: ModelConfig,
                                  rng: RngState, temperature: float = 1.0):
-    """Sample one joint identity per masked slot from the generator softmax.
+    """Sample one joint identity per masked slot from the generator softmax,
+    for every slot of ``plans`` (a store, a list or one plan).
 
-    The generator runs over the plan's context only, with nothing masked
+    The generator runs over each plan's context only, with nothing masked
     out, under ``cfg.generator_view()``, and its last layer at the slots.
-    Sampling is a non-differentiable boundary: no gradient flows back
-    through the returned ids.  All slots are drawn at once, exactly as
-    ``g.choice(V, p=row)`` draws them slot by slot: one uniform each, in
-    slot order, against the row's normalised cumulative sum.
+    One stacked softmax and cumulative sum then cover every slot.  Each plan
+    with slots takes one keyed draw from ``rng``, in plan order, and draws
+    its slots at once, exactly as ``g.choice(V, p=row)`` draws them slot by
+    slot: one uniform each, in slot order, against the row's normalised
+    cumulative sum.  A plan without slots takes no draw.  The ids come in
+    the order of ``PlanStore.gather("coarse")``.  Sampling is a
+    non-differentiable boundary: no gradient flows back through them.
     """
     if temperature <= 0:
         raise UsageError("temperature must be > 0")
-    plan = view_of(plan)
-    slots = plan.coarse[:, 0]
-    if not len(slots):
-        raise UsageError("plan has no masked slots to sample for")
-    T = plan.T
-    acts = encode(params, plan.ids[:T], plan.positions[:T], None, cfg.generator_view(),
-                  prefix="gen_", rows=slots)
-    logits = predict_ngram(acts, range(len(slots)), params, prefix="gen_").astype(np.float64)
+    plans = PlanStore.of(plans)
+    if not plans.nc.any():
+        raise UsageError("no masked slots to sample for")
+    gcfg = cfg.generator_view()
+    states = np.concatenate([encode(params, plan.ids[:plan.T], plan.positions[:plan.T], None,
+                                    gcfg, prefix="gen_", rows=plan.coarse[:, 0]).hidden
+                             for plan in plans if len(plan.coarse)])
+    logits = predict_ngram(Activations(states), range(len(states)), params,
+                           prefix="gen_").astype(np.float64)
     z = logits / temperature
     z -= z.max(-1, keepdims=True)
     probs = np.exp(z)
     probs /= probs.sum(-1, keepdims=True)
     if not np.isfinite(probs).all():
         raise NumericError("non-finite generator probabilities")
-    g = rng.next_generator()
+    u = np.concatenate([rng.next_generator().random(n) for n in plans.nc[plans.nc > 0].tolist()])
     # the count of cdf entries <= u is searchsorted(cdf, u, side="right")
     cdf = probs.cumsum(-1)
     cdf /= cdf[:, -1:]
-    return (cdf <= g.random(len(slots))[:, None]).sum(-1)
+    return (cdf <= u[:, None]).sum(-1)
 
 
 # ---------------------------------------------------------------------------

@@ -121,21 +121,31 @@ def lr_at(step: int, tcfg: TrainConfig) -> float:
 
 
 # ---------------------------------------------------------------------------
-# per-plan forward, packed backward
+# per-plan forward; heads, losses and backward per group of plans
+
+# loss term -> the (weight, bias) of its head
+_HEADS = {"coarse": ("ngram_w", "ngram_b"), "fine": ("fine_w", "fine_b"),
+          "rtd": ("rtd_w", "rtd_b"), "gen": ("gen_ngram_w", "gen_ngram_b")}
+
 
 class BackwardGroup:
-    """Consecutive plans of one encoder whose backward runs as one packed pass.
+    """Consecutive plans of one encoder whose heads and backward run packed.
 
-    Each plan's forward pass, logits and loss run on their own; the group
-    keeps the plans' activations and, per head, the dlogits scaled by
-    ``scales`` (loss term name -> factor, e.g. weight / batch target count)
-    with their rows counted across the group.  :meth:`backward` then runs one
-    head backward per head and one packed :func:`encode_backward`.
+    Each plan's forward pass runs on its own; the group keeps the plans'
+    activations and, per loss term, their target rows, counted across the
+    group, and target ids or RTD labels.  :meth:`backward` then runs, per
+    term, one logits product over the group's packed hidden rows, one loss
+    and one head backward, with the dlogits scaled by ``scales`` (loss term
+    name -> factor, e.g. weight / batch target count), followed by one
+    packed :func:`encode_backward`.  It adds each plan's loss sums into
+    ``sums`` (loss term name -> nats), plan by plan in group order.
 
-    The group holds at most ``cfg.max_positions`` rows: :meth:`start` runs
-    the pending backward first when the next plan would take it past that,
-    so the activations kept never exceed those of one maximal plan.  A plan
-    longer than the bound forms a group of its own.
+    The group's plans keep the sum of their squared lengths within
+    ``cfg.max_positions ** 2``: :meth:`start` runs the pending backward
+    first when the next plan would take it past that, so the attention
+    tensors kept never exceed those of one maximal plan.  A plan alone
+    always fits, so a plan longer than ``max_positions`` forms a group of
+    its own.
     """
 
     def __init__(self, params: dict, cfg: ModelConfig, grads: dict, scales: dict,
@@ -145,39 +155,59 @@ class BackwardGroup:
         self.grads = grads
         self.scales = scales
         self.prefix = prefix
+        self.sums = dict.fromkeys(scales, 0.0)
         self._clear()
 
     def _clear(self):
         self.acts: list = []
         self.rows = 0
+        self.area = 0  # sum of the plans' squared lengths
         self.offset = 0  # first row of the newest plan
-        self.heads: dict = {}  # (w_name, b_name) -> ([row arrays], [dlogits])
+        self.targets: dict = {}  # term -> ([row arrays], [target arrays])
 
     def start(self, rows: int):
         """Make room for the next plan, which has ``rows`` rows."""
-        if self.acts and self.rows + rows > self.cfg.max_positions:
+        if self.acts and self.area + rows * rows > self.cfg.max_positions ** 2:
             self.backward()
         self.offset = self.rows
         self.rows += rows
+        self.area += rows * rows
 
-    def add(self, acts: Activations):
+    def add(self, acts: Activations, **targets):
+        """The current plan's forward pass and, per loss term, the pair
+        (rows, target ids or RTD labels); a term without rows is left out."""
         self.acts.append(acts)
-
-    def add_head(self, w_name: str, b_name: str, indexes, d_logits):
-        """Scaled dlogits of a head at the current plan's ``indexes``."""
-        rows, dlogs = self.heads.setdefault((w_name, b_name), ([], []))
-        rows.append(self.offset + np.asarray(indexes, dtype=np.int64))
-        dlogs.append(d_logits)
+        for term, (rows, values) in targets.items():
+            if len(rows):
+                parts = self.targets.setdefault(term, ([], []))
+                parts[0].append(self.offset + rows)
+                parts[1].append(values)
 
     def backward(self):
-        """Add the pending plans' gradients into ``grads`` and empty the group."""
+        """Run the pending plans' heads and losses, add their loss sums into
+        ``sums`` and their gradients into ``grads``, and empty the group."""
         if not self.acts:
             return
-        hidden = np.concatenate([a.hidden for a in self.acts])
-        d_hidden = np.zeros_like(hidden)
-        for (w_name, b_name), (rows, dlogs) in self.heads.items():
-            head_backward(hidden, np.concatenate(rows), np.concatenate(dlogs), w_name, b_name,
-                          self.params, d_hidden, grads=self.grads)
+        packed = Activations(np.concatenate([a.hidden for a in self.acts]))
+        d_hidden = np.zeros_like(packed.hidden)
+        for term, (rows, values) in self.targets.items():
+            index = np.concatenate(rows)
+            w_name, b_name = _HEADS[term]
+            if term == "rtd":
+                nll, dlog = _bce_with_logits(predict_rtd(packed, index, self.params),
+                                             np.concatenate(values))
+                dlog = (dlog * self.scales[term]).astype(packed.hidden.dtype)
+            else:
+                logits = (predict_fine(packed, index, self.params) if term == "fine" else
+                          predict_ngram(packed, index, self.params, prefix=self.prefix))
+                nll, dlog = _xent(logits, np.concatenate(values))
+                dlog *= self.scales[term]
+            # each plan's own sum, added in plan order, as the plans' terms add up
+            plan = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
+            for value in np.bincount(plan, nll).tolist():
+                self.sums[term] += value
+            head_backward(packed.hidden, index, dlog, w_name, b_name, self.params, d_hidden,
+                          grads=self.grads)
         encode_backward(self.params, self.acts, d_hidden, self.cfg, self.prefix,
                         grads=self.grads)
         self._clear()
@@ -192,68 +222,47 @@ def _refuse_repeated_targets(plans: PlanStore):
 
 
 def plan_loss_terms(params: dict, plan, cfg: ModelConfig, group: BackwardGroup):
-    """Loss sums for one plan, whose backward joins ``group``, each term's
-    dlogits scaled by ``group.scales[term]``.  The standard model runs over
-    the plan's context and queries under its length-hiding attention mask;
-    a plan without queries needs no mask.  The plan's targets must be
-    distinct (:func:`_refuse_repeated_targets`)."""
+    """Add one plan to ``group``: the standard model's pass over its context
+    and queries under its length-hiding attention mask (a plan without
+    queries needs no mask), and the rows of its coarse, fine and RTD
+    targets.  The group's backward computes the loss sums.  The plan's
+    targets must be distinct (:func:`_refuse_repeated_targets`)."""
     plan = view_of(plan)
     group.start(plan.T + plan.Q)
     mask = build_attention_mask(plan, dtype=params["tok_emb"].dtype) if plan.Q else None
-    acts = encode(params, plan.ids, plan.positions, mask, cfg)
-    group.add(acts)
-    coarse, fine, labels = plan.coarse, plan.fine, plan.labels
-    terms = {"coarse_sum": 0.0, "fine_sum": 0.0, "rtd_sum": 0.0}
-
-    if len(coarse):
-        slots = coarse[:, 0]
-        nll, dlog = _xent(predict_ngram(acts, slots, params), coarse[:, 1])
-        terms["coarse_sum"] = float(nll.sum())
-        group.add_head("ngram_w", "ngram_b", slots, dlog * group.scales["coarse"])
-    if len(fine):
-        index = fine[:, 0]
-        nll, dlog = _xent(predict_fine(acts, index, params), fine[:, 1])
-        terms["fine_sum"] = float(nll.sum())
-        group.add_head("fine_w", "fine_b", index, dlog * group.scales["fine"])
-    if labels is not None:
-        ctx = range(plan.T)
-        nll, dlog = _bce_with_logits(predict_rtd(acts, ctx, params), labels)
-        terms["rtd_sum"] = float(nll.sum())
-        group.add_head("rtd_w", "rtd_b", ctx,
-                       (dlog * group.scales["rtd"]).astype(acts.hidden.dtype))
-    return terms
+    labels = plan.labels
+    rtd = (np.arange(plan.T), labels) if labels is not None else ((), ())
+    group.add(encode(params, plan.ids, plan.positions, mask, cfg), coarse=plan.coarse.T,
+              fine=plan.fine.T, rtd=rtd)
 
 
 def generator_loss_terms(params: dict, plan, cfg: ModelConfig, group: BackwardGroup):
-    """Generator explicit-MLM loss on a plan's context, nothing masked out;
-    slots predict y.  The backward joins ``group``, one over the ``gen_``
-    tensors, the dlogits scaled by ``group.scales["gen"]``."""
+    """Add a plan with slots to the generator's ``group``: its pass over the
+    context, nothing masked out, and its slots, which predict y (the
+    explicit-MLM term ``gen``).  A plan without slots adds nothing."""
     plan = view_of(plan)
     coarse = plan.coarse
     if not len(coarse):
-        return {"gen_sum": 0.0}
+        return
     T = plan.T
     group.start(T)
-    acts = encode(params, plan.ids[:T], plan.positions[:T], None, cfg.generator_view(),
-                  prefix="gen_")
-    group.add(acts)
-    slots = coarse[:, 0]
-    nll, dlog = _xent(predict_ngram(acts, slots, params, prefix="gen_"), coarse[:, 1])
-    group.add_head("gen_ngram_w", "gen_ngram_b", slots, dlog * group.scales["gen"])
-    return {"gen_sum": float(nll.sum())}
+    group.add(encode(params, plan.ids[:T], plan.positions[:T], None, cfg.generator_view(),
+                     prefix="gen_"), gen=coarse.T)
 
 
 def batch_loss_and_grad(params: dict, plans, cfg: ModelConfig, tcfg: TrainConfig, grads: dict,
                         sample_rng: RngState | None = None):
     """Loss report for one batch; its gradients are added into ``grads``.
 
-    Every dlogit is scaled by its term's batch target count as it joins a
-    group, so the counts are read from the plans first; sampling keeps
-    every target.  Then, plan by plan, the relation objective fills a
-    comprehensive-layout plan's slots with generator samples, the standard
-    model's terms run on the filled plan and the generator's explicit-MLM
-    term on the original.  Sampling is non-differentiable, so the
-    generator only receives gradient from its own term.
+    Every dlogit is scaled by its term's batch target count, so the counts
+    are read from the plans first; sampling keeps every target.  The
+    relation objective then samples every slot of the batch from the
+    generator and fills the comprehensive-layout plans with the samples in
+    one pass.  Plan by plan, the standard model's pass on the filled plan
+    and the generator's on the original join their backward groups, whose
+    heads, losses and backward run per group.  Sampling is
+    non-differentiable, so the generator only receives gradient from its
+    own term.
     """
     plans = PlanStore.of(plans)
     relation = tcfg.objective == Objective.RELATION
@@ -269,30 +278,32 @@ def batch_loss_and_grad(params: dict, plans, cfg: ModelConfig, tcfg: TrainConfig
 
     scales = {"coarse": 1.0 / max(n_coarse, 1), "fine": 1.0 / max(n_fine, 1),
               "rtd": tcfg.rtd_weight / max(n_rtd, 1)}
-    # the standard model and the generator each run their backward in
-    # groups of consecutive plans
+    # the standard model and the generator each run their heads and
+    # backward in groups of consecutive plans
     main = BackwardGroup(params, cfg, grads, scales)
     gen = BackwardGroup(params, cfg.generator_view(), grads, {"gen": 1.0 / max(n_gen, 1)},
                         prefix="gen_")
-    sums = {"coarse_sum": 0.0, "fine_sum": 0.0, "rtd_sum": 0.0, "gen_sum": 0.0}
-    for plan in plans:
-        filled = plan
-        if relation and len(plan.coarse):
-            sampled = generator_forward_and_sample(params, plan, cfg, sample_rng)
-            filled = relation_from_comprehensive(plan, sampled)
-        for key, value in plan_loss_terms(params, filled, cfg, main).items():
-            sums[key] += value
+    filled = plans
+    if relation and n_coarse:
+        sampled = generator_forward_and_sample(params, plans, cfg, sample_rng)
+        filled = relation_from_comprehensive(plans, sampled)
+        # a plan without slots keeps the RTD labels it had, or none
+        filled.rtd = [new if slots else old
+                      for new, old, slots in zip(filled.rtd, plans.rtd, plans.nc.tolist())]
+    for plan, original in zip(filled, plans):
+        plan_loss_terms(params, plan, cfg, main)
         if relation:
-            sums["gen_sum"] += generator_loss_terms(params, plan, cfg, gen)["gen_sum"]
+            generator_loss_terms(params, original, cfg, gen)
     main.backward()
     gen.backward()
 
+    sums = {**main.sums, **gen.sums}
     report = LossReport(
-        fine=sums["fine_sum"] / max(n_fine, 1),
-        coarse=sums["coarse_sum"] / max(n_coarse, 1),
-        comprehensive_sum=sums["coarse_sum"] + sums["fine_sum"],
-        generator=sums["gen_sum"] / max(n_gen, 1),
-        rtd=sums["rtd_sum"] / max(n_rtd, 1),
+        fine=sums["fine"] / max(n_fine, 1),
+        coarse=sums["coarse"] / max(n_coarse, 1),
+        comprehensive_sum=sums["coarse"] + sums["fine"],
+        generator=sums["gen"] / max(n_gen, 1),
+        rtd=sums["rtd"] / max(n_rtd, 1),
         n_fine=n_fine,
         n_coarse=n_coarse,
         n_rtd=n_rtd,
@@ -504,28 +515,50 @@ def eval_ngram_ppl(params: dict, plans, cfg: ModelConfig) -> float:
     Every scored row, a coarse slot or a contiguous plan's fine target,
     lies in the context, and the length-hiding mask hides the queries from
     the context.  So each plan's context is encoded alone, unmasked, and
-    its last layer runs at the scored rows only.
+    its last layer runs at the scored rows only.  The scored states of
+    consecutive plans, up to ``cfg.max_positions`` rows at a time, then
+    share one head product per head.
     """
     plans = PlanStore.of(plans)
     _refuse_repeated_targets(plans)
-    log_ppls = []
+    log_ppls: list = []
+    # contiguous or not -> the pending plans' (states, targets, n-gram sizes)
+    pending: dict = {True: [], False: []}
+    size = 0
     for plan in plans:
         contiguous = plan.objective == Objective.CONTIGUOUS
         if contiguous:
             rows, targets, bounds = _contiguous_gram_groups(plan)
+            sizes = np.diff(bounds, prepend=0, append=len(rows))
         else:
             rows, targets = plan.coarse.T
+            sizes = np.ones(len(rows), dtype=np.int64)
         T = plan.T
         acts = encode(params, plan.ids[:T], plan.positions[:T], None, cfg, rows=rows)
         if not len(rows):
             continue
-        scored = range(len(rows))
-        if contiguous:
-            nll, _ = _xent(predict_fine(acts, scored, params), targets)
-            log_ppls.extend(float(part.mean()) for part in np.split(nll, bounds))
-        else:
-            nll, _ = _xent(predict_ngram(acts, scored, params), targets)
-            log_ppls.extend(float(x) for x in nll)
+        if size + len(rows) > cfg.max_positions:
+            _score_pending(params, pending, log_ppls)
+            size = 0
+        pending[contiguous].append((acts.hidden, targets, sizes))
+        size += len(rows)
+    _score_pending(params, pending, log_ppls)
     if not log_ppls:
         raise UsageError("no masked n-grams in evaluation set")
-    return float(np.exp(np.mean(log_ppls)))
+    return float(np.exp(np.mean(np.concatenate(log_ppls))))
+
+
+def _score_pending(params: dict, pending: dict, log_ppls: list):
+    """Append to ``log_ppls`` the mean NLL of each pending n-gram's targets,
+    with one head product for the contiguous plans (the fine head) and one
+    for the rest (the n-gram head), and empty ``pending``."""
+    for contiguous, parts in pending.items():
+        if not parts:
+            continue
+        states, targets, sizes = (np.concatenate(x) for x in zip(*parts))
+        acts, scored = Activations(states), range(len(targets))
+        logits = (predict_fine(acts, scored, params) if contiguous
+                  else predict_ngram(acts, scored, params))
+        nll, _ = _xent(logits, targets)
+        log_ppls.append(np.bincount(np.repeat(np.arange(len(sizes)), sizes), nll) / sizes)
+        parts.clear()

@@ -58,17 +58,19 @@ def zero_grads(params):
 
 
 def loss_and_grads(loss_terms, params, plan, cfg, scales=None, prefix=""):
-    """One plan's ``loss_terms`` and, with ``scales``, its gradients alone:
-    the plan's backward runs as a group of its own over zeroed gradients
-    for every parameter.  Without ``scales`` the group's backward never
-    runs and the gradient dict is empty."""
-    grads = zero_grads(params) if scales is not None else {}
+    """One plan's loss sums (``coarse_sum``, ``fine_sum``, ``rtd_sum``,
+    ``gen_sum``) and, with ``scales``, its gradients alone: ``loss_terms``
+    adds the plan to a group of its own, whose heads, losses and backward
+    run over zeroed gradients for every parameter.  Without ``scales`` the
+    dlogit scales are 1.0 and the gradient dict returned is empty."""
+    grads = zero_grads(params)
     group = BackwardGroup(params, cfg.generator_view() if prefix else cfg, grads,
                           scales or dict.fromkeys(("coarse", "fine", "rtd", "gen"), 1.0), prefix)
-    terms = loss_terms(params, plan, cfg, group)
-    if scales is not None:
-        group.backward()
-    return terms, grads
+    loss_terms(params, plan, cfg, group)
+    group.backward()
+    terms = dict.fromkeys(("coarse_sum", "fine_sum", "rtd_sum", "gen_sum"), 0.0)
+    terms.update({f"{term}_sum": value for term, value in group.sums.items()})
+    return terms, grads if scales is not None else {}
 
 
 @pytest.fixture

@@ -166,6 +166,14 @@ def test_fine_vocab_empty_entry_rejected():
         FineVocab.from_subwords(["a", "", "b"])
 
 
+@pytest.mark.parametrize("entry", ["a\x0cb", "a\u2028b"])
+def test_fine_vocab_entry_with_a_line_break_rejected(entry):
+    # str.splitlines breaks lines at \x0c and \u2028 too, so the saved
+    # file would load with one more token and move every later id
+    with pytest.raises(DataError, match=f"id {len(reserved_symbols())} "):
+        FineVocab.from_subwords([entry, "c"])
+
+
 def test_fine_vocab_blank_line_before_a_token_rejected(tmp_path):
     text = "\n".join(reserved_symbols() + ["a", "b"]) + "\n"
     p = tmp_path / "vocab.txt"

@@ -105,6 +105,31 @@ def test_relation_layout_and_rtd_labels(toy_example, toy_jv):
         relation_from_comprehensive(base, right[:1])
 
 
+def test_plan_relation_equals_its_row_of_the_batch_fill(toy_example, toy_jv):
+    # one copy of a store's fields fills every plan; each filled plan
+    # equals plan_relation on that plan alone, one without slots included
+    vocab = FineVocab.from_subwords(["a", "##b", "c"])
+    lex = lex_from([("c", "c")])
+    fallback = (segment_example(("ab", "c"), lex, vocab), (1,), build_joint_vocab(vocab, lex))
+    cases = [(toy_example, masked, toy_jv) for masked in ((2, 4), (1, 3, 5), (2,), (5,))]
+    cases.insert(2, fallback)
+    g = np.random.default_rng(4)
+    comps, sampled = [], []
+    for ex, masked, jv in cases:
+        comps.append(plan_comprehensive(ex, masked, jv))
+        sampled.append(g.integers(0, len(jv), len(comps[-1].targets_coarse)).tolist())
+    assert [len(s) for s in sampled] == [2, 3, 0, 1, 1]
+    filled = relation_from_comprehensive(PlanStore.from_plans(comps),
+                                         [y for ids in sampled for y in ids])
+    assert isinstance(filled, PlanStore) and len(filled) == len(cases)
+    for k, (ex, masked, jv) in enumerate(cases):
+        want = plan_relation(ex, masked, jv, sampled[k])
+        assert filled[k] == want and filled[k].rtd_labels == want.rtd_labels, k
+    assert filled[2].rtd_labels == (0, 0, 1)
+    with pytest.raises(UsageError):
+        relation_from_comprehensive(PlanStore.from_plans(comps), [0] * 6)
+
+
 def test_plan_relation_validates_sampled_range(toy_example, toy_jv):
     with pytest.raises(UsageError):
         plan_relation(toy_example, MASKED, toy_jv, [len(toy_jv), 0])

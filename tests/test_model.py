@@ -19,6 +19,7 @@ from ngramlm import (
     predict_rtd,
     save_checkpoint,
 )
+from ngramlm.maskplan import PlanStore
 from ngramlm.errors import DataError, NumericError, UsageError, VersionError
 from ngramlm.model import (
     ModelConfig,
@@ -231,6 +232,40 @@ def test_generator_draws_equal_per_slot_choice():
             assert np.array_equal(got, want), (temperature, seed)
             drawn.extend(got)
     assert len(set(drawn)) > 10  # the draws are spread, not one argmax
+
+
+def test_batch_draws_equal_per_plan_choice():
+    # a store of plans with and without slots: one stacked softmax, and one
+    # keyed draw per plan with slots, in plan order, so the ids and the
+    # final counter equal per-plan g.choice draws; a plan without slots
+    # takes no draw
+    cfg = tiny_config(20, 10)
+    noise = np.random.default_rng(1)
+    params = {k: v + np.float32(0.3) * noise.standard_normal(v.shape, np.float32)
+              for k, v in init_params(cfg, 8).items()}
+    g = np.random.default_rng(3)
+    plans = []
+    for k, n_slots in enumerate((3, 0, 1, 6, 0, 2)):
+        T = 8 + k
+        ctx = tuple(int(i) for i in g.integers(0, cfg.joint_size, T))
+        slots = sorted(g.choice(T, n_slots, replace=False).tolist())
+        plans.append(MaskPlan(Objective.COMPREHENSIVE, ctx, tuple(range(1, T + 1)), (), (),
+                              tuple((s, 0) for s in slots), () if n_slots else ((0, 1),)))
+    store = PlanStore.from_plans(plans)
+    drawn = []
+    for seed in range(20):
+        rng, ref = RngState(seed, 5), RngState(seed, 5)
+        got = generator_forward_and_sample(params, store, cfg, rng)
+        want = np.concatenate([per_slot_samples(params, p, cfg, ref)
+                               for p in plans if p.targets_coarse])
+        assert np.array_equal(got, want), seed
+        assert rng.counter == ref.counter == 5 + 4
+        drawn.extend(got)
+    assert len(set(drawn)) > 10
+    rng = RngState(0, 5)
+    with pytest.raises(UsageError, match="no masked slots"):
+        generator_forward_and_sample(params, plans[1], cfg, rng)
+    assert rng.counter == 5
 
 
 def test_generator_non_finite_probabilities_are_numeric_errors(toy_example, toy_jv):

@@ -447,8 +447,9 @@ def test_groups_over_max_positions_keep_reference_grads(small_pipeline):
 
 
 def test_backward_groups_stay_within_max_positions(small_pipeline, monkeypatch):
-    # each packed backward holds at most max_positions rows, unless it is
-    # one plan; the plan longer than the bound runs alone
+    # each packed backward keeps the sum of its plans' squared lengths
+    # within max_positions ** 2, unless it is one plan; the plan longer than
+    # max_positions runs alone
     train_mod = importlib.import_module("ngramlm.train")
     cfg, tcfg, batch = long_plan_batch(small_pipeline)
     encode_backward = train_mod.encode_backward
@@ -465,7 +466,7 @@ def test_backward_groups_stay_within_max_positions(small_pipeline, monkeypatch):
     main = [rows for prefix, rows in calls if not prefix]
     gen = [rows for prefix, rows in calls if prefix == "gen_"]
     for rows in main + gen:
-        assert sum(rows) <= cfg.max_positions or len(rows) == 1, rows
+        assert sum(r * r for r in rows) <= cfg.max_positions ** 2 or len(rows) == 1, rows
     long = batch[3].T + batch[3].Q
     assert [long] in main
     assert [r for rows in main for r in rows] == [p.T + p.Q for p in batch]
@@ -473,11 +474,74 @@ def test_backward_groups_stay_within_max_positions(small_pipeline, monkeypatch):
     assert len(main) < len(batch) and max(len(rows) for rows in main) > 1
 
 
+def mixed_length_batch(small_pipeline):
+    """A relation batch for max_positions 32: short plans around plans of
+    two joined documents, one of them over 32 rows and two just under."""
+    stream, vocab, lex, jv, _ = small_pipeline
+    cfg = tiny_config(len(vocab), len(lex), max_positions=32)
+    plans = make_plans(stream, lex, jv, Objective.RELATION, seed=1)
+    docs = stream.documents
+    joined = [make_plans(WordStream([docs[a] + docs[a + 1]]), lex, jv, Objective.RELATION,
+                         seed=0)[0] for a in (0, 1, 2)]
+    tcfg = TrainConfig(Objective.RELATION, total_steps=1, batch_size=8, warmup_steps=0, seed=0)
+    return cfg, tcfg, [plans[0], plans[1], joined[0], joined[1], plans[2], joined[2],
+                       plans[3], plans[4]]
+
+
+def test_area_bound_groups_equal_the_sum_of_each_plans_own(small_pipeline, monkeypatch):
+    # every group keeps the sum of its plans' squared lengths within
+    # max_positions ** 2 unless it is one plan, and some groups close on
+    # that bound with no plan longer than max_positions; in float64 the
+    # report and the gradients equal the sums of each plan's own
+    train_mod = importlib.import_module("ngramlm.train")
+    cfg, tcfg, batch = mixed_length_batch(small_pipeline)
+    lengths = [p.T + p.Q for p in batch]
+    assert max(lengths) > cfg.max_positions >= sorted(lengths)[-2] > 25
+    encode_backward = train_mod.encode_backward
+    groups = []
+
+    def recording(params, acts, d_hidden, cfg_, prefix="", **kwargs):
+        groups.append((prefix, [len(a.hidden) for a in acts]))
+        return encode_backward(params, acts, d_hidden, cfg_, prefix, **kwargs)
+
+    monkeypatch.setattr(train_mod, "encode_backward", recording)
+    params = init_params(cfg, 4, dtype=np.float64)
+    grads = zero_grads(params)
+    report = batch_loss_and_grad(params, batch, cfg, tcfg, grads, RngState(9))
+
+    bound = cfg.max_positions ** 2
+    for _, rows in groups:
+        assert sum(r * r for r in rows) <= bound or len(rows) == 1, rows
+    main = [rows for prefix, rows in groups if not prefix]
+    assert [r for rows in main for r in rows] == lengths
+    # a group that closed before a plan of at most max_positions rows
+    assert any(sum(r * r for r in rows) + after[0] ** 2 > bound and after[0] <= cfg.max_positions
+               for rows, after in zip(main, main[1:]))
+    assert max(sum(rows) for rows in main) > cfg.max_positions, main  # more rows than one plan
+
+    assert_grads_close(grads, per_plan_reference_grads(params, batch, cfg, tcfg, RngState(9)))
+    work, n = sampled_work(params, batch, cfg, tcfg, RngState(9))
+    sums = dict.fromkeys(("coarse_sum", "fine_sum", "rtd_sum", "gen_sum"), 0.0)
+    for plan, gen_plan in work:
+        terms, _ = loss_and_grads(plan_loss_terms, params, plan, cfg)
+        terms["gen_sum"] = loss_and_grads(generator_loss_terms, params, gen_plan, cfg,
+                                          prefix="gen_")[0]["gen_sum"]
+        for key in sums:
+            sums[key] += terms[key]
+    assert (report.n_coarse, report.n_fine, report.n_rtd) == (n["coarse"], n["fine"], n["rtd"])
+    want = (sums["coarse_sum"] / n["coarse"], sums["fine_sum"] / n["fine"],
+            sums["rtd_sum"] / n["rtd"], sums["gen_sum"] / n["gen"])
+    assert (report.coarse, report.fine, report.rtd, report.generator) == pytest.approx(
+        want, rel=1e-12)
+    assert report.comprehensive_sum == pytest.approx(sums["coarse_sum"] + sums["fine_sum"],
+                                                     rel=1e-12)
+
+
 @pytest.mark.parametrize("objective", list(Objective))
 def test_loss_report_does_not_depend_on_backward(small_pipeline, objective):
-    # the forward pass, logits and losses run per plan and the backward is
-    # packed over groups of plans, so the report is bitwise the plan-order
-    # sum of the per-plan loss terms computed without gradients
+    # logits and losses run per group of plans, but each plan's loss sums
+    # are formed apart and added in plan order, so the report is bitwise
+    # the plan-order sum of the loss terms of each plan in a group of its own
     stream, vocab, lex, jv, cfg = small_pipeline
     plans = make_plans(stream, lex, jv, objective, seed=1)
     tcfg = TrainConfig(objective, total_steps=1, batch_size=6, warmup_steps=0, seed=0)
@@ -723,6 +787,18 @@ def test_eval_ppl_equals_whole_plan_reference(small_pipeline, objective):
     want = reference_ngram_ppl(params, plans, cfg)
     assert abs(eval_ngram_ppl(params, plans, cfg) - want) <= 1e-9 * want
     assert abs(want - cfg.joint_size) > 0.05 * cfg.joint_size  # not the uniform baseline
+
+
+def test_eval_ppl_mixed_objectives_equal_whole_plan_reference(small_pipeline):
+    # contiguous and explicit plans, interleaved, share runs of scored rows
+    # with one product per head
+    stream, vocab, lex, jv, cfg = small_pipeline
+    plans = [p for pair in zip(make_plans(stream, lex, jv, Objective.CONTIGUOUS, seed=5)[:20],
+                               make_plans(stream, lex, jv, Objective.EXPLICIT, seed=5)[:20])
+             for p in pair]
+    params = spread_params(cfg, 7)
+    want = reference_ngram_ppl(params, plans, cfg)
+    assert abs(eval_ngram_ppl(params, plans, cfg) - want) <= 1e-9 * want
 
 
 def test_eval_ppl_ignores_the_queries(small_pipeline):
