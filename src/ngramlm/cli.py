@@ -120,13 +120,18 @@ def cmd_make_masks(args):
     prov["objective"] = args.objective
     prov["fine_vocab_size"] = len(vocab)
     prov["ngram_vocab_size"] = len(lex)
+    prov["plan_counts"] = plans.counts
     write_plan_file(args.out, plans, prov)
     if args.dump_json:
         with open(args.dump_json, "w", encoding="utf-8") as f:
             f.write(json.dumps({"provenance": prov}, sort_keys=True) + "\n")
             for plan in plans:
                 f.write(plan_to_json(plan) + "\n")
-    print(f"wrote {len(plans)} plans to {args.out}")
+    c = plans.counts
+    print(f"wrote {len(plans)} plans to {args.out}; skipped {c['skipped_no_segment']} documents "
+          f"with no segment, {c['skipped_over_max_positions']} over max positions and "
+          f"{c['skipped_no_candidate']} with no n-gram candidate; "
+          f"{c['fallback_segments']} masked segments fell back to contiguous")
     return 0
 
 

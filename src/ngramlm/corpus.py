@@ -11,6 +11,8 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 
 from .errors import CorpusDecodeError, DataError, UsageError
 
@@ -154,10 +156,6 @@ class FineVocab:
         return token in self.index
 
     @property
-    def pad_id(self):
-        return self.index[PAD]
-
-    @property
     def unk_id(self):
         return self.index[UNK]
 
@@ -208,17 +206,16 @@ def count_ngrams(stream: WordStream, n_max: int) -> CountTables:
     """
     if n_max < 2:
         raise UsageError(f"n_max must be >= 2, got {n_max}")
+    docs = list(stream)
+    if not all(map(all, docs)):
+        raise DataError("empty word in stream")
+    lengths = list(map(len, docs))
     tables = CountTables(n_max)
     for l in range(1, n_max + 1):
-        tables.counts[l] = Counter()
-        tables.totals[l] = 0
-    for doc in stream:
-        if not all(doc):
-            raise DataError("empty word in stream")
-        n = len(doc)
-        for l in range(1, min(n, n_max) + 1):
-            tables.totals[l] += n - l + 1
-            tables.counts[l].update(zip(*(doc[k:] for k in range(l))))
+        # each document's l-grams: zip over its l suffixes from 0 .. l - 1
+        suffixes = (map(itemgetter(slice(k, None)), docs) for k in range(l))
+        tables.counts[l] = Counter(chain.from_iterable(map(zip, *suffixes)))
+        tables.totals[l] = sum(n - l + 1 for n in lengths if n >= l)
     return tables
 
 

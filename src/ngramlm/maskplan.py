@@ -7,11 +7,13 @@ sets, optional replaced-token-detection labels, and (reconstructed on
 demand) the additive {0, -inf} attention mask that hides n-gram length
 from the context.
 
-The plan builders return a ``MaskPlan`` of tuples.  Many plans are held in
-a ``PlanStore``: the u32 fields of the binary record format in one array,
-with an offset per plan.  Plan files decode into a store and are written
+Plans are held in a ``PlanStore``: the u32 fields of the binary record
+format in one array, with an offset per plan.  One layout pass writes
+those fields for ``make_plans`` and for each plan builder, which returns a
+one-plan ``PlanView``.  Plan files decode into a store and are written
 from one; training, evaluation and the command line's checks read its
-arrays, and its elements are ``PlanView``s that give MaskPlan's fields.
+arrays, and its elements are ``PlanView``s that also give the fields of a
+``MaskPlan``, the tuple form of a plan built by hand.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from itertools import chain
 
 import numpy as np
 
+from . import corpus
 from .corpus import FineVocab
 from .errors import PlanError, PlanFormatError, UsageError, VersionError
 from .lexicon import JointVocab
@@ -98,11 +101,9 @@ class SegmentedExample:
 
 
 def segment_example(words, lex, vocab: FineVocab) -> SegmentedExample:
-    from .corpus import subword_tokenize
-
     b = extract_boundaries(words, lex)
-    ids, spans = subword_tokenize(words, vocab)
-    return SegmentedExample(tuple(words), b, tuple(ids), tuple(spans))
+    ids, spans = corpus.subword_tokenize(b.words, vocab)
+    return SegmentedExample(b.words, b, tuple(ids), tuple(spans))
 
 
 @dataclass
@@ -167,111 +168,114 @@ def sample_mask(b: BoundarySeq, rate: float, rng: RngState, candidates=None) -> 
     return tuple(sorted(chosen))
 
 
-def _layout(ex: SegmentedExample, masked, vocab: FineVocab, jv: JointVocab | None = None):
-    """Every plan's context in one pass over the segments.
+class PlanWriter:
+    """Plans of one layout, written by one pass over each example's
+    segments as the store's u32 record fields into one growing array, then
+    taken out as a :class:`PlanStore`.
 
-    A masked segment becomes one [M] slot with a coarse target when ``jv``
-    is given and it has a joint identity (an n-gram's, or a one-subword
-    word's) within the query budget, else one [M] and one fine target per
-    subword.  Returns (context ids, coarse targets, fine targets, slots);
-    a slot is (context index, first subword, subword count).
+    A masked segment becomes one [M] slot with a coarse target when the
+    layout is not contiguous and the segment has a joint identity (an
+    n-gram's, or a one-subword word's) within the query budget, else one
+    [M] and one fine target per subword.  The comprehensive layout gives
+    each slot its [M1..Mn] queries at the slot's position id, with one fine
+    target each after those of the [M]s.  ``fallbacks`` counts the masked
+    segments whose identity fell back for exceeding the query budget.
     """
-    n = ex.num_segments
-    if not masked:
-        raise UsageError("masked set is empty")
-    for j in masked:
-        if not 1 <= j <= n:
-            raise UsageError(f"masked index {j} outside 1..{n}")
-    masked = set(masked)
-    b = ex.boundaries.boundaries
-    sub, spans, mask_id = ex.subword_ids, ex.word_spans, vocab.mask_id
-    ids: list = []
-    coarse: list = []
-    fine: list = []
-    slots: list = []
-    for j in range(1, n + 1):
-        wlo, whi = b[j - 1] - 1, b[j] - 1
-        lo, hi = spans[wlo][0], spans[whi - 1][1]
-        if j not in masked:
-            ids.extend(sub[lo:hi])
-            continue
-        jid = None
-        if jv is not None:
-            words = ex.words[wlo:whi]
-            if len(words) > 1:
-                jid = jv.id_of_ngram(words)
-                if jid is None:
-                    raise PlanError(f"masked n-gram {words} absent from lexicon")
-            elif hi - lo == 1:
-                jid = sub[lo]
-            if jid is not None and hi - lo > vocab.max_query:
-                log.warning("segment %s has %d subwords > max query %d; contiguous fallback",
-                            words, hi - lo, vocab.max_query)
-                jid = None
-        if jid is None:
-            fine.extend(zip(range(len(ids), len(ids) + hi - lo), sub[lo:hi]))
-            ids.extend([mask_id] * (hi - lo))
-        else:
-            coarse.append((len(ids), jid))
-            slots.append((len(ids), lo, hi - lo))
-            ids.append(mask_id)
-    return ids, coarse, fine, slots
+
+    def __init__(self, objective: Objective, vocab: FineVocab, jv: JointVocab | None = None):
+        self.objective, self.vocab = objective, vocab
+        self.jv = None if objective == Objective.CONTIGUOUS else jv
+        self.queries = ([vocab.query_id(i) for i in range(1, vocab.max_query + 1)]
+                        if objective == Objective.COMPREHENSIVE else None)
+        self.run, self.starts, self.masked = array("I"), [0], []
+        self.fallbacks = 0
+
+    def add(self, ex: SegmentedExample, masked):
+        """Append the plan of ``ex`` with the segments ``masked`` (1-based)."""
+        n = ex.num_segments
+        if not masked:
+            raise UsageError("masked set is empty")
+        for j in masked:
+            if not 1 <= j <= n:
+                raise UsageError(f"masked index {j} outside 1..{n}")
+        chosen = set(masked)
+        b = ex.boundaries.boundaries
+        sub, spans, jv, mask_id = ex.subword_ids, ex.word_spans, self.jv, self.vocab.mask_id
+        max_query = self.vocab.max_query
+        ids: list = []
+        coarse: list = []  # (context index, joint id) pairs, flat
+        fine: list = []  # (index into context+queries, fine id) pairs, flat
+        slots: list = []  # (context index, first subword, subword count)
+        over = 0
+        for j in range(1, n + 1):
+            wlo, whi = b[j - 1] - 1, b[j] - 1
+            lo, hi = spans[wlo][0], spans[whi - 1][1]
+            if j not in chosen:
+                ids.extend(sub[lo:hi])
+                continue
+            jid = None
+            if jv is not None:
+                if whi - wlo > 1:
+                    jid = jv.id_of_ngram(ex.words[wlo:whi])
+                    if jid is None:
+                        raise PlanError(f"masked n-gram {ex.words[wlo:whi]} absent from lexicon")
+                elif hi - lo == 1:
+                    jid = sub[lo]
+                if jid is not None and hi - lo > max_query:
+                    over += 1
+                    jid = None
+            if jid is None:
+                fine.extend(chain.from_iterable(zip(range(len(ids), len(ids) + hi - lo),
+                                                    sub[lo:hi])))
+                ids.extend([mask_id] * (hi - lo))
+            else:
+                coarse += (len(ids), jid)
+                slots.append((len(ids), lo, hi - lo))
+                ids.append(mask_id)
+        T = len(ids)
+        query_ids: list = []
+        query_positions: list = []
+        if self.queries is not None:
+            for slot, lo, n_j in slots:
+                q = T + len(query_ids)
+                fine.extend(chain.from_iterable(zip(range(q, q + n_j), sub[lo : lo + n_j])))
+                query_ids.extend(self.queries[:n_j])
+                query_positions.extend([slot + 1] * n_j)  # same position id as the slot
+        self.run.extend((T, len(query_ids), *ids, *range(1, T + 1), *query_positions,
+                         *query_ids, len(coarse) // 2, *coarse, len(fine) // 2, *fine))
+        self.starts.append(len(self.run))
+        self.masked.append(tuple(masked))
+        self.fallbacks += over
+
+    def store(self) -> "PlanStore":
+        if self.fallbacks:
+            log.warning("%d masked segments have more subwords than max query %d; "
+                        "contiguous fallback", self.fallbacks, self.vocab.max_query)
+        n = len(self.masked)
+        return PlanStore(np.frombuffer(self.run, dtype=np.uintc).astype(np.uint32, copy=False),
+                         np.array(self.starts, dtype=np.int64),
+                         np.full(n, self.objective, dtype=np.uint8), [None] * n, self.masked)
 
 
-def plan_contiguous(ex: SegmentedExample, masked: tuple, vocab: FineVocab) -> MaskPlan:
+def _one_plan(objective, ex, masked, vocab, jv=None) -> "PlanView":
+    writer = PlanWriter(objective, vocab, jv)
+    writer.add(ex, masked)
+    return writer.store()[0]
+
+
+def plan_contiguous(ex: SegmentedExample, masked: tuple, vocab: FineVocab) -> "PlanView":
     """Each masked subword replaced by [M]; one fine target per subword."""
-    ids, _, fine, _ = _layout(ex, masked, vocab)
-    T = len(ids)
-    return MaskPlan(
-        Objective.CONTIGUOUS,
-        tuple(ids),
-        tuple(range(1, T + 1)),
-        (),
-        (),
-        (),
-        tuple(fine),
-        masked_set=tuple(masked),
-    )
+    return _one_plan(Objective.CONTIGUOUS, ex, masked, vocab)
 
 
-def plan_explicit(ex: SegmentedExample, masked: tuple, jv: JointVocab) -> MaskPlan:
+def plan_explicit(ex: SegmentedExample, masked: tuple, jv: JointVocab) -> "PlanView":
     """One [M] slot per masked segment; targets are joint identities."""
-    ids, coarse, fine, _ = _layout(ex, masked, jv.fine, jv)
-    T = len(ids)
-    return MaskPlan(
-        Objective.EXPLICIT,
-        tuple(ids),
-        tuple(range(1, T + 1)),
-        (),
-        (),
-        tuple(coarse),
-        tuple(fine),
-        masked_set=tuple(masked),
-    )
+    return _one_plan(Objective.EXPLICIT, ex, masked, jv.fine, jv)
 
 
-def plan_comprehensive(ex: SegmentedExample, masked: tuple, jv: JointVocab) -> MaskPlan:
+def plan_comprehensive(ex: SegmentedExample, masked: tuple, jv: JointVocab) -> "PlanView":
     """Explicit layout plus [M1..Mn] queries sharing each slot's position."""
-    vocab = jv.fine
-    ids, coarse, fine, slots = _layout(ex, masked, vocab, jv)
-    T = len(ids)
-    query_ids: list = []
-    query_positions: list = []
-    for slot, lo, n_j in slots:
-        for i in range(n_j):
-            fine.append((T + len(query_ids), ex.subword_ids[lo + i]))
-            query_ids.append(vocab.query_id(i + 1))
-            query_positions.append(slot + 1)  # same position id as the slot
-    return MaskPlan(
-        Objective.COMPREHENSIVE,
-        tuple(ids),
-        tuple(range(1, T + 1)),
-        tuple(query_ids),
-        tuple(query_positions),
-        tuple(coarse),
-        tuple(fine),
-        masked_set=tuple(masked),
-    )
+    return _one_plan(Objective.COMPREHENSIVE, ex, masked, jv.fine, jv)
 
 
 def relation_from_comprehensive(plans, sampled):
@@ -356,7 +360,9 @@ class PlanStore:
     objective byte a plan, ``rtd`` each plan's RTD labels (uint8 0/1) or
     None, and ``masked`` each plan's masked set (provenance, not written to
     files) or None.  ``T``, ``Q``, ``nc`` and ``nf`` are each plan's context
-    and query lengths and coarse and fine target counts.
+    and query lengths and coarse and fine target counts.  ``counts`` holds
+    the skip and fallback counts of the ``make_plans`` call that built the
+    store (provenance), and is empty for any other store.
 
     An int index gives a :class:`PlanView`, a slice a new store, iteration
     views.  Stores compare equal when their plans do, masked sets aside;
@@ -372,6 +378,7 @@ class PlanStore:
         self.nc = run[s + 2 + 2 * (self.T + self.Q)].astype(np.int64)
         self.nf = run[s + 3 + 2 * (self.T + self.Q + self.nc)].astype(np.int64)
         self._distinct = False  # True once no plan is known to repeat a target
+        self.counts: dict = {}
 
     @classmethod
     def from_plans(cls, plans) -> "PlanStore":

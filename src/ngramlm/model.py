@@ -504,17 +504,6 @@ def export_finetune_weights(params: dict, cfg: ModelConfig) -> dict:
     return {name: params[name][: shape[0]].copy() for name, shape in shapes.items()}
 
 
-def param_count(params: dict) -> int:
-    return sum(int(a.size) for a in params.values())
-
-
-def vanilla_encoder_param_count(cfg: ModelConfig) -> int:
-    """Size of a plain encoder with |V_F| embedding rows and no heads."""
-    return sum(
-        int(np.prod(s)) for s in _encoder_param_shapes(cfg, cfg.fine_vocab_size).values()
-    )
-
-
 def save_checkpoint(path, params: dict, cfg: ModelConfig, extra: dict | None = None,
                     arrays: dict | None = None):
     """Named-tensor container (npz): bit-exact round trip."""

@@ -431,11 +431,14 @@ def train(tcfg: TrainConfig, plans, params: dict, cfg: ModelConfig,
         if extra["sample_counter"] > 2**64 - 1:
             raise DataError(f"checkpoint {resume_from}: sample_counter {extra['sample_counter']} "
                             "is above 2**64 - 1")
-        objective_r = train_cfg.get("objective")
-        if objective_r != int(tcfg.objective):
-            raise UsageError(f"checkpoint {resume_from} was trained with objective "
-                             f"{objective_r}, not {int(tcfg.objective)} "
-                             f"({tcfg.objective.name.lower()})")
+        # total_steps and checkpoint_every may grow on a resume; nothing else may change
+        now = {**asdict(tcfg), "objective": int(tcfg.objective)}
+        changed = [f"{key} {train_cfg.get(key)!r} (now {value!r})" for key, value in now.items()
+                   if key not in ("total_steps", "checkpoint_every")
+                   and train_cfg.get(key) != value]
+        if changed:
+            raise UsageError(f"checkpoint {resume_from} was trained with other settings: "
+                             + ", ".join(changed))
         state.t = extra["adam_t"]
         start_step = extra["step"]
         sample_rng = RngState(extra["sample_seed"], extra["sample_counter"])

@@ -8,7 +8,7 @@ import pytest
 from ngramlm import FineVocab, build_joint_vocab
 from ngramlm.lexicon import NGramLexicon, ScoredNGram
 from ngramlm.maskplan import segment_example
-from ngramlm.model import FlatLayout, ModelConfig
+from ngramlm.model import FlatLayout, ModelConfig, _encoder_param_shapes
 from ngramlm.train import BackwardGroup
 
 
@@ -33,6 +33,17 @@ def lex_from(tuples):
             ScoredNGram(words, len(words), 0.0, 1)
         )
     return NGramLexicon(per_order)
+
+
+def param_count(params: dict) -> int:
+    return sum(int(a.size) for a in params.values())
+
+
+def vanilla_encoder_param_count(cfg: ModelConfig) -> int:
+    """Size of a plain encoder with |V_F| embedding rows and no heads."""
+    return sum(
+        int(np.prod(s)) for s in _encoder_param_shapes(cfg, cfg.fine_vocab_size).values()
+    )
 
 
 def tiny_config(fine, ngram, **kw):

@@ -36,7 +36,7 @@ from ngramlm import (
 from ngramlm.cli import main as cli_main
 from ngramlm.lexicon import ScoredNGram, _selection_key
 from ngramlm.maskplan import relation_from_comprehensive, segment_example
-from ngramlm.model import FlatLayout, ModelConfig, param_count, vanilla_encoder_param_count
+from ngramlm.model import FlatLayout, ModelConfig
 from ngramlm.segmenter import enumerate_paths, extract_boundaries
 from ngramlm.synth import CollocationSpec, collocation_corpus, write_corpus, zipf_corpus
 from ngramlm.train import (
@@ -50,7 +50,7 @@ from ngramlm.train import (
 from ngramlm.corpus import WordStream
 
 import conftest
-from conftest import lex_from, loss_and_grads, tiny_config
+from conftest import lex_from, loss_and_grads, param_count, tiny_config, vanilla_encoder_param_count
 
 
 def check(n, name, passed, detail=""):

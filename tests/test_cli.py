@@ -1,11 +1,13 @@
 """Command line front end: end-to-end pipeline, determinism, exit codes."""
 
 import dataclasses
+import importlib
 import io
 import json
 import os
 import random
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +16,15 @@ import numpy as np
 import pytest
 
 import ngramlm
-from ngramlm import FineVocab, load_checkpoint
+from ngramlm import (
+    FineVocab,
+    NGramLexicon,
+    Objective,
+    build_joint_vocab,
+    ingest,
+    load_checkpoint,
+    make_plans,
+)
 from ngramlm.cli import main
 from ngramlm.corpus import tokenize_words
 from ngramlm.maskplan import read_plan_file, write_plan_file
@@ -676,6 +686,84 @@ def test_resume_refuses_a_mismatched_checkpoint(corpus_dir, tmp_path):
     assert main(base + ["--hidden", "16", "--steps", "3"] + resume) == 0
     assert main(base + ["--hidden", "32"] + resume) == 2
     assert main(base + ["--hidden", "16", "--objective", "relation"] + resume) == 2
+
+
+@pytest.mark.parametrize("args, saved, field", [
+    (["--batch-size", "3"], None, "batch_size"),
+    (["--lr", "0.5"], None, "lr"),
+    (["--warmup", "1"], None, "warmup_steps"),
+    (["--seed", "7"], None, "seed"),
+    (["--rtd-weight", "0.5"], None, "rtd_weight"),
+    ([], {"objective": 1}, "objective"),
+    ([], {"weight_decay": 0.5}, "weight_decay"),
+    ([], {"clip_norm": 0.0}, "clip_norm"),
+], ids=lambda v: v if isinstance(v, str) else None)
+def test_resume_refuses_a_changed_training_setting(trained, tmp_path, capsys, args, saved, field):
+    # every training setting but the step count and the checkpoint interval
+    # must match the checkpoint's; a setting with no flag is changed in the
+    # checkpoint's saved train_config instead
+    plans, ck, _ = trained
+    if saved is not None:
+        rewrite_store(ck, tmp_path / "saved.npz",
+                      _extra(lambda e: e["train_config"].update(saved)))
+        ck = tmp_path / "saved.npz"
+    out = tmp_path / "resumed.npz"
+    capsys.readouterr()
+    assert main(TRAIN_SMALL + ["--plans", str(plans), "--steps", "3", "--resume", str(ck),
+                               "--out", str(out)] + args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f": {field} " in err and err.count("(now ") == 1, err
+    assert not out.exists()
+
+
+def test_unchanged_resume_equals_an_uninterrupted_run(corpus_dir, tmp_path, monkeypatch):
+    # a four-step relation run, and the same command resumed from its
+    # step-2 checkpoint: byte-identical final checkpoints and metrics
+    plans = run_pipeline(corpus_dir, tmp_path, objective="comprehensive")
+    train_module = importlib.import_module("ngramlm.train")
+    save = train_module._save_train_checkpoint
+
+    def keep_each(path, params, cfg, tcfg, state, step, sample_rng):
+        save(path, params, cfg, tcfg, state, step, sample_rng)
+        shutil.copyfile(path, tmp_path / f"step-{step}.npz")
+
+    monkeypatch.setattr(train_module, "_save_train_checkpoint", keep_each)
+    argv = TRAIN_SMALL + ["--plans", str(plans), "--objective", "relation", "--steps", "4",
+                          "--checkpoint-every", "2"]
+    full, resumed = tmp_path / "full", tmp_path / "resumed"
+    assert main(argv + ["--metrics", f"{full}.jsonl", "--out", f"{full}.npz"]) == 0
+    resume = ["--resume", str(tmp_path / "step-2.npz")]
+    assert main(argv + resume + ["--metrics", f"{resumed}.jsonl", "--out", f"{resumed}.npz"]) == 0
+    assert Path(f"{resumed}.npz").read_bytes() == Path(f"{full}.npz").read_bytes()
+    lines = Path(f"{full}.jsonl").read_text().splitlines()
+    assert len(lines) == 4 and Path(f"{resumed}.jsonl").read_text().splitlines() == lines[2:]
+    # the step count and the checkpoint interval may change on a resume
+    assert main(argv + resume + ["--steps", "6", "--checkpoint-every", "3",
+                                 "--out", str(tmp_path / "longer.npz")]) == 0
+
+
+def test_make_masks_records_what_it_skipped(corpus_dir, tmp_path, capsys):
+    # the provenance header and the summary line carry make_plans' counts
+    stream = ingest([corpus_dir / "corpus.txt"])
+    lex = NGramLexicon.load(corpus_dir / "lex.tsv")
+    jv = build_joint_vocab(FineVocab.load(corpus_dir / "vocab.txt"), lex)
+    max_positions = sorted(map(len, stream.documents))[len(stream) // 2]
+    want = make_plans(stream, lex, jv, Objective.EXPLICIT, seed=0, ngram_only=True,
+                      max_positions=max_positions)
+    c = want.counts
+    assert c["skipped_over_max_positions"] > 0
+    out = tmp_path / "plans.bin"
+    capsys.readouterr()
+    assert main(["make-masks", "--corpus", str(corpus_dir / "corpus.txt"),
+                 "--lexicon", str(corpus_dir / "lex.tsv"), "--vocab", str(corpus_dir / "vocab.txt"),
+                 "--ngram-only", "--max-positions", str(max_positions), "--out", str(out)]) == 0
+    prov, got = read_plan_file(out)
+    assert got == want and prov["plan_counts"] == c
+    assert capsys.readouterr().out == (
+        f"wrote {len(want)} plans to {out}; skipped {c['skipped_no_segment']} documents with "
+        f"no segment, {c['skipped_over_max_positions']} over max positions and "
+        f"{c['skipped_no_candidate']} with no n-gram candidate; "
+        f"{c['fallback_segments']} masked segments fell back to contiguous\n")
 
 
 def test_console_entry_point():

@@ -91,8 +91,10 @@ def test_count_ngrams_requires_order_two():
 
 
 def test_count_ngrams_rejects_empty_word():
-    with pytest.raises(DataError):
-        count_ngrams(WordStream([["a", ""]]), 2)
+    # in the first document or a later one, before any count is returned
+    for docs in ([["a", ""]], [["a", "b"], ["b", "a", ""]], [["a"], [""], ["b"]]):
+        with pytest.raises(DataError):
+            count_ngrams(WordStream(docs), 2)
 
 
 def naive_count(docs, n_max):
@@ -113,20 +115,21 @@ corpus_st = st.lists(doc_st, min_size=0, max_size=8)
 
 
 @settings(max_examples=60, deadline=None)
-@given(docs=corpus_st, split=st.integers(min_value=0, max_value=8))
-def test_count_merge_equals_whole(docs, split):
+@given(docs=corpus_st, split=st.integers(min_value=0, max_value=8),
+       n_max=st.integers(min_value=2, max_value=5))
+def test_count_merge_equals_whole(docs, split, n_max):
     # [DERIVED] sharding property: count(shard1) + count(shard2) == count(all),
     # and count(all) equals the per-position reference count, insertion
-    # order included.  Documents of 1 or 2 words are shorter than order 3.
+    # order included.  Documents shorter than n_max words occur.
     split = min(split, len(docs))
-    whole = count_ngrams(WordStream(docs), 3)
-    counts, totals = naive_count(docs, 3)
+    whole = count_ngrams(WordStream(docs), n_max)
+    counts, totals = naive_count(docs, n_max)
     assert whole.counts == counts
     assert whole.totals == totals
     for l in counts:
         assert list(whole.counts[l]) == list(counts[l])
-    a = count_ngrams(WordStream(docs[:split]), 3)
-    b = count_ngrams(WordStream(docs[split:]), 3)
+    a = count_ngrams(WordStream(docs[:split]), n_max)
+    b = count_ngrams(WordStream(docs[split:]), n_max)
     merged = a.merge(b)
     assert merged.counts == whole.counts
     assert merged.totals == whole.totals
@@ -148,7 +151,7 @@ def test_reserved_symbols_order():
 
 def test_fine_vocab_ids_and_specials():
     v = FineVocab.from_subwords(["foo", "bar"])
-    assert v.pad_id == 0 and v.unk_id == 1 and v.mask_id == 4
+    assert v.index["[PAD]"] == 0 and v.unk_id == 1 and v.mask_id == 4
     assert v.query_id(1) == 5 and v.query_id(8) == 12
     assert v.index["foo"] == 13
     with pytest.raises(UsageError):

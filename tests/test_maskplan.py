@@ -32,12 +32,14 @@ from ngramlm import (
     sample_mask,
     segment_example,
     serialize_plan,
+    subword_tokenize,
 )
-from ngramlm import pipeline
+from ngramlm import corpus, pipeline
 from ngramlm.errors import NgramlmError, PlanError, PlanFormatError, UsageError, VersionError
 from ngramlm.maskplan import (
     PLAN_VERSION,
     PlanStore,
+    PlanView,
     read_plan_file,
     relation_from_comprehensive,
     write_plan_file,
@@ -173,6 +175,23 @@ def test_multi_subword_word_falls_back_to_contiguous():
     comp = plan_comprehensive(ex, (1,), build_joint_vocab(vocab, lex))
     rel = relation_from_comprehensive(comp, [])
     assert rel.rtd_labels == (0, 0, 1)
+
+
+def test_segment_example_tokenizes_through_the_corpus_module(toy_vocab, monkeypatch):
+    # subword_tokenize is read from ngramlm.corpus at each call, so a
+    # wrapper set there (as the benchmark's tracer sets one) sees every call;
+    # it receives the word tuple that extract_boundaries built
+    calls = []
+
+    def spy(words, vocab):
+        calls.append(words)
+        return subword_tokenize(words, vocab)
+
+    monkeypatch.setattr(corpus, "subword_tokenize", spy)
+    words = ["x1", "x2", "x3"]
+    ex = segment_example(words, lex_from([("x2", "x3")]), toy_vocab)
+    assert calls == [("x1", "x2", "x3")] and calls[0] is ex.words is ex.boundaries.words
+    assert ex.subword_ids == tuple(toy_vocab.index[w] for w in words)
 
 
 # --- every layout against a reference built from the README's definitions -----
@@ -468,6 +487,54 @@ def test_plan_records_match_pinned_digests(pinned_pipeline, objective, ngram_onl
     plans = make_plans(stream, lex, jv, objective, rate=0.3, seed=7, ngram_only=ngram_only)
     digest = hashlib.sha256(b"".join(serialize_plan(p) for p in plans)).hexdigest()[:16]
     assert digest == PLAN_RECORD_DIGESTS[objective.name.lower(), ngram_only]
+
+
+@pytest.mark.parametrize("max_positions", [None, 21])
+@pytest.mark.parametrize("ngram_only", [False, True])
+@pytest.mark.parametrize("objective", list(Objective))
+def test_make_plans_equal_the_builders_views(pinned_pipeline, objective, ngram_only,
+                                             max_positions):
+    # make_plans' store equals the builders' one-plan views of the same
+    # examples and masked sets, joined in order, and its counts name each
+    # document it left out and each masked identity over the query budget
+    stream, lex, jv = pinned_pipeline
+    vocab = jv.fine
+    # an empty document, and one whose only segment is a word
+    docs = list(stream)
+    docs[100:100] = [[]]
+    docs[200:200] = [["zz"]]
+    got = make_plans(WordStream(docs), lex, jv, objective, rate=0.3, seed=7,
+                     ngram_only=ngram_only, max_positions=max_positions)
+    build = {Objective.CONTIGUOUS: lambda ex, masked: plan_contiguous(ex, masked, vocab),
+             Objective.EXPLICIT: lambda ex, masked: plan_explicit(ex, masked, jv)}.get(
+        objective, lambda ex, masked: plan_comprehensive(ex, masked, jv))
+    rng = RngState(7)
+    views, counts = [], dict.fromkeys(("skipped_no_segment", "skipped_over_max_positions",
+                                       "skipped_no_candidate", "fallback_segments"), 0)
+    for doc in docs:
+        ex = segment_example(doc, lex, vocab)
+        b = ex.boundaries.boundaries
+        multiword = [j for j in range(1, len(b)) if b[j] - b[j - 1] > 1]
+        if not doc:
+            counts["skipped_no_segment"] += 1
+        elif max_positions is not None and len(ex.subword_ids) > max_positions:
+            counts["skipped_over_max_positions"] += 1
+        elif ngram_only and not multiword:
+            counts["skipped_no_candidate"] += 1
+        else:
+            masked = sample_mask(ex.boundaries, 0.3, rng, multiword if ngram_only else None)
+            views.append(build(ex, masked))
+            for j in masked if objective != Objective.CONTIGUOUS else ():
+                lo, hi = ex.word_spans[b[j - 1] - 1][0], ex.word_spans[b[j] - 2][1]
+                identity = j in multiword or hi - lo == 1
+                counts["fallback_segments"] += identity and hi - lo > vocab.max_query
+    assert all(isinstance(v, PlanView) and len(v.store) == 1 for v in views)
+    assert got == PlanStore.from_plans(views) and len(got) == len(views)
+    assert [p.masked_set for p in got] == [v.masked_set for v in views]
+    assert got.counts == counts
+    assert counts["skipped_no_segment"] == 1 and counts["skipped_no_candidate"] == ngram_only
+    assert (counts["skipped_over_max_positions"] > 0) == (max_positions is not None)
+    assert (counts["fallback_segments"] > 0) == (objective != Objective.CONTIGUOUS)
 
 
 # --- binary format -------------------------------------------------------------

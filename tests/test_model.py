@@ -24,12 +24,10 @@ from ngramlm.errors import DataError, NumericError, UsageError, VersionError
 from ngramlm.model import (
     ModelConfig,
     encode_backward,
-    param_count,
     param_shapes,
-    vanilla_encoder_param_count,
 )
 
-from conftest import tiny_config
+from conftest import param_count, tiny_config, vanilla_encoder_param_count
 
 MASKED = (2, 4)
 

@@ -657,10 +657,10 @@ def test_metrics_file_is_json_lines(small_pipeline, tmp_path):
 ])
 def test_plan_store_paths_build_no_mask_plans(small_pipeline, tmp_path, monkeypatch,
                                               layout, objective):
-    # writing, reading, the CLI checks, training and evaluation read the
-    # store's arrays; a list of the same plans trains to the same metrics
+    # make_plans, writing, reading, the CLI checks, training and evaluation
+    # read and write the store's arrays; a list of the same plans trains to
+    # the same metrics
     stream, vocab, lex, jv, cfg = small_pipeline
-    plans = make_plans(stream, lex, jv, layout, seed=1)
     made = []
     init = MaskPlan.__init__
 
@@ -669,6 +669,7 @@ def test_plan_store_paths_build_no_mask_plans(small_pipeline, tmp_path, monkeypa
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(MaskPlan, "__init__", counting)
+    plans = make_plans(stream, lex, jv, layout, seed=1)
     path = tmp_path / "plans.bin"
     write_plan_file(path, plans, {})
     _, stored = read_plan_file(path)
