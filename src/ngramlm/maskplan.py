@@ -169,9 +169,10 @@ def sample_mask(b: BoundarySeq, rate: float, rng: RngState, candidates=None) -> 
 
 
 class PlanWriter:
-    """Plans of one layout, written by one pass over each example's
-    segments as the store's u32 record fields into one growing array, then
-    taken out as a :class:`PlanStore`.
+    """Plans of one layout (contiguous, explicit or comprehensive), written
+    by one pass over each example's segments as the store's u32 record
+    fields into one growing array, then taken out once as a
+    :class:`PlanStore`.
 
     A masked segment becomes one [M] slot with a coarse target when the
     layout is not contiguous and the segment has a joint identity (an
