@@ -505,9 +505,14 @@ def test_make_plans_equal_the_builders_views(pinned_pipeline, objective, ngram_o
     docs[200:200] = [["zz"]]
     got = make_plans(WordStream(docs), lex, jv, objective, rate=0.3, seed=7,
                      ngram_only=ngram_only, max_positions=max_positions)
-    build = {Objective.CONTIGUOUS: lambda ex, masked: plan_contiguous(ex, masked, vocab),
-             Objective.EXPLICIT: lambda ex, masked: plan_explicit(ex, masked, jv)}.get(
-        objective, lambda ex, masked: plan_comprehensive(ex, masked, jv))
+
+    def build(ex, masked):
+        if objective == Objective.CONTIGUOUS:
+            return plan_contiguous(ex, masked, vocab)
+        if objective == Objective.EXPLICIT:
+            return plan_explicit(ex, masked, jv)
+        return plan_comprehensive(ex, masked, jv)  # relation plans use this layout
+
     rng = RngState(7)
     views, counts = [], dict.fromkeys(("skipped_no_segment", "skipped_over_max_positions",
                                        "skipped_no_candidate", "fallback_segments"), 0)
