@@ -35,17 +35,18 @@ def name(jid):
 
 
 def show(title, plan):
+    T, ids, positions = plan.T, plan.ids.tolist(), plan.positions.tolist()
     print(f"\n{title}")
-    print("  context:", " ".join(name(i) for i in plan.context_ids))
+    print("  context:", " ".join(name(i) for i in ids[:T]))
     if plan.Q:
-        print("  queries:", " ".join(name(i) for i in plan.query_ids),
-              "at positions", plan.query_positions)
-    if plan.targets_coarse:
-        print("  coarse targets:", [(s, name(y)) for s, y in plan.targets_coarse])
-    if plan.targets_fine:
-        print("  fine targets:  ", [(i, name(x)) for i, x in plan.targets_fine])
-    if plan.rtd_labels is not None:
-        print("  rtd labels:    ", plan.rtd_labels, "(1 = original)")
+        print("  queries:", " ".join(name(i) for i in ids[T:]),
+              "at positions", tuple(positions[T:]))
+    if len(plan.coarse):
+        print("  coarse targets:", [(s, name(y)) for s, y in plan.coarse.tolist()])
+    if len(plan.fine):
+        print("  fine targets:  ", [(i, name(x)) for i, x in plan.fine.tolist()])
+    if plan.labels is not None:
+        print("  rtd labels:    ", tuple(plan.labels.tolist()), "(1 = original)")
 
 
 print("sentence:", " ".join(words))
@@ -66,7 +67,7 @@ show("4. relation: slots filled with sampled identities, detect replacements",
 print("\nlength-hiding attention mask for the comprehensive plan")
 print("(rows attend to columns; '.' allowed, 'x' forbidden):")
 m = build_attention_mask(comp)
-labels = [name(i) for i in comp.all_ids()]
+labels = [name(i) for i in comp.ids.tolist()]
 width = max(len(l) for l in labels)
 print(" " * (width + 2) + " ".join(f"{l:>{width}}" for l in labels))
 for label, row in zip(labels, m):

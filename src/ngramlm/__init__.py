@@ -19,7 +19,6 @@ from .lexicon import (
     t_statistic,
 )
 from .maskplan import (
-    MaskPlan,
     Objective,
     PlanStore,
     RngState,

@@ -218,12 +218,19 @@ def cmd_train(args):
         raise UsageError(f"plan objectives do not match --objective {objective.name.lower()}")
     cfg = _model_config(args, fine_size, ngram_size)
     _check_plan_ids(args.plans, plans, cfg)
+    warmup = args.warmup
+    if warmup is None and args.resume:
+        # a resume keeps the run's warmup, so --steps may grow
+        saved = load_checkpoint(args.resume)[2].get("train_config")
+        warmup = saved.get("warmup_steps") if isinstance(saved, dict) else None
+    if type(warmup) is not int:
+        warmup = min(20, args.steps // 10)
     tcfg = TrainConfig(
         objective=objective,
         total_steps=args.steps,
         batch_size=args.batch_size,
         lr=args.lr,
-        warmup_steps=args.warmup if args.warmup is not None else min(20, args.steps // 10),
+        warmup_steps=warmup,
         seed=args.seed,
         rtd_weight=args.rtd_weight,
         checkpoint_every=args.checkpoint_every,
@@ -325,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=8)
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--warmup", type=int, default=None,
-                   help="default: min(20, steps // 10)")
+                   help="default: the checkpoint's on --resume, else min(20, steps // 10)")
     p.add_argument("--rtd-weight", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--checkpoint-every", type=int, default=0)
@@ -362,7 +369,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except DataError as e:
+    except (DataError, OSError) as e:  # OSError: e.g. an output in a missing directory
         print(f"data error: {e}", file=sys.stderr)
         return 3
     except NumericError as e:

@@ -7,13 +7,13 @@ sets, optional replaced-token-detection labels, and (reconstructed on
 demand) the additive {0, -inf} attention mask that hides n-gram length
 from the context.
 
-Plans are held in a ``PlanStore``: the u32 fields of the binary record
-format in one array, with an offset per plan.  One layout pass writes
-those fields for ``make_plans`` and for each plan builder, which returns a
-one-plan ``PlanView``.  Plan files decode into a store and are written
-from one; training, evaluation and the command line's checks read its
-arrays, and its elements are ``PlanView``s that also give the fields of a
-``MaskPlan``, the tuple form of a plan built by hand.
+Plans have one form, the ``PlanStore``: the u32 fields of the binary
+record format in one array, with an offset per plan.  One layout pass
+(``PlanWriter``) writes those fields for ``make_plans`` and for each plan
+builder, which returns a one-plan ``PlanView``.  Plan files decode into a
+store and are written from one; training, evaluation and the command
+line's checks take a store and read its arrays, and the functions of one
+plan take one of its elements, a ``PlanView``.
 """
 
 from __future__ import annotations
@@ -106,37 +106,6 @@ def segment_example(words, lex, vocab: FineVocab) -> SegmentedExample:
     return SegmentedExample(b.words, b, tuple(ids), tuple(spans))
 
 
-@dataclass
-class MaskPlan:
-    """One plan as tuples: what the plan builders return, and the form a
-    :class:`PlanView` of a store gives with :meth:`PlanView.to_plan`."""
-
-    objective: Objective
-    context_ids: tuple
-    context_positions: tuple
-    query_ids: tuple
-    query_positions: tuple
-    targets_coarse: tuple  # (context slot index, joint id)
-    targets_fine: tuple  # (index into context+queries, fine id)
-    rtd_labels: tuple | None = None
-    # provenance only; not persisted in the binary format
-    masked_set: tuple | None = field(default=None, compare=False)
-
-    @property
-    def T(self) -> int:
-        return len(self.context_ids)
-
-    @property
-    def Q(self) -> int:
-        return len(self.query_ids)
-
-    def all_ids(self) -> tuple:
-        return self.context_ids + self.query_ids
-
-    def all_positions(self) -> tuple:
-        return self.context_positions + self.query_positions
-
-
 def sample_mask(b: BoundarySeq, rate: float, rng: RngState, candidates=None) -> tuple:
     """Sample segment indexes to mask: max(1, round(rate * num_segments)),
     uniform without replacement, never two adjacent segments.
@@ -188,7 +157,7 @@ class PlanWriter:
         self.jv = None if objective == Objective.CONTIGUOUS else jv
         self.queries = ([vocab.query_id(i) for i in range(1, vocab.max_query + 1)]
                         if objective == Objective.COMPREHENSIVE else None)
-        self.run, self.starts, self.masked = array("I"), [0], []
+        self.run, self.starts = array("I"), [0]
         self.fallbacks = 0
 
     def add(self, ex: SegmentedExample, masked):
@@ -245,17 +214,16 @@ class PlanWriter:
         self.run.extend((T, len(query_ids), *ids, *range(1, T + 1), *query_positions,
                          *query_ids, len(coarse) // 2, *coarse, len(fine) // 2, *fine))
         self.starts.append(len(self.run))
-        self.masked.append(tuple(masked))
         self.fallbacks += over
 
     def store(self) -> "PlanStore":
         if self.fallbacks:
             log.warning("%d masked segments have more subwords than max query %d; "
                         "contiguous fallback", self.fallbacks, self.vocab.max_query)
-        n = len(self.masked)
+        n = len(self.starts) - 1
         return PlanStore(np.frombuffer(self.run, dtype=np.uintc).astype(np.uint32, copy=False),
                          np.array(self.starts, dtype=np.int64),
-                         np.full(n, self.objective, dtype=np.uint8), [None] * n, self.masked)
+                         np.full(n, self.objective, dtype=np.uint8), [None] * n)
 
 
 def _one_plan(objective, ex, masked, vocab, jv=None) -> "PlanView":
@@ -279,17 +247,16 @@ def plan_comprehensive(ex: SegmentedExample, masked: tuple, jv: JointVocab) -> "
     return _one_plan(Objective.COMPREHENSIVE, ex, masked, jv.fine, jv)
 
 
-def relation_from_comprehensive(plans, sampled):
+def relation_from_comprehensive(store: "PlanStore", sampled) -> "PlanStore":
     """Fill each [M] slot with a sampled joint identity and derive RTD labels.
 
-    ``plans`` is a store, a list or one plan; ``sampled`` aligns with the
-    coarse targets of its plans, in the order of ``gather("coarse")``.
-    Labels are per context position: 1 where the filled sequence matches
-    the original-identity sequence, 0 at slots holding a wrong identity and
-    at fallback [M]s.  Every plan becomes a relation plan, in one copy of
-    the store's fields.  Returns that store, or for one plan its view.
+    ``sampled`` aligns with the coarse targets of the store's plans, in the
+    order of ``gather("coarse")``.  Labels are per context position: 1
+    where the filled sequence matches the original-identity sequence, 0 at
+    slots holding a wrong identity and at fallback [M]s.  Every plan
+    becomes a relation plan, in one copy of the store's fields, returned as
+    a new store.
     """
-    store = PlanStore.of(plans)
     coarse, owner = store.gather("coarse")
     if len(sampled) != len(coarse):
         raise UsageError(f"expected {len(coarse)} sampled ids, got {len(sampled)}")
@@ -303,9 +270,9 @@ def relation_from_comprehensive(plans, sampled):
     run = store.run.copy()
     run[store.starts[owner] + 2 + coarse[:, 0]] = sampled  # the context ids start after T and Q
     filled = PlanStore(run, store.starts, np.full(len(store), Objective.RELATION, dtype=np.uint8),
-                       np.split(labels, first[1:-1])[:len(store)], store.masked)
+                       np.split(labels, first[1:-1])[:len(store)])
     filled._distinct = store._distinct
-    return filled[0] if isinstance(plans, (MaskPlan, PlanView)) else filled
+    return filled
 
 
 def plan_relation(ex: SegmentedExample, masked: tuple, jv: JointVocab, sampled) -> "PlanView":
@@ -313,10 +280,10 @@ def plan_relation(ex: SegmentedExample, masked: tuple, jv: JointVocab, sampled) 
     for y_prime in sampled:
         if not 0 <= int(y_prime) < len(jv):
             raise UsageError(f"sampled id {y_prime} outside joint range 0..{len(jv) - 1}")
-    return relation_from_comprehensive(base, sampled)
+    return relation_from_comprehensive(base.store, sampled)[0]
 
 
-def build_attention_mask(plan, dtype=np.float32) -> np.ndarray:
+def build_attention_mask(plan: "PlanView", dtype=np.float32) -> np.ndarray:
     """Additive mask over {0, -inf}: context never sees queries; queries
     see the context and themselves only."""
     T, Q = plan.T, plan.Q
@@ -348,9 +315,9 @@ def _segments(first, count):
     return np.arange(ends[-1] if len(ends) else 0) + np.repeat(first - ends + count, count)
 
 
-def _pairs(a) -> tuple:
-    x = a.ravel().tolist()
-    return tuple(zip(x[0::2], x[1::2]))
+def _same_labels(a, b) -> bool:
+    """Whether two plans' RTD labels (arrays or None) are equal."""
+    return a is b or (a is not None and b is not None and np.array_equal(a, b))
 
 
 class PlanStore:
@@ -358,21 +325,18 @@ class PlanStore:
 
     ``run`` (uint32) holds the u32 fields of every plan, plan after plan;
     plan k's are ``run[starts[k]:starts[k + 1]]``.  ``objectives`` holds one
-    objective byte a plan, ``rtd`` each plan's RTD labels (uint8 0/1) or
-    None, and ``masked`` each plan's masked set (provenance, not written to
-    files) or None.  ``T``, ``Q``, ``nc`` and ``nf`` are each plan's context
-    and query lengths and coarse and fine target counts.  ``counts`` holds
-    the skip and fallback counts of the ``make_plans`` call that built the
+    objective byte a plan and ``rtd`` each plan's RTD labels (uint8 0/1) or
+    None.  ``T``, ``Q``, ``nc`` and ``nf`` are each plan's context and
+    query lengths and coarse and fine target counts.  ``counts`` holds the
+    skip and fallback counts of the ``make_plans`` call that built the
     store (provenance), and is empty for any other store.
 
     An int index gives a :class:`PlanView`, a slice a new store, iteration
-    views.  Stores compare equal when their plans do, masked sets aside;
-    a list of plans compares as the store it makes.
+    views.  Stores compare equal when their plans do.
     """
 
-    def __init__(self, run, starts, objectives, rtd: list, masked: list):
-        self.run, self.starts, self.objectives = run, starts, objectives
-        self.rtd, self.masked = rtd, masked
+    def __init__(self, run, starts, objectives, rtd: list):
+        self.run, self.starts, self.objectives, self.rtd = run, starts, objectives, rtd
         s = starts[:-1]
         self.T = run[s].astype(np.int64)
         self.Q = run[s + 1].astype(np.int64)
@@ -380,43 +344,6 @@ class PlanStore:
         self.nf = run[s + 3 + 2 * (self.T + self.Q + self.nc)].astype(np.int64)
         self._distinct = False  # True once no plan is known to repeat a target
         self.counts: dict = {}
-
-    @classmethod
-    def from_plans(cls, plans) -> "PlanStore":
-        """The store of an iterable of plans (MaskPlans or views)."""
-        run = array("I")
-        starts, objectives, rtd, masked = [0], bytearray(), [], []
-        for k, plan in enumerate(plans):
-            T, Q = len(plan.context_ids), len(plan.query_ids)
-            coarse, fine, labels = plan.targets_coarse, plan.targets_fine, plan.rtd_labels
-            try:
-                run.extend((T, Q, *plan.context_ids, *plan.context_positions,
-                            *plan.query_positions, *plan.query_ids,
-                            len(coarse), *chain.from_iterable(coarse),
-                            len(fine), *chain.from_iterable(fine)))
-            except (OverflowError, TypeError) as e:
-                raise UsageError(f"plan {k}: a field is not a u32 value: {e}") from e
-            if (len(run) - starts[-1] != 4 + 2 * (T + Q + len(coarse) + len(fine))
-                    or (labels is not None and len(labels) != T)):
-                raise UsageError(f"plan {k}: positions, targets or RTD labels do not fit "
-                                 f"{T} context and {Q} query symbols")
-            starts.append(len(run))
-            objectives.append(int(plan.objective))
-            rtd.append(None if labels is None else (np.asarray(labels) != 0).astype(np.uint8))
-            masked.append(plan.masked_set)
-        return cls(np.frombuffer(run, dtype=np.uintc).astype(np.uint32, copy=False),
-                   np.array(starts, dtype=np.int64), np.frombuffer(objectives, dtype=np.uint8),
-                   rtd, masked)
-
-    @classmethod
-    def of(cls, plans) -> "PlanStore":
-        """``plans`` if it is a store, a one-plan store if it is one plan (a
-        MaskPlan or a view), else the store of its plans."""
-        if isinstance(plans, PlanStore):
-            return plans
-        if isinstance(plans, PlanView):
-            return plans.store.take([plans.k])
-        return cls.from_plans([plans] if isinstance(plans, MaskPlan) else plans)
 
     def __len__(self) -> int:
         return len(self.objectives)
@@ -441,20 +368,16 @@ class PlanStore:
         count = (self.starts[1:] - self.starts[:-1])[idx]
         run = self.run[_segments(self.starts[:-1][idx], count)]
         starts = np.concatenate(([0], np.cumsum(count)))
-        store = PlanStore(run, starts, self.objectives[idx], [self.rtd[k] for k in idx.tolist()],
-                          [self.masked[k] for k in idx.tolist()])
+        store = PlanStore(run, starts, self.objectives[idx], [self.rtd[k] for k in idx.tolist()])
         store._distinct = self._distinct
         return store
 
     def __eq__(self, other):
-        if isinstance(other, (list, tuple)):
-            other = PlanStore.from_plans(other)
         if not isinstance(other, PlanStore):
             return NotImplemented
         return (len(self) == len(other) and np.array_equal(self.objectives, other.objectives)
                 and np.array_equal(self.run, other.run)
-                and all(a is b or (a is not None and b is not None and np.array_equal(a, b))
-                        for a, b in zip(self.rtd, other.rtd)))
+                and all(_same_labels(a, b) for a, b in zip(self.rtd, other.rtd)))
 
     def gather(self, field: str):
         """``field`` of every plan, concatenated in plan order, and the index
@@ -497,12 +420,14 @@ class PlanStore:
 
 
 class PlanView:
-    """Plan ``k`` of a :class:`PlanStore`.
+    """Plan ``k`` of a :class:`PlanStore`: the arrays that training reads,
+    each a view of the store's ``run`` but ``ids``, which is a copy when the
+    plan has queries.
 
-    Gives MaskPlan's fields as tuples, each built when read, and the arrays
-    that training reads: ``ids`` (context then queries), ``positions``,
-    ``coarse`` and ``fine`` ((count, 2) pairs) and ``labels`` (RTD labels or
-    None).  Compares equal to the MaskPlan of the same fields.
+    ``ids`` holds the context then the queries, ``positions`` their position
+    ids, ``coarse`` and ``fine`` the (index, id) pairs of the targets as
+    (count, 2) arrays and ``labels`` the RTD labels or None.  Views compare
+    equal when their objective, u32 fields and labels are.
     """
 
     __slots__ = ("store", "k", "_row")
@@ -515,8 +440,10 @@ class PlanView:
         s = self._row[1] + offset
         return self.store.run[s : s + n]
 
-    def _tuple(self, offset: int, n: int) -> tuple:
-        return tuple(self._u32(offset, n).tolist()) if n else ()
+    def _fields(self):
+        """The plan's u32 fields, from T to the last fine pair."""
+        _, _, T, Q, nc, nf = self._row
+        return self._u32(0, 4 + 2 * (T + Q + nc + nf))
 
     @property
     def objective(self) -> Objective:
@@ -555,61 +482,33 @@ class PlanView:
         return self.store.rtd[self.k]
 
     @property
-    def context_ids(self) -> tuple:
-        return self._tuple(2, self.T)
+    def context_ids(self) -> tuple:  # read by perfbench/workloads.py (ROADMAP item 1)
+        return tuple(self._u32(2, self.T).tolist())
 
     @property
-    def context_positions(self) -> tuple:
-        return self._tuple(2 + self.T, self.T)
+    def query_ids(self) -> tuple:  # read by perfbench/workloads.py (ROADMAP item 1)
+        return tuple(self._u32(2 + 2 * self.T + self.Q, self.Q).tolist())
 
     @property
-    def query_positions(self) -> tuple:
-        return self._tuple(2 + 2 * self.T, self.Q)
+    def targets_coarse(self) -> tuple:  # read by perfbench/workloads.py (ROADMAP item 1)
+        return tuple(map(tuple, self.coarse.tolist()))
 
-    @property
-    def query_ids(self) -> tuple:
-        return self._tuple(2 + 2 * self.T + self.Q, self.Q)
-
-    @property
-    def targets_coarse(self) -> tuple:
-        return _pairs(self.coarse)
-
-    @property
-    def targets_fine(self) -> tuple:
-        return _pairs(self.fine)
-
-    @property
-    def rtd_labels(self) -> tuple | None:
-        labels = self.labels
-        return None if labels is None else tuple(labels.tolist())
-
-    @property
-    def masked_set(self) -> tuple | None:
-        return self.store.masked[self.k]
-
-    def all_ids(self) -> tuple:
+    def all_ids(self) -> tuple:  # read by perfbench/workloads.py (ROADMAP item 1)
         return tuple(self.ids.tolist())
 
-    def all_positions(self) -> tuple:
+    def all_positions(self) -> tuple:  # read by perfbench/workloads.py (ROADMAP item 1)
         return tuple(self.positions.tolist())
 
-    def to_plan(self) -> MaskPlan:
-        return MaskPlan(self.objective, self.context_ids, self.context_positions,
-                        self.query_ids, self.query_positions, self.targets_coarse,
-                        self.targets_fine, self.rtd_labels, self.masked_set)
-
     def __eq__(self, other):
-        if isinstance(other, PlanView):
-            other = other.to_plan()
-        return self.to_plan() == other
+        if not isinstance(other, PlanView):
+            return NotImplemented
+        return (self._row[0] == other._row[0] and np.array_equal(self._fields(), other._fields())
+                and _same_labels(self.labels, other.labels))
 
     def __repr__(self) -> str:
-        return f"PlanView({self.k}, {self.to_plan()!r})"
-
-
-def view_of(plan) -> PlanView:
-    """``plan`` if it is a view, else the view of a one-plan store."""
-    return plan if isinstance(plan, PlanView) else PlanStore.from_plans([plan])[0]
+        labels = self.labels
+        return (f"PlanView({self.k}, {self.objective.name.lower()}, {self._fields().tolist()}, "
+                f"labels={None if labels is None else labels.tolist()})")
 
 
 def _records(store: PlanStore) -> bytes:
@@ -627,9 +526,9 @@ def _records(store: PlanStore) -> bytes:
     return b"".join(parts)
 
 
-def serialize_plan(plan) -> bytes:
+def serialize_plan(plan: PlanView) -> bytes:
     """One plan as a record (see the record format above)."""
-    return _records(PlanStore.of([plan]))
+    return _records(plan.store.take([plan.k]))
 
 
 def _truncated(shift: int, end: int, *fields) -> PlanFormatError:
@@ -701,7 +600,7 @@ def _decode(buf, pos: int, shift: int = 0) -> PlanStore:
         rtd.append(labels)
         pos = end
     return PlanStore(np.frombuffer(b"".join(runs), dtype="<u4"), np.array(starts, dtype=np.int64),
-                     np.frombuffer(objectives, dtype=np.uint8), rtd, [None] * len(rtd))
+                     np.frombuffer(objectives, dtype=np.uint8), rtd)
 
 
 def parse_plan(data: bytes, base_offset: int = 0) -> PlanView:
@@ -716,10 +615,10 @@ def parse_plan(data: bytes, base_offset: int = 0) -> PlanView:
     return _decode(data, 0, base_offset)[0]
 
 
-def write_plan_file(path, plans, provenance: dict | None = None):
+def write_plan_file(path, plans: PlanStore, provenance: dict | None = None):
     """Plan container: magic, file version, provenance JSON, then records."""
     header = json.dumps(provenance or {}, sort_keys=True).encode("utf-8")
-    records = _records(PlanStore.of(plans))
+    records = _records(plans)
     with open(path, "wb") as f:
         f.write(FILE_MAGIC)
         f.write(struct.pack("<HI", PLAN_VERSION, len(header)))
@@ -750,18 +649,19 @@ def read_plan_file(path):
     return provenance, _decode(data, pos)
 
 
-def plan_to_json(plan) -> str:
+def plan_to_json(plan: PlanView) -> str:
     """Human-readable one-line JSON dump of a plan."""
+    T, ids, positions, labels = plan.T, plan.ids.tolist(), plan.positions.tolist(), plan.labels
     return json.dumps(
         {
             "objective": plan.objective.name.lower(),
-            "context_ids": list(plan.context_ids),
-            "context_positions": list(plan.context_positions),
-            "query_ids": list(plan.query_ids),
-            "query_positions": list(plan.query_positions),
-            "targets_coarse": [list(t) for t in plan.targets_coarse],
-            "targets_fine": [list(t) for t in plan.targets_fine],
-            "rtd_labels": None if plan.rtd_labels is None else list(plan.rtd_labels),
+            "context_ids": ids[:T],
+            "context_positions": positions[:T],
+            "query_ids": ids[T:],
+            "query_positions": positions[T:],
+            "targets_coarse": plan.coarse.tolist(),
+            "targets_fine": plan.fine.tolist(),
+            "rtd_labels": None if labels is None else labels.tolist(),
         },
         sort_keys=True,
     )

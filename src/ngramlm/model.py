@@ -455,10 +455,10 @@ def head_backward(hidden, rows, d_logits, w_name: str, b_name: str, params: dict
 # ---------------------------------------------------------------------------
 # generator
 
-def generator_forward_and_sample(params: dict, plans, cfg: ModelConfig,
+def generator_forward_and_sample(params: dict, plans: PlanStore, cfg: ModelConfig,
                                  rng: RngState, temperature: float = 1.0):
     """Sample one joint identity per masked slot from the generator softmax,
-    for every slot of ``plans`` (a store, a list or one plan).
+    for every slot of ``plans``.
 
     The generator runs over each plan's context only, with nothing masked
     out, under ``cfg.generator_view()``, and its last layer at the slots.
@@ -472,7 +472,6 @@ def generator_forward_and_sample(params: dict, plans, cfg: ModelConfig,
     """
     if temperature <= 0:
         raise UsageError("temperature must be > 0")
-    plans = PlanStore.of(plans)
     if not plans.nc.any():
         raise UsageError("no masked slots to sample for")
     gcfg = cfg.generator_view()

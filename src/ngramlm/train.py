@@ -18,10 +18,10 @@ from .errors import DataError, NumericError, UsageError
 from .maskplan import (
     Objective,
     PlanStore,
+    PlanView,
     RngState,
     build_attention_mask,
     relation_from_comprehensive,
-    view_of,
 )
 from .model import (
     Activations,
@@ -221,13 +221,12 @@ def _refuse_repeated_targets(plans: PlanStore):
         raise UsageError(f"plan {k}: a coarse slot or fine index is a target twice")
 
 
-def plan_loss_terms(params: dict, plan, cfg: ModelConfig, group: BackwardGroup):
+def plan_loss_terms(params: dict, plan: PlanView, cfg: ModelConfig, group: BackwardGroup):
     """Add one plan to ``group``: the standard model's pass over its context
     and queries under its length-hiding attention mask (a plan without
     queries needs no mask), and the rows of its coarse, fine and RTD
     targets.  The group's backward computes the loss sums.  The plan's
     targets must be distinct (:func:`_refuse_repeated_targets`)."""
-    plan = view_of(plan)
     group.start(plan.T + plan.Q)
     mask = build_attention_mask(plan, dtype=params["tok_emb"].dtype) if plan.Q else None
     labels = plan.labels
@@ -236,11 +235,10 @@ def plan_loss_terms(params: dict, plan, cfg: ModelConfig, group: BackwardGroup):
               fine=plan.fine.T, rtd=rtd)
 
 
-def generator_loss_terms(params: dict, plan, cfg: ModelConfig, group: BackwardGroup):
+def generator_loss_terms(params: dict, plan: PlanView, cfg: ModelConfig, group: BackwardGroup):
     """Add a plan with slots to the generator's ``group``: its pass over the
     context, nothing masked out, and its slots, which predict y (the
     explicit-MLM term ``gen``).  A plan without slots adds nothing."""
-    plan = view_of(plan)
     coarse = plan.coarse
     if not len(coarse):
         return
@@ -250,8 +248,8 @@ def generator_loss_terms(params: dict, plan, cfg: ModelConfig, group: BackwardGr
                      prefix="gen_"), gen=coarse.T)
 
 
-def batch_loss_and_grad(params: dict, plans, cfg: ModelConfig, tcfg: TrainConfig, grads: dict,
-                        sample_rng: RngState | None = None):
+def batch_loss_and_grad(params: dict, plans: PlanStore, cfg: ModelConfig, tcfg: TrainConfig,
+                        grads: dict, sample_rng: RngState | None = None):
     """Loss report for one batch; its gradients are added into ``grads``.
 
     Every dlogit is scaled by its term's batch target count, so the counts
@@ -264,7 +262,6 @@ def batch_loss_and_grad(params: dict, plans, cfg: ModelConfig, tcfg: TrainConfig
     non-differentiable, so the generator only receives gradient from its
     own term.
     """
-    plans = PlanStore.of(plans)
     relation = tcfg.objective == Objective.RELATION
     if relation and not np.isin(plans.objectives,
                                 (Objective.COMPREHENSIVE, Objective.RELATION)).all():
@@ -389,15 +386,14 @@ def adam_step(params, grads, state: AdamState, lr: float, tcfg: TrainConfig):
 # ---------------------------------------------------------------------------
 # training loop
 
-def train(tcfg: TrainConfig, plans, params: dict, cfg: ModelConfig,
+def train(tcfg: TrainConfig, plans: PlanStore, params: dict, cfg: ModelConfig,
           metrics_path=None, checkpoint_path=None, resume_from=None):
-    """Run the training loop over a fixed plan store (or list), cycling in order.
+    """Run the training loop over a fixed plan store, cycling in order.
 
     Deterministic for a fixed seed (single-threaded).  Returns (params, now
     views of one flat vector, list of per-step metric dicts).  NaN loss
     aborts with a diagnostic checkpoint next to ``checkpoint_path``.
     """
-    plans = PlanStore.of(plans)
     if not len(plans):
         raise UsageError("empty plan stream")
     _refuse_repeated_targets(plans)
@@ -498,18 +494,18 @@ def _save_train_checkpoint(path, params, cfg, tcfg, state, step, sample_rng):
 # ---------------------------------------------------------------------------
 # evaluation
 
-def _contiguous_gram_groups(plan):
+def _contiguous_gram_groups(plan: PlanView):
     """A contiguous plan's masked n-grams as runs of consecutive targets:
     (rows, targets, bounds), the fine targets sorted by row and the n-grams
     split at ``bounds``.  Exact because the mask sampler never selects
     adjacent segments."""
-    fine = view_of(plan).fine.astype(np.int64)
+    fine = plan.fine.astype(np.int64)
     fine = fine[np.argsort(fine[:, 0], kind="stable")]
     rows = fine[:, 0]
     return rows, fine[:, 1], np.flatnonzero(np.diff(rows) != 1) + 1
 
 
-def eval_ngram_ppl(params: dict, plans, cfg: ModelConfig) -> float:
+def eval_ngram_ppl(params: dict, plans: PlanStore, cfg: ModelConfig) -> float:
     """Geometric mean of per-masked-n-gram perplexities, in log space.
 
     Contiguous plans: PPL(w) = exp(mean token NLL within w).  Explicit
@@ -522,7 +518,6 @@ def eval_ngram_ppl(params: dict, plans, cfg: ModelConfig) -> float:
     consecutive plans, up to ``cfg.max_positions`` rows at a time, then
     share one head product per head.
     """
-    plans = PlanStore.of(plans)
     _refuse_repeated_targets(plans)
     log_ppls: list = []
     # contiguous or not -> the pending plans' (states, targets, n-gram sizes)

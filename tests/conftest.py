@@ -1,13 +1,16 @@
 """Shared fixtures: a six-word toy example whose second segment is a
-bigram from the lexicon, plus small helpers for building lexicons and
-model configs by hand."""
+bigram from the lexicon, plus small helpers for building lexicons, plans
+and model configs by hand."""
+
+import struct
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from ngramlm import FineVocab, build_joint_vocab
+from ngramlm import FineVocab, Objective, build_joint_vocab
 from ngramlm.lexicon import NGramLexicon, ScoredNGram
-from ngramlm.maskplan import segment_example
+from ngramlm.maskplan import PLAN_VERSION, PlanView, _decode, segment_example
 from ngramlm.model import FlatLayout, ModelConfig, _encoder_param_shapes
 from ngramlm.train import BackwardGroup
 
@@ -33,6 +36,79 @@ def lex_from(tuples):
             ScoredNGram(words, len(words), 0.0, 1)
         )
     return NGramLexicon(per_order)
+
+
+@dataclass
+class RefPlan:
+    """A plan as tuples of its record fields: the reference form in which
+    tests write plans by hand and compare plans field by field.  It is
+    encoded by :func:`reference_serialize` alone and decoded by the
+    package's record decoder (:func:`store_of`); :func:`ref_of` reads a
+    store's plan back into it."""
+
+    objective: Objective
+    context_ids: tuple
+    context_positions: tuple
+    query_ids: tuple
+    query_positions: tuple
+    targets_coarse: tuple  # (context slot index, joint id)
+    targets_fine: tuple  # (index into context+queries, fine id)
+    rtd_labels: tuple | None = None
+
+    @property
+    def T(self) -> int:
+        return len(self.context_ids)
+
+    @property
+    def Q(self) -> int:
+        return len(self.query_ids)
+
+    def all_ids(self) -> tuple:
+        return self.context_ids + self.query_ids
+
+    def all_positions(self) -> tuple:
+        return self.context_positions + self.query_positions
+
+
+def reference_serialize(plan: RefPlan) -> bytes:
+    """One plan as a length-prefixed record, field by field."""
+    T, Q = plan.T, plan.Q
+    parts = [struct.pack("<HBII", PLAN_VERSION, int(plan.objective), T, Q)]
+    parts.append(struct.pack(f"<{T}I", *plan.context_ids))
+    parts.append(struct.pack(f"<{T + Q}I", *plan.all_positions()))
+    parts.append(struct.pack(f"<{Q}I", *plan.query_ids))
+    parts.append(struct.pack("<I", len(plan.targets_coarse)))
+    for slot, y in plan.targets_coarse:
+        parts.append(struct.pack("<II", slot, y))
+    parts.append(struct.pack("<I", len(plan.targets_fine)))
+    for idx, x in plan.targets_fine:
+        parts.append(struct.pack("<II", idx, x))
+    if plan.rtd_labels is None:
+        parts.append(b"\x00")
+    else:
+        bits = bytearray((T + 7) // 8)
+        for i, lab in enumerate(plan.rtd_labels):
+            if lab:
+                bits[i // 8] |= 1 << (i % 8)
+        parts.append(b"\x01" + bytes(bits))
+    payload = b"".join(parts)
+    return struct.pack("<I", len(payload)) + payload
+
+
+def ref_of(view: PlanView) -> RefPlan:
+    """A store's plan in the reference form."""
+    T, ids, positions, labels = view.T, view.ids.tolist(), view.positions.tolist(), view.labels
+    return RefPlan(view.objective, tuple(ids[:T]), tuple(positions[:T]), tuple(ids[T:]),
+                   tuple(positions[T:]), tuple(map(tuple, view.coarse.tolist())),
+                   tuple(map(tuple, view.fine.tolist())),
+                   None if labels is None else tuple(labels.tolist()))
+
+
+def store_of(plans):
+    """The store of ``plans``, each a RefPlan or a view of a store: their
+    reference records, read by the package's record decoder."""
+    return _decode(b"".join(reference_serialize(ref_of(p) if isinstance(p, PlanView) else p)
+                            for p in plans), 0)
 
 
 def param_count(params: dict) -> int:

@@ -13,7 +13,6 @@ import numpy as np
 
 from ngramlm import (
     FineVocab,
-    MaskPlan,
     Objective,
     RngState,
     TrainConfig,
@@ -50,7 +49,16 @@ from ngramlm.train import (
 from ngramlm.corpus import WordStream
 
 import conftest
-from conftest import lex_from, loss_and_grads, param_count, tiny_config, vanilla_encoder_param_count
+from conftest import (
+    RefPlan,
+    lex_from,
+    loss_and_grads,
+    param_count,
+    ref_of,
+    store_of,
+    tiny_config,
+    vanilla_encoder_param_count,
+)
 
 
 def check(n, name, passed, detail=""):
@@ -140,9 +148,9 @@ def test_criterion_03_length_leak_freedom():
         ctx = tuple(int(x) for x in g.integers(0, cfg.joint_size, size=T))
         hs = []
         for n_q in (2, 3):
-            plan = MaskPlan(Objective.COMPREHENSIVE, ctx, tuple(range(1, T + 1)),
-                            tuple(5 + j for j in range(n_q)), (slot + 1,) * n_q,
-                            ((slot, ctx[slot]),), ())
+            plan = store_of([RefPlan(Objective.COMPREHENSIVE, ctx, tuple(range(1, T + 1)),
+                                     tuple(5 + j for j in range(n_q)), (slot + 1,) * n_q,
+                                     ((slot, ctx[slot]),), ())])[0]
             acts = encode(params, plan.all_ids(), plan.all_positions(),
                           build_attention_mask(plan), cfg)
             hs.append(acts.hidden[:T])
@@ -193,7 +201,7 @@ def _grad_check_setup():
     comp = plans["comprehensive"]
     fill = [y for _, y in comp.targets_coarse]
     fill[0] = (fill[0] + 3) % len(jv)  # one wrong identity for real RTD labels
-    plans["relation"] = relation_from_comprehensive(comp, fill)
+    plans["relation"] = relation_from_comprehensive(comp.store, fill)[0]
     return cfg, params, plans, comp
 
 
@@ -201,8 +209,8 @@ def _config_loss_and_grads(name, params, cfg, plans, comp, want_grads):
     rtd_weight = 0.7
     plan = plans[name]
     n_c = max(len(plan.targets_coarse), 1)
-    n_f = max(len(plan.targets_fine), 1)
-    n_r = max(plan.T if plan.rtd_labels is not None else 0, 1)
+    n_f = max(len(plan.fine), 1)
+    n_r = max(plan.T if plan.labels is not None else 0, 1)
     scales = {"coarse": 1.0 / n_c, "fine": 1.0 / n_f, "rtd": rtd_weight / n_r}
     terms, grads = loss_and_grads(plan_loss_terms, params, plan, cfg,
                                   scales if want_grads else None)
@@ -267,10 +275,8 @@ def test_criterion_06_loss_additivity():
     state = AdamState(layout)
     cursor, exact = 0, True
     for step in range(100):
-        batch = []
-        for _ in range(4):
-            batch.append(plans[cursor])
-            cursor = (cursor + 1) % len(plans)
+        batch = plans.take([(cursor + j) % len(plans) for j in range(4)])
+        cursor = (cursor + 4) % len(plans)
         grads_flat.fill(0)
         report = batch_loss_and_grad(params, batch, cfg, tcfg, grads)
         explicit_part = fine_part = 0.0
@@ -328,7 +334,8 @@ def test_criterion_07_directional_replication(tmp_path):
 def test_criterion_08_rtd_sanity(toy_example, toy_jv):
     comp = plan_comprehensive(toy_example, (2, 4), toy_jv)
     truth = [y for _, y in comp.targets_coarse]
-    all_original = relation_from_comprehensive(comp, truth).rtd_labels == (1,) * comp.T
+    filled = relation_from_comprehensive(comp.store, truth)[0]
+    all_original = ref_of(filled).rtd_labels == (1,) * comp.T
     rtd_nll, _ = _bce_with_logits(np.zeros(7), [1, 0, 1, 0, 1, 0, 1])
     ln2_ok = float(np.abs(rtd_nll - math.log(2)).max()) <= 1e-9
 
@@ -349,7 +356,7 @@ def test_criterion_08_rtd_sanity(toy_example, toy_jv):
     per_slot_probs = []
     for plan in plans:
         mask = np.zeros((plan.T, plan.T), dtype=params["gen_tok_emb"].dtype)
-        acts = encode(params, plan.context_ids, plan.context_positions, mask,
+        acts = encode(params, plan.ids[:plan.T], plan.positions[:plan.T], mask,
                       gcfg, prefix="gen_")
         slots = [s for s, _ in plan.targets_coarse]
         logits = predict_ngram(acts, slots, params, prefix="gen_").astype(np.float64)
@@ -365,7 +372,7 @@ def test_criterion_08_rtd_sanity(toy_example, toy_jv):
     counts = np.zeros(cfg.joint_size)
     for plan in plans:
         for _ in range(draws_per_plan):
-            for jid in generator_forward_and_sample(params, plan, cfg, rng):
+            for jid in generator_forward_and_sample(params, plan.store, cfg, rng):
                 counts[int(jid)] += 1
     n_draws = draws_per_plan * slots_total
     expected_counts = expected * draws_per_plan

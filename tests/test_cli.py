@@ -1,6 +1,7 @@
 """Command line front end: end-to-end pipeline, determinism, exit codes."""
 
 import dataclasses
+import hashlib
 import importlib
 import io
 import json
@@ -29,6 +30,8 @@ from ngramlm.cli import main
 from ngramlm.corpus import tokenize_words
 from ngramlm.maskplan import read_plan_file, write_plan_file
 from ngramlm.synth import CollocationSpec, collocation_corpus, write_corpus
+
+from conftest import RefPlan, ref_of, store_of
 
 # a child interpreter that imports this checkout's package
 SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
@@ -143,13 +146,37 @@ def test_make_masks_json_dump(corpus_dir, tmp_path):
     header = json.loads(lines[0])
     assert "provenance" in header
     _, plans = read_plan_file(plans_path)
+    assert len(lines) == len(plans) + 1
+    names = [f.name for f in dataclasses.fields(RefPlan)]
     for line, plan in zip(lines[1:], plans):
         rec = json.loads(line)
         assert rec["objective"] == "comprehensive"
-        assert rec["context_ids"] == list(plan.context_ids)
+        # every other key equals the plan read back, tuples as JSON lists
+        want = ref_of(plan)
+        assert sorted(rec) == sorted(names)
+        for name in names[1:]:
+            assert rec[name] == json.loads(json.dumps(getattr(want, name))), name
         # queries share their slot's position id
         slots = {s for s, _ in plan.targets_coarse}
         assert all(p - 1 in slots for p in rec["query_positions"])
+
+
+# sha256 of the --dump-json file that make-masks writes from the corpus_dir
+# fixture's files, with the file names and arguments of the test below
+DUMP_JSON_DIGESTS = {
+    "contiguous": "a72e459b30d919fce20e7831bd1015c03305d39da67ef74cdb734d9812bd523d",
+    "comprehensive": "349cd39d1acd3b83c61a6326a39dae84bdec1c7c4df77824407fd3333fca0e3a",
+}
+
+
+@pytest.mark.parametrize("objective", sorted(DUMP_JSON_DIGESTS))
+def test_make_masks_json_dump_bytes_are_pinned(corpus_dir, tmp_path, objective):
+    dump = tmp_path / "p.jsonl"
+    assert main(["make-masks", "--corpus", str(corpus_dir / "corpus.txt"),
+                 "--lexicon", str(corpus_dir / "lex.tsv"),
+                 "--vocab", str(corpus_dir / "vocab.txt"), "--objective", objective,
+                 "--dump-json", str(dump), "--out", str(tmp_path / "p.bin")]) == 0
+    assert hashlib.sha256(dump.read_bytes()).hexdigest() == DUMP_JSON_DIGESTS[objective]
 
 
 def test_train_eval_export_inspect(corpus_dir, tmp_path):
@@ -325,9 +352,9 @@ def test_out_of_range_plan_is_a_data_error(corpus_dir, tmp_path, edit):
     assert main(["train", "--plans", str(plans_path), "--layers", "1", "--hidden", "16",
                  "--heads", "2", "--steps", "1", "--batch-size", "2", "--out", str(ck)]) == 0
     prov, plans = read_plan_file(plans_path)
+    first = ref_of(plans[0])
     bad = tmp_path / "bad.bin"
-    write_plan_file(bad, [dataclasses.replace(plans[0].to_plan(), **edit(plans[0])), *plans[1:]],
-                    prov)
+    write_plan_file(bad, store_of([dataclasses.replace(first, **edit(first)), *plans[1:]]), prov)
     assert main(["eval-ppl", "--plans", str(bad), "--checkpoint", str(ck)]) == 3
     assert main(["train", "--plans", str(bad), "--layers", "1", "--hidden", "16",
                  "--heads", "2", "--steps", "1", "--batch-size", "2",
@@ -343,11 +370,11 @@ def test_contiguous_target_outside_the_context_is_a_data_error(corpus_dir, tmp_p
     ck = tmp_path / "model.npz"
     assert main(train + ["--out", str(ck)]) == 0
     prov, plans = read_plan_file(plans_path)
-    p = plans[0]
-    moved = dataclasses.replace(p.to_plan(), query_ids=(p.context_ids[0],), query_positions=(1,),
+    p = ref_of(plans[0])
+    moved = dataclasses.replace(p, query_ids=(p.context_ids[0],), query_positions=(1,),
                                 targets_fine=p.targets_fine + ((p.T, p.targets_fine[0][1]),))
     bad = tmp_path / "bad.bin"
-    write_plan_file(bad, [moved, *plans[1:]], prov)
+    write_plan_file(bad, store_of([moved, *plans[1:]]), prov)
     train[2] = str(bad)
     assert main(["eval-ppl", "--plans", str(bad), "--checkpoint", str(ck)]) == 3
     assert main(train + ["--out", str(tmp_path / "m2.npz")]) == 3
@@ -740,6 +767,49 @@ def test_unchanged_resume_equals_an_uninterrupted_run(corpus_dir, tmp_path, monk
     # the step count and the checkpoint interval may change on a resume
     assert main(argv + resume + ["--steps", "6", "--checkpoint-every", "3",
                                  "--out", str(tmp_path / "longer.npz")]) == 0
+
+
+def test_resume_that_grows_the_steps_keeps_the_checkpoints_warmup(corpus_dir, tmp_path, capsys):
+    # --warmup defaults to min(20, steps // 10), so a resume without it
+    # takes the checkpoint's warmup; a --warmup that differs is refused
+    plans = run_pipeline(corpus_dir, tmp_path)
+    argv = TRAIN_SMALL + ["--plans", str(plans)]
+    ck = tmp_path / "model.npz"
+    assert main(argv + ["--steps", "10", "--out", str(ck)]) == 0
+    metrics = tmp_path / "resumed.jsonl"
+    resume = ["--steps", "20", "--resume", str(ck), "--out", str(tmp_path / "resumed.npz")]
+    assert main(argv + resume + ["--metrics", str(metrics)]) == 0
+    assert [json.loads(line)["step"] for line in metrics.read_text().splitlines()] == list(
+        range(10, 20))
+    assert load_checkpoint(tmp_path / "resumed.npz")[2]["train_config"]["warmup_steps"] == 1
+    capsys.readouterr()
+    assert main(argv + resume + ["--warmup", "2"]) == 2
+    assert "warmup_steps 1 (now 2)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("make-masks", "--out"), ("make-masks", "--dump-json"), ("train", "--out"),
+    ("train", "--metrics"), ("export", "--out"), ("extract-lexicon", "--out"),
+    ("inspect-attention", "--out"),
+])
+def test_output_in_a_missing_directory_is_a_data_error(trained, corpus_dir, tmp_path, capsys,
+                                                       command, flag):
+    plans, ck, _ = trained
+    corpus, lexicon, vocab = (str(corpus_dir / f) for f in ("corpus.txt", "lex.tsv", "vocab.txt"))
+    inputs = {
+        "extract-lexicon": ["--corpus", corpus],
+        "make-masks": ["--corpus", corpus, "--lexicon", lexicon, "--vocab", vocab],
+        "train": TRAIN_SMALL[1:] + ["--plans", str(plans)],
+        "export": ["--checkpoint", str(ck)],
+        "inspect-attention": ["--checkpoint", str(ck), "--lexicon", lexicon, "--vocab", vocab,
+                              "--text", "topic00 t00p0a t00p0b fill00"],
+    }
+    missing = tmp_path / "missing" / "output"
+    outputs = {"--out": str(tmp_path / "output"), flag: str(missing)}
+    capsys.readouterr()
+    assert main([command, *inputs[command], *(x for pair in outputs.items() for x in pair)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(missing) in err and "Traceback" not in err, err
 
 
 def test_make_masks_records_what_it_skipped(corpus_dir, tmp_path, capsys):

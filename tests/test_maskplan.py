@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from ngramlm import (
     FineVocab,
-    MaskPlan,
     Objective,
     RngState,
     WordStream,
@@ -38,7 +37,6 @@ from ngramlm import corpus, pipeline
 from ngramlm.errors import NgramlmError, PlanError, PlanFormatError, UsageError, VersionError
 from ngramlm.maskplan import (
     PLAN_VERSION,
-    PlanStore,
     PlanView,
     read_plan_file,
     relation_from_comprehensive,
@@ -46,7 +44,7 @@ from ngramlm.maskplan import (
 )
 from ngramlm.synth import CollocationSpec, collocation_corpus
 
-from conftest import lex_from
+from conftest import RefPlan, lex_from, ref_of, reference_serialize, store_of
 
 MASKED = (2, 4)
 
@@ -55,10 +53,15 @@ def fid(vocab, tok):
     return vocab.index[tok]
 
 
+def one(plan: RefPlan) -> PlanView:
+    """A hand-made plan as the view of a one-plan store."""
+    return store_of([plan])[0]
+
+
 # --- the four layouts on the toy example --------------------------------------
 
 def test_contiguous_layout(toy_example, toy_vocab):
-    plan = plan_contiguous(toy_example, MASKED, toy_vocab)
+    plan = ref_of(plan_contiguous(toy_example, MASKED, toy_vocab))
     m = toy_vocab.mask_id
     x = {i: fid(toy_vocab, f"x{i}") for i in range(1, 7)}
     # z = {x1, [M], [M], x4, [M], x6}
@@ -69,7 +72,7 @@ def test_contiguous_layout(toy_example, toy_vocab):
 
 
 def test_explicit_layout(toy_example, toy_vocab, toy_jv):
-    plan = plan_explicit(toy_example, MASKED, toy_jv)
+    plan = ref_of(plan_explicit(toy_example, MASKED, toy_jv))
     m = toy_vocab.mask_id
     x = {i: fid(toy_vocab, f"x{i}") for i in range(1, 7)}
     y2 = toy_jv.id_of_ngram(("x2", "x3"))
@@ -81,7 +84,7 @@ def test_explicit_layout(toy_example, toy_vocab, toy_jv):
 
 
 def test_comprehensive_layout(toy_example, toy_vocab, toy_jv):
-    plan = plan_comprehensive(toy_example, MASKED, toy_jv)
+    plan = ref_of(plan_comprehensive(toy_example, MASKED, toy_jv))
     x = {i: fid(toy_vocab, f"x{i}") for i in range(1, 7)}
     assert plan.T == 5 and plan.Q == 3
     # [M1][M2] for the bigram slot, [M1] for the unigram slot
@@ -96,15 +99,15 @@ def test_comprehensive_layout(toy_example, toy_vocab, toy_jv):
 def test_relation_layout_and_rtd_labels(toy_example, toy_jv):
     base = plan_comprehensive(toy_example, MASKED, toy_jv)
     right = [y for _, y in base.targets_coarse]
-    plan = relation_from_comprehensive(base, right)
+    plan = ref_of(relation_from_comprehensive(base.store, right)[0])
     assert plan.objective == Objective.RELATION
     assert plan.rtd_labels == (1,) * plan.T  # correct identities everywhere
     assert plan.context_ids[1] == right[0] and plan.context_ids[3] == right[1]
     wrong = [right[0] + 1, right[1]]
-    plan2 = relation_from_comprehensive(base, wrong)
+    plan2 = ref_of(relation_from_comprehensive(base.store, wrong)[0])
     assert plan2.rtd_labels == (1, 0, 1, 1, 1)
     with pytest.raises(UsageError):
-        relation_from_comprehensive(base, right[:1])
+        relation_from_comprehensive(base.store, right[:1])
 
 
 def test_plan_relation_equals_its_row_of_the_batch_fill(toy_example, toy_jv):
@@ -121,28 +124,19 @@ def test_plan_relation_equals_its_row_of_the_batch_fill(toy_example, toy_jv):
         comps.append(plan_comprehensive(ex, masked, jv))
         sampled.append(g.integers(0, len(jv), len(comps[-1].targets_coarse)).tolist())
     assert [len(s) for s in sampled] == [2, 3, 0, 1, 1]
-    filled = relation_from_comprehensive(PlanStore.from_plans(comps),
-                                         [y for ids in sampled for y in ids])
-    assert isinstance(filled, PlanStore) and len(filled) == len(cases)
+    filled = relation_from_comprehensive(store_of(comps), [y for ids in sampled for y in ids])
+    assert len(filled) == len(cases)
     for k, (ex, masked, jv) in enumerate(cases):
         want = plan_relation(ex, masked, jv, sampled[k])
-        assert filled[k] == want and filled[k].rtd_labels == want.rtd_labels, k
-    assert filled[2].rtd_labels == (0, 0, 1)
+        assert filled[k] == want and ref_of(filled[k]).rtd_labels == ref_of(want).rtd_labels, k
+    assert ref_of(filled[2]).rtd_labels == (0, 0, 1)
     with pytest.raises(UsageError):
-        relation_from_comprehensive(PlanStore.from_plans(comps), [0] * 6)
+        relation_from_comprehensive(store_of(comps), [0] * 6)
 
 
 def test_plan_relation_validates_sampled_range(toy_example, toy_jv):
     with pytest.raises(UsageError):
         plan_relation(toy_example, MASKED, toy_jv, [len(toy_jv), 0])
-
-
-def test_masked_set_is_provenance_only(toy_example, toy_vocab):
-    plan = plan_contiguous(toy_example, MASKED, toy_vocab)
-    assert plan.masked_set == MASKED
-    clone = parse_plan(serialize_plan(plan))
-    assert clone.masked_set is None
-    assert clone == plan  # equality ignores the provenance field
 
 
 def test_invalid_masked_sets(toy_example, toy_vocab):
@@ -166,15 +160,15 @@ def test_multi_subword_word_falls_back_to_contiguous():
     vocab = FineVocab.from_subwords(["a", "##b", "c"])
     lex = lex_from([("c", "c")])
     ex = segment_example(("ab", "c"), lex, vocab)
-    plan = plan_explicit(ex, (1,), build_joint_vocab(vocab, lex))
+    plan = ref_of(plan_explicit(ex, (1,), build_joint_vocab(vocab, lex)))
     m = vocab.mask_id
     assert plan.context_ids == (m, m, vocab.index["c"])
     assert plan.targets_coarse == ()
     assert plan.targets_fine == ((0, vocab.index["a"]), (1, vocab.index["##b"]))
     # relation labels mark fallback [M] positions as replaced
     comp = plan_comprehensive(ex, (1,), build_joint_vocab(vocab, lex))
-    rel = relation_from_comprehensive(comp, [])
-    assert rel.rtd_labels == (0, 0, 1)
+    rel = relation_from_comprehensive(comp.store, [])[0]
+    assert ref_of(rel).rtd_labels == (0, 0, 1)
 
 
 def test_segment_example_tokenizes_through_the_corpus_module(toy_vocab, monkeypatch):
@@ -261,9 +255,8 @@ def reference_plan(objective, ex, masked, vocab, jv, sampled=None):
             if idx < T:
                 rtd[idx] = 0
         rtd = tuple(rtd)
-    return MaskPlan(objective, tuple(context), tuple(range(1, T + 1)), tuple(query_ids),
-                    tuple(query_positions), tuple(coarse), tuple(fine), rtd_labels=rtd,
-                    masked_set=tuple(masked))
+    return RefPlan(objective, tuple(context), tuple(range(1, T + 1)), tuple(query_ids),
+                   tuple(query_positions), tuple(coarse), tuple(fine), rtd_labels=rtd)
 
 
 @st.composite
@@ -305,8 +298,8 @@ def test_every_layout_equals_the_reference(case, data):
             with pytest.raises(PlanError):
                 build[objective]()
             continue
-        got = build[objective]()
-        for f in dataclasses.fields(MaskPlan):
+        got = ref_of(build[objective]())
+        for f in dataclasses.fields(RefPlan):
             assert getattr(got, f.name) == getattr(want, f.name), (objective, f.name)
 
 
@@ -445,7 +438,6 @@ def test_make_plans_equal_default_rng_draws(plan_pipeline, objective, ngram_only
     want = make_plans(stream, lex, jv, objective, seed=2**40 + 9, ngram_only=ngram_only)
     assert len(got) > 500
     assert got == want
-    assert [p.masked_set for p in got] == [p.masked_set for p in want]
 
 
 
@@ -534,8 +526,7 @@ def test_make_plans_equal_the_builders_views(pinned_pipeline, objective, ngram_o
                 identity = j in multiword or hi - lo == 1
                 counts["fallback_segments"] += identity and hi - lo > vocab.max_query
     assert all(isinstance(v, PlanView) and len(v.store) == 1 for v in views)
-    assert got == PlanStore.from_plans(views) and len(got) == len(views)
-    assert [p.masked_set for p in got] == [v.masked_set for v in views]
+    assert got == store_of(views) and len(got) == len(views)
     assert got.counts == counts
     assert counts["skipped_no_segment"] == 1 and counts["skipped_no_candidate"] == ngram_only
     assert (counts["skipped_over_max_positions"] > 0) == (max_positions is not None)
@@ -565,19 +556,19 @@ def plan_st(draw):
     if draw(st.booleans()):
         rtd = tuple(draw(st.integers(min_value=0, max_value=1)) for _ in range(T))
     objective = draw(st.sampled_from(list(Objective)))
-    return MaskPlan(objective, ctx, cpos, qids, qpos, coarse, fine, rtd_labels=rtd)
+    return RefPlan(objective, ctx, cpos, qids, qpos, coarse, fine, rtd_labels=rtd)
 
 
 @settings(max_examples=120, deadline=None)
 @given(plan_st())
 def test_serialization_roundtrip(plan):
-    assert parse_plan(serialize_plan(plan)) == plan
+    assert ref_of(parse_plan(serialize_plan(one(plan)))) == plan
 
 
 @settings(max_examples=60, deadline=None)
 @given(plan_st(), st.integers(min_value=1, max_value=40))
 def test_truncation_always_detected(plan, cut):
-    data = serialize_plan(plan)
+    data = serialize_plan(one(plan))
     cut = min(cut, len(data) - 1)
     with pytest.raises(PlanFormatError):
         parse_plan(data[:-cut])
@@ -600,11 +591,11 @@ def test_trailing_bytes_detected(toy_example, toy_vocab):
 
 
 def test_plan_file_roundtrip(tmp_path, toy_example, toy_vocab, toy_jv):
-    plans = [
+    plans = store_of([
         plan_contiguous(toy_example, MASKED, toy_vocab),
         plan_explicit(toy_example, MASKED, toy_jv),
         plan_comprehensive(toy_example, MASKED, toy_jv),
-    ]
+    ])
     path = tmp_path / "plans.bin"
     write_plan_file(path, plans, {"note": "toy"})
     prov, back = read_plan_file(path)
@@ -615,19 +606,27 @@ def test_plan_file_roundtrip(tmp_path, toy_example, toy_vocab, toy_jv):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(plan_st(), max_size=6), st.data())
 def test_plan_store_indexes_like_the_list(plans, data):
-    store = PlanStore.from_plans(plans)
-    assert len(store) == len(plans) and store == plans and list(store) == plans
+    store = store_of(plans)
+    assert len(store) == len(plans) and [ref_of(view) for view in store] == plans
     for k, plan in enumerate(plans):
         view = store[k - len(plans) if k % 2 else k]
-        assert view.to_plan() == plan
+        assert ref_of(view) == plan and view == one(plan)
+        # a view differs from one that differs in its objective, a u32
+        # field or its RTD labels
+        for other in (dataclasses.replace(plan, objective=Objective((plan.objective + 1) % 4)),
+                      dataclasses.replace(plan, context_ids=(plan.context_ids[0] ^ 1,)
+                                          + plan.context_ids[1:]),
+                      dataclasses.replace(plan, rtd_labels=None if plan.rtd_labels
+                                          else (0,) * plan.T)):
+            assert view != one(other)
         assert view.ids.tolist() == list(plan.all_ids())
         assert view.positions.tolist() == list(plan.all_positions())
         assert [tuple(p) for p in view.fine.tolist()] == list(plan.targets_fine)
     sl = slice(*data.draw(st.tuples(*[st.none() | st.integers(-7, 7)] * 2)),
                data.draw(st.sampled_from([None, 1, 2, -1])))
-    assert store[sl] == plans[sl]
+    assert store[sl] == store_of(plans[sl]) and [ref_of(v) for v in store[sl]] == plans[sl]
     order = data.draw(st.lists(st.integers(0, max(len(plans) - 1, 0)), max_size=8)) if plans else []
-    assert store.take(order) == [plans[k] for k in order]
+    assert store.take(order) == store_of([plans[k] for k in order])
     for field in ("coarse", "fine"):
         pairs, at = store.gather(field)
         want = [(k, tuple(t)) for k, plan in enumerate(plans)
@@ -649,30 +648,6 @@ def test_plan_file_bad_magic(tmp_path):
 
 
 # --- the per-field codec as references for the packed one ---------------------
-
-def reference_serialize(plan):
-    T, Q = plan.T, plan.Q
-    parts = [struct.pack("<HBII", PLAN_VERSION, int(plan.objective), T, Q)]
-    parts.append(struct.pack(f"<{T}I", *plan.context_ids))
-    parts.append(struct.pack(f"<{T + Q}I", *plan.all_positions()))
-    parts.append(struct.pack(f"<{Q}I", *plan.query_ids))
-    parts.append(struct.pack("<I", len(plan.targets_coarse)))
-    for slot, y in plan.targets_coarse:
-        parts.append(struct.pack("<II", slot, y))
-    parts.append(struct.pack("<I", len(plan.targets_fine)))
-    for idx, x in plan.targets_fine:
-        parts.append(struct.pack("<II", idx, x))
-    if plan.rtd_labels is None:
-        parts.append(b"\x00")
-    else:
-        bits = bytearray((T + 7) // 8)
-        for i, lab in enumerate(plan.rtd_labels):
-            if lab:
-                bits[i // 8] |= 1 << (i % 8)
-        parts.append(b"\x01" + bytes(bits))
-    payload = b"".join(parts)
-    return struct.pack("<I", len(payload)) + payload
-
 
 def reference_parse(data, base_offset=0):
     pos = 0
@@ -706,8 +681,8 @@ def reference_parse(data, base_offset=0):
         rtd = tuple((raw[i // 8] >> (i % 8)) & 1 for i in range(T))
     if pos != len(data):
         raise PlanFormatError("trailing bytes after plan record", base_offset + pos)
-    return MaskPlan(Objective(objective), context_ids, positions[:T], query_ids, positions[T:],
-                    coarse, fine, rtd_labels=rtd)
+    return RefPlan(Objective(objective), context_ids, positions[:T], query_ids, positions[T:],
+                   coarse, fine, rtd_labels=rtd)
 
 
 def reference_read_records(data, pos):
@@ -735,17 +710,18 @@ def outcome(f, *args):
 @settings(max_examples=120, deadline=None)
 @given(plan_st())
 def test_serialize_matches_reference_encoder(plan):
-    assert serialize_plan(plan) == reference_serialize(plan)
+    assert serialize_plan(one(plan)) == reference_serialize(plan)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(plan_st(), min_size=1, max_size=6))
 def test_plan_file_reads_back_as_reference_decoder(tmp_path_factory, plans):
     path = tmp_path_factory.mktemp("plans") / "plans.bin"
-    write_plan_file(path, plans, {"n": len(plans)})
+    write_plan_file(path, store_of(plans), {"n": len(plans)})
     data = path.read_bytes()
     prov, back = read_plan_file(path)
     assert prov == {"n": len(plans)}
+    back = [ref_of(view) for view in back]
     assert back == reference_read_records(data, 10 + int.from_bytes(data[6:10], "little"))
     assert back == plans
 
@@ -755,7 +731,7 @@ def test_plan_file_reads_back_as_reference_decoder(tmp_path_factory, plans):
 def test_errors_keep_class_and_offset(plan, cut, base):
     # truncation at any cut, trailing bytes, a length mismatch and a
     # version mismatch, each against the per-field decoder
-    data = serialize_plan(plan)
+    data = serialize_plan(one(plan))
     cut = min(cut, len(data) - 4)
     short = (len(data) - 4 - cut).to_bytes(4, "little") + data[4:-cut]  # prefix fixed up
     longer = (len(data) - 3).to_bytes(4, "little") + data[4:] + b"\x00"
@@ -769,7 +745,7 @@ def test_errors_keep_class_and_offset(plan, cut, base):
 @given(st.lists(plan_st(), min_size=1, max_size=4), st.data())
 def test_file_error_offsets_match_reference(tmp_path_factory, plans, data):
     path = tmp_path_factory.mktemp("plans") / "plans.bin"
-    write_plan_file(path, plans)
+    write_plan_file(path, store_of(plans))
     raw = path.read_bytes()
     first = 10 + int.from_bytes(raw[6:10], "little")
     cut = data.draw(st.integers(min_value=first + 1, max_value=len(raw) - 1))
@@ -781,7 +757,7 @@ def test_file_error_offsets_match_reference(tmp_path_factory, plans, data):
         # the length prefix of the cut record agrees with the cut
         bad[start:start + 4] = (cut - start - 4).to_bytes(4, "little")
     path.write_bytes(bytes(bad))
-    got = outcome(lambda p: read_plan_file(p)[1], path)
+    got = outcome(lambda p: [ref_of(view) for view in read_plan_file(p)[1]], path)
     assert got == outcome(reference_read_records, bytes(bad), first)
     if start < cut:  # a cut between records leaves a shorter valid file
         assert got[0] is PlanFormatError
@@ -794,7 +770,7 @@ def test_unknown_objective_is_a_format_error(toy_example, toy_vocab, tmp_path):
         parse_plan(bytes(data), 100)
     assert e.value.offset == 106
     path = tmp_path / "plans.bin"
-    write_plan_file(path, [])
+    write_plan_file(path, store_of([]))
     path.write_bytes(path.read_bytes() + bytes(data))
     with pytest.raises(PlanFormatError) as e:
         read_plan_file(path)
@@ -806,7 +782,7 @@ def test_unknown_objective_is_a_format_error(toy_example, toy_vocab, tmp_path):
 def test_damaged_plan_file_raises_only_package_errors(tmp_path_factory, plans, data):
     # ROADMAP item 4: flipped and truncated bytes of a valid plan file
     path = tmp_path_factory.mktemp("plans") / "plans.bin"
-    write_plan_file(path, plans, {"note": "fuzz"})
+    write_plan_file(path, store_of(plans), {"note": "fuzz"})
     raw = bytearray(path.read_bytes())
     rnd = data.draw(st.randoms(use_true_random=False))  # uniform offsets, unlike st.integers
     lo = rnd.choice((0, 26, 26, 26))  # mostly in the records: 26 bytes of file header
@@ -824,9 +800,9 @@ def test_damaged_plan_file_raises_only_package_errors(tmp_path_factory, plans, d
 def test_every_single_byte_flip_raises_only_package_errors(tmp_path, toy_example, toy_vocab,
                                                            toy_jv):
     comp = plan_comprehensive(toy_example, MASKED, toy_jv)
-    plans = [plan_contiguous(toy_example, MASKED, toy_vocab),
-             plan_explicit(toy_example, MASKED, toy_jv),
-             comp, relation_from_comprehensive(comp, [0, 1])]
+    plans = store_of([plan_contiguous(toy_example, MASKED, toy_vocab),
+                      plan_explicit(toy_example, MASKED, toy_jv),
+                      comp, relation_from_comprehensive(comp.store, [0, 1])[0]])
     path = tmp_path / "plans.bin"
     write_plan_file(path, plans, {"note": "flip"})
     good = path.read_bytes()

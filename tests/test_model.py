@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from ngramlm import (
-    MaskPlan,
     Objective,
     RngState,
     build_attention_mask,
@@ -19,7 +18,6 @@ from ngramlm import (
     predict_rtd,
     save_checkpoint,
 )
-from ngramlm.maskplan import PlanStore
 from ngramlm.errors import DataError, NumericError, UsageError, VersionError
 from ngramlm.model import (
     ModelConfig,
@@ -27,7 +25,7 @@ from ngramlm.model import (
     param_shapes,
 )
 
-from conftest import param_count, tiny_config, vanilla_encoder_param_count
+from conftest import RefPlan, param_count, store_of, tiny_config, vanilla_encoder_param_count
 
 MASKED = (2, 4)
 
@@ -35,7 +33,7 @@ MASKED = (2, 4)
 def make_plan_with_queries(T, slot, n_queries, joint, seed=0):
     g = np.random.default_rng(seed)
     ctx = tuple(int(i) for i in g.integers(0, joint, size=T))
-    return MaskPlan(
+    return store_of([RefPlan(
         Objective.COMPREHENSIVE,
         ctx,
         tuple(range(1, T + 1)),
@@ -43,7 +41,7 @@ def make_plan_with_queries(T, slot, n_queries, joint, seed=0):
         (slot + 1,) * n_queries,
         ((slot, ctx[slot]),),
         tuple((T + i, 0) for i in range(n_queries)),
-    )
+    )])[0]
 
 
 # --- config -------------------------------------------------------------------
@@ -131,7 +129,7 @@ def test_encode_backward_refuses_a_rows_pass(toy_example, toy_jv):
     plan = plan_comprehensive(toy_example, MASKED, toy_jv)
     cfg = tiny_config(len(toy_jv.fine), len(toy_jv.ngrams))
     params = init_params(cfg, 6)
-    acts = encode(params, plan.context_ids, plan.context_positions, None, cfg, rows=[1])
+    acts = encode(params, plan.ids[:plan.T], plan.positions[:plan.T], None, cfg, rows=[1])
     grads = {k: np.zeros_like(v) for k, v in params.items()}
     with pytest.raises(UsageError):
         encode_backward(params, [acts], np.ones_like(acts.hidden), cfg, grads=grads)
@@ -187,21 +185,21 @@ def test_generator_low_temperature_is_argmax(toy_example, toy_jv):
     params = init_params(cfg, 5)
     gcfg = cfg.generator_view()
     mask = np.zeros((plan.T, plan.T), dtype=np.float32)
-    acts = encode(params, plan.context_ids, plan.context_positions, mask, gcfg,
+    acts = encode(params, plan.ids[:plan.T], plan.positions[:plan.T], mask, gcfg,
                   prefix="gen_")
     slots = [s for s, _ in plan.targets_coarse]
     logits = predict_ngram(acts, slots, params, prefix="gen_")
     want = logits.argmax(-1)
-    got = generator_forward_and_sample(params, plan, cfg, RngState(0), 1e-8)
+    got = generator_forward_and_sample(params, plan.store, cfg, RngState(0), 1e-8)
     assert np.array_equal(got, want)
     with pytest.raises(UsageError):
-        generator_forward_and_sample(params, plan, cfg, RngState(0), 0.0)
+        generator_forward_and_sample(params, plan.store, cfg, RngState(0), 0.0)
 
 
 def per_slot_samples(params, plan, cfg, rng, temperature=1.0):
     """The generator's draws made slot by slot with ``Generator.choice``."""
     slots = [s for s, _ in plan.targets_coarse]
-    acts = encode(params, plan.context_ids, plan.context_positions, None, cfg.generator_view(),
+    acts = encode(params, plan.ids[:plan.T], plan.positions[:plan.T], None, cfg.generator_view(),
                   prefix="gen_", rows=slots)
     logits = predict_ngram(acts, range(len(slots)), params, prefix="gen_").astype(np.float64)
     z = logits / temperature
@@ -220,12 +218,13 @@ def test_generator_draws_equal_per_slot_choice():
                                                                               np.float32)
               for k, v in params.items()}
     ctx = tuple(int(i) for i in np.random.default_rng(2).integers(0, cfg.joint_size, 20))
-    plan = MaskPlan(Objective.COMPREHENSIVE, ctx, tuple(range(1, 21)), (), (),
-                    tuple((s, 0) for s in range(2, 18)), ())
+    plan = store_of([RefPlan(Objective.COMPREHENSIVE, ctx, tuple(range(1, 21)), (), (),
+                             tuple((s, 0) for s in range(2, 18)), ())])[0]
     drawn = []
     for temperature in (0.5, 1.0, 3.0):
         for seed in range(20):
-            got = generator_forward_and_sample(params, plan, cfg, RngState(seed), temperature)
+            got = generator_forward_and_sample(params, plan.store, cfg, RngState(seed),
+                                               temperature)
             want = per_slot_samples(params, plan, cfg, RngState(seed), temperature)
             assert np.array_equal(got, want), (temperature, seed)
             drawn.extend(got)
@@ -247,22 +246,22 @@ def test_batch_draws_equal_per_plan_choice():
         T = 8 + k
         ctx = tuple(int(i) for i in g.integers(0, cfg.joint_size, T))
         slots = sorted(g.choice(T, n_slots, replace=False).tolist())
-        plans.append(MaskPlan(Objective.COMPREHENSIVE, ctx, tuple(range(1, T + 1)), (), (),
-                              tuple((s, 0) for s in slots), () if n_slots else ((0, 1),)))
-    store = PlanStore.from_plans(plans)
+        plans.append(RefPlan(Objective.COMPREHENSIVE, ctx, tuple(range(1, T + 1)), (), (),
+                             tuple((s, 0) for s in slots), () if n_slots else ((0, 1),)))
+    store = store_of(plans)
     drawn = []
     for seed in range(20):
         rng, ref = RngState(seed, 5), RngState(seed, 5)
         got = generator_forward_and_sample(params, store, cfg, rng)
         want = np.concatenate([per_slot_samples(params, p, cfg, ref)
-                               for p in plans if p.targets_coarse])
+                               for p in store if p.targets_coarse])
         assert np.array_equal(got, want), seed
         assert rng.counter == ref.counter == 5 + 4
         drawn.extend(got)
     assert len(set(drawn)) > 10
     rng = RngState(0, 5)
     with pytest.raises(UsageError, match="no masked slots"):
-        generator_forward_and_sample(params, plans[1], cfg, rng)
+        generator_forward_and_sample(params, store[1:2], cfg, rng)
     assert rng.counter == 5
 
 
@@ -273,15 +272,15 @@ def test_generator_non_finite_probabilities_are_numeric_errors(toy_example, toy_
         params = init_params(cfg, 5)
         params["gen_ngram_b"][3] = bad
         with pytest.raises(NumericError), np.errstate(invalid="ignore"):
-            generator_forward_and_sample(params, plan, cfg, RngState(0))
+            generator_forward_and_sample(params, plan.store, cfg, RngState(0))
 
 
 def test_generator_sampling_is_deterministic_per_counter(toy_example, toy_jv):
     plan = plan_comprehensive(toy_example, MASKED, toy_jv)
     cfg = tiny_config(len(toy_jv.fine), len(toy_jv.ngrams))
     params = init_params(cfg, 5)
-    a = generator_forward_and_sample(params, plan, cfg, RngState(7))
-    b = generator_forward_and_sample(params, plan, cfg, RngState(7))
+    a = generator_forward_and_sample(params, plan.store, cfg, RngState(7))
+    b = generator_forward_and_sample(params, plan.store, cfg, RngState(7))
     assert np.array_equal(a, b)
 
 

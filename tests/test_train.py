@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from ngramlm import (
-    MaskPlan,
     Objective,
     RngState,
     TrainConfig,
@@ -48,7 +47,7 @@ from ngramlm.train import (
 )
 from ngramlm.synth import collocation_corpus, CollocationSpec
 
-from conftest import loss_and_grads, tiny_config, zero_grads
+from conftest import RefPlan, loss_and_grads, ref_of, store_of, tiny_config, zero_grads
 
 
 # --- elementary losses ---------------------------------------------------------
@@ -281,10 +280,8 @@ def check_resume_equals_uninterrupted_run(small_pipeline, tmp_path, objective):
     rng = RngState(tcfg.seed ^ 0x5EED)
     cursor = 0
     for step in range(4):
-        batch = []
-        for _ in range(tcfg.batch_size):
-            batch.append(plans[cursor])
-            cursor = (cursor + 1) % len(plans)
+        batch = plans.take([(cursor + j) % len(plans) for j in range(tcfg.batch_size)])
+        cursor = (cursor + tcfg.batch_size) % len(plans)
         grads_flat.fill(0)
         batch_loss_and_grad(params, batch, cfg, tcfg, grads, rng)
         adam_step(flat, grads_flat, state, lr_at(step, tcfg), tcfg)
@@ -359,16 +356,17 @@ def sampled_work(params, batch, cfg, tcfg, rng):
     from ``rng``, in plan order."""
     relation = tcfg.objective == Objective.RELATION
     work, n = [], {"coarse": 0, "fine": 0, "rtd": 0, "gen": 0}
-    for plan in batch:
+    for k, plan in enumerate(batch):
         gen_plan = plan if relation else None
         if relation and plan.targets_coarse:
-            sampled = generator_forward_and_sample(params, plan, cfg, rng)
-            plan = relation_from_comprehensive(plan, sampled)
+            one = batch.take([k])
+            sampled = generator_forward_and_sample(params, one, cfg, rng)
+            plan = relation_from_comprehensive(one, sampled)[0]
         if relation:
-            n["rtd"] += plan.T if plan.rtd_labels is not None else 0
+            n["rtd"] += plan.T if plan.labels is not None else 0
             n["gen"] += len(plan.targets_coarse)
         n["coarse"] += len(plan.targets_coarse)
-        n["fine"] += len(plan.targets_fine)
+        n["fine"] += len(plan.fine)
         work.append((plan, gen_plan))
     return work, n
 
@@ -434,7 +432,7 @@ def long_plan_batch(small_pipeline):
     long = make_plans(WordStream([docs[0] + docs[1]]), lex, jv, Objective.RELATION, seed=0)[0]
     assert long.T <= cfg.max_positions < long.T + long.Q
     tcfg = TrainConfig(Objective.RELATION, total_steps=1, batch_size=7, warmup_steps=0, seed=0)
-    return cfg, tcfg, [*plans[:3], long, *plans[3:6]]
+    return cfg, tcfg, store_of([*plans[:3], long, *plans[3:6]])
 
 
 def test_groups_over_max_positions_keep_reference_grads(small_pipeline):
@@ -484,8 +482,8 @@ def mixed_length_batch(small_pipeline):
     joined = [make_plans(WordStream([docs[a] + docs[a + 1]]), lex, jv, Objective.RELATION,
                          seed=0)[0] for a in (0, 1, 2)]
     tcfg = TrainConfig(Objective.RELATION, total_steps=1, batch_size=8, warmup_steps=0, seed=0)
-    return cfg, tcfg, [plans[0], plans[1], joined[0], joined[1], plans[2], joined[2],
-                       plans[3], plans[4]]
+    return cfg, tcfg, store_of([plans[0], plans[1], joined[0], joined[1], plans[2], joined[2],
+                                plans[3], plans[4]])
 
 
 def test_area_bound_groups_equal_the_sum_of_each_plans_own(small_pipeline, monkeypatch):
@@ -597,22 +595,22 @@ def test_repeated_target_index_is_a_usage_error(small_pipeline, field):
     # name a slot or fine index twice
     stream, vocab, lex, jv, cfg = small_pipeline
     plans = make_plans(stream, lex, jv, Objective.COMPREHENSIVE, seed=1)
-    plan = next(p for p in plans if len(getattr(p, field)) >= 2)
+    plan = next(p for p in map(ref_of, plans) if len(getattr(p, field)) >= 2)
     t = getattr(plan, field)
-    bad = dataclasses.replace(plan.to_plan(), **{field: (t[0], (t[0][0], t[1][1])) + t[2:]})
+    bad = store_of([dataclasses.replace(plan, **{field: (t[0], (t[0][0], t[1][1])) + t[2:]})])
     params = init_params(cfg, 0)
     for objective in (Objective.COMPREHENSIVE, Objective.RELATION):
         tcfg = TrainConfig(objective, total_steps=1, batch_size=1, warmup_steps=0)
         with pytest.raises(UsageError):
-            batch_loss_and_grad(params, [bad], cfg, tcfg, zero_grads(params), RngState(0))
+            batch_loss_and_grad(params, bad, cfg, tcfg, zero_grads(params), RngState(0))
 
 
 def test_relation_refuses_an_explicit_plan_before_any_draw(small_pipeline):
     # the layout check covers the whole batch before the first plan is
     # sampled, so a refused batch leaves the sampler where it was
     stream, vocab, lex, jv, cfg = small_pipeline
-    batch = [*make_plans(stream, lex, jv, Objective.COMPREHENSIVE, seed=1)[:3],
-             *make_plans(stream, lex, jv, Objective.EXPLICIT, seed=1)[:1]]
+    batch = store_of([*make_plans(stream, lex, jv, Objective.COMPREHENSIVE, seed=1)[:3],
+                      *make_plans(stream, lex, jv, Objective.EXPLICIT, seed=1)[:1]])
     assert all(p.targets_coarse for p in batch)
     params = init_params(cfg, 0)
     tcfg = TrainConfig(Objective.RELATION, total_steps=1, batch_size=4, warmup_steps=0)
@@ -655,20 +653,11 @@ def test_metrics_file_is_json_lines(small_pipeline, tmp_path):
     (Objective.COMPREHENSIVE, Objective.COMPREHENSIVE),
     (Objective.COMPREHENSIVE, Objective.RELATION),
 ])
-def test_plan_store_paths_build_no_mask_plans(small_pipeline, tmp_path, monkeypatch,
-                                              layout, objective):
+def test_plan_store_paths_build_no_mask_plans(small_pipeline, tmp_path, layout, objective):
     # make_plans, writing, reading, the CLI checks, training and evaluation
-    # read and write the store's arrays; a list of the same plans trains to
-    # the same metrics
+    # read and write the store's arrays; the plans read back train to the
+    # same metrics as make_plans' store in memory
     stream, vocab, lex, jv, cfg = small_pipeline
-    made = []
-    init = MaskPlan.__init__
-
-    def counting(self, *args, **kwargs):
-        made.append(1)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(MaskPlan, "__init__", counting)
     plans = make_plans(stream, lex, jv, layout, seed=1)
     path = tmp_path / "plans.bin"
     write_plan_file(path, plans, {})
@@ -677,10 +666,8 @@ def test_plan_store_paths_build_no_mask_plans(small_pipeline, tmp_path, monkeypa
     tcfg = TrainConfig(objective, total_steps=4, batch_size=4, warmup_steps=0, seed=3)
     params, metrics = train(tcfg, stored, init_params(cfg, 0), cfg)
     eval_ngram_ppl(params, stored, cfg)
-    assert made == []
-    listed = [plan.to_plan() for plan in stored]
-    _, listed_metrics = train(tcfg, listed, init_params(cfg, 0), cfg)
-    assert json.dumps(listed_metrics) == json.dumps(metrics)
+    _, made_metrics = train(tcfg, plans, init_params(cfg, 0), cfg)
+    assert json.dumps(made_metrics) == json.dumps(metrics)
 
 
 # --- evaluation -------------------------------------------------------------------
@@ -699,8 +686,8 @@ def controlled_params(cfg, probs_joint=None, probs_fine=None):
 
 
 def explicit_plan(target, T=3):
-    return MaskPlan(Objective.EXPLICIT, (0, 4, 1), (1, 2, 3), (), (),
-                    ((1, target),), ())
+    return RefPlan(Objective.EXPLICIT, (0, 4, 1), (1, 2, 3), (), (),
+                   ((1, target),), ())
 
 
 def test_eval_ppl_geometric_mean_of_4_and_16():
@@ -709,7 +696,7 @@ def test_eval_ppl_geometric_mean_of_4_and_16():
     q = np.full(cfg.joint_size, (1 - 0.25 - 0.0625) / (cfg.joint_size - 2))
     q[7], q[8] = 0.25, 0.0625
     params = controlled_params(cfg, probs_joint=q)
-    ppl = eval_ngram_ppl(params, [explicit_plan(7), explicit_plan(8)], cfg)
+    ppl = eval_ngram_ppl(params, store_of([explicit_plan(7), explicit_plan(8)]), cfg)
     assert ppl == pytest.approx(8.0, abs=1e-9)
 
 
@@ -721,16 +708,16 @@ def test_eval_ppl_contiguous_uses_per_token_mean():
     qf = np.full(cfg.fine_vocab_size, (1 - 0.5 - 0.125 - 0.25) / 12)
     qf[5], qf[6], qf[7] = 0.5, 0.125, 0.25
     params = controlled_params(cfg, probs_fine=qf)
-    plan = MaskPlan(Objective.CONTIGUOUS, (0, 4, 4, 1, 4, 2), (1, 2, 3, 4, 5, 6),
-                    (), (), (), ((1, 5), (2, 6), (4, 7)))
-    ppl = eval_ngram_ppl(params, [plan], cfg)
+    plan = RefPlan(Objective.CONTIGUOUS, (0, 4, 4, 1, 4, 2), (1, 2, 3, 4, 5, 6),
+                   (), (), (), ((1, 5), (2, 6), (4, 7)))
+    ppl = eval_ngram_ppl(params, store_of([plan]), cfg)
     assert ppl == pytest.approx(4.0, abs=1e-9)
 
 
 def test_contiguous_gram_groups():
-    plan = MaskPlan(Objective.CONTIGUOUS, (0,) * 8, tuple(range(1, 9)), (), (),
-                    (), ((1, 0), (2, 0), (4, 0), (6, 0), (7, 0)))
-    rows, targets, bounds = _contiguous_gram_groups(plan)
+    plan = RefPlan(Objective.CONTIGUOUS, (0,) * 8, tuple(range(1, 9)), (), (),
+                   (), ((1, 0), (2, 0), (4, 0), (6, 0), (7, 0)))
+    rows, targets, bounds = _contiguous_gram_groups(store_of([plan])[0])
     assert [group.tolist() for group in np.split(rows, bounds)] == [[1, 2], [4], [6, 7]]
     assert targets.tolist() == [0] * 5
 
@@ -752,7 +739,7 @@ def reference_ngram_ppl(params, plans, cfg):
         mask = build_attention_mask(plan, dtype=params["tok_emb"].dtype)
         acts = encode(params, plan.all_ids(), plan.all_positions(), mask, cfg)
         if plan.objective == Objective.CONTIGUOUS:
-            target_of = dict(plan.targets_fine)
+            target_of = dict(plan.fine.tolist())
             groups = []  # runs of consecutive target indexes
             for i in sorted(target_of):
                 if groups and i == groups[-1][-1] + 1:
@@ -794,9 +781,9 @@ def test_eval_ppl_mixed_objectives_equal_whole_plan_reference(small_pipeline):
     # contiguous and explicit plans, interleaved, share runs of scored rows
     # with one product per head
     stream, vocab, lex, jv, cfg = small_pipeline
-    plans = [p for pair in zip(make_plans(stream, lex, jv, Objective.CONTIGUOUS, seed=5)[:20],
-                               make_plans(stream, lex, jv, Objective.EXPLICIT, seed=5)[:20])
-             for p in pair]
+    contiguous = make_plans(stream, lex, jv, Objective.CONTIGUOUS, seed=5)[:20]
+    explicit = make_plans(stream, lex, jv, Objective.EXPLICIT, seed=5)[:20]
+    plans = store_of([p for pair in zip(contiguous, explicit) for p in pair])
     params = spread_params(cfg, 7)
     want = reference_ngram_ppl(params, plans, cfg)
     assert abs(eval_ngram_ppl(params, plans, cfg) - want) <= 1e-9 * want
@@ -807,9 +794,9 @@ def test_eval_ppl_ignores_the_queries(small_pipeline):
     stream, vocab, lex, jv, cfg = small_pipeline
     plans = make_plans(stream, lex, jv, Objective.COMPREHENSIVE, seed=5)[:40]
     assert any(p.Q for p in plans)
-    bare = [dataclasses.replace(p.to_plan(), query_ids=(), query_positions=(),
-                                targets_fine=tuple(t for t in p.targets_fine if t[0] < p.T))
-            for p in plans]
+    bare = store_of([dataclasses.replace(p, query_ids=(), query_positions=(),
+                                         targets_fine=tuple(t for t in p.targets_fine if t[0] < p.T))
+                     for p in map(ref_of, plans)])
     params = spread_params(cfg, 7)
     assert eval_ngram_ppl(params, plans, cfg) == eval_ngram_ppl(params, bare, cfg)
 
@@ -817,4 +804,4 @@ def test_eval_ppl_ignores_the_queries(small_pipeline):
 def test_eval_ppl_requires_targets():
     cfg = tiny_config(15, 3)
     with pytest.raises(UsageError):
-        eval_ngram_ppl(init_params(cfg, 0), [], cfg)
+        eval_ngram_ppl(init_params(cfg, 0), store_of([]), cfg)
