@@ -36,12 +36,9 @@ from .model import (
     ModelConfig,
     encode,
     export_finetune_weights,
-    generator_forward_and_sample,
+    head_logits,
     init_params,
     load_checkpoint,
-    predict_fine,
-    predict_ngram,
-    predict_rtd,
     save_checkpoint,
 )
 from .pipeline import make_plans
@@ -50,6 +47,7 @@ from .train import (
     LossReport,
     TrainConfig,
     eval_ngram_ppl,
+    generator_forward_and_sample,
     train,
 )
 

@@ -19,6 +19,7 @@ plan take one of its elements, a ``PlanView``.
 from __future__ import annotations
 
 import enum
+import hashlib
 import json
 import logging
 import struct
@@ -378,6 +379,15 @@ class PlanStore:
         return (len(self) == len(other) and np.array_equal(self.objectives, other.objectives)
                 and np.array_equal(self.run, other.run)
                 and all(_same_labels(a, b) for a, b in zip(self.rtd, other.rtd)))
+
+    def sha256(self) -> str:
+        """Hex sha256 of ``run``, ``starts``, the objectives and each plan's RTD labels."""
+        h = hashlib.sha256()
+        for a, dtype in ((self.run, "<u4"), (self.starts, "<i8"), (self.objectives, "u1")):
+            h.update(np.asarray(a, dtype).tobytes())
+        for labels in self.rtd:  # a byte tells labels (the plan's T bytes) from none
+            h.update(b"\0" if labels is None else b"\1" + np.asarray(labels, "u1").tobytes())
+        return h.hexdigest()
 
     def gather(self, field: str):
         """``field`` of every plan, concatenated in plan order, and the index

@@ -1,4 +1,4 @@
-"""Desk-scale transformer encoder in numpy with hand-written backward.
+"""Desk-scale transformer encoder, heads and checkpoints in numpy with hand-written backward.
 
 One parameter dictionary holds both the standard model and (prefixed
 ``gen_``) the narrow generator.  The attention mask is additive over
@@ -27,8 +27,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericError, UsageError, VersionError
-from .maskplan import PlanStore, RngState
+from .errors import DataError, UsageError, VersionError
 
 CHECKPOINT_VERSION = 2
 INIT_STD = 0.02
@@ -233,13 +232,11 @@ class Activations:
     """Per-layer hidden states, attention tensors and backward caches.
 
     A forward-only pass (``encode`` with ``rows``) keeps no caches:
-    ``cache`` stays empty and ``emb_cache`` None.  ``Activations(hidden)``
-    holds hidden states alone, such as several plans' states packed
-    row-wise for one head product."""
+    ``cache`` stays empty and ``emb_cache`` None."""
 
-    def __init__(self, hidden=None):
+    def __init__(self):
         self.attn_probs = []
-        self.hidden = hidden
+        self.hidden = None
         self.cache = []
         self.emb_cache = None
 
@@ -417,80 +414,29 @@ def encode_backward(params: dict, acts: list, d_hidden, cfg: ModelConfig,
 # ---------------------------------------------------------------------------
 # heads
 
-def predict_fine(acts: Activations, indexes, params: dict):
-    """Logits over the fine vocabulary at the given sequence indexes."""
-    return acts.hidden[np.asarray(indexes, dtype=np.intp)] @ params["fine_w"] + params["fine_b"]
+def head_logits(hidden, params: dict, head: str):
+    """``hidden @ W + b`` for ``head`` (``fine``, ``ngram``, ``rtd`` or
+    ``gen_ngram``): logits over the fine or the joint vocabulary at each row
+    of ``hidden``; the replaced-token head's vector weight gives one binary
+    logit (original vs replaced) per row."""
+    return hidden @ params[head + "_w"] + params[head + "_b"]
 
 
-def predict_ngram(acts: Activations, indexes, params: dict, prefix: str = ""):
-    """Logits over the joint vocabulary at the given sequence indexes."""
-    hidden = acts.hidden[np.asarray(indexes, dtype=np.intp)]
-    return hidden @ params[prefix + "ngram_w"] + params[prefix + "ngram_b"]
-
-
-def predict_rtd(acts: Activations, context_indexes, params: dict):
-    """One binary logit per context position (original vs replaced)."""
-    hidden = acts.hidden[np.asarray(context_indexes, dtype=np.intp)]
-    return hidden @ params["rtd_w"] + params["rtd_b"][0]
-
-
-def head_backward(hidden, rows, d_logits, w_name: str, b_name: str, params: dict,
-                  d_hidden, *, grads: dict):
+def head_backward(hidden, rows, d_logits, head: str, params: dict, d_hidden, *, grads: dict):
     """Add one head's gradients into ``grads``; scatter d_logits into d_hidden.
 
-    ``d_logits`` holds the head's logit gradients at ``rows`` of ``hidden``;
-    ``d_hidden`` has the shape of ``hidden``.  ``rows`` must be distinct
-    (training refuses a plan that repeats a target index,
-    ``PlanStore.repeated_target``).
+    ``d_logits`` holds the logit gradients of ``head`` (a name as in
+    :func:`head_logits`) at ``rows`` of ``hidden``; ``d_hidden`` has the
+    shape of ``hidden``.  ``rows`` must be distinct (training refuses a plan
+    that repeats a target index, ``PlanStore.repeated_target``).
     A head whose weight is a vector, the replaced-token head, has one logit
     per row and ``d_logits`` one value per row.
     """
-    w = params[w_name]
+    w = params[head + "_w"]
     d = d_logits.reshape(len(rows), -1)
-    grads[w_name] += (hidden[rows].T @ d).reshape(w.shape)
-    grads[b_name] += d.sum(0)
+    grads[head + "_w"] += (hidden[rows].T @ d).reshape(w.shape)
+    grads[head + "_b"] += d.sum(0)
     d_hidden[rows] += d @ w.reshape(len(w), -1).T
-
-
-# ---------------------------------------------------------------------------
-# generator
-
-def generator_forward_and_sample(params: dict, plans: PlanStore, cfg: ModelConfig,
-                                 rng: RngState, temperature: float = 1.0):
-    """Sample one joint identity per masked slot from the generator softmax,
-    for every slot of ``plans``.
-
-    The generator runs over each plan's context only, with nothing masked
-    out, under ``cfg.generator_view()``, and its last layer at the slots.
-    One stacked softmax and cumulative sum then cover every slot.  Each plan
-    with slots takes one keyed draw from ``rng``, in plan order, and draws
-    its slots at once, exactly as ``g.choice(V, p=row)`` draws them slot by
-    slot: one uniform each, in slot order, against the row's normalised
-    cumulative sum.  A plan without slots takes no draw.  The ids come in
-    the order of ``PlanStore.gather("coarse")``.  Sampling is a
-    non-differentiable boundary: no gradient flows back through them.
-    """
-    if temperature <= 0:
-        raise UsageError("temperature must be > 0")
-    if not plans.nc.any():
-        raise UsageError("no masked slots to sample for")
-    gcfg = cfg.generator_view()
-    states = np.concatenate([encode(params, plan.ids[:plan.T], plan.positions[:plan.T], None,
-                                    gcfg, prefix="gen_", rows=plan.coarse[:, 0]).hidden
-                             for plan in plans if len(plan.coarse)])
-    logits = predict_ngram(Activations(states), range(len(states)), params,
-                           prefix="gen_").astype(np.float64)
-    z = logits / temperature
-    z -= z.max(-1, keepdims=True)
-    probs = np.exp(z)
-    probs /= probs.sum(-1, keepdims=True)
-    if not np.isfinite(probs).all():
-        raise NumericError("non-finite generator probabilities")
-    u = np.concatenate([rng.next_generator().random(n) for n in plans.nc[plans.nc > 0].tolist()])
-    # the count of cdf entries <= u is searchsorted(cdf, u, side="right")
-    cdf = probs.cumsum(-1)
-    cdf /= cdf[:, -1:]
-    return (cdf <= u[:, None]).sum(-1)
 
 
 # ---------------------------------------------------------------------------

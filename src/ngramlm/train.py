@@ -1,4 +1,4 @@
-"""Loss functions, the joint training loop and n-gram perplexity.
+"""Loss functions, generator sampling, the joint training loop and n-gram perplexity.
 
 Every cross-entropy term goes through ``_xent`` and every replaced-token
 term through ``_bce_with_logits``; each plan's terms are kept as sums
@@ -9,6 +9,7 @@ fine parts, and per-target means are reported alongside for logging.
 from __future__ import annotations
 
 import json
+import logging
 import os
 from dataclasses import asdict, dataclass
 
@@ -30,12 +31,9 @@ from .model import (
     checked_tensors,
     encode,
     encode_backward,
-    generator_forward_and_sample,
     head_backward,
+    head_logits,
     load_checkpoint,
-    predict_fine,
-    predict_ngram,
-    predict_rtd,
     save_checkpoint,
 )
 
@@ -123,22 +121,17 @@ def lr_at(step: int, tcfg: TrainConfig) -> float:
 # ---------------------------------------------------------------------------
 # per-plan forward; heads, losses and backward per group of plans
 
-# loss term -> the (weight, bias) of its head
-_HEADS = {"coarse": ("ngram_w", "ngram_b"), "fine": ("fine_w", "fine_b"),
-          "rtd": ("rtd_w", "rtd_b"), "gen": ("gen_ngram_w", "gen_ngram_b")}
-
-
 class BackwardGroup:
     """Consecutive plans of one encoder whose heads and backward run packed.
 
     Each plan's forward pass runs on its own; the group keeps the plans'
-    activations and, per loss term, their target rows, counted across the
+    activations and, per head, their target rows, counted across the
     group, and target ids or RTD labels.  :meth:`backward` then runs, per
-    term, one logits product over the group's packed hidden rows, one loss
-    and one head backward, with the dlogits scaled by ``scales`` (loss term
-    name -> factor, e.g. weight / batch target count), followed by one
-    packed :func:`encode_backward`.  It adds each plan's loss sums into
-    ``sums`` (loss term name -> nats), plan by plan in group order.
+    head, one :func:`head_logits` product at the packed rows, one loss and
+    one head backward, with the dlogits scaled by ``scales`` (head name ->
+    factor, e.g. weight / batch target count), followed by one packed
+    :func:`encode_backward`.  It adds each plan's loss sums into ``sums``
+    (head name -> nats), plan by plan in group order.
 
     The group's plans keep the sum of their squared lengths within
     ``cfg.max_positions ** 2``: :meth:`start` runs the pending backward
@@ -163,7 +156,7 @@ class BackwardGroup:
         self.rows = 0
         self.area = 0  # sum of the plans' squared lengths
         self.offset = 0  # first row of the newest plan
-        self.targets: dict = {}  # term -> ([row arrays], [target arrays])
+        self.targets: dict = {}  # head -> ([row arrays], [target arrays])
 
     def start(self, rows: int):
         """Make room for the next plan, which has ``rows`` rows."""
@@ -174,12 +167,12 @@ class BackwardGroup:
         self.area += rows * rows
 
     def add(self, acts: Activations, **targets):
-        """The current plan's forward pass and, per loss term, the pair
-        (rows, target ids or RTD labels); a term without rows is left out."""
+        """The current plan's forward pass and, per head, the pair
+        (rows, target ids or RTD labels); a head without rows is left out."""
         self.acts.append(acts)
-        for term, (rows, values) in targets.items():
+        for head, (rows, values) in targets.items():
             if len(rows):
-                parts = self.targets.setdefault(term, ([], []))
+                parts = self.targets.setdefault(head, ([], []))
                 parts[0].append(self.offset + rows)
                 parts[1].append(values)
 
@@ -188,26 +181,22 @@ class BackwardGroup:
         ``sums`` and their gradients into ``grads``, and empty the group."""
         if not self.acts:
             return
-        packed = Activations(np.concatenate([a.hidden for a in self.acts]))
-        d_hidden = np.zeros_like(packed.hidden)
-        for term, (rows, values) in self.targets.items():
+        hidden = np.concatenate([a.hidden for a in self.acts])
+        d_hidden = np.zeros_like(hidden)
+        for head, (rows, values) in self.targets.items():
             index = np.concatenate(rows)
-            w_name, b_name = _HEADS[term]
-            if term == "rtd":
-                nll, dlog = _bce_with_logits(predict_rtd(packed, index, self.params),
-                                             np.concatenate(values))
-                dlog = (dlog * self.scales[term]).astype(packed.hidden.dtype)
+            logits = head_logits(hidden[index], self.params, head)
+            if head == "rtd":
+                nll, dlog = _bce_with_logits(logits, np.concatenate(values))
+                dlog = (dlog * self.scales[head]).astype(hidden.dtype)
             else:
-                logits = (predict_fine(packed, index, self.params) if term == "fine" else
-                          predict_ngram(packed, index, self.params, prefix=self.prefix))
                 nll, dlog = _xent(logits, np.concatenate(values))
-                dlog *= self.scales[term]
+                dlog *= self.scales[head]
             # each plan's own sum, added in plan order, as the plans' terms add up
             plan = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
             for value in np.bincount(plan, nll).tolist():
-                self.sums[term] += value
-            head_backward(packed.hidden, index, dlog, w_name, b_name, self.params, d_hidden,
-                          grads=self.grads)
+                self.sums[head] += value
+            head_backward(hidden, index, dlog, head, self.params, d_hidden, grads=self.grads)
         encode_backward(self.params, self.acts, d_hidden, self.cfg, self.prefix,
                         grads=self.grads)
         self._clear()
@@ -231,21 +220,55 @@ def plan_loss_terms(params: dict, plan: PlanView, cfg: ModelConfig, group: Backw
     mask = build_attention_mask(plan, dtype=params["tok_emb"].dtype) if plan.Q else None
     labels = plan.labels
     rtd = (np.arange(plan.T), labels) if labels is not None else ((), ())
-    group.add(encode(params, plan.ids, plan.positions, mask, cfg), coarse=plan.coarse.T,
+    group.add(encode(params, plan.ids, plan.positions, mask, cfg), ngram=plan.coarse.T,
               fine=plan.fine.T, rtd=rtd)
 
 
 def generator_loss_terms(params: dict, plan: PlanView, cfg: ModelConfig, group: BackwardGroup):
     """Add a plan with slots to the generator's ``group``: its pass over the
     context, nothing masked out, and its slots, which predict y (the
-    explicit-MLM term ``gen``).  A plan without slots adds nothing."""
+    explicit-MLM term, head ``gen_ngram``).  A plan without slots adds nothing."""
     coarse = plan.coarse
     if not len(coarse):
         return
     T = plan.T
     group.start(T)
     group.add(encode(params, plan.ids[:T], plan.positions[:T], None, cfg.generator_view(),
-                     prefix="gen_"), gen=coarse.T)
+                     prefix="gen_"), gen_ngram=coarse.T)
+
+
+def generator_forward_and_sample(params: dict, plans: PlanStore, cfg: ModelConfig,
+                                 rng: RngState):
+    """Sample one joint identity per masked slot from the generator softmax,
+    for every slot of ``plans``.
+
+    The generator runs over each plan's context only, with nothing masked
+    out, under ``cfg.generator_view()``, and its last layer at the slots.
+    One stacked softmax and cumulative sum then cover every slot.  Each plan
+    with slots takes one keyed draw from ``rng``, in plan order, and draws
+    its slots at once, exactly as ``g.choice(V, p=row)`` draws them slot by
+    slot: one uniform each, in slot order, against the row's normalised
+    cumulative sum.  A plan without slots takes no draw.  The ids come in
+    the order of ``PlanStore.gather("coarse")``.  Sampling is a
+    non-differentiable boundary: no gradient flows back through them.
+    """
+    if not plans.nc.any():
+        raise UsageError("no masked slots to sample for")
+    gcfg = cfg.generator_view()
+    states = np.concatenate([encode(params, plan.ids[:plan.T], plan.positions[:plan.T], None,
+                                    gcfg, prefix="gen_", rows=plan.coarse[:, 0]).hidden
+                             for plan in plans if len(plan.coarse)])
+    z = head_logits(states, params, "gen_ngram").astype(np.float64)
+    z -= z.max(-1, keepdims=True)
+    probs = np.exp(z)
+    probs /= probs.sum(-1, keepdims=True)
+    if not np.isfinite(probs).all():
+        raise NumericError("non-finite generator probabilities")
+    u = np.concatenate([rng.next_generator().random(n) for n in plans.nc[plans.nc > 0].tolist()])
+    # the count of cdf entries <= u is searchsorted(cdf, u, side="right")
+    cdf = probs.cumsum(-1)
+    cdf /= cdf[:, -1:]
+    return (cdf <= u[:, None]).sum(-1)
 
 
 def batch_loss_and_grad(params: dict, plans: PlanStore, cfg: ModelConfig, tcfg: TrainConfig,
@@ -273,12 +296,12 @@ def batch_loss_and_grad(params: dict, plans: PlanStore, cfg: ModelConfig, tcfg: 
     labelled = np.array([labels is not None for labels in plans.rtd], dtype=bool)
     n_rtd = int(plans.T[(plans.nc > 0) | labelled].sum()) if relation else 0
 
-    scales = {"coarse": 1.0 / max(n_coarse, 1), "fine": 1.0 / max(n_fine, 1),
+    scales = {"ngram": 1.0 / max(n_coarse, 1), "fine": 1.0 / max(n_fine, 1),
               "rtd": tcfg.rtd_weight / max(n_rtd, 1)}
     # the standard model and the generator each run their heads and
     # backward in groups of consecutive plans
     main = BackwardGroup(params, cfg, grads, scales)
-    gen = BackwardGroup(params, cfg.generator_view(), grads, {"gen": 1.0 / max(n_gen, 1)},
+    gen = BackwardGroup(params, cfg.generator_view(), grads, {"gen_ngram": 1.0 / max(n_gen, 1)},
                         prefix="gen_")
     filled = plans
     if relation and n_coarse:
@@ -297,9 +320,9 @@ def batch_loss_and_grad(params: dict, plans: PlanStore, cfg: ModelConfig, tcfg: 
     sums = {**main.sums, **gen.sums}
     report = LossReport(
         fine=sums["fine"] / max(n_fine, 1),
-        coarse=sums["coarse"] / max(n_coarse, 1),
-        comprehensive_sum=sums["coarse"] + sums["fine"],
-        generator=sums["gen"] / max(n_gen, 1),
+        coarse=sums["ngram"] / max(n_coarse, 1),
+        comprehensive_sum=sums["ngram"] + sums["fine"],
+        generator=sums["gen_ngram"] / max(n_gen, 1),
         rtd=sums["rtd"] / max(n_rtd, 1),
         n_fine=n_fine,
         n_coarse=n_coarse,
@@ -397,6 +420,10 @@ def train(tcfg: TrainConfig, plans: PlanStore, params: dict, cfg: ModelConfig,
     if not len(plans):
         raise UsageError("empty plan stream")
     _refuse_repeated_targets(plans)
+    if checkpoint_path and not os.path.isdir(os.path.dirname(checkpoint_path) or "."):
+        raise DataError(f"cannot write checkpoint {checkpoint_path}: no such directory")
+    # only a run that writes or reads a checkpoint pays for the plans' digest
+    plans_sha256 = plans.sha256() if checkpoint_path or resume_from is not None else None
     sample_rng = RngState(tcfg.seed ^ 0x5EED)
     start_step = 0
     if resume_from is not None:
@@ -435,6 +462,11 @@ def train(tcfg: TrainConfig, plans: PlanStore, params: dict, cfg: ModelConfig,
         if changed:
             raise UsageError(f"checkpoint {resume_from} was trained with other settings: "
                              + ", ".join(changed))
+        if extra.get("plans_sha256") is None:
+            logging.getLogger(__name__).warning("checkpoint %s has no plan digest", resume_from)
+        elif extra["plans_sha256"] != plans_sha256:
+            raise UsageError(f"checkpoint {resume_from} was trained on plans with sha256 "
+                             f"{extra['plans_sha256']}, not {plans_sha256}")
         state.t = extra["adam_t"]
         start_step = extra["step"]
         sample_rng = RngState(extra["sample_seed"], extra["sample_counter"])
@@ -453,7 +485,7 @@ def train(tcfg: TrainConfig, plans: PlanStore, params: dict, cfg: ModelConfig,
             except NumericError:
                 if checkpoint_path:
                     _save_train_checkpoint(str(checkpoint_path) + ".diag", params, cfg,
-                                           tcfg, state, step, sample_rng)
+                                           tcfg, state, step, sample_rng, plans_sha256)
                 raise
             rec = {"step": step, "lr": lr, "grad_norm": grad_norm, "clipped": clipped}
             rec.update(asdict(report))
@@ -462,10 +494,10 @@ def train(tcfg: TrainConfig, plans: PlanStore, params: dict, cfg: ModelConfig,
                 out.write(json.dumps(rec, sort_keys=True) + "\n")
             if checkpoint_path and tcfg.checkpoint_every and (step + 1) % tcfg.checkpoint_every == 0:
                 _save_train_checkpoint(checkpoint_path, params, cfg, tcfg, state,
-                                       step + 1, sample_rng)
+                                       step + 1, sample_rng, plans_sha256)
         if checkpoint_path:
             _save_train_checkpoint(checkpoint_path, params, cfg, tcfg, state,
-                                   tcfg.total_steps, sample_rng)
+                                   tcfg.total_steps, sample_rng, plans_sha256)
     finally:
         if out:
             out.close()
@@ -477,7 +509,7 @@ def train(tcfg: TrainConfig, plans: PlanStore, params: dict, cfg: ModelConfig,
 BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _save_train_checkpoint(path, params, cfg, tcfg, state, step, sample_rng):
+def _save_train_checkpoint(path, params, cfg, tcfg, state, step, sample_rng, plans_sha256):
     extra = {
         "step": step,
         "adam_t": state.t,
@@ -485,6 +517,7 @@ def _save_train_checkpoint(path, params, cfg, tcfg, state, step, sample_rng):
         "sample_counter": sample_rng.counter,
         "train_config": {**asdict(tcfg), "objective": int(tcfg.objective)},
         "blas_threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARS},
+        "plans_sha256": plans_sha256,
     }
     arrays = {f"{key}/{name}": view for key, vec in (("m", state.m), ("v", state.v))
               for name, view in state.layout.views(vec).items()}
@@ -520,12 +553,12 @@ def eval_ngram_ppl(params: dict, plans: PlanStore, cfg: ModelConfig) -> float:
     """
     _refuse_repeated_targets(plans)
     log_ppls: list = []
-    # contiguous or not -> the pending plans' (states, targets, n-gram sizes)
-    pending: dict = {True: [], False: []}
+    # head -> the pending plans' (states, targets, n-gram sizes)
+    pending: dict = {"fine": [], "ngram": []}
     size = 0
     for plan in plans:
-        contiguous = plan.objective == Objective.CONTIGUOUS
-        if contiguous:
+        head = "fine" if plan.objective == Objective.CONTIGUOUS else "ngram"
+        if head == "fine":
             rows, targets, bounds = _contiguous_gram_groups(plan)
             sizes = np.diff(bounds, prepend=0, append=len(rows))
         else:
@@ -538,7 +571,7 @@ def eval_ngram_ppl(params: dict, plans: PlanStore, cfg: ModelConfig) -> float:
         if size + len(rows) > cfg.max_positions:
             _score_pending(params, pending, log_ppls)
             size = 0
-        pending[contiguous].append((acts.hidden, targets, sizes))
+        pending[head].append((acts.hidden, targets, sizes))
         size += len(rows)
     _score_pending(params, pending, log_ppls)
     if not log_ppls:
@@ -548,15 +581,11 @@ def eval_ngram_ppl(params: dict, plans: PlanStore, cfg: ModelConfig) -> float:
 
 def _score_pending(params: dict, pending: dict, log_ppls: list):
     """Append to ``log_ppls`` the mean NLL of each pending n-gram's targets,
-    with one head product for the contiguous plans (the fine head) and one
-    for the rest (the n-gram head), and empty ``pending``."""
-    for contiguous, parts in pending.items():
+    with one :func:`head_logits` product per head, and empty ``pending``."""
+    for head, parts in pending.items():
         if not parts:
             continue
         states, targets, sizes = (np.concatenate(x) for x in zip(*parts))
-        acts, scored = Activations(states), range(len(targets))
-        logits = (predict_fine(acts, scored, params) if contiguous
-                  else predict_ngram(acts, scored, params))
-        nll, _ = _xent(logits, targets)
+        nll, _ = _xent(head_logits(states, params, head), targets)
         log_ppls.append(np.bincount(np.repeat(np.arange(len(sizes)), sizes), nll) / sizes)
         parts.clear()

@@ -144,20 +144,22 @@ def zero_grads(params):
     return {k: v.view(SameDtypeGrad) for k, v in FlatLayout(params).zeros()[1].items()}
 
 
+# the heads a loss term runs through (``model.head_logits`` names)
+HEADS = ("ngram", "fine", "rtd", "gen_ngram")
+
+
 def loss_and_grads(loss_terms, params, plan, cfg, scales=None, prefix=""):
-    """One plan's loss sums (``coarse_sum``, ``fine_sum``, ``rtd_sum``,
-    ``gen_sum``) and, with ``scales``, its gradients alone: ``loss_terms``
+    """One plan's loss sums by head (``ngram``, ``fine``, ``rtd``,
+    ``gen_ngram``) and, with ``scales``, its gradients alone: ``loss_terms``
     adds the plan to a group of its own, whose heads, losses and backward
     run over zeroed gradients for every parameter.  Without ``scales`` the
     dlogit scales are 1.0 and the gradient dict returned is empty."""
     grads = zero_grads(params)
     group = BackwardGroup(params, cfg.generator_view() if prefix else cfg, grads,
-                          scales or dict.fromkeys(("coarse", "fine", "rtd", "gen"), 1.0), prefix)
+                          scales or dict.fromkeys(HEADS, 1.0), prefix)
     loss_terms(params, plan, cfg, group)
     group.backward()
-    terms = dict.fromkeys(("coarse_sum", "fine_sum", "rtd_sum", "gen_sum"), 0.0)
-    terms.update({f"{term}_sum": value for term, value in group.sums.items()})
-    return terms, grads if scales is not None else {}
+    return {**dict.fromkeys(HEADS, 0.0), **group.sums}, grads if scales is not None else {}
 
 
 @pytest.fixture

@@ -24,12 +24,12 @@ from ngramlm import (
     export_finetune_weights,
     extract_lexicon,
     generator_forward_and_sample,
+    head_logits,
     init_params,
     make_plans,
     plan_comprehensive,
     plan_contiguous,
     plan_explicit,
-    predict_ngram,
     train,
 )
 from ngramlm.cli import main as cli_main
@@ -211,16 +211,17 @@ def _config_loss_and_grads(name, params, cfg, plans, comp, want_grads):
     n_c = max(len(plan.targets_coarse), 1)
     n_f = max(len(plan.fine), 1)
     n_r = max(plan.T if plan.labels is not None else 0, 1)
-    scales = {"coarse": 1.0 / n_c, "fine": 1.0 / n_f, "rtd": rtd_weight / n_r}
+    scales = {"ngram": 1.0 / n_c, "fine": 1.0 / n_f, "rtd": rtd_weight / n_r}
     terms, grads = loss_and_grads(plan_loss_terms, params, plan, cfg,
                                   scales if want_grads else None)
-    loss = (terms["coarse_sum"] / n_c + terms["fine_sum"] / n_f
-            + rtd_weight * terms["rtd_sum"] / n_r)
+    loss = (terms["ngram"] / n_c + terms["fine"] / n_f
+            + rtd_weight * terms["rtd"] / n_r)
     if name == "relation":
         n_g = max(len(comp.targets_coarse), 1)
         gterms, ggrads = loss_and_grads(generator_loss_terms, params, comp, cfg,
-                                        {"gen": 1.0 / n_g} if want_grads else None, "gen_")
-        loss += gterms["gen_sum"] / n_g
+                                        {"gen_ngram": 1.0 / n_g} if want_grads else None,
+                                        "gen_")
+        loss += gterms["gen_ngram"] / n_g
         for k, v in ggrads.items():
             grads[k] = grads.get(k, 0) + v
     return loss, grads
@@ -282,8 +283,8 @@ def test_criterion_06_loss_additivity():
         explicit_part = fine_part = 0.0
         for plan in batch:
             terms, _ = loss_and_grads(plan_loss_terms, params, plan, cfg)
-            explicit_part += terms["coarse_sum"]
-            fine_part += terms["fine_sum"]
+            explicit_part += terms["ngram"]
+            fine_part += terms["fine"]
         if report.comprehensive_sum != explicit_part + fine_part:
             exact = False
         adam_step(flat, grads_flat, state, 1e-3, tcfg)
@@ -359,7 +360,7 @@ def test_criterion_08_rtd_sanity(toy_example, toy_jv):
         acts = encode(params, plan.ids[:plan.T], plan.positions[:plan.T], mask,
                       gcfg, prefix="gen_")
         slots = [s for s, _ in plan.targets_coarse]
-        logits = predict_ngram(acts, slots, params, prefix="gen_").astype(np.float64)
+        logits = head_logits(acts.hidden[slots], params, "gen_ngram").astype(np.float64)
         z = logits - logits.max(-1, keepdims=True)
         p = np.exp(z)
         p /= p.sum(-1, keepdims=True)

@@ -750,8 +750,8 @@ def test_unchanged_resume_equals_an_uninterrupted_run(corpus_dir, tmp_path, monk
     train_module = importlib.import_module("ngramlm.train")
     save = train_module._save_train_checkpoint
 
-    def keep_each(path, params, cfg, tcfg, state, step, sample_rng):
-        save(path, params, cfg, tcfg, state, step, sample_rng)
+    def keep_each(path, params, cfg, tcfg, state, step, *rest):
+        save(path, params, cfg, tcfg, state, step, *rest)
         shutil.copyfile(path, tmp_path / f"step-{step}.npz")
 
     monkeypatch.setattr(train_module, "_save_train_checkpoint", keep_each)
@@ -767,6 +767,44 @@ def test_unchanged_resume_equals_an_uninterrupted_run(corpus_dir, tmp_path, monk
     # the step count and the checkpoint interval may change on a resume
     assert main(argv + resume + ["--steps", "6", "--checkpoint-every", "3",
                                  "--out", str(tmp_path / "longer.npz")]) == 0
+
+
+def test_resume_refuses_other_plans(trained, corpus_dir, tmp_path, capsys):
+    # the checkpoint records the plan store's sha256: plans made with
+    # another seed are refused, naming both digests; the same plans at
+    # another path resume
+    plans, ck, _ = trained
+    want = read_plan_file(plans)[1].sha256()
+    assert load_checkpoint(ck)[2]["plans_sha256"] == want
+    other = run_pipeline(corpus_dir, tmp_path, seed=1, objective="comprehensive")
+    got = read_plan_file(other)[1].sha256()
+    assert got != want
+    out = tmp_path / "resumed.npz"
+    resume = ["--steps", "3", "--resume", str(ck), "--out", str(out)]
+    capsys.readouterr()
+    assert main(TRAIN_SMALL + ["--plans", str(other)] + resume) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and want in err and got in err, err
+    assert not out.exists()
+    copy = tmp_path / "copy" / "plans.bin"
+    copy.parent.mkdir()
+    shutil.copyfile(plans, copy)
+    assert main(TRAIN_SMALL + ["--plans", str(copy)] + resume) == 0
+    assert load_checkpoint(out)[2]["plans_sha256"] == want
+
+
+def test_resume_of_a_checkpoint_without_a_plan_digest_logs_a_note(trained, tmp_path, caplog):
+    # a checkpoint older than the digest resumes, with one logged note
+    plans, ck, _ = trained
+    old = tmp_path / "old.npz"
+    rewrite_store(ck, old, _extra(lambda e: e.pop("plans_sha256")))
+    out = tmp_path / "resumed.npz"
+    with caplog.at_level("WARNING", logger="ngramlm.train"):
+        assert main(TRAIN_SMALL + ["--plans", str(plans), "--steps", "3", "--resume", str(old),
+                                   "--out", str(out)]) == 0
+    notes = [r.getMessage() for r in caplog.records if r.name == "ngramlm.train"]
+    assert notes == [f"checkpoint {old} has no plan digest"]
+    assert load_checkpoint(out)[2]["plans_sha256"] == read_plan_file(plans)[1].sha256()
 
 
 def test_resume_that_grows_the_steps_keeps_the_checkpoints_warmup(corpus_dir, tmp_path, capsys):
@@ -806,10 +844,14 @@ def test_output_in_a_missing_directory_is_a_data_error(trained, corpus_dir, tmp_
     }
     missing = tmp_path / "missing" / "output"
     outputs = {"--out": str(tmp_path / "output"), flag: str(missing)}
+    if command == "train":
+        outputs.setdefault("--metrics", str(tmp_path / "metrics.jsonl"))
     capsys.readouterr()
     assert main([command, *inputs[command], *(x for pair in outputs.items() for x in pair)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and str(missing) in err and "Traceback" not in err, err
+    # a checkpoint path in a missing directory is refused before the first step
+    assert not (tmp_path / "metrics.jsonl").exists()
 
 
 def test_make_masks_records_what_it_skipped(corpus_dir, tmp_path, capsys):

@@ -590,6 +590,23 @@ def test_trailing_bytes_detected(toy_example, toy_vocab):
         parse_plan(corrupted)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.lists(plan_st(), min_size=1, max_size=4))
+def test_plan_store_digest_changes_with_any_plan_field(plans):
+    # the digest a training checkpoint records: equal stores share it, and
+    # a change to one plan's objective, a u32 field or its RTD labels moves it
+    store = store_of(plans)
+    digest = store.sha256()
+    assert digest == store_of(plans).sha256() == store.take(range(len(plans))).sha256()
+    plan = plans[0]
+    for other in (dataclasses.replace(plan, objective=Objective((plan.objective + 1) % 4)),
+                  dataclasses.replace(plan, context_ids=(plan.context_ids[0] ^ 1,)
+                                      + plan.context_ids[1:]),
+                  dataclasses.replace(plan, rtd_labels=None if plan.rtd_labels
+                                      else (0,) * plan.T)):
+        assert store_of([other, *plans[1:]]).sha256() != digest
+
+
 def test_plan_file_roundtrip(tmp_path, toy_example, toy_vocab, toy_jv):
     plans = store_of([
         plan_contiguous(toy_example, MASKED, toy_vocab),

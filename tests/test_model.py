@@ -10,12 +10,10 @@ from ngramlm import (
     encode,
     export_finetune_weights,
     generator_forward_and_sample,
+    head_logits,
     init_params,
     load_checkpoint,
     plan_comprehensive,
-    predict_fine,
-    predict_ngram,
-    predict_rtd,
     save_checkpoint,
 )
 from ngramlm.errors import DataError, NumericError, UsageError, VersionError
@@ -172,38 +170,23 @@ def test_heads_shapes(toy_example, toy_jv):
     params = init_params(cfg, 0)
     acts = encode(params, plan.all_ids(), plan.all_positions(),
                   build_attention_mask(plan), cfg)
-    assert predict_fine(acts, [0, 1], params).shape == (2, cfg.fine_vocab_size)
-    assert predict_ngram(acts, [1], params).shape == (1, cfg.joint_size)
-    assert predict_rtd(acts, range(plan.T), params).shape == (plan.T,)
+    assert head_logits(acts.hidden[[0, 1]], params, "fine").shape == (2, cfg.fine_vocab_size)
+    assert head_logits(acts.hidden[[1]], params, "ngram").shape == (1, cfg.joint_size)
+    assert head_logits(acts.hidden[:plan.T], params, "rtd").shape == (plan.T,)
+    gen = encode(params, plan.ids[:plan.T], plan.positions[:plan.T], None, cfg.generator_view(),
+                 prefix="gen_")
+    assert head_logits(gen.hidden, params, "gen_ngram").shape == (plan.T, cfg.joint_size)
 
 
 # --- generator ----------------------------------------------------------------
 
-def test_generator_low_temperature_is_argmax(toy_example, toy_jv):
-    plan = plan_comprehensive(toy_example, MASKED, toy_jv)
-    cfg = tiny_config(len(toy_jv.fine), len(toy_jv.ngrams))
-    params = init_params(cfg, 5)
-    gcfg = cfg.generator_view()
-    mask = np.zeros((plan.T, plan.T), dtype=np.float32)
-    acts = encode(params, plan.ids[:plan.T], plan.positions[:plan.T], mask, gcfg,
-                  prefix="gen_")
-    slots = [s for s, _ in plan.targets_coarse]
-    logits = predict_ngram(acts, slots, params, prefix="gen_")
-    want = logits.argmax(-1)
-    got = generator_forward_and_sample(params, plan.store, cfg, RngState(0), 1e-8)
-    assert np.array_equal(got, want)
-    with pytest.raises(UsageError):
-        generator_forward_and_sample(params, plan.store, cfg, RngState(0), 0.0)
-
-
-def per_slot_samples(params, plan, cfg, rng, temperature=1.0):
+def per_slot_samples(params, plan, cfg, rng):
     """The generator's draws made slot by slot with ``Generator.choice``."""
     slots = [s for s, _ in plan.targets_coarse]
     acts = encode(params, plan.ids[:plan.T], plan.positions[:plan.T], None, cfg.generator_view(),
                   prefix="gen_", rows=slots)
-    logits = predict_ngram(acts, range(len(slots)), params, prefix="gen_").astype(np.float64)
-    z = logits / temperature
-    z -= z.max(-1, keepdims=True)
+    logits = head_logits(acts.hidden, params, "gen_ngram").astype(np.float64)
+    z = logits - logits.max(-1, keepdims=True)
     probs = np.exp(z)
     probs /= probs.sum(-1, keepdims=True)
     g = rng.next_generator()
@@ -211,7 +194,7 @@ def per_slot_samples(params, plan, cfg, rng, temperature=1.0):
 
 
 def test_generator_draws_equal_per_slot_choice():
-    # 16 slots over 30 joint ids at three temperatures and 20 seeds: 960 draws
+    # 16 slots over 30 joint ids at 60 seeds: 960 draws
     cfg = tiny_config(20, 10)
     params = init_params(cfg, 8)
     params = {k: v + np.float32(0.3) * np.random.default_rng(1).standard_normal(v.shape,
@@ -221,13 +204,11 @@ def test_generator_draws_equal_per_slot_choice():
     plan = store_of([RefPlan(Objective.COMPREHENSIVE, ctx, tuple(range(1, 21)), (), (),
                              tuple((s, 0) for s in range(2, 18)), ())])[0]
     drawn = []
-    for temperature in (0.5, 1.0, 3.0):
-        for seed in range(20):
-            got = generator_forward_and_sample(params, plan.store, cfg, RngState(seed),
-                                               temperature)
-            want = per_slot_samples(params, plan, cfg, RngState(seed), temperature)
-            assert np.array_equal(got, want), (temperature, seed)
-            drawn.extend(got)
+    for seed in range(60):
+        got = generator_forward_and_sample(params, plan.store, cfg, RngState(seed))
+        want = per_slot_samples(params, plan, cfg, RngState(seed))
+        assert np.array_equal(got, want), seed
+        drawn.extend(got)
     assert len(set(drawn)) > 10  # the draws are spread, not one argmax
 
 

@@ -31,7 +31,7 @@ from ngramlm.cli import _check_plan_ids
 from ngramlm.corpus import FineVocab, WordStream
 from ngramlm.errors import NumericError, UsageError
 from ngramlm.maskplan import read_plan_file, relation_from_comprehensive, write_plan_file
-from ngramlm.model import FlatLayout, generator_forward_and_sample
+from ngramlm.model import FlatLayout
 from ngramlm.train import (
     AdamState,
     _bce_with_logits,
@@ -41,6 +41,7 @@ from ngramlm.train import (
     _xent,
     adam_step,
     batch_loss_and_grad,
+    generator_forward_and_sample,
     generator_loss_terms,
     lr_at,
     plan_loss_terms,
@@ -286,7 +287,7 @@ def check_resume_equals_uninterrupted_run(small_pipeline, tmp_path, objective):
         batch_loss_and_grad(params, batch, cfg, tcfg, grads, rng)
         adam_step(flat, grads_flat, state, lr_at(step, tcfg), tcfg)
     ck = tmp_path / "half.npz"
-    _save_train_checkpoint(ck, params, cfg, tcfg, state, 4, rng)
+    _save_train_checkpoint(ck, params, cfg, tcfg, state, 4, rng, plans.sha256())
     res_ck = tmp_path / "resumed.npz"
     resumed, mres = train(tcfg, plans, init_params(cfg, 5), cfg, checkpoint_path=res_ck,
                           resume_from=ck)
@@ -326,7 +327,6 @@ def test_model_computes_in_parameter_dtype(small_pipeline, objective, dtype, mon
     # a NumPy float64 scalar anywhere in the forward or backward pass would
     # promote float32 activations and gradients to float64
     train_mod = importlib.import_module("ngramlm.train")
-    model_mod = importlib.import_module("ngramlm.model")
     stream, vocab, lex, jv, cfg = small_pipeline
     plans = make_plans(stream, lex, jv, objective, seed=1)
     tcfg = TrainConfig(objective, total_steps=1, batch_size=4, warmup_steps=0, seed=0)
@@ -339,9 +339,8 @@ def test_model_computes_in_parameter_dtype(small_pipeline, objective, dtype, mon
         seen.append((acts.hidden.dtype, [p.dtype for p in acts.attn_probs]))
         return acts
 
-    # plans are encoded through ngramlm.train, the generator through ngramlm.model
+    # plans and the generator's samples are encoded through ngramlm.train
     monkeypatch.setattr(train_mod, "encode", recording_encode)
-    monkeypatch.setattr(model_mod, "encode", recording_encode)
     grads = zero_grads(params)
     batch_loss_and_grad(params, plans[:4], cfg, tcfg, grads, RngState(0))
     assert len(seen) >= 4
@@ -377,7 +376,7 @@ def per_plan_reference_grads(params, batch, cfg, tcfg, rng):
     Each plan's terms write into their own fresh dict; the relation
     objective replays the generator samples from the same RngState."""
     work, n = sampled_work(params, batch, cfg, tcfg, rng)
-    scales = {"coarse": 1.0 / max(n["coarse"], 1),
+    scales = {"ngram": 1.0 / max(n["coarse"], 1),
               "fine": 1.0 / max(n["fine"], 1),
               "rtd": tcfg.rtd_weight / max(n["rtd"], 1)}
     per_plan = []
@@ -385,7 +384,7 @@ def per_plan_reference_grads(params, batch, cfg, tcfg, rng):
         per_plan.append(loss_and_grads(plan_loss_terms, params, plan, cfg, scales)[1])
         if gen_plan is not None:
             per_plan.append(loss_and_grads(generator_loss_terms, params, gen_plan, cfg,
-                                           {"gen": 1.0 / max(n["gen"], 1)}, "gen_")[1])
+                                           {"gen_ngram": 1.0 / max(n["gen"], 1)}, "gen_")[1])
     total = {}
     for g in per_plan:
         for k, v in g.items():
@@ -519,19 +518,19 @@ def test_area_bound_groups_equal_the_sum_of_each_plans_own(small_pipeline, monke
 
     assert_grads_close(grads, per_plan_reference_grads(params, batch, cfg, tcfg, RngState(9)))
     work, n = sampled_work(params, batch, cfg, tcfg, RngState(9))
-    sums = dict.fromkeys(("coarse_sum", "fine_sum", "rtd_sum", "gen_sum"), 0.0)
+    sums = dict.fromkeys(("ngram", "fine", "rtd", "gen_ngram"), 0.0)
     for plan, gen_plan in work:
         terms, _ = loss_and_grads(plan_loss_terms, params, plan, cfg)
-        terms["gen_sum"] = loss_and_grads(generator_loss_terms, params, gen_plan, cfg,
-                                          prefix="gen_")[0]["gen_sum"]
+        terms["gen_ngram"] = loss_and_grads(generator_loss_terms, params, gen_plan, cfg,
+                                            prefix="gen_")[0]["gen_ngram"]
         for key in sums:
             sums[key] += terms[key]
     assert (report.n_coarse, report.n_fine, report.n_rtd) == (n["coarse"], n["fine"], n["rtd"])
-    want = (sums["coarse_sum"] / n["coarse"], sums["fine_sum"] / n["fine"],
-            sums["rtd_sum"] / n["rtd"], sums["gen_sum"] / n["gen"])
+    want = (sums["ngram"] / n["coarse"], sums["fine"] / n["fine"],
+            sums["rtd"] / n["rtd"], sums["gen_ngram"] / n["gen"])
     assert (report.coarse, report.fine, report.rtd, report.generator) == pytest.approx(
         want, rel=1e-12)
-    assert report.comprehensive_sum == pytest.approx(sums["coarse_sum"] + sums["fine_sum"],
+    assert report.comprehensive_sum == pytest.approx(sums["ngram"] + sums["fine"],
                                                      rel=1e-12)
 
 
@@ -551,8 +550,8 @@ def test_loss_report_does_not_depend_on_backward(small_pipeline, objective):
     coarse_sum = fine_sum = 0.0
     for plan, _ in work:
         terms, _ = loss_and_grads(plan_loss_terms, params, plan, cfg)
-        coarse_sum += terms["coarse_sum"]
-        fine_sum += terms["fine_sum"]
+        coarse_sum += terms["ngram"]
+        fine_sum += terms["fine"]
     assert report.comprehensive_sum == coarse_sum + fine_sum
     assert report.coarse == coarse_sum / max(report.n_coarse, 1)
 
@@ -569,20 +568,20 @@ def test_relation_total_is_weighted_sum(small_pipeline):
     report = batch_loss_and_grad(params, batch, cfg, tcfg, zero_grads(params),
                                  RngState(9))
     work, n = sampled_work(params, batch, cfg, tcfg, RngState(9))
-    sums = {"coarse_sum": 0.0, "fine_sum": 0.0, "rtd_sum": 0.0, "gen_sum": 0.0}
+    sums = {"ngram": 0.0, "fine": 0.0, "rtd": 0.0, "gen_ngram": 0.0}
     for plan, gen_plan in work:
         terms, _ = loss_and_grads(plan_loss_terms, params, plan, cfg)
-        for key in ("coarse_sum", "fine_sum", "rtd_sum"):
+        for key in ("ngram", "fine", "rtd"):
             sums[key] += terms[key]
-        sums["gen_sum"] += loss_and_grads(generator_loss_terms, params, gen_plan, cfg,
-                                          prefix="gen_")[0]["gen_sum"]
+        sums["gen_ngram"] += loss_and_grads(generator_loss_terms, params, gen_plan, cfg,
+                                            prefix="gen_")[0]["gen_ngram"]
     assert min(n.values()) > 0
     # the counts read before sampling are those of the filled plans
     assert (report.n_coarse, report.n_fine, report.n_rtd) == (n["coarse"], n["fine"], n["rtd"])
-    coarse = sums["coarse_sum"] / n["coarse"]
-    fine = sums["fine_sum"] / n["fine"]
-    rtd = sums["rtd_sum"] / n["rtd"]
-    generator = sums["gen_sum"] / n["gen"]
+    coarse = sums["ngram"] / n["coarse"]
+    fine = sums["fine"] / n["fine"]
+    rtd = sums["rtd"] / n["rtd"]
+    generator = sums["gen_ngram"] / n["gen"]
     assert (report.coarse, report.fine, report.rtd, report.generator) == pytest.approx(
         (coarse, fine, rtd, generator), rel=1e-12)
     assert report.total == pytest.approx(coarse + fine + 0.5 * rtd + generator, rel=1e-12)
