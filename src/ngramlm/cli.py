@@ -210,12 +210,6 @@ def _plan_header(path, prov, objective_arg):
 def cmd_train(args):
     prov_in, plans = read_plan_file(args.plans)
     objective, fine_size, ngram_size = _plan_header(args.plans, prov_in, args.objective)
-    layouts = ((Objective.COMPREHENSIVE, Objective.RELATION) if objective == Objective.RELATION
-               else (objective,))
-    if not np.isin(plans.objectives, layouts).all():
-        if objective == Objective.RELATION:
-            raise UsageError("relation training needs comprehensive-layout plans")
-        raise UsageError(f"plan objectives do not match --objective {objective.name.lower()}")
     cfg = _model_config(args, fine_size, ngram_size)
     _check_plan_ids(args.plans, plans, cfg)
     warmup = args.warmup

@@ -270,10 +270,8 @@ def relation_from_comprehensive(store: "PlanStore", sampled) -> "PlanStore":
     labels[first[owner] + coarse[:, 0]] = sampled == coarse[:, 1]
     run = store.run.copy()
     run[store.starts[owner] + 2 + coarse[:, 0]] = sampled  # the context ids start after T and Q
-    filled = PlanStore(run, store.starts, np.full(len(store), Objective.RELATION, dtype=np.uint8),
-                       np.split(labels, first[1:-1])[:len(store)])
-    filled._distinct = store._distinct
-    return filled
+    return PlanStore(run, store.starts, np.full(len(store), Objective.RELATION, dtype=np.uint8),
+                     np.split(labels, first[1:-1])[:len(store)])
 
 
 def plan_relation(ex: SegmentedExample, masked: tuple, jv: JointVocab, sampled) -> "PlanView":
@@ -343,7 +341,6 @@ class PlanStore:
         self.Q = run[s + 1].astype(np.int64)
         self.nc = run[s + 2 + 2 * (self.T + self.Q)].astype(np.int64)
         self.nf = run[s + 3 + 2 * (self.T + self.Q + self.nc)].astype(np.int64)
-        self._distinct = False  # True once no plan is known to repeat a target
         self.counts: dict = {}
 
     def __len__(self) -> int:
@@ -369,9 +366,7 @@ class PlanStore:
         count = (self.starts[1:] - self.starts[:-1])[idx]
         run = self.run[_segments(self.starts[:-1][idx], count)]
         starts = np.concatenate(([0], np.cumsum(count)))
-        store = PlanStore(run, starts, self.objectives[idx], [self.rtd[k] for k in idx.tolist()])
-        store._distinct = self._distinct
-        return store
+        return PlanStore(run, starts, self.objectives[idx], [self.rtd[k] for k in idx.tolist()])
 
     def __eq__(self, other):
         if not isinstance(other, PlanStore):
@@ -413,10 +408,7 @@ class PlanStore:
     def repeated_target(self) -> int | None:
         """The first plan that names a coarse slot or a fine index as a
         target twice, else None.  A head's backward adds into each target
-        row once, so training refuses such a plan.  A store found free of
-        repeats, and every store taken from it, is not searched again."""
-        if self._distinct:
-            return None
+        row once, so training refuses such a plan."""
         found = []
         for field in ("coarse", "fine"):
             pairs, plan = self.gather(field)
@@ -425,7 +417,6 @@ class PlanStore:
             twice = (plan[1:] == plan[:-1]) & (index[1:] == index[:-1])
             if twice.any():
                 found.append(int(plan[1:][twice][0]))
-        self._distinct = not found
         return min(found, default=None)
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import lzma
 import math
+import os
 import tokenize
 import zipfile
 import zlib
@@ -428,7 +429,7 @@ def head_backward(hidden, rows, d_logits, head: str, params: dict, d_hidden, *, 
     ``d_logits`` holds the logit gradients of ``head`` (a name as in
     :func:`head_logits`) at ``rows`` of ``hidden``; ``d_hidden`` has the
     shape of ``hidden``.  ``rows`` must be distinct (training refuses a plan
-    that repeats a target index, ``PlanStore.repeated_target``).
+    that repeats a target index, ``train.check_plans``).
     A head whose weight is a vector, the replaced-token head, has one logit
     per row and ``d_logits`` one value per row.
     """
@@ -463,9 +464,14 @@ def save_checkpoint(path, params: dict, cfg: ModelConfig, extra: dict | None = N
         store["p/" + name] = arr
     for name, arr in (arrays or {}).items():
         store["a/" + name] = arr
-    # write through a handle so numpy never appends ".npz" to the path
-    with open(path, "wb") as f:
-        np.savez(f, **store)
+    tmp = f"{path}.tmp"  # renamed onto the path, so a failed write keeps the old checkpoint
+    try:
+        with open(tmp, "wb") as f:  # a handle, so numpy never appends ".npz" to the path
+            np.savez(f, **store)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_checkpoint(path):

@@ -92,8 +92,6 @@ class TrainConfig:
     warmup_steps: int = 0
     seed: int = 0
     rtd_weight: float = 1.0
-    weight_decay: float = 0.01
-    clip_norm: float = 1.0
     checkpoint_every: int = 0  # 0: final checkpoint only
 
     def __post_init__(self):
@@ -202,9 +200,19 @@ class BackwardGroup:
         self._clear()
 
 
-def _refuse_repeated_targets(plans: PlanStore):
-    """UsageError if a plan names a coarse slot or a fine index as a target
-    twice: the heads' backward adds into each target row once."""
+def check_plans(plans: PlanStore, objective: Objective | None = None):
+    """UsageError for a plan outside the layout ``objective`` trains on (the
+    comprehensive one for relation: its generator must see [M] at a slot), a
+    relation plan under evaluation (None), or a plan that repeats a target."""
+    if objective is None:
+        bad = plans.objectives == Objective.RELATION
+        what = "evaluation takes no relation-layout plans: their slots hold an identity"
+    else:
+        layout = Objective.COMPREHENSIVE if objective == Objective.RELATION else objective
+        bad = plans.objectives != layout
+        what = f"{objective.name.lower()} training needs {layout.name.lower()}-layout plans"
+    if bad.any():
+        raise UsageError(f"plan {bad.argmax()}: {what}")
     k = plans.repeated_target()
     if k is not None:
         raise UsageError(f"plan {k}: a coarse slot or fine index is a target twice")
@@ -215,7 +223,7 @@ def plan_loss_terms(params: dict, plan: PlanView, cfg: ModelConfig, group: Backw
     and queries under its length-hiding attention mask (a plan without
     queries needs no mask), and the rows of its coarse, fine and RTD
     targets.  The group's backward computes the loss sums.  The plan's
-    targets must be distinct (:func:`_refuse_repeated_targets`)."""
+    targets must be distinct (:func:`check_plans`)."""
     group.start(plan.T + plan.Q)
     mask = build_attention_mask(plan, dtype=params["tok_emb"].dtype) if plan.Q else None
     labels = plan.labels
@@ -273,7 +281,7 @@ def generator_forward_and_sample(params: dict, plans: PlanStore, cfg: ModelConfi
 
 def batch_loss_and_grad(params: dict, plans: PlanStore, cfg: ModelConfig, tcfg: TrainConfig,
                         grads: dict, sample_rng: RngState | None = None):
-    """Loss report for one batch; its gradients are added into ``grads``.
+    """Loss report for a batch that passes :func:`check_plans`; its gradients add into ``grads``.
 
     Every dlogit is scaled by its term's batch target count, so the counts
     are read from the plans first; sampling keeps every target.  The
@@ -286,15 +294,10 @@ def batch_loss_and_grad(params: dict, plans: PlanStore, cfg: ModelConfig, tcfg: 
     own term.
     """
     relation = tcfg.objective == Objective.RELATION
-    if relation and not np.isin(plans.objectives,
-                                (Objective.COMPREHENSIVE, Objective.RELATION)).all():
-        raise UsageError("relation training needs comprehensive-layout plans")
-    _refuse_repeated_targets(plans)
     n_coarse = int(plans.nc.sum())
     n_fine = int(plans.nf.sum())
     n_gen = n_coarse if relation else 0
-    labelled = np.array([labels is not None for labels in plans.rtd], dtype=bool)
-    n_rtd = int(plans.T[(plans.nc > 0) | labelled].sum()) if relation else 0
+    n_rtd = int(plans.T[plans.nc > 0].sum()) if relation else 0
 
     scales = {"ngram": 1.0 / max(n_coarse, 1), "fine": 1.0 / max(n_fine, 1),
               "rtd": tcfg.rtd_weight / max(n_rtd, 1)}
@@ -307,9 +310,9 @@ def batch_loss_and_grad(params: dict, plans: PlanStore, cfg: ModelConfig, tcfg: 
     if relation and n_coarse:
         sampled = generator_forward_and_sample(params, plans, cfg, sample_rng)
         filled = relation_from_comprehensive(plans, sampled)
-        # a plan without slots keeps the RTD labels it had, or none
-        filled.rtd = [new if slots else old
-                      for new, old, slots in zip(filled.rtd, plans.rtd, plans.nc.tolist())]
+        # a plan without slots has no RTD term
+        filled.rtd = [labels if slots else None
+                      for labels, slots in zip(filled.rtd, plans.nc.tolist())]
     for plan, original in zip(filled, plans):
         plan_loss_terms(params, plan, cfg, main)
         if relation:
@@ -341,6 +344,7 @@ def batch_loss_and_grad(params: dict, plans: PlanStore, cfg: ModelConfig, tcfg: 
 
 # AdamW's moment decay rates and the epsilon added to its denominator
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.99, 1e-6
+WEIGHT_DECAY, CLIP_NORM = 0.01, 1.0  # decoupled weight decay; the gradient norm clipped to
 
 
 class AdamState:
@@ -360,7 +364,7 @@ def _decayable(name: str) -> bool:
     return not (last.startswith("b") or "ln" in name)
 
 
-def adam_step(params, grads, state: AdamState, lr: float, tcfg: TrainConfig):
+def adam_step(params, grads, state: AdamState, lr: float):
     """One AdamW update of the vector ``params`` in place from the vector
     ``grads``, both laid out by ``state.layout``; a tensor without gradient
     still decays.  Returns (global gradient norm, whether it was clipped)."""
@@ -371,7 +375,7 @@ def adam_step(params, grads, state: AdamState, lr: float, tcfg: TrainConfig):
     norm = np.sqrt(sum(float(tmp[lo:hi].sum()) for lo, hi in zip(b, b[1:])))
     # a float64 scalar: the product is formed in float64 and rounded once
     # to the parameter dtype
-    factor = tcfg.clip_norm / norm if 0 < tcfg.clip_norm < norm else None
+    factor = CLIP_NORM / norm if CLIP_NORM < norm else None
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1**state.t
     bc2 = 1.0 - ADAM_BETA2**state.t
@@ -397,10 +401,9 @@ def adam_step(params, grads, state: AdamState, lr: float, tcfg: TrainConfig):
     tmp += ADAM_EPS
     np.divide(m, bc1, out=buf)
     buf /= tmp
-    if tcfg.weight_decay:
-        np.multiply(params, tcfg.weight_decay, out=tmp)
-        tmp *= state.decay
-        buf += tmp
+    np.multiply(params, WEIGHT_DECAY, out=tmp)
+    tmp *= state.decay
+    buf += tmp
     buf *= lr
     params -= buf
     return float(norm), factor is not None
@@ -419,7 +422,7 @@ def train(tcfg: TrainConfig, plans: PlanStore, params: dict, cfg: ModelConfig,
     """
     if not len(plans):
         raise UsageError("empty plan stream")
-    _refuse_repeated_targets(plans)
+    check_plans(plans, tcfg.objective)
     if checkpoint_path and not os.path.isdir(os.path.dirname(checkpoint_path) or "."):
         raise DataError(f"cannot write checkpoint {checkpoint_path}: no such directory")
     # only a run that writes or reads a checkpoint pays for the plans' digest
@@ -467,6 +470,11 @@ def train(tcfg: TrainConfig, plans: PlanStore, params: dict, cfg: ModelConfig,
         elif extra["plans_sha256"] != plans_sha256:
             raise UsageError(f"checkpoint {resume_from} was trained on plans with sha256 "
                              f"{extra['plans_sha256']}, not {plans_sha256}")
+        blas = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
+        if extra.get("blas_threads") != blas:
+            logging.getLogger(__name__).warning(
+                "checkpoint %s was written under BLAS thread settings %s, this run has %s",
+                resume_from, extra.get("blas_threads"), blas)
         state.t = extra["adam_t"]
         start_step = extra["step"]
         sample_rng = RngState(extra["sample_seed"], extra["sample_counter"])
@@ -481,7 +489,7 @@ def train(tcfg: TrainConfig, plans: PlanStore, params: dict, cfg: ModelConfig,
             try:
                 grads_flat.fill(0)
                 report = batch_loss_and_grad(params, batch, cfg, tcfg, grads, sample_rng)
-                grad_norm, clipped = adam_step(flat, grads_flat, state, lr, tcfg)
+                grad_norm, clipped = adam_step(flat, grads_flat, state, lr)
             except NumericError:
                 if checkpoint_path:
                     _save_train_checkpoint(str(checkpoint_path) + ".diag", params, cfg,
@@ -551,7 +559,7 @@ def eval_ngram_ppl(params: dict, plans: PlanStore, cfg: ModelConfig) -> float:
     consecutive plans, up to ``cfg.max_positions`` rows at a time, then
     share one head product per head.
     """
-    _refuse_repeated_targets(plans)
+    check_plans(plans)
     log_ppls: list = []
     # head -> the pending plans' (states, targets, n-gram sizes)
     pending: dict = {"fine": [], "ngram": []}

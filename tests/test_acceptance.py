@@ -287,7 +287,7 @@ def test_criterion_06_loss_additivity():
             fine_part += terms["fine"]
         if report.comprehensive_sum != explicit_part + fine_part:
             exact = False
-        adam_step(flat, grads_flat, state, 1e-3, tcfg)
+        adam_step(flat, grads_flat, state, 1e-3)
     check(6, "comprehensive-loss additivity", exact,
           "explicit-part + contiguous-part, bitwise, 100 batches")
 

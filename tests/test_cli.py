@@ -28,7 +28,7 @@ from ngramlm import (
 )
 from ngramlm.cli import main
 from ngramlm.corpus import tokenize_words
-from ngramlm.maskplan import read_plan_file, write_plan_file
+from ngramlm.maskplan import read_plan_file, relation_from_comprehensive, write_plan_file
 from ngramlm.synth import CollocationSpec, collocation_corpus, write_corpus
 
 from conftest import RefPlan, ref_of, store_of
@@ -703,6 +703,25 @@ def test_train_refuses_plans_of_another_objective(corpus_dir, tmp_path, capsys,
     assert not (tmp_path / "model.npz").exists()
 
 
+def test_relation_layout_plan_file_is_refused(trained, tmp_path, capsys):
+    # plans whose slots already hold an identity, as relation_from_comprehensive
+    # fills them: the generator would see no [M] at a slot, and evaluation
+    # would score filled slots
+    plans_path, ck, _ = trained
+    prov, plans = read_plan_file(plans_path)
+    filled = tmp_path / "filled.bin"
+    write_plan_file(filled, relation_from_comprehensive(plans, plans.gather("coarse")[0][:, 1]),
+                    prov)
+    out, metrics = tmp_path / "model.npz", tmp_path / "metrics.jsonl"
+    capsys.readouterr()
+    assert main(TRAIN_SMALL + ["--plans", str(filled), "--objective", "relation",
+                               "--metrics", str(metrics), "--out", str(out)]) == 2
+    assert "relation training needs comprehensive-layout plans" in capsys.readouterr().err
+    assert not out.exists() and not metrics.exists()
+    assert main(["eval-ppl", "--plans", str(filled), "--checkpoint", str(ck)]) == 2
+    assert "evaluation takes no relation-layout plans" in capsys.readouterr().err
+
+
 def test_resume_refuses_a_mismatched_checkpoint(corpus_dir, tmp_path):
     plans = run_pipeline(corpus_dir, tmp_path, objective="comprehensive")
     ck = tmp_path / "model.npz"
@@ -722,8 +741,6 @@ def test_resume_refuses_a_mismatched_checkpoint(corpus_dir, tmp_path):
     (["--seed", "7"], None, "seed"),
     (["--rtd-weight", "0.5"], None, "rtd_weight"),
     ([], {"objective": 1}, "objective"),
-    ([], {"weight_decay": 0.5}, "weight_decay"),
-    ([], {"clip_norm": 0.0}, "clip_norm"),
 ], ids=lambda v: v if isinstance(v, str) else None)
 def test_resume_refuses_a_changed_training_setting(trained, tmp_path, capsys, args, saved, field):
     # every training setting but the step count and the checkpoint interval

@@ -300,6 +300,27 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path, toy_jv):
     assert np.array_equal(arrays2["m/tok_emb"], arrays["m/tok_emb"])
 
 
+def test_failed_checkpoint_write_keeps_the_previous_checkpoint(tmp_path, toy_jv, monkeypatch):
+    # the file is written beside the path and renamed onto it, so a write
+    # that fails part-way leaves the last good checkpoint and no stray file
+    cfg = tiny_config(len(toy_jv.fine), len(toy_jv.ngrams))
+    params = init_params(cfg, 2)
+    path = tmp_path / "ck.npz"
+    save_checkpoint(path, params, cfg, extra={"step": 1})
+    good = path.read_bytes()
+
+    def failing_savez(f, **arrays):
+        f.write(b"PK\x03\x04partial")
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(np, "savez", failing_savez)
+    with pytest.raises(OSError):
+        save_checkpoint(path, init_params(cfg, 3), cfg, extra={"step": 2})
+    assert path.read_bytes() == good
+    assert load_checkpoint(path)[2] == {"step": 1}
+    assert [p.name for p in tmp_path.iterdir()] == ["ck.npz"]
+
+
 def test_checkpoint_errors(tmp_path):
     with pytest.raises(DataError):
         load_checkpoint(tmp_path / "missing.npz")

@@ -33,6 +33,8 @@ from ngramlm.errors import NumericError, UsageError
 from ngramlm.maskplan import read_plan_file, relation_from_comprehensive, write_plan_file
 from ngramlm.model import FlatLayout
 from ngramlm.train import (
+    CLIP_NORM,
+    WEIGHT_DECAY,
     AdamState,
     _bce_with_logits,
     _contiguous_gram_groups,
@@ -110,27 +112,28 @@ def test_decayable_name_heuristic():
 
 
 def test_adam_clip_and_nan_detection():
-    tcfg = TrainConfig(Objective.EXPLICIT, total_steps=1, clip_norm=1.0,
-                       weight_decay=0.0)
+    assert (CLIP_NORM, WEIGHT_DECAY) == (1.0, 0.01)
     params = np.zeros(4, dtype=np.float64)
     layout = FlatLayout({"w": params})
     state = AdamState(layout)
     # [DERIVED] the global norm of four entries of 100 is sqrt(4 * 100^2) = 200
-    assert adam_step(params, np.full(4, 100.0), state, lr=0.1, tcfg=tcfg) == (200.0, True)
+    assert adam_step(params, np.full(4, 100.0), state, lr=0.1) == (200.0, True)
     assert np.all(params < 0)  # moved against the gradient
-    assert adam_step(params, np.full(4, 0.25), state, lr=0.1, tcfg=tcfg) == (0.5, False)
+    assert adam_step(params, np.full(4, 0.25), state, lr=0.1) == (0.5, False)
     with pytest.raises(NumericError):
-        adam_step(params, np.array([np.nan] * 4), AdamState(layout), 0.1, tcfg)
+        adam_step(params, np.array([np.nan] * 4), AdamState(layout), 0.1)
     with pytest.raises(NumericError), np.errstate(invalid="ignore"):
-        adam_step(params, np.array([1.0, np.inf, 1.0, 1.0]), AdamState(layout), 0.1, tcfg)
+        adam_step(params, np.array([1.0, np.inf, 1.0, 1.0]), AdamState(layout), 0.1)
     # [DERIVED] float32 squares of 1e20 overflow to inf: the norm is inf, the
-    # clip factor 1/inf = 0 and the update zero
+    # clip factor 1/inf = 0 and the Adam update zero, so only the decay
+    # moves the weights: p -= lr * (p * WEIGHT_DECAY), in float32
     p32 = np.ones(4, dtype=np.float32)
     state32 = AdamState(FlatLayout({"w": p32}))
     grads32 = np.full(4, 1e20, dtype=np.float32)
     with np.errstate(over="ignore"):
-        assert adam_step(p32, grads32, state32, lr=0.1, tcfg=tcfg) == (math.inf, True)
-    assert np.array_equal(p32, np.ones(4, dtype=np.float32))
+        assert adam_step(p32, grads32, state32, lr=0.1) == (math.inf, True)
+    one = np.float32(1.0)
+    assert np.array_equal(p32, np.full(4, one - one * np.float32(0.01) * np.float32(0.1)))
 
 
 @pytest.fixture(scope="module")
@@ -161,11 +164,11 @@ def test_flat_layout(small_pipeline):
         assert np.all(mask == _decayable(name)), name
 
 
-def reference_adam_step(params, grads, m, v, t, lr, tcfg):
+def reference_adam_step(params, grads, m, v, t, lr):
     """AdamW one tensor at a time, with the norm summed in dict order: the
     loop that the flat-vector adam_step replaced."""
     norm = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-    factor = tcfg.clip_norm / norm if 0 < tcfg.clip_norm < norm else None
+    factor = CLIP_NORM / norm if CLIP_NORM < norm else None
     beta1, beta2, eps = 0.9, 0.99, 1e-6
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
@@ -186,20 +189,19 @@ def reference_adam_step(params, grads, m, v, t, lr, tcfg):
         tmp += eps
         np.divide(m[name], bc1, out=buf)
         buf /= tmp
-        if tcfg.weight_decay and _decayable(name):
-            np.multiply(p, tcfg.weight_decay, out=tmp)
+        if _decayable(name):
+            np.multiply(p, WEIGHT_DECAY, out=tmp)
             buf += tmp
         buf *= lr
         p -= buf
     return float(norm), factor is not None
 
 
-@pytest.mark.parametrize("clip_norm", [1.0, 0.0], ids=["clipped", "unclipped"])
-def test_adam_step_equals_per_tensor_reference(small_pipeline, clip_norm):
+@pytest.mark.parametrize("clipped", [True, False], ids=["clipped", "unclipped"])
+def test_adam_step_equals_per_tensor_reference(small_pipeline, clipped):
     stream, vocab, lex, jv, cfg = small_pipeline
     plans = make_plans(stream, lex, jv, Objective.EXPLICIT, seed=1)
-    tcfg = TrainConfig(Objective.EXPLICIT, total_steps=3, batch_size=4, warmup_steps=0,
-                       clip_norm=clip_norm)
+    tcfg = TrainConfig(Objective.EXPLICIT, total_steps=3, batch_size=4, warmup_steps=0)
     init = init_params(cfg, 3)
     layout = FlatLayout(init)
     flat, params = layout.flatten(init)
@@ -211,10 +213,12 @@ def test_adam_step_equals_per_tensor_reference(small_pipeline, clip_norm):
     for step in range(3):
         grads_flat.fill(0)
         batch_loss_and_grad(params, plans[4 * step:4 * step + 4], cfg, tcfg, grads)
+        if not clipped:  # a gradient of norm about CLIP_NORM / 2
+            grads_flat *= np.float32(CLIP_NORM / 2 / np.linalg.norm(grads_flat))
         ref_grads = {k: g.copy() for k, g in grads.items()}
-        got = adam_step(flat, grads_flat, state, 1e-3, tcfg)
-        assert got == reference_adam_step(ref, ref_grads, m, v, step + 1, 1e-3, tcfg)
-        assert got[1] == (clip_norm > 0)
+        got = adam_step(flat, grads_flat, state, 1e-3)
+        assert got == reference_adam_step(ref, ref_grads, m, v, step + 1, 1e-3)
+        assert got[1] == clipped
         for k in ref:
             assert np.array_equal(params[k], ref[k]), k
         assert all(np.array_equal(a, m[k]) for k, a in layout.views(state.m).items())
@@ -235,7 +239,7 @@ def test_every_objective_trains_and_reports(small_pipeline, objective):
     for rec in metrics:
         assert np.isfinite(rec["total"])
         assert "wall_ms" not in rec  # no wall-clock field: logs are byte-reproducible
-        assert rec["grad_norm"] > 0 and rec["clipped"] == (rec["grad_norm"] > tcfg.clip_norm)
+        assert rec["grad_norm"] > 0 and rec["clipped"] == (rec["grad_norm"] > CLIP_NORM)
     if objective == Objective.RELATION:
         assert metrics[0]["n_rtd"] > 0 and metrics[0]["generator"] > 0
 
@@ -285,7 +289,7 @@ def check_resume_equals_uninterrupted_run(small_pipeline, tmp_path, objective):
         cursor = (cursor + tcfg.batch_size) % len(plans)
         grads_flat.fill(0)
         batch_loss_and_grad(params, batch, cfg, tcfg, grads, rng)
-        adam_step(flat, grads_flat, state, lr_at(step, tcfg), tcfg)
+        adam_step(flat, grads_flat, state, lr_at(step, tcfg))
     ck = tmp_path / "half.npz"
     _save_train_checkpoint(ck, params, cfg, tcfg, state, 4, rng, plans.sha256())
     res_ck = tmp_path / "resumed.npz"
@@ -319,6 +323,31 @@ def test_checkpoint_records_blas_threads(small_pipeline, tmp_path, monkeypatch):
     train(tcfg, plans, init_params(cfg, 3), cfg, checkpoint_path=ck)
     assert load_checkpoint(ck)[2]["blas_threads"] == {
         "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": None, "MKL_NUM_THREADS": "3"}
+
+
+def test_resume_under_other_blas_settings_logs_a_warning(small_pipeline, tmp_path,
+                                                          monkeypatch, caplog):
+    # matrix products can round differently under another BLAS thread
+    # count, so a resume that changes the settings says so; one under the
+    # checkpoint's own settings logs nothing
+    stream, vocab, lex, jv, cfg = small_pipeline
+    plans = make_plans(stream, lex, jv, Objective.EXPLICIT, seed=1)
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    ck = tmp_path / "model.npz"
+    train(TrainConfig(Objective.EXPLICIT, total_steps=1, batch_size=2), plans,
+          init_params(cfg, 3), cfg, checkpoint_path=ck)
+    tcfg = TrainConfig(Objective.EXPLICIT, total_steps=2, batch_size=2)
+    with caplog.at_level("WARNING", logger="ngramlm.train"):
+        train(tcfg, plans, init_params(cfg, 3), cfg, resume_from=ck)
+        assert caplog.records == []
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        train(tcfg, plans, init_params(cfg, 3), cfg, resume_from=ck)
+    [record] = caplog.records
+    saved, now = record.getMessage().split(", this run has ")
+    assert saved.startswith(f"checkpoint {ck} was written under BLAS thread settings {{")
+    assert "'OMP_NUM_THREADS': '1'" in saved and "'OMP_NUM_THREADS': '2'" in now
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -591,32 +620,39 @@ def test_relation_total_is_weighted_sum(small_pipeline):
 @pytest.mark.parametrize("field", ["targets_coarse", "targets_fine"])
 def test_repeated_target_index_is_a_usage_error(small_pipeline, field):
     # each head's backward adds into a target row once, so a plan may not
-    # name a slot or fine index twice
+    # name a slot or fine index twice; train() and evaluation refuse such a
+    # store, though the repeat lies in a plan that no step of the run reaches
     stream, vocab, lex, jv, cfg = small_pipeline
     plans = make_plans(stream, lex, jv, Objective.COMPREHENSIVE, seed=1)
-    plan = next(p for p in map(ref_of, plans) if len(getattr(p, field)) >= 2)
+    k, plan = next((k, p) for k, p in enumerate(map(ref_of, plans))
+                   if k >= 2 and len(getattr(p, field)) >= 2)
     t = getattr(plan, field)
-    bad = store_of([dataclasses.replace(plan, **{field: (t[0], (t[0][0], t[1][1])) + t[2:]})])
+    bad = store_of([*map(ref_of, plans[:k]),
+                    dataclasses.replace(plan, **{field: (t[0], (t[0][0], t[1][1])) + t[2:]})])
     params = init_params(cfg, 0)
     for objective in (Objective.COMPREHENSIVE, Objective.RELATION):
         tcfg = TrainConfig(objective, total_steps=1, batch_size=1, warmup_steps=0)
-        with pytest.raises(UsageError):
-            batch_loss_and_grad(params, bad, cfg, tcfg, zero_grads(params), RngState(0))
+        with pytest.raises(UsageError, match=f"plan {k}: .* target twice"):
+            train(tcfg, bad, params, cfg)
+    with pytest.raises(UsageError, match=f"plan {k}: .* target twice"):
+        eval_ngram_ppl(params, bad, cfg)
 
 
-def test_relation_refuses_an_explicit_plan_before_any_draw(small_pipeline):
-    # the layout check covers the whole batch before the first plan is
-    # sampled, so a refused batch leaves the sampler where it was
+def test_relation_refuses_an_explicit_plan_before_any_draw(small_pipeline, monkeypatch):
+    # train() checks the layout of the whole store before the first step,
+    # so the generator never samples for a refused store
+    train_mod = importlib.import_module("ngramlm.train")
     stream, vocab, lex, jv, cfg = small_pipeline
-    batch = store_of([*make_plans(stream, lex, jv, Objective.COMPREHENSIVE, seed=1)[:3],
+    plans = store_of([*make_plans(stream, lex, jv, Objective.COMPREHENSIVE, seed=1)[:3],
                       *make_plans(stream, lex, jv, Objective.EXPLICIT, seed=1)[:1]])
-    assert all(p.targets_coarse for p in batch)
-    params = init_params(cfg, 0)
+    assert all(p.targets_coarse for p in plans)
+    draws = []
+    monkeypatch.setattr(train_mod, "generator_forward_and_sample",
+                        lambda *args: draws.append(args))
     tcfg = TrainConfig(Objective.RELATION, total_steps=1, batch_size=4, warmup_steps=0)
-    rng = RngState(5, 17)
-    with pytest.raises(UsageError, match="comprehensive-layout"):
-        batch_loss_and_grad(params, batch, cfg, tcfg, zero_grads(params), rng)
-    assert (rng.seed, rng.counter) == (5, 17)
+    with pytest.raises(UsageError, match="plan 3: relation training needs comprehensive-layout"):
+        train(tcfg, plans, init_params(cfg, 0), cfg)
+    assert draws == []
 
 
 def test_nan_aborts_with_diagnostic_checkpoint(small_pipeline, tmp_path):
