@@ -15,8 +15,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .corpus import FineVocab, TokenizerConfig, _read_text, count_ngrams, ingest, tokenize_words
 from .errors import DataError, NumericError, UsageError
@@ -164,35 +162,6 @@ def _model_config(args, fine_size, ngram_size) -> ModelConfig:
     )
 
 
-def _check_plan_ids(path, plans, cfg: ModelConfig):
-    """Refuse plans whose ids, positions or indexes fall outside the model's
-    sizes, or whose coarse slots or fine indexes repeat: whole-store checks,
-    each naming the first plan it refuses."""
-    joint, fine, max_pos = cfg.joint_size, cfg.fine_vocab_size, cfg.max_positions
-    T = plans.T
-    # a contiguous plan's fine targets are its masked context positions
-    limit = np.where(plans.objectives == Objective.CONTIGUOUS, T, T + plans.Q)
-    coarse, at_coarse = plans.gather("coarse")
-    fine_t, at_fine = plans.gather("fine")
-    checks = [(values >= joint, at, f"token id outside the joint vocabulary 0..{joint - 1}")
-              for values, at in (plans.gather("context_ids"), plans.gather("query_ids"))]
-    positions, at_positions = plans.gather("positions")
-    checks += [
-        ((positions < 1) | (positions > max_pos), at_positions,
-         f"position id outside 1..{max_pos}"),
-        ((coarse[:, 0] >= T[at_coarse]) | (coarse[:, 1] >= joint), at_coarse,
-         f"coarse target outside its plan's context slots or joint vocabulary 0..{joint - 1}"),
-        ((fine_t[:, 0] >= limit[at_fine]) | (fine_t[:, 1] >= fine), at_fine,
-         f"fine target outside its plan's positions or fine vocabulary 0..{fine - 1}"),
-    ]
-    for bad, at, what in checks:
-        if bad.any():
-            raise DataError(f"{path}: plan {at[bad.argmax()]}: {what}")
-    k = plans.repeated_target()
-    if k is not None:
-        raise DataError(f"{path}: plan {k}: a coarse slot or fine index is a target twice")
-
-
 def _plan_header(path, prov, objective_arg):
     """The objective (--objective, else the header's) and the two vocabulary
     sizes a plan file header names, refused as data errors if malformed."""
@@ -211,7 +180,6 @@ def cmd_train(args):
     prov_in, plans = read_plan_file(args.plans)
     objective, fine_size, ngram_size = _plan_header(args.plans, prov_in, args.objective)
     cfg = _model_config(args, fine_size, ngram_size)
-    _check_plan_ids(args.plans, plans, cfg)
     warmup = args.warmup
     if warmup is None and args.resume:
         # a resume keeps the run's warmup, so --steps may grow
@@ -241,7 +209,6 @@ def cmd_eval_ppl(args):
     params, cfg, extra, _ = load_checkpoint(args.checkpoint)
     if extra.get("exported"):
         raise DataError(f"{args.checkpoint}: an exported checkpoint has no n-gram head")
-    _check_plan_ids(args.plans, plans, cfg)
     ppl = eval_ngram_ppl(params, plans, cfg)
     print(json.dumps({"ngram_ppl": ppl, "plans": len(plans)}))
     return 0

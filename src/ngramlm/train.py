@@ -200,10 +200,35 @@ class BackwardGroup:
         self._clear()
 
 
-def check_plans(plans: PlanStore, objective: Objective | None = None):
-    """UsageError for a plan outside the layout ``objective`` trains on (the
-    comprehensive one for relation: its generator must see [M] at a slot), a
-    relation plan under evaluation (None), or a plan that repeats a target."""
+def check_plans(plans: PlanStore, cfg: ModelConfig, objective: Objective | None = None):
+    """Refuse a store, naming its first plan at fault.  DataError for an id,
+    position or target index outside ``cfg``'s sizes or the plan's own length
+    (a contiguous plan's fine targets lie in its context), then for a coarse
+    slot or fine index named twice.  Then UsageError for a plan outside the
+    layout ``objective`` trains on (the comprehensive one for relation: its
+    generator must see [M] at a slot), or a relation plan under evaluation (None)."""
+    joint, fine, max_pos = cfg.joint_size, cfg.fine_vocab_size, cfg.max_positions
+    T = plans.T
+    limit = np.where(plans.objectives == Objective.CONTIGUOUS, T, T + plans.Q)
+    coarse, at_coarse = plans.gather("coarse")
+    fine_t, at_fine = plans.gather("fine")
+    checks = [(values >= joint, at, f"token id outside the joint vocabulary 0..{joint - 1}")
+              for values, at in (plans.gather("context_ids"), plans.gather("query_ids"))]
+    positions, at_positions = plans.gather("positions")
+    checks += [
+        ((positions < 1) | (positions > max_pos), at_positions,
+         f"position id outside 1..{max_pos}"),
+        ((coarse[:, 0] >= T[at_coarse]) | (coarse[:, 1] >= joint), at_coarse,
+         f"coarse target outside its plan's context slots or joint vocabulary 0..{joint - 1}"),
+        ((fine_t[:, 0] >= limit[at_fine]) | (fine_t[:, 1] >= fine), at_fine,
+         f"fine target outside its plan's positions or fine vocabulary 0..{fine - 1}"),
+    ]
+    for bad, at, what in checks:
+        if bad.any():
+            raise DataError(f"plan {at[bad.argmax()]}: {what}")
+    k = plans.repeated_target()
+    if k is not None:
+        raise DataError(f"plan {k}: a coarse slot or fine index is a target twice")
     if objective is None:
         bad = plans.objectives == Objective.RELATION
         what = "evaluation takes no relation-layout plans: their slots hold an identity"
@@ -213,9 +238,6 @@ def check_plans(plans: PlanStore, objective: Objective | None = None):
         what = f"{objective.name.lower()} training needs {layout.name.lower()}-layout plans"
     if bad.any():
         raise UsageError(f"plan {bad.argmax()}: {what}")
-    k = plans.repeated_target()
-    if k is not None:
-        raise UsageError(f"plan {k}: a coarse slot or fine index is a target twice")
 
 
 def plan_loss_terms(params: dict, plan: PlanView, cfg: ModelConfig, group: BackwardGroup):
@@ -422,7 +444,7 @@ def train(tcfg: TrainConfig, plans: PlanStore, params: dict, cfg: ModelConfig,
     """
     if not len(plans):
         raise UsageError("empty plan stream")
-    check_plans(plans, tcfg.objective)
+    check_plans(plans, cfg, tcfg.objective)
     if checkpoint_path and not os.path.isdir(os.path.dirname(checkpoint_path) or "."):
         raise DataError(f"cannot write checkpoint {checkpoint_path}: no such directory")
     # only a run that writes or reads a checkpoint pays for the plans' digest
@@ -559,7 +581,7 @@ def eval_ngram_ppl(params: dict, plans: PlanStore, cfg: ModelConfig) -> float:
     consecutive plans, up to ``cfg.max_positions`` rows at a time, then
     share one head product per head.
     """
-    check_plans(plans)
+    check_plans(plans, cfg)
     log_ppls: list = []
     # head -> the pending plans' (states, targets, n-gram sizes)
     pending: dict = {"fine": [], "ngram": []}

@@ -27,9 +27,8 @@ from ngramlm import (
     make_plans,
     train,
 )
-from ngramlm.cli import _check_plan_ids
 from ngramlm.corpus import FineVocab, WordStream
-from ngramlm.errors import NumericError, UsageError
+from ngramlm.errors import DataError, NumericError, UsageError
 from ngramlm.maskplan import read_plan_file, relation_from_comprehensive, write_plan_file
 from ngramlm.model import FlatLayout
 from ngramlm.train import (
@@ -618,10 +617,11 @@ def test_relation_total_is_weighted_sum(small_pipeline):
 
 
 @pytest.mark.parametrize("field", ["targets_coarse", "targets_fine"])
-def test_repeated_target_index_is_a_usage_error(small_pipeline, field):
+def test_repeated_target_index_is_a_data_error(small_pipeline, field):
     # each head's backward adds into a target row once, so a plan may not
     # name a slot or fine index twice; train() and evaluation refuse such a
-    # store, though the repeat lies in a plan that no step of the run reaches
+    # store as malformed data, though the repeat lies in a plan that no step
+    # of the run reaches
     stream, vocab, lex, jv, cfg = small_pipeline
     plans = make_plans(stream, lex, jv, Objective.COMPREHENSIVE, seed=1)
     k, plan = next((k, p) for k, p in enumerate(map(ref_of, plans))
@@ -632,10 +632,41 @@ def test_repeated_target_index_is_a_usage_error(small_pipeline, field):
     params = init_params(cfg, 0)
     for objective in (Objective.COMPREHENSIVE, Objective.RELATION):
         tcfg = TrainConfig(objective, total_steps=1, batch_size=1, warmup_steps=0)
-        with pytest.raises(UsageError, match=f"plan {k}: .* target twice"):
+        with pytest.raises(DataError, match=f"plan {k}: .* target twice"):
             train(tcfg, bad, params, cfg)
-    with pytest.raises(UsageError, match=f"plan {k}: .* target twice"):
+    with pytest.raises(DataError, match=f"plan {k}: .* target twice"):
         eval_ngram_ppl(params, bad, cfg)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda p: {"targets_coarse": ((p.T, p.targets_coarse[0][1]),) + p.targets_coarse[1:]},
+    lambda p: {"context_ids": (1_000_000,) + p.context_ids[1:]},
+    lambda p: {"context_positions": (65,) + p.context_positions[1:]},  # max_positions 64
+], ids=["coarse-slot", "context-id", "context-position"])
+def test_out_of_range_store_is_refused_before_any_step(small_pipeline, tmp_path, monkeypatch,
+                                                       edit):
+    # a slot on the first query row, an id outside the joint vocabulary or a
+    # position past the model's table is refused in memory as in a plan
+    # file: before the metrics file opens, the generator samples or any
+    # encoder pass runs
+    train_mod = importlib.import_module("ngramlm.train")
+    stream, vocab, lex, jv, cfg = small_pipeline
+    plans = make_plans(stream, lex, jv, Objective.COMPREHENSIVE, seed=1)
+    first = ref_of(plans[0])
+    bad = store_of([dataclasses.replace(first, **edit(first)), *map(ref_of, plans[1:])])
+    calls = []
+    monkeypatch.setattr(train_mod, "generator_forward_and_sample",
+                        lambda *args: calls.append("sample"))
+    monkeypatch.setattr(train_mod, "encode", lambda *args, **kw: calls.append("encode"))
+    params = init_params(cfg, 0)
+    metrics = tmp_path / "metrics.jsonl"
+    for objective in (Objective.COMPREHENSIVE, Objective.RELATION):
+        tcfg = TrainConfig(objective, total_steps=1, batch_size=2, warmup_steps=0)
+        with pytest.raises(DataError, match="plan 0: "):
+            train(tcfg, bad, params, cfg, metrics_path=metrics)
+    with pytest.raises(DataError, match="plan 0: "):
+        eval_ngram_ppl(params, bad, cfg)
+    assert calls == [] and not metrics.exists()
 
 
 def test_relation_refuses_an_explicit_plan_before_any_draw(small_pipeline, monkeypatch):
@@ -689,15 +720,14 @@ def test_metrics_file_is_json_lines(small_pipeline, tmp_path):
     (Objective.COMPREHENSIVE, Objective.RELATION),
 ])
 def test_plan_store_paths_build_no_mask_plans(small_pipeline, tmp_path, layout, objective):
-    # make_plans, writing, reading, the CLI checks, training and evaluation
-    # read and write the store's arrays; the plans read back train to the
-    # same metrics as make_plans' store in memory
+    # make_plans, writing, reading, and training and evaluation with their
+    # plan checks read and write the store's arrays; the plans read back
+    # train to the same metrics as make_plans' store in memory
     stream, vocab, lex, jv, cfg = small_pipeline
     plans = make_plans(stream, lex, jv, layout, seed=1)
     path = tmp_path / "plans.bin"
     write_plan_file(path, plans, {})
     _, stored = read_plan_file(path)
-    _check_plan_ids(path, stored, cfg)
     tcfg = TrainConfig(objective, total_steps=4, batch_size=4, warmup_steps=0, seed=3)
     params, metrics = train(tcfg, stored, init_params(cfg, 0), cfg)
     eval_ngram_ppl(params, stored, cfg)
