@@ -181,9 +181,11 @@ def cmd_train(args):
     objective, fine_size, ngram_size = _plan_header(args.plans, prov_in, args.objective)
     cfg = _model_config(args, fine_size, ngram_size)
     warmup = args.warmup
-    if warmup is None and args.resume:
+    # a resume reads its checkpoint here, once, and train() takes it over
+    checkpoint = load_checkpoint(args.resume) if args.resume else None
+    if warmup is None and checkpoint:
         # a resume keeps the run's warmup, so --steps may grow
-        saved = load_checkpoint(args.resume)[2].get("train_config")
+        saved = checkpoint[2].get("train_config")
         warmup = saved.get("warmup_steps") if isinstance(saved, dict) else None
     if type(warmup) is not int:
         warmup = min(20, args.steps // 10)
@@ -197,9 +199,10 @@ def cmd_train(args):
         rtd_weight=args.rtd_weight,
         checkpoint_every=args.checkpoint_every,
     )
-    params = init_params(cfg, args.seed)
-    train(tcfg, plans, params, cfg, metrics_path=args.metrics,
-          checkpoint_path=args.out, resume_from=args.resume)
+    # a resume trains the checkpoint's parameters: no fresh ones to build
+    params = {} if checkpoint else init_params(cfg, args.seed)
+    train(tcfg, plans, params, cfg, metrics_path=args.metrics, checkpoint_path=args.out,
+          resume_from=args.resume, checkpoint=checkpoint)
     print(f"trained {args.steps} steps; checkpoint at {args.out}")
     return 0
 

@@ -405,13 +405,13 @@ class PlanStore:
         return (values.reshape(-1, 2) if pairs else values,
                 np.repeat(np.arange(len(self)), per_plan))
 
-    def repeated_target(self) -> int | None:
+    def repeated_target(self, coarse, fine) -> int | None:
         """The first plan that names a coarse slot or a fine index as a
-        target twice, else None.  A head's backward adds into each target
-        row once, so training refuses such a plan."""
+        target twice, else None, given ``gather("coarse")`` and
+        ``gather("fine")``.  A head's backward adds into each target row
+        once, so training refuses such a plan."""
         found = []
-        for field in ("coarse", "fine"):
-            pairs, plan = self.gather(field)
+        for pairs, plan in (coarse, fine):
             order = np.lexsort((pairs[:, 0], plan))
             plan, index = plan[order], pairs[order, 0]
             twice = (plan[1:] == plan[:-1]) & (index[1:] == index[:-1])

@@ -210,8 +210,8 @@ def check_plans(plans: PlanStore, cfg: ModelConfig, objective: Objective | None 
     joint, fine, max_pos = cfg.joint_size, cfg.fine_vocab_size, cfg.max_positions
     T = plans.T
     limit = np.where(plans.objectives == Objective.CONTIGUOUS, T, T + plans.Q)
-    coarse, at_coarse = plans.gather("coarse")
-    fine_t, at_fine = plans.gather("fine")
+    targets = plans.gather("coarse"), plans.gather("fine")
+    (coarse, at_coarse), (fine_t, at_fine) = targets
     checks = [(values >= joint, at, f"token id outside the joint vocabulary 0..{joint - 1}")
               for values, at in (plans.gather("context_ids"), plans.gather("query_ids"))]
     positions, at_positions = plans.gather("positions")
@@ -226,7 +226,7 @@ def check_plans(plans: PlanStore, cfg: ModelConfig, objective: Objective | None 
     for bad, at, what in checks:
         if bad.any():
             raise DataError(f"plan {at[bad.argmax()]}: {what}")
-    k = plans.repeated_target()
+    k = plans.repeated_target(*targets)
     if k is not None:
         raise DataError(f"plan {k}: a coarse slot or fine index is a target twice")
     if objective is None:
@@ -370,14 +370,17 @@ WEIGHT_DECAY, CLIP_NORM = 0.01, 1.0  # decoupled weight decay; the gradient norm
 
 
 class AdamState:
-    """AdamW moments ``m`` and ``v``, two work vectors and the 0/1 decay mask."""
+    """AdamW moments ``m`` and ``v``, two work vectors and ``decay``, each
+    element's weight-decay factor: ``WEIGHT_DECAY`` in the parameter dtype,
+    or 0 for a bias or layer-norm tensor."""
 
     def __init__(self, layout: FlatLayout):
         self.layout = layout
         self.m, self.v = np.zeros((2, layout.bounds[-1]), dtype=layout.dtype)
         self.work = np.empty((2, layout.bounds[-1]), dtype=layout.dtype)
-        self.decay = np.repeat([_decayable(name) for name in layout.shapes],
-                               np.diff(layout.bounds)).astype(layout.dtype)
+        factors = np.array([WEIGHT_DECAY * _decayable(name) for name in layout.shapes],
+                           dtype=layout.dtype)
+        self.decay = np.repeat(factors, np.diff(layout.bounds))
         self.t = 0
 
 
@@ -410,7 +413,7 @@ def adam_step(params, grads, state: AdamState, lr: float):
     m, v = state.m, state.v  # rows of one array
     # in place, in this operation order (rounding included):
     # m = b1 m + (1-b1) g;  v = b2 v + (1-b2) g g
-    # p -= lr ((m / bc1) / (sqrt(v / bc2) + eps) + wd decay p)
+    # p -= lr ((m / bc1) / (sqrt(v / bc2) + eps) + decay p)
     np.multiply(g, 1 - ADAM_BETA1, out=tmp)
     m *= ADAM_BETA1
     m += tmp
@@ -423,8 +426,8 @@ def adam_step(params, grads, state: AdamState, lr: float):
     tmp += ADAM_EPS
     np.divide(m, bc1, out=buf)
     buf /= tmp
-    np.multiply(params, WEIGHT_DECAY, out=tmp)
-    tmp *= state.decay
+    # p * decay is p * WEIGHT_DECAY rounded once, or 0
+    np.multiply(params, state.decay, out=tmp)
     buf += tmp
     buf *= lr
     params -= buf
@@ -434,13 +437,30 @@ def adam_step(params, grads, state: AdamState, lr: float):
 # ---------------------------------------------------------------------------
 # training loop
 
+def _reachable(params: dict, plans: PlanStore, objective: Objective) -> dict:
+    """The tensors of ``params`` that some loss of ``objective`` on ``plans``
+    can reach: the main encoder always, ``ngram_*`` if the store holds a
+    coarse target, ``fine_*`` if it holds a fine target, and ``gen_*`` and
+    ``rtd_*`` only under relation with slots.  No other tensor gets a
+    gradient from this store."""
+    coarse = bool(plans.nc.any())
+    relation = coarse and objective == Objective.RELATION
+    heads = {"ngram": coarse, "fine": bool(plans.nf.any()), "gen": relation, "rtd": relation}
+    return {name: a for name, a in params.items() if heads.get(name.split("_", 1)[0], True)}
+
+
 def train(tcfg: TrainConfig, plans: PlanStore, params: dict, cfg: ModelConfig,
-          metrics_path=None, checkpoint_path=None, resume_from=None):
+          metrics_path=None, checkpoint_path=None, resume_from=None, checkpoint=None):
     """Run the training loop over a fixed plan store, cycling in order.
 
-    Deterministic for a fixed seed (single-threaded).  Returns (params, now
-    views of one flat vector, list of per-step metric dicts).  NaN loss
-    aborts with a diagnostic checkpoint next to ``checkpoint_path``.
+    Deterministic for a fixed seed (single-threaded).  Returns (params, list
+    of per-step metric dicts).  The tensors some loss can reach on this store
+    (:func:`_reachable`) are stepped, as views of one flat vector; every other
+    tensor keeps its array and bytes, and zero Adam moments in a checkpoint.
+    A resume replaces ``params`` with the checkpoint's tensors;
+    ``checkpoint``, if given, is ``load_checkpoint(resume_from)`` already
+    read by the caller.  NaN loss aborts with a diagnostic checkpoint next
+    to ``checkpoint_path``.
     """
     if not len(plans):
         raise UsageError("empty plan stream")
@@ -452,23 +472,24 @@ def train(tcfg: TrainConfig, plans: PlanStore, params: dict, cfg: ModelConfig,
     sample_rng = RngState(tcfg.seed ^ 0x5EED)
     start_step = 0
     if resume_from is not None:
-        params_r, cfg_r, extra, arrays = load_checkpoint(resume_from)
+        params_r, cfg_r, extra, arrays = checkpoint or load_checkpoint(resume_from)
         if cfg_r != cfg:
             raise UsageError(f"checkpoint {resume_from} has model config {asdict(cfg_r)}, "
                              f"not {asdict(cfg)}")
         params.clear()
         params.update(params_r)
-    layout = FlatLayout(params)
+    layout = FlatLayout(_reachable(params, plans, tcfg.objective))
     flat, views = layout.flatten(params)
     params.update(views)
     grads_flat, grads = layout.zeros()
     state = AdamState(layout)
     if resume_from is not None:
         # an exported checkpoint has no moments, so it stops here
+        shapes = {name: a.shape for name, a in params.items()}
         for key, vec in (("m", state.m), ("v", state.v)):
             saved = {k[2:]: a for k, a in arrays.items() if k.startswith(key + "/")}
             vec[...] = layout.flatten(checked_tensors(
-                f"checkpoint {resume_from}, Adam moments {key}/", saved, layout.shapes))[0]
+                f"checkpoint {resume_from}, Adam moments {key}/", saved, shapes))[0]
         train_cfg = extra.get("train_config", {})
         if not isinstance(train_cfg, dict):
             raise DataError(f"checkpoint {resume_from}: train_config is not an object")
@@ -517,8 +538,8 @@ def train(tcfg: TrainConfig, plans: PlanStore, params: dict, cfg: ModelConfig,
                     _save_train_checkpoint(str(checkpoint_path) + ".diag", params, cfg,
                                            tcfg, state, step, sample_rng, plans_sha256)
                 raise
-            rec = {"step": step, "lr": lr, "grad_norm": grad_norm, "clipped": clipped}
-            rec.update(asdict(report))
+            rec = {"step": step, "lr": lr, "grad_norm": grad_norm, "clipped": clipped,
+                   **vars(report)}
             metrics.append(rec)
             if out:
                 out.write(json.dumps(rec, sort_keys=True) + "\n")
@@ -549,8 +570,12 @@ def _save_train_checkpoint(path, params, cfg, tcfg, state, step, sample_rng, pla
         "blas_threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARS},
         "plans_sha256": plans_sha256,
     }
-    arrays = {f"{key}/{name}": view for key, vec in (("m", state.m), ("v", state.v))
-              for name, view in state.layout.views(vec).items()}
+    # a tensor outside the layout is never stepped: its moments are zero
+    arrays = {}
+    for key, vec in (("m", state.m), ("v", state.v)):
+        views = state.layout.views(vec)
+        for name, a in params.items():
+            arrays[f"{key}/{name}"] = views[name] if name in views else np.zeros_like(a)
     save_checkpoint(path, params, cfg, extra=extra, arrays=arrays)
 
 

@@ -842,6 +842,28 @@ def test_resume_that_grows_the_steps_keeps_the_checkpoints_warmup(corpus_dir, tm
     assert "warmup_steps 1 (now 2)" in capsys.readouterr().err
 
 
+def test_resume_reads_its_checkpoint_once_and_builds_no_parameters(trained, tmp_path,
+                                                                   monkeypatch):
+    # the command reads the checkpoint once, for the warmup and for train(),
+    # and trains the checkpoint's tensors without initialising any of its own
+    plans, ck, _ = trained
+    cli_module = importlib.import_module("ngramlm.cli")
+    train_module = importlib.import_module("ngramlm.train")
+    calls = []
+    for module in (cli_module, train_module):
+        load = module.load_checkpoint
+        monkeypatch.setattr(module, "load_checkpoint",
+                            lambda path, load=load: calls.append(("load", path)) or load(path))
+    init = cli_module.init_params
+    monkeypatch.setattr(cli_module, "init_params",
+                        lambda *args, **kw: calls.append("init") or init(*args, **kw))
+    out = tmp_path / "resumed.npz"
+    assert main(TRAIN_SMALL + ["--plans", str(plans), "--steps", "3", "--resume", str(ck),
+                               "--out", str(out)]) == 0
+    assert calls == [("load", str(ck))]
+    assert load_checkpoint(out)[2]["step"] == 3
+
+
 @pytest.mark.parametrize("command, flag", [
     ("make-masks", "--out"), ("make-masks", "--dump-json"), ("train", "--out"),
     ("train", "--metrics"), ("export", "--out"), ("extract-lexicon", "--out"),

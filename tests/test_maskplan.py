@@ -654,7 +654,8 @@ def test_plan_store_indexes_like_the_list(plans, data):
     repeats = [k for k, plan in enumerate(plans)
                if any(len({i for i, _ in t}) < len(t)
                       for t in (plan.targets_coarse, plan.targets_fine))]
-    assert store.repeated_target() == min(repeats, default=None)
+    assert store.repeated_target(store.gather("coarse"), store.gather("fine")) == min(
+        repeats, default=None)
 
 
 def test_plan_file_bad_magic(tmp_path):

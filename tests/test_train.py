@@ -29,7 +29,12 @@ from ngramlm import (
 )
 from ngramlm.corpus import FineVocab, WordStream
 from ngramlm.errors import DataError, NumericError, UsageError
-from ngramlm.maskplan import read_plan_file, relation_from_comprehensive, write_plan_file
+from ngramlm.maskplan import (
+    PlanStore,
+    read_plan_file,
+    relation_from_comprehensive,
+    write_plan_file,
+)
 from ngramlm.model import FlatLayout
 from ngramlm.train import (
     CLIP_NORM,
@@ -38,10 +43,12 @@ from ngramlm.train import (
     _bce_with_logits,
     _contiguous_gram_groups,
     _decayable,
+    _reachable,
     _save_train_checkpoint,
     _xent,
     adam_step,
     batch_loss_and_grad,
+    check_plans,
     generator_forward_and_sample,
     generator_loss_terms,
     lr_at,
@@ -146,21 +153,51 @@ def small_pipeline():
     return stream, vocab, lex, jv, cfg
 
 
+@pytest.fixture(scope="module")
+def fallback_pipeline():
+    # trigrams over a query budget of 2 subwords fall back to fine targets,
+    # so this explicit store holds both kinds; five plans have no slot
+    spec = CollocationSpec(n_topics=4, phrases_per_topic=3, phrase_len=3)
+    stream, inventory, _ = collocation_corpus(40, seed=5, spec=spec)
+    lex = extract_lexicon(count_ngrams(stream, 3), {2: 16, 3: 8}, min_count=2)
+    jv = build_joint_vocab(FineVocab.from_subwords(inventory, max_query=2), lex)
+    cfg = tiny_config(len(jv.fine), len(lex), max_positions=64)
+    return stream, lex, jv, cfg
+
+
+def stepped_names(params: dict) -> list:
+    """The tensors train() stepped: the views of its flat parameter vector."""
+    flat = params["tok_emb"].base
+    return [name for name, a in params.items() if a.base is flat]
+
+
 def test_flat_layout(small_pipeline):
-    # every parameter train() updates is a view of one vector; the decay
-    # mask follows _decayable
+    # every tensor train() steps is a view of one vector, laid out in the
+    # parameters' order; every other tensor is the caller's own array, its
+    # bytes unchanged.  The decay factor is WEIGHT_DECAY in the parameter
+    # dtype where _decayable, else 0
     stream, vocab, lex, jv, cfg = small_pipeline
     plans = make_plans(stream, lex, jv, Objective.EXPLICIT, seed=1)
+    assert plans.nc.any() and not plans.nf.any()
     tcfg = TrainConfig(Objective.EXPLICIT, total_steps=1, batch_size=2, warmup_steps=0)
     init = init_params(cfg, 3)
-    layout = FlatLayout(init)
+    before = {k: a.copy() for k, a in init.items()}
     params, _ = train(tcfg, plans, dict(init), cfg)
-    flat = params["tok_emb"].base
-    assert flat.shape == (sum(a.size for a in init.values()),)
     assert list(params) == list(init)
-    assert all(a.base is flat and a.shape == init[k].shape for k, a in params.items())
-    for name, mask in layout.views(AdamState(layout).decay).items():
-        assert np.all(mask == _decayable(name)), name
+    assert all(a.shape == init[k].shape for k, a in params.items())
+    stepped = stepped_names(params)
+    assert stepped == [k for k in init if not k.startswith(("fine_", "rtd_", "gen_"))]
+    flat = params["tok_emb"].base
+    assert flat.shape == (sum(init[k].size for k in stepped),)
+    assert np.array_equal(flat, np.concatenate([params[k].ravel() for k in stepped]))
+    for k in init.keys() - stepped:
+        assert params[k] is init[k] and np.array_equal(params[k], before[k]), k
+    for dtype in (np.float32, np.float64):
+        layout = FlatLayout({k: init[k].astype(dtype) for k in init})
+        decay = AdamState(layout).decay
+        assert decay.dtype == dtype and decay.shape == (layout.bounds[-1],)
+        for name, factor in layout.views(decay).items():
+            assert np.all(factor == (dtype(WEIGHT_DECAY) if _decayable(name) else 0)), name
 
 
 def reference_adam_step(params, grads, m, v, t, lr):
@@ -224,6 +261,89 @@ def test_adam_step_equals_per_tensor_reference(small_pipeline, clipped):
         assert all(np.array_equal(a, v[k]) for k, a in layout.views(state.v).items())
 
 
+@pytest.fixture(scope="module")
+def reachable_cases(small_pipeline, fallback_pipeline):
+    """Case id -> (store, objective, cfg), for each objective and for
+    explicit and relation stores with and without fine targets or slots."""
+    stream, vocab, lex, jv, cfg = small_pipeline
+    fstream, flex, fjv, fcfg = fallback_pipeline
+    comprehensive = make_plans(fstream, flex, fjv, Objective.COMPREHENSIVE, seed=1, rate=0.3)
+    return {
+        "contiguous": (make_plans(stream, lex, jv, Objective.CONTIGUOUS, seed=1),
+                       Objective.CONTIGUOUS, cfg),
+        "explicit-coarse-only": (make_plans(stream, lex, jv, Objective.EXPLICIT, seed=1),
+                                 Objective.EXPLICIT, cfg),
+        "explicit-with-fine": (make_plans(fstream, flex, fjv, Objective.EXPLICIT, seed=1,
+                                          rate=0.3), Objective.EXPLICIT, fcfg),
+        "comprehensive": (make_plans(stream, lex, jv, Objective.COMPREHENSIVE, seed=1),
+                          Objective.COMPREHENSIVE, cfg),
+        "relation": (make_plans(stream, lex, jv, Objective.RELATION, seed=1),
+                     Objective.RELATION, cfg),
+        "relation-no-slots": (comprehensive.take(np.flatnonzero(comprehensive.nc == 0)),
+                              Objective.RELATION, fcfg),
+    }
+
+
+@pytest.mark.parametrize("case", ["contiguous", "explicit-coarse-only", "explicit-with-fine",
+                                  "comprehensive", "relation", "relation-no-slots"])
+def test_train_steps_exactly_the_tensors_a_gradient_reaches(reachable_cases, case):
+    # oracle: one pass of the store under the full layout, batch by batch,
+    # names every tensor that gets a nonzero gradient somewhere; train()
+    # steps exactly those
+    plans, objective, cfg = reachable_cases[case]
+    assert len(plans)
+    if case == "explicit-with-fine":
+        assert plans.nc.any() and plans.nf.any()
+    tcfg = TrainConfig(objective, total_steps=1, batch_size=4, warmup_steps=0, seed=0)
+    init = init_params(cfg, 3)
+    rng = RngState(tcfg.seed ^ 0x5EED)
+    reached = set()
+    for first in range(0, len(plans), tcfg.batch_size):
+        grads = zero_grads(init)
+        batch = plans.take(range(first, min(first + tcfg.batch_size, len(plans))))
+        batch_loss_and_grad(init, batch, cfg, tcfg, grads, rng)
+        reached |= {name for name, g in grads.items() if g.any()}
+    params, _ = train(tcfg, plans, dict(init), cfg)
+    assert stepped_names(params) == [k for k in init if k in reached]
+
+
+def test_three_steps_equal_the_reference_over_every_tensor(small_pipeline, tmp_path):
+    # a coarse-only explicit store: the generator, the RTD head and the fine
+    # head are never stepped.  The stepped tensors and their Adam moments
+    # equal the per-tensor reference run over every tensor (whose clip norm
+    # adds 0.0 for each unreached one); the others keep their initial bytes
+    # and zero moments in the checkpoint
+    stream, vocab, lex, jv, cfg = small_pipeline
+    plans = make_plans(stream, lex, jv, Objective.EXPLICIT, seed=1)
+    assert plans.nc.any() and not plans.nf.any()
+    tcfg = TrainConfig(Objective.EXPLICIT, total_steps=3, batch_size=4, warmup_steps=1)
+    init = init_params(cfg, 3)
+    ck = tmp_path / "run.npz"
+    params, _ = train(tcfg, plans, {k: a.copy() for k, a in init.items()}, cfg,
+                      checkpoint_path=ck)
+    ref = {k: a.copy() for k, a in init.items()}
+    m = {k: np.zeros_like(a) for k, a in ref.items()}
+    v = {k: np.zeros_like(a) for k, a in ref.items()}
+    for step in range(3):
+        grads = zero_grads(ref)
+        batch_loss_and_grad(ref, plans[4 * step:4 * step + 4], cfg, tcfg, grads)
+        reference_adam_step(ref, grads, m, v, step + 1, lr_at(step, tcfg))
+    stepped = stepped_names(params)
+    assert not any(k.startswith(("fine_", "rtd_", "gen_")) for k in stepped)
+    _, _, extra, arrays = load_checkpoint(ck)
+    assert extra["adam_t"] == 3
+    assert list(arrays) == [f"{key}/{k}" for key in "mv" for k in init]
+    for k in init:
+        if k in stepped:
+            assert np.array_equal(params[k], ref[k]), k
+            assert np.array_equal(arrays["m/" + k], m[k]) and arrays["m/" + k].any(), k
+            assert np.array_equal(arrays["v/" + k], v[k]), k
+        else:
+            assert params[k].tobytes() == init[k].tobytes(), k
+            assert not (arrays["m/" + k].any() or arrays["v/" + k].any()), k
+            assert not (m[k].any() or v[k].any()), k  # the reference never moved them either
+
+
 # --- training loop ---------------------------------------------------------------
 
 
@@ -277,8 +397,9 @@ def check_resume_equals_uninterrupted_run(small_pipeline, tmp_path, objective):
     ref, mref = train(tcfg, plans, init_params(cfg, 5), cfg, checkpoint_path=ref_ck)
     # interrupted: replicate the first 4 steps manually, checkpoint, resume
     init = init_params(cfg, 5)
-    layout = FlatLayout(init)
-    flat, params = layout.flatten(init)
+    layout = FlatLayout(_reachable(init, plans, objective))
+    flat, views = layout.flatten(init)
+    params = {**init, **views}
     grads_flat, grads = layout.zeros()
     state = AdamState(layout)
     rng = RngState(tcfg.seed ^ 0x5EED)
@@ -636,6 +757,19 @@ def test_repeated_target_index_is_a_data_error(small_pipeline, field):
             train(tcfg, bad, params, cfg)
     with pytest.raises(DataError, match=f"plan {k}: .* target twice"):
         eval_ngram_ppl(params, bad, cfg)
+
+
+def test_check_plans_gathers_each_field_once(small_pipeline, monkeypatch):
+    # the repeated-target search takes the coarse and fine pairs that the
+    # range checks already gathered
+    stream, vocab, lex, jv, cfg = small_pipeline
+    plans = make_plans(stream, lex, jv, Objective.COMPREHENSIVE, seed=1)
+    fields = []
+    gather = PlanStore.gather
+    monkeypatch.setattr(PlanStore, "gather",
+                        lambda store, field: fields.append(field) or gather(store, field))
+    check_plans(plans, cfg, Objective.COMPREHENSIVE)
+    assert sorted(fields) == sorted(["coarse", "fine", "context_ids", "query_ids", "positions"])
 
 
 @pytest.mark.parametrize("edit", [
