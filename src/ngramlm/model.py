@@ -180,53 +180,91 @@ class FlatLayout:
 
 def _layernorm(x, g, b):
     h = x.shape[-1]
-    mu = np.add.reduce(x, -1, keepdims=True) / h
-    xc = x - mu
-    var = np.add.reduce(xc * xc, -1, keepdims=True) / h
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = xc * inv
-    return xhat * g + b, (xhat, inv, g)
+    mu = np.add.reduce(x, -1, keepdims=True)
+    mu /= h
+    xhat = x - mu
+    y = xhat * xhat  # a work array, and then the output
+    var = np.add.reduce(y, -1, keepdims=True)
+    var /= h
+    var += LN_EPS
+    inv = np.divide(1.0, np.sqrt(var, out=var), out=var)
+    xhat *= inv
+    np.multiply(xhat, g, out=y)
+    y += b
+    return y, (xhat, inv, g)
 
 
 def _layernorm_backward(dy, cache):
     xhat, inv, g = cache
     h = xhat.shape[-1]
-    dg = (dy * xhat).sum(0)
+    work = dy * xhat
+    dg = work.sum(0)
     db = dy.sum(0)
-    dxhat = dy * g
-    dx = inv * (dxhat - np.add.reduce(dxhat, -1, keepdims=True) / h
-                - xhat * (np.add.reduce(dxhat * xhat, -1, keepdims=True) / h))
+    dx = dy * g  # dxhat, turned into dx in place
+    s1 = np.add.reduce(dx, -1, keepdims=True)
+    s1 /= h
+    np.multiply(dx, xhat, out=work)
+    s2 = np.add.reduce(work, -1, keepdims=True)
+    s2 /= h
+    np.multiply(xhat, s2, out=work)
+    # inv * ((dxhat - s1) - xhat * s2)
+    dx -= s1
+    dx -= work
+    dx *= inv
     return dx, dg, db
 
 
+_erf = None
+
+
 def _gelu(x):
-    """GELU and its erf term, which _gelu_backward reuses.
+    """GELU and its term 1 + erf(x / sqrt 2), which _gelu_backward reuses.
 
-    scipy.special is imported here, not at module level: it is the only
-    scipy use and takes about 0.3 s and 20 MB to load, which the commands
-    that never run the model (extract-lexicon, make-masks, segment) skip.
+    scipy.special's erf is imported on the first call, not at module
+    level: it is the only scipy use and takes about 0.3 s and 20 MB to
+    load, which the commands that never run the model (extract-lexicon,
+    make-masks, segment) skip.
     """
-    from scipy.special import erf
+    global _erf
+    if _erf is None:
+        from scipy.special import erf as _erf
 
-    e = erf(x / SQRT2)
-    return 0.5 * x * (1.0 + e), e
+    u = x / SQRT2
+    _erf(u, out=u)
+    u += 1.0
+    y = x * 0.5
+    y *= u
+    return y, u
 
 
-def _gelu_backward(dy, x, e):
-    cdf = 0.5 * (1.0 + e)
-    pdf = INV_SQRT_2PI * np.exp(-0.5 * x * x)
-    return dy * (cdf + x * pdf)
+def _gelu_backward(dy, x, u):
+    # dy * (0.5 u + x * (INV_SQRT_2PI * exp(-0.5 x x)))
+    dx = u * 0.5
+    pdf = x * -0.5
+    pdf *= x
+    np.exp(pdf, out=pdf)
+    pdf *= INV_SQRT_2PI
+    pdf *= x
+    dx += pdf
+    dx *= dy
+    return dx
 
 
 def _masked_softmax(scores):
     # -inf entries come out exactly 0 (exp(-inf) == 0)
     m = scores.max(-1, keepdims=True)
-    e = np.exp(scores - m)
-    return e / e.sum(-1, keepdims=True)
+    e = scores - m
+    np.exp(e, out=e)
+    e /= e.sum(-1, keepdims=True)
+    return e
 
 
 def _softmax_backward(dprobs, probs):
-    return probs * (dprobs - (dprobs * probs).sum(-1, keepdims=True))
+    d = dprobs * probs
+    s = d.sum(-1, keepdims=True)
+    np.subtract(dprobs, s, out=d)
+    d *= probs
+    return d
 
 
 class Activations:
@@ -272,7 +310,8 @@ def encode(params: dict, ids, positions, attn_mask, cfg: ModelConfig,
             raise UsageError(f"row index out of range 0..{n - 1}")
 
     acts = Activations()
-    x0 = tok[ids] + pos[positions - 1]
+    x0 = tok[ids]
+    x0 += pos[positions - 1]
     x, ln_cache = _layernorm(x0, params[prefix + "emb_ln_g"], params[prefix + "emb_ln_b"])
     if rows is None:
         acts.emb_cache = (ids, positions, ln_cache)
@@ -287,27 +326,38 @@ def encode(params: dict, ids, positions, attn_mask, cfg: ModelConfig,
         at_rows = rows is not None and i == cfg.layers - 1
         xq = x[rows] if at_rows else x
         m = len(xq)
-        q = xq @ params[p + "wq"] + params[p + "bq"]
-        k = x @ params[p + "wk"] + params[p + "bk"]
-        v = x @ params[p + "wv"] + params[p + "bv"]
+        q = xq @ params[p + "wq"]
+        q += params[p + "bq"]
+        k = x @ params[p + "wk"]
+        k += params[p + "bk"]
+        v = x @ params[p + "wv"]
+        v += params[p + "bv"]
         qh = q.reshape(m, A, dk).transpose(1, 0, 2)
         kh = k.reshape(n, A, dk).transpose(1, 0, 2)
         vh = v.reshape(n, A, dk).transpose(1, 0, 2)
-        scores = qh @ kh.transpose(0, 2, 1) * scale
+        scores = qh @ kh.transpose(0, 2, 1)
+        scores *= scale
         if attn_mask is not None:
             scores += (attn_mask[rows] if at_rows else attn_mask)[None]
         probs = _masked_softmax(scores)
         ctx = (probs @ vh).transpose(1, 0, 2).reshape(m, cfg.hidden)
-        attn_out = ctx @ params[p + "wo"] + params[p + "bo"]
-        y, ln1_cache = _layernorm(xq + attn_out, params[p + "ln1_g"], params[p + "ln1_b"])
-        pre = y @ params[p + "w1"] + params[p + "b1"]
-        act, pre_erf = _gelu(pre)
-        ffn_out = act @ params[p + "w2"] + params[p + "b2"]
-        z, ln2_cache = _layernorm(y + ffn_out, params[p + "ln2_g"], params[p + "ln2_b"])
+        # biases and residuals add in place into each product's new array;
+        # x + y and y + x round alike
+        attn_out = ctx @ params[p + "wo"]
+        attn_out += params[p + "bo"]
+        attn_out += xq
+        y, ln1_cache = _layernorm(attn_out, params[p + "ln1_g"], params[p + "ln1_b"])
+        pre = y @ params[p + "w1"]
+        pre += params[p + "b1"]
+        act, pre_cdf = _gelu(pre)
+        ffn_out = act @ params[p + "w2"]
+        ffn_out += params[p + "b2"]
+        ffn_out += y
+        z, ln2_cache = _layernorm(ffn_out, params[p + "ln2_g"], params[p + "ln2_b"])
         if rows is None:
             acts.cache.append(
                 dict(x=x, qh=qh, kh=kh, vh=vh, probs=probs, ctx=ctx, ln1=ln1_cache,
-                     y=y, pre=pre, pre_erf=pre_erf, act=act, ln2=ln2_cache)
+                     y=y, pre=pre, pre_cdf=pre_cdf, act=act, ln2=ln2_cache)
             )
         acts.attn_probs.append(probs)
         x = z
@@ -319,12 +369,17 @@ def _accumulate_rows(grad, index, rows):
     """Scatter-add ``rows`` into the gradient ``grad`` at ``index``.
 
     Rows sharing an index are summed first, in order, in a small buffer of
-    the gradient's dtype; the buffer is then added once into ``grad``.
+    the gradient's dtype; the buffer is then added once into ``grad``.  The
+    buffer is filled by one ``np.add.at`` over its flattened elements, which
+    adds into each element in row order, as a row-wise ``np.add.at`` does,
+    and runs faster.
     """
     uniq, inverse = np.unique(index, return_inverse=True)
-    summed = np.zeros((len(uniq), grad.shape[1]), dtype=grad.dtype)
-    np.add.at(summed, inverse, rows)
-    grad[uniq] += summed
+    width = grad.shape[1]
+    summed = np.zeros(len(uniq) * width, dtype=grad.dtype)
+    at = (inverse[:, None] * width + np.arange(width)).ravel()
+    np.add.at(summed, at, rows.ravel())
+    grad[uniq] += summed.reshape(len(uniq), width)
 
 
 def _pack(parts):
@@ -372,10 +427,11 @@ def encode_backward(params: dict, acts: list, d_hidden, cfg: ModelConfig,
         grads[p + "b2"] += d_sum2.sum(0)
         d_act = d_sum2 @ params[p + "w2"].T
         d_pre = _gelu_backward(d_act, _pack([c["pre"] for c in cs]),
-                               _pack([c["pre_erf"] for c in cs]))
+                               _pack([c["pre_cdf"] for c in cs]))
         grads[p + "w1"] += _pack([c["y"] for c in cs]).T @ d_pre
         grads[p + "b1"] += d_pre.sum(0)
-        dy = d_sum2 + d_pre @ params[p + "w1"].T
+        dy = d_pre @ params[p + "w1"].T
+        dy += d_sum2
         d_sum1, dg1, db1 = _layernorm_backward(dy, _pack_layernorm([c["ln1"] for c in cs]))
         grads[p + "ln1_g"] += dg1
         grads[p + "ln1_b"] += db1
@@ -401,7 +457,11 @@ def encode_backward(params: dict, acts: list, d_hidden, cfg: ModelConfig,
         grads[p + "bk"] += dk_.sum(0)
         grads[p + "wv"] += x.T @ dv
         grads[p + "bv"] += dv.sum(0)
-        dx = d_sum1 + dq @ params[p + "wq"].T + dk_ @ params[p + "wk"].T + dv @ params[p + "wv"].T
+        # d_sum1 + dq wq' + dk wk' + dv wv', added left to right
+        dx = d_sum1
+        work = np.empty_like(dx)
+        for d, w in ((dq, "wq"), (dk_, "wk"), (dv, "wv")):
+            dx += np.matmul(d, params[p + w].T, out=work)
 
     ids = _pack([a.emb_cache[0] for a in acts])
     positions = _pack([a.emb_cache[1] for a in acts])

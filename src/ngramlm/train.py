@@ -367,6 +367,9 @@ def batch_loss_and_grad(params: dict, plans: PlanStore, cfg: ModelConfig, tcfg: 
 # AdamW's moment decay rates and the epsilon added to its denominator
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.99, 1e-6
 WEIGHT_DECAY, CLIP_NORM = 0.01, 1.0  # decoupled weight decay; the gradient norm clipped to
+# elements per block of the update passes: one block's slices of the seven
+# vectors they touch, 1.8 MB in float32, stay together in a 2 MB per-core L2
+ADAM_BLOCK = 65536
 
 
 class AdamState:
@@ -410,27 +413,32 @@ def adam_step(params, grads, state: AdamState, lr: float):
     if not np.isfinite(norm) and not np.isfinite(g).all():
         at = np.searchsorted(b, np.argmin(np.isfinite(g)), side="right") - 1
         raise NumericError(f"non-finite gradient in {list(state.layout.shapes)[at]}")
-    m, v = state.m, state.v  # rows of one array
-    # in place, in this operation order (rounding included):
+    # in place, in this operation order (rounding included), one block of
+    # ADAM_BLOCK elements at a time; every operation is elementwise, so the
+    # blocks leave each element's rounding as one whole-vector pass would:
     # m = b1 m + (1-b1) g;  v = b2 v + (1-b2) g g
     # p -= lr ((m / bc1) / (sqrt(v / bc2) + eps) + decay p)
-    np.multiply(g, 1 - ADAM_BETA1, out=tmp)
-    m *= ADAM_BETA1
-    m += tmp
-    np.multiply(g, 1 - ADAM_BETA2, out=tmp)
-    tmp *= g
-    v *= ADAM_BETA2
-    v += tmp
-    np.divide(v, bc2, out=tmp)
-    np.sqrt(tmp, out=tmp)
-    tmp += ADAM_EPS
-    np.divide(m, bc1, out=buf)
-    buf /= tmp
-    # p * decay is p * WEIGHT_DECAY rounded once, or 0
-    np.multiply(params, state.decay, out=tmp)
-    buf += tmp
-    buf *= lr
-    params -= buf
+    for lo in range(0, len(params), ADAM_BLOCK):
+        at = slice(lo, lo + ADAM_BLOCK)
+        m, v, gb, p, t, w = state.m[at], state.v[at], g[at], params[at], tmp[at], buf[at]
+        np.multiply(gb, 1 - ADAM_BETA1, out=t)
+        m *= ADAM_BETA1
+        m += t
+        np.multiply(gb, 1 - ADAM_BETA2, out=t)
+        t *= gb
+        v *= ADAM_BETA2
+        v += t
+        np.divide(v, bc2, out=t)
+        np.sqrt(t, out=t)
+        t += ADAM_EPS
+        # gb may be this block of buf: it is read for the last time above
+        np.divide(m, bc1, out=w)
+        w /= t
+        # p * decay is p * WEIGHT_DECAY rounded once, or 0
+        np.multiply(p, state.decay[at], out=t)
+        w += t
+        w *= lr
+        p -= w
     return float(norm), factor is not None
 
 
@@ -619,10 +627,10 @@ def eval_ngram_ppl(params: dict, plans: PlanStore, cfg: ModelConfig) -> float:
         else:
             rows, targets = plan.coarse.T
             sizes = np.ones(len(rows), dtype=np.int64)
+        if not len(rows):  # nothing to score: no encoder pass
+            continue
         T = plan.T
         acts = encode(params, plan.ids[:T], plan.positions[:T], None, cfg, rows=rows)
-        if not len(rows):
-            continue
         if size + len(rows) > cfg.max_positions:
             _score_pending(params, pending, log_ppls)
             size = 0

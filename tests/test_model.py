@@ -18,8 +18,19 @@ from ngramlm import (
 )
 from ngramlm.errors import DataError, NumericError, UsageError, VersionError
 from ngramlm.model import (
+    INV_SQRT_2PI,
+    LN_EPS,
+    SQRT2,
     ModelConfig,
+    _accumulate_rows,
+    _gelu,
+    _gelu_backward,
+    _layernorm,
+    _layernorm_backward,
+    _masked_softmax,
+    _softmax_backward,
     encode_backward,
+    head_backward,
     param_shapes,
 )
 
@@ -176,6 +187,177 @@ def test_heads_shapes(toy_example, toy_jv):
     gen = encode(params, plan.ids[:plan.T], plan.positions[:plan.T], None, cfg.generator_view(),
                  prefix="gen_")
     assert head_logits(gen.hidden, params, "gen_ngram").shape == (plan.T, cfg.joint_size)
+
+
+# --- in-place primitives ------------------------------------------------------
+# The primitives work in place on arrays they allocate themselves.  Each must
+# equal, bit for bit, the out-of-place formula below that it replaced: the
+# same operations in the same order, so the same rounding.
+
+def reference_layernorm(x, g, b):
+    h = x.shape[-1]
+    mu = np.add.reduce(x, -1, keepdims=True) / h
+    xc = x - mu
+    var = np.add.reduce(xc * xc, -1, keepdims=True) / h
+    inv = 1.0 / np.sqrt(var + LN_EPS)
+    xhat = xc * inv
+    return xhat * g + b, (xhat, inv, g)
+
+
+def reference_layernorm_backward(dy, cache):
+    xhat, inv, g = cache
+    h = xhat.shape[-1]
+    dg = (dy * xhat).sum(0)
+    db = dy.sum(0)
+    dxhat = dy * g
+    dx = inv * (dxhat - np.add.reduce(dxhat, -1, keepdims=True) / h
+                - xhat * (np.add.reduce(dxhat * xhat, -1, keepdims=True) / h))
+    return dx, dg, db
+
+
+def reference_gelu(x):
+    from scipy.special import erf
+
+    e = erf(x / SQRT2)
+    return 0.5 * x * (1.0 + e), e
+
+
+def reference_gelu_backward(dy, x, e):
+    cdf = 0.5 * (1.0 + e)
+    pdf = INV_SQRT_2PI * np.exp(-0.5 * x * x)
+    return dy * (cdf + x * pdf)
+
+
+def reference_masked_softmax(scores):
+    m = scores.max(-1, keepdims=True)
+    e = np.exp(scores - m)
+    return e / e.sum(-1, keepdims=True)
+
+
+def reference_softmax_backward(dprobs, probs):
+    return probs * (dprobs - (dprobs * probs).sum(-1, keepdims=True))
+
+
+def reference_accumulate_rows(grad, index, rows):
+    uniq, inverse = np.unique(index, return_inverse=True)
+    summed = np.zeros((len(uniq), grad.shape[1]), dtype=grad.dtype)
+    np.add.at(summed, inverse, rows)
+    grad[uniq] += summed
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+def mixed(g, shape, dtype):
+    """Normal draws scaled by powers of ten from 1e-3 to 1e3, row by row."""
+    scale = 10.0 ** g.integers(-3, 4, size=shape[:-1] + (1,))
+    return (g.standard_normal(shape) * scale).astype(dtype)
+
+
+DTYPES = pytest.mark.parametrize("dtype", [np.float32, np.float64])
+
+
+@DTYPES
+def test_layernorm_and_backward_bitwise(dtype):
+    g = np.random.default_rng(1)
+    x = mixed(g, (37, 24), dtype)
+    gain, bias = mixed(g, (24,), dtype), mixed(g, (24,), dtype)
+    y, cache = _layernorm(x, gain, bias)
+    want_y, want_cache = reference_layernorm(x, gain, bias)
+    assert_same_bits(y, want_y)
+    for got, want in zip(cache, want_cache):
+        assert_same_bits(got, want)
+    dy = mixed(g, (37, 24), dtype)
+    for got, want in zip(_layernorm_backward(dy, cache),
+                         reference_layernorm_backward(dy, want_cache)):
+        assert_same_bits(got, want)
+
+
+@DTYPES
+def test_gelu_and_backward_bitwise(dtype):
+    # _gelu keeps 1 + erf(x / sqrt 2) for the backward, where the formula kept erf
+    g = np.random.default_rng(2)
+    x = mixed(g, (29, 40), dtype)
+    y, u = _gelu(x)
+    want_y, e = reference_gelu(x)
+    assert_same_bits(y, want_y)
+    assert_same_bits(u, 1.0 + e)
+    dy = mixed(g, (29, 40), dtype)
+    assert_same_bits(_gelu_backward(dy, x, u), reference_gelu_backward(dy, x, e))
+
+
+@DTYPES
+def test_masked_softmax_and_backward_bitwise(dtype):
+    # a length-hiding mask: -inf entries, never a whole row of them
+    g = np.random.default_rng(3)
+    n = 11
+    mask = np.where(g.random((n, n)) < 0.4, -np.inf, 0.0).astype(dtype)
+    np.fill_diagonal(mask, 0.0)
+    scores = mixed(g, (4, n, n), dtype) + mask
+    probs = _masked_softmax(scores)
+    assert_same_bits(probs, reference_masked_softmax(scores))
+    assert np.all(probs[:, np.isneginf(mask)] == 0.0)
+    dprobs = mixed(g, (4, n, n), dtype)
+    assert_same_bits(_softmax_backward(dprobs, probs), reference_softmax_backward(dprobs, probs))
+
+
+@DTYPES
+def test_accumulate_rows_bitwise(dtype):
+    # 112 rows onto 9 repeated indices, magnitudes from 1e-3 to 1e3: a sum in
+    # another order rounds differently, as the reversed rows show
+    g = np.random.default_rng(4)
+    index = g.integers(0, 9, size=112) * 3
+    rows = mixed(g, (112, 16), dtype)
+    start = mixed(g, (30, 16), dtype)
+    got, want, reordered = start.copy(), start.copy(), start.copy()
+    _accumulate_rows(got, index, rows)
+    reference_accumulate_rows(want, index, rows)
+    assert_same_bits(got, want)
+    reference_accumulate_rows(reordered, index[::-1], rows[::-1])
+    assert reordered.tobytes() != want.tobytes()
+
+
+def test_encode_and_backward_leave_their_inputs_unchanged():
+    # inputs and parameters keep their bytes through encode, encode_backward
+    # and head_backward; a second encode leaves the first one's activations
+    cfg = tiny_config(20, 5)
+    g = np.random.default_rng(5)
+    params = {k: a + 0.1 * g.standard_normal(a.shape).astype(a.dtype)
+              for k, a in init_params(cfg, 0).items()}
+    plan = make_plan_with_queries(6, 2, 3, cfg.joint_size)
+    ids = np.asarray(plan.all_ids(), dtype=np.int64)
+    positions = np.asarray(plan.all_positions(), dtype=np.int64)
+    mask = build_attention_mask(plan, dtype=np.float32)
+    inputs = [*params.values(), ids, positions, mask]
+    snapshot = [a.tobytes() for a in inputs]
+
+    def activation_arrays(acts):
+        arrays = [*acts.attn_probs, acts.hidden, *acts.emb_cache[:2], *acts.emb_cache[2]]
+        for c in acts.cache:
+            for value in c.values():
+                arrays.extend(value if isinstance(value, tuple) else [value])
+        return arrays
+
+    acts = encode(params, ids, positions, mask, cfg)
+    first = [a.copy() for a in activation_arrays(acts)]
+    other = encode(params, ids[::-1].copy(), positions, mask, cfg)
+    assert not np.array_equal(other.hidden, acts.hidden)
+    grads = {k: np.zeros_like(a) for k, a in params.items()}
+    d_hidden = np.zeros_like(acts.hidden)
+    rows = np.array([1, 4])
+    d_logits = g.standard_normal((2, cfg.joint_size)).astype(np.float32)
+    kept = [acts.hidden.copy(), d_logits.copy()]
+    head_backward(acts.hidden, rows, d_logits, "ngram", params, d_hidden, grads=grads)
+    assert all(np.array_equal(a, b) for a, b in zip([acts.hidden, d_logits], kept))
+    d_kept = d_hidden.copy()
+    encode_backward(params, [acts], d_hidden, cfg, grads=grads)
+    assert np.array_equal(d_hidden, d_kept)
+    assert [a.tobytes() for a in inputs] == snapshot
+    for got, want in zip(activation_arrays(acts), first):
+        assert_same_bits(got, want)
 
 
 # --- generator ----------------------------------------------------------------

@@ -37,6 +37,7 @@ from ngramlm.maskplan import (
 )
 from ngramlm.model import FlatLayout
 from ngramlm.train import (
+    ADAM_BLOCK,
     CLIP_NORM,
     WEIGHT_DECAY,
     AdamState,
@@ -255,6 +256,36 @@ def test_adam_step_equals_per_tensor_reference(small_pipeline, clipped):
         got = adam_step(flat, grads_flat, state, 1e-3)
         assert got == reference_adam_step(ref, ref_grads, m, v, step + 1, 1e-3)
         assert got[1] == clipped
+        for k in ref:
+            assert np.array_equal(params[k], ref[k]), k
+        assert all(np.array_equal(a, m[k]) for k, a in layout.views(state.m).items())
+        assert all(np.array_equal(a, v[k]) for k, a in layout.views(state.v).items())
+
+
+def test_adam_step_equals_per_tensor_reference_across_blocks():
+    # about 3.5 blocks, tensors straddling block edges, decayed and not;
+    # steps alternate between a clipped gradient (norm 5) and an unclipped
+    # one (norm 0.5)
+    shapes = {"l0_w1": (256, 448), "l0_b1": (448,), "l0_ln1_g": (448,), "l1_w2": (448, 253),
+              "l1_b2": (253,)}
+    g = np.random.default_rng(9)
+    init = {k: (0.1 * g.standard_normal(s)).astype(np.float32) for k, s in shapes.items()}
+    layout = FlatLayout(init)
+    assert 3 * ADAM_BLOCK < layout.bounds[-1] < 4 * ADAM_BLOCK
+    assert layout.bounds[-1] % ADAM_BLOCK
+    flat, params = layout.flatten(init)
+    grads_flat, grads = layout.zeros()
+    state = AdamState(layout)
+    ref = {k: a.copy() for k, a in params.items()}
+    m = {k: np.zeros_like(a) for k, a in ref.items()}
+    v = {k: np.zeros_like(a) for k, a in ref.items()}
+    for step, norm in enumerate([5.0, 0.5, 5.0, 0.5]):
+        grads_flat[:] = g.standard_normal(len(grads_flat))
+        grads_flat *= np.float32(norm / np.linalg.norm(grads_flat))
+        ref_grads = {k: a.copy() for k, a in grads.items()}
+        got = adam_step(flat, grads_flat, state, 1e-2)
+        assert got == reference_adam_step(ref, ref_grads, m, v, step + 1, 1e-2)
+        assert got[1] == (norm > CLIP_NORM)
         for k in ref:
             assert np.array_equal(params[k], ref[k]), k
         assert all(np.array_equal(a, m[k]) for k, a in layout.views(state.m).items())
@@ -998,6 +1029,25 @@ def test_eval_ppl_ignores_the_queries(small_pipeline):
                      for p in map(ref_of, plans)])
     params = spread_params(cfg, 7)
     assert eval_ngram_ppl(params, plans, cfg) == eval_ngram_ppl(params, bare, cfg)
+
+
+def test_eval_ppl_encodes_only_plans_with_scored_rows(monkeypatch):
+    # an explicit plan whose masked segment fell back to a fine target has
+    # no coarse slot to score, so it costs no encoder pass and moves no ppl
+    cfg = tiny_config(15, 3)
+    params = spread_params(cfg, 7)
+    fallback = RefPlan(Objective.EXPLICIT, (0, 4, 1), (1, 2, 3), (5,), (2,), (), ((3, 6),))
+    want = eval_ngram_ppl(params, store_of([explicit_plan(7)]), cfg)
+    train_mod = importlib.import_module("ngramlm.train")
+    real, calls = train_mod.encode, []
+
+    def spy(*args, **kwargs):
+        calls.append(len(kwargs["rows"]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(train_mod, "encode", spy)
+    assert eval_ngram_ppl(params, store_of([fallback, explicit_plan(7)]), cfg) == want
+    assert calls == [1]
 
 
 def test_eval_ppl_requires_targets():
