@@ -218,7 +218,7 @@ _erf = None
 
 
 def _gelu(x):
-    """GELU and its term 1 + erf(x / sqrt 2), which _gelu_backward reuses.
+    """GELU and its term 1 + erf(x / sqrt 2), which the backward reuses.
 
     scipy.special's erf is imported on the first call, not at module
     level: it is the only scipy use and takes about 0.3 s and 20 MB to
@@ -232,9 +232,15 @@ def _gelu(x):
     u = x / SQRT2
     _erf(u, out=u)
     u += 1.0
+    return _gelu_from(x, u), u
+
+
+def _gelu_from(x, u):
+    """GELU from ``x`` and its term ``u`` = 1 + erf(x / sqrt 2): the forward
+    forms it this way, and the backward recomputes it with the same bits."""
     y = x * 0.5
     y *= u
-    return y, u
+    return y
 
 
 def _gelu_backward(dy, x, u):
@@ -349,7 +355,7 @@ def encode(params: dict, ids, positions, attn_mask, cfg: ModelConfig,
         y, ln1_cache = _layernorm(attn_out, params[p + "ln1_g"], params[p + "ln1_b"])
         pre = y @ params[p + "w1"]
         pre += params[p + "b1"]
-        act, pre_cdf = _gelu(pre)
+        act, pre_cdf = _gelu(pre)  # the backward recomputes act from pre and pre_cdf
         ffn_out = act @ params[p + "w2"]
         ffn_out += params[p + "b2"]
         ffn_out += y
@@ -357,7 +363,7 @@ def encode(params: dict, ids, positions, attn_mask, cfg: ModelConfig,
         if rows is None:
             acts.cache.append(
                 dict(x=x, qh=qh, kh=kh, vh=vh, probs=probs, ctx=ctx, ln1=ln1_cache,
-                     y=y, pre=pre, pre_cdf=pre_cdf, act=act, ln2=ln2_cache)
+                     y=y, pre=pre, pre_cdf=pre_cdf, ln2=ln2_cache)
             )
         acts.attn_probs.append(probs)
         x = z
@@ -405,9 +411,11 @@ def encode_backward(params: dict, acts: list, d_hidden, cfg: ModelConfig,
     hidden-state gradients row-wise, one plan after another in list order.
     The row-wise work (layer norms, FFN, the Q/K/V/O projections and their
     parameter gradients, the embedding scatter) runs once over the packed
-    rows; attention runs per plan on that plan's rows.  A forward-only
-    pass (``encode`` with ``rows``) has nothing to run backward through
-    and raises UsageError.
+    rows; attention runs per plan on that plan's rows.  A training step
+    makes one call per encoder, over its whole batch.  The GELU output is
+    not cached: it is recomputed from ``pre`` and ``pre_cdf`` as the
+    forward formed it.  A forward-only pass (``encode`` with ``rows``) has
+    nothing to run backward through and raises UsageError.
     """
     if any(a.emb_cache is None for a in acts):
         raise UsageError("encode_backward needs full forward passes, not a rows pass")
@@ -423,11 +431,11 @@ def encode_backward(params: dict, acts: list, d_hidden, cfg: ModelConfig,
         d_sum2, dg2, db2 = _layernorm_backward(dx, _pack_layernorm([c["ln2"] for c in cs]))
         grads[p + "ln2_g"] += dg2
         grads[p + "ln2_b"] += db2
-        grads[p + "w2"] += _pack([c["act"] for c in cs]).T @ d_sum2
+        pre, pre_cdf = _pack([c["pre"] for c in cs]), _pack([c["pre_cdf"] for c in cs])
+        grads[p + "w2"] += _gelu_from(pre, pre_cdf).T @ d_sum2
         grads[p + "b2"] += d_sum2.sum(0)
         d_act = d_sum2 @ params[p + "w2"].T
-        d_pre = _gelu_backward(d_act, _pack([c["pre"] for c in cs]),
-                               _pack([c["pre_cdf"] for c in cs]))
+        d_pre = _gelu_backward(d_act, pre, pre_cdf)
         grads[p + "w1"] += _pack([c["y"] for c in cs]).T @ d_pre
         grads[p + "b1"] += d_pre.sum(0)
         dy = d_pre @ params[p + "w1"].T

@@ -117,10 +117,10 @@ def lr_at(step: int, tcfg: TrainConfig) -> float:
 
 
 # ---------------------------------------------------------------------------
-# per-plan forward; heads, losses and backward per group of plans
+# per-plan forward; heads, losses and one backward per encoder per batch
 
 class BackwardGroup:
-    """Consecutive plans of one encoder whose heads and backward run packed.
+    """A batch's plans for one encoder, whose heads and backward run packed.
 
     Each plan's forward pass runs on its own; the group keeps the plans'
     activations and, per head, their target rows, counted across the
@@ -131,12 +131,9 @@ class BackwardGroup:
     :func:`encode_backward`.  It adds each plan's loss sums into ``sums``
     (head name -> nats), plan by plan in group order.
 
-    The group's plans keep the sum of their squared lengths within
-    ``cfg.max_positions ** 2``: :meth:`start` runs the pending backward
-    first when the next plan would take it past that, so the attention
-    tensors kept never exceed those of one maximal plan.  A plan alone
-    always fits, so a plan longer than ``max_positions`` forms a group of
-    its own.
+    The group holds every plan's forward caches until :meth:`backward`:
+    about rows x width per layer for the row-wise tensors, plus heads x
+    the sum of the plans' squared lengths for attention.
     """
 
     def __init__(self, params: dict, cfg: ModelConfig, grads: dict, scales: dict,
@@ -152,26 +149,18 @@ class BackwardGroup:
     def _clear(self):
         self.acts: list = []
         self.rows = 0
-        self.area = 0  # sum of the plans' squared lengths
-        self.offset = 0  # first row of the newest plan
         self.targets: dict = {}  # head -> ([row arrays], [target arrays])
 
-    def start(self, rows: int):
-        """Make room for the next plan, which has ``rows`` rows."""
-        if self.acts and self.area + rows * rows > self.cfg.max_positions ** 2:
-            self.backward()
-        self.offset = self.rows
-        self.rows += rows
-        self.area += rows * rows
-
     def add(self, acts: Activations, **targets):
-        """The current plan's forward pass and, per head, the pair
-        (rows, target ids or RTD labels); a head without rows is left out."""
+        """A plan's forward pass and, per head, the pair (rows, target ids
+        or RTD labels); a head without rows is left out."""
         self.acts.append(acts)
+        offset = self.rows
+        self.rows += len(acts.hidden)
         for head, (rows, values) in targets.items():
             if len(rows):
                 parts = self.targets.setdefault(head, ([], []))
-                parts[0].append(self.offset + rows)
+                parts[0].append(offset + rows)
                 parts[1].append(values)
 
     def backward(self):
@@ -246,7 +235,6 @@ def plan_loss_terms(params: dict, plan: PlanView, cfg: ModelConfig, group: Backw
     queries needs no mask), and the rows of its coarse, fine and RTD
     targets.  The group's backward computes the loss sums.  The plan's
     targets must be distinct (:func:`check_plans`)."""
-    group.start(plan.T + plan.Q)
     mask = build_attention_mask(plan, dtype=params["tok_emb"].dtype) if plan.Q else None
     labels = plan.labels
     rtd = (np.arange(plan.T), labels) if labels is not None else ((), ())
@@ -262,7 +250,6 @@ def generator_loss_terms(params: dict, plan: PlanView, cfg: ModelConfig, group: 
     if not len(coarse):
         return
     T = plan.T
-    group.start(T)
     group.add(encode(params, plan.ids[:T], plan.positions[:T], None, cfg.generator_view(),
                      prefix="gen_"), gen_ngram=coarse.T)
 
@@ -309,11 +296,12 @@ def batch_loss_and_grad(params: dict, plans: PlanStore, cfg: ModelConfig, tcfg: 
     are read from the plans first; sampling keeps every target.  The
     relation objective then samples every slot of the batch from the
     generator and fills the comprehensive-layout plans with the samples in
-    one pass.  Plan by plan, the standard model's pass on the filled plan
-    and the generator's on the original join their backward groups, whose
-    heads, losses and backward run per group.  Sampling is
-    non-differentiable, so the generator only receives gradient from its
-    own term.
+    one pass.  The generator's passes on the unfilled plans run next, with
+    its heads, loss and one packed backward, and only then the standard
+    model's passes on the filled plans and its one packed backward, so the
+    two encoders' caches are never held together.  The two write disjoint
+    gradients, and sampling is non-differentiable, so the generator only
+    receives gradient from its own term.
     """
     relation = tcfg.objective == Objective.RELATION
     n_coarse = int(plans.nc.sum())
@@ -323,9 +311,6 @@ def batch_loss_and_grad(params: dict, plans: PlanStore, cfg: ModelConfig, tcfg: 
 
     scales = {"ngram": 1.0 / max(n_coarse, 1), "fine": 1.0 / max(n_fine, 1),
               "rtd": tcfg.rtd_weight / max(n_rtd, 1)}
-    # the standard model and the generator each run their heads and
-    # backward in groups of consecutive plans
-    main = BackwardGroup(params, cfg, grads, scales)
     gen = BackwardGroup(params, cfg.generator_view(), grads, {"gen_ngram": 1.0 / max(n_gen, 1)},
                         prefix="gen_")
     filled = plans
@@ -335,12 +320,13 @@ def batch_loss_and_grad(params: dict, plans: PlanStore, cfg: ModelConfig, tcfg: 
         # a plan without slots has no RTD term
         filled.rtd = [labels if slots else None
                       for labels, slots in zip(filled.rtd, plans.nc.tolist())]
-    for plan, original in zip(filled, plans):
+        for plan in plans:
+            generator_loss_terms(params, plan, cfg, gen)
+        gen.backward()
+    main = BackwardGroup(params, cfg, grads, scales)
+    for plan in filled:
         plan_loss_terms(params, plan, cfg, main)
-        if relation:
-            generator_loss_terms(params, original, cfg, gen)
     main.backward()
-    gen.backward()
 
     sums = {**main.sums, **gen.sums}
     report = LossReport(
@@ -373,14 +359,19 @@ ADAM_BLOCK = 65536
 
 
 class AdamState:
-    """AdamW moments ``m`` and ``v``, two work vectors and ``decay``, each
-    element's weight-decay factor: ``WEIGHT_DECAY`` in the parameter dtype,
-    or 0 for a bias or layer-norm tensor."""
+    """AdamW moments ``m`` and ``v``, ``decay``, each element's weight-decay
+    factor (``WEIGHT_DECAY`` in the parameter dtype, or 0 for a bias or
+    layer-norm tensor), and two work vectors: ``squares``, as long as the
+    largest tensor or one block, and ``clipped``, one block."""
 
     def __init__(self, layout: FlatLayout):
         self.layout = layout
-        self.m, self.v = np.zeros((2, layout.bounds[-1]), dtype=layout.dtype)
-        self.work = np.empty((2, layout.bounds[-1]), dtype=layout.dtype)
+        size = layout.bounds[-1]
+        self.m, self.v = np.zeros((2, size), dtype=layout.dtype)
+        block = min(ADAM_BLOCK, size)
+        largest = max(np.diff(layout.bounds).tolist(), default=0)
+        self.squares = np.empty(max(largest, block), dtype=layout.dtype)
+        self.clipped = np.empty(block, dtype=layout.dtype)
         factors = np.array([WEIGHT_DECAY * _decayable(name) for name in layout.shapes],
                            dtype=layout.dtype)
         self.decay = np.repeat(factors, np.diff(layout.bounds))
@@ -396,31 +387,37 @@ def adam_step(params, grads, state: AdamState, lr: float):
     """One AdamW update of the vector ``params`` in place from the vector
     ``grads``, both laid out by ``state.layout``; a tensor without gradient
     still decays.  Returns (global gradient norm, whether it was clipped)."""
-    tmp, buf = state.work
-    # per-tensor float32 sums added in layout order
-    np.multiply(grads, grads, out=tmp)
+    squares = state.squares
+    # per-tensor float32 sums, each over a tensor-sized slice, added in layout order
     b = state.layout.bounds
-    norm = np.sqrt(sum(float(tmp[lo:hi].sum()) for lo, hi in zip(b, b[1:])))
+    norm = 0.0
+    for lo, hi in zip(b, b[1:]):
+        sq = np.multiply(grads[lo:hi], grads[lo:hi], out=squares[:hi - lo])
+        norm += float(sq.sum())
+    norm = np.sqrt(norm)
     # a float64 scalar: the product is formed in float64 and rounded once
     # to the parameter dtype
     factor = CLIP_NORM / norm if CLIP_NORM < norm else None
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1**state.t
     bc2 = 1.0 - ADAM_BETA2**state.t
-    g = grads if factor is None else np.multiply(grads, factor, out=buf)
     # a non-finite gradient makes the norm non-finite; a finite one whose
-    # square overflows clips to zero and passes the scan
-    if not np.isfinite(norm) and not np.isfinite(g).all():
-        at = np.searchsorted(b, np.argmin(np.isfinite(g)), side="right") - 1
+    # square overflows clips to zero and passes the scan.  grads * factor is
+    # non-finite exactly where grads is, so the scan reads grads
+    if not np.isfinite(norm) and not np.isfinite(grads).all():
+        at = np.searchsorted(b, np.argmin(np.isfinite(grads)), side="right") - 1
         raise NumericError(f"non-finite gradient in {list(state.layout.shapes)[at]}")
     # in place, in this operation order (rounding included), one block of
-    # ADAM_BLOCK elements at a time; every operation is elementwise, so the
-    # blocks leave each element's rounding as one whole-vector pass would:
+    # ADAM_BLOCK elements at a time, the clip included; every operation is
+    # elementwise, so the blocks leave each element's rounding as one
+    # whole-vector pass would:
     # m = b1 m + (1-b1) g;  v = b2 v + (1-b2) g g
     # p -= lr ((m / bc1) / (sqrt(v / bc2) + eps) + decay p)
     for lo in range(0, len(params), ADAM_BLOCK):
         at = slice(lo, lo + ADAM_BLOCK)
-        m, v, gb, p, t, w = state.m[at], state.v[at], g[at], params[at], tmp[at], buf[at]
+        m, v, p = state.m[at], state.v[at], params[at]
+        t, w = squares[:len(p)], state.clipped[:len(p)]
+        gb = grads[at] if factor is None else np.multiply(grads[at], factor, out=w)
         np.multiply(gb, 1 - ADAM_BETA1, out=t)
         m *= ADAM_BETA1
         m += t
@@ -431,7 +428,7 @@ def adam_step(params, grads, state: AdamState, lr: float):
         np.divide(v, bc2, out=t)
         np.sqrt(t, out=t)
         t += ADAM_EPS
-        # gb may be this block of buf: it is read for the last time above
+        # gb may be w: it is read for the last time above
         np.divide(m, bc1, out=w)
         w /= t
         # p * decay is p * WEIGHT_DECAY rounded once, or 0

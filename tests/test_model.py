@@ -1,5 +1,7 @@
 """Encoder forward/backward, heads, generator, export and checkpoints."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -318,6 +320,51 @@ def test_accumulate_rows_bitwise(dtype):
     assert_same_bits(got, want)
     reference_accumulate_rows(reordered, index[::-1], rows[::-1])
     assert reordered.tobytes() != want.tobytes()
+
+
+@DTYPES
+def test_encode_backward_recomputed_gelu_output_bitwise(dtype, monkeypatch):
+    # encode caches no GELU output; encode_backward's gradients equal, bit for
+    # bit, those of a backward that reads each layer's output as the forward
+    # formed it, over three plans packed into one call
+    model = importlib.import_module("ngramlm.model")
+    cfg = tiny_config(20, 5)
+    g = np.random.default_rng(6)
+    params = {k: (a + 0.1 * g.standard_normal(a.shape)).astype(dtype)
+              for k, a in init_params(cfg, 0).items()}
+    gelu, gelu_from = model._gelu, model._gelu_from
+    outputs = []  # the forward's GELU outputs, plan by plan, layer by layer
+
+    def recording_gelu(x):
+        y, u = gelu(x)
+        outputs.append(y.copy())
+        return y, u
+
+    monkeypatch.setattr(model, "_gelu", recording_gelu)
+    acts = []
+    for T, slot, queries in ((6, 2, 3), (9, 4, 1), (4, 0, 2)):
+        plan = make_plan_with_queries(T, slot, queries, cfg.joint_size, seed=T)
+        acts.append(encode(params, plan.all_ids(), plan.all_positions(),
+                           build_attention_mask(plan, dtype=dtype), cfg))
+    assert all("act" not in c for a in acts for c in a.cache)
+    d_hidden = g.standard_normal((sum(len(a.hidden) for a in acts), cfg.hidden)).astype(dtype)
+    got = {k: np.zeros_like(a) for k, a in params.items()}
+    encode_backward(params, acts, d_hidden, cfg, grads=got)
+
+    # each layer's packed forward output, last layer first, as the backward asks
+    forward = [np.concatenate(outputs[i::cfg.layers]) for i in range(cfg.layers)]
+
+    def forward_output(pre, pre_cdf):
+        want = forward.pop()
+        assert_same_bits(gelu_from(pre, pre_cdf), want)
+        return want
+
+    monkeypatch.setattr(model, "_gelu_from", forward_output)
+    want = {k: np.zeros_like(a) for k, a in params.items()}
+    encode_backward(params, acts, d_hidden, cfg, grads=want)
+    assert not forward
+    for k in want:
+        assert_same_bits(got[k], want[k])
 
 
 def test_encode_and_backward_leave_their_inputs_unchanged():

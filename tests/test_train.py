@@ -41,6 +41,7 @@ from ngramlm.train import (
     CLIP_NORM,
     WEIGHT_DECAY,
     AdamState,
+    BackwardGroup,
     _bce_with_logits,
     _contiguous_gram_groups,
     _decayable,
@@ -263,9 +264,10 @@ def test_adam_step_equals_per_tensor_reference(small_pipeline, clipped):
 
 
 def test_adam_step_equals_per_tensor_reference_across_blocks():
-    # about 3.5 blocks, tensors straddling block edges, decayed and not;
-    # steps alternate between a clipped gradient (norm 5) and an unclipped
-    # one (norm 0.5)
+    # about 3.5 blocks, tensors straddling block edges, decayed and not, the
+    # largest longer than a block; steps alternate between a clipped
+    # gradient (norm 5) and an unclipped one (norm 0.5).  The work vectors
+    # are one block and one largest tensor, not two of the layout's length
     shapes = {"l0_w1": (256, 448), "l0_b1": (448,), "l0_ln1_g": (448,), "l1_w2": (448, 253),
               "l1_b2": (253,)}
     g = np.random.default_rng(9)
@@ -276,6 +278,9 @@ def test_adam_step_equals_per_tensor_reference_across_blocks():
     flat, params = layout.flatten(init)
     grads_flat, grads = layout.zeros()
     state = AdamState(layout)
+    largest = 256 * 448
+    assert largest > ADAM_BLOCK
+    assert (len(state.squares), len(state.clipped)) == (largest, ADAM_BLOCK)
     ref = {k: a.copy() for k, a in params.items()}
     m = {k: np.zeros_like(a) for k, a in ref.items()}
     v = {k: np.zeros_like(a) for k, a in ref.items()}
@@ -290,6 +295,11 @@ def test_adam_step_equals_per_tensor_reference_across_blocks():
             assert np.array_equal(params[k], ref[k]), k
         assert all(np.array_equal(a, m[k]) for k, a in layout.views(state.m).items())
         assert all(np.array_equal(a, v[k]) for k, a in layout.views(state.v).items())
+    # a non-finite entry in a later block still names its tensor
+    grads["l1_w2"][400, 3] = np.inf
+    assert np.flatnonzero(np.isinf(grads_flat))[0] > 3 * ADAM_BLOCK
+    with pytest.raises(NumericError, match="l1_w2"), np.errstate(invalid="ignore"):
+        adam_step(flat, grads_flat, state, 1e-2)
 
 
 @pytest.fixture(scope="module")
@@ -623,32 +633,46 @@ def test_groups_over_max_positions_keep_reference_grads(small_pipeline):
     assert_grads_close(grads, per_plan_reference_grads(params, batch, cfg, tcfg, RngState(9)))
 
 
-def test_backward_groups_stay_within_max_positions(small_pipeline, monkeypatch):
-    # each packed backward keeps the sum of its plans' squared lengths
-    # within max_positions ** 2, unless it is one plan; the plan longer than
-    # max_positions runs alone
+def recorded_passes(monkeypatch):
+    """The list that records, in call order, each encoder pass of
+    ``ngramlm.train`` as ("encode", prefix) and each ``encode_backward`` as
+    ("backward", prefix, the rows of each of its plans)."""
     train_mod = importlib.import_module("ngramlm.train")
-    cfg, tcfg, batch = long_plan_batch(small_pipeline)
-    encode_backward = train_mod.encode_backward
-    calls = []
+    encode_, encode_backward = train_mod.encode, train_mod.encode_backward
+    events = []
 
-    def recording(params, acts, d_hidden, cfg_, prefix="", **kwargs):
-        calls.append((prefix, [len(a.hidden) for a in acts]))
-        assert len(d_hidden) == sum(calls[-1][1])
+    def recording_encode(params, ids, positions, mask, cfg_, prefix="", **kwargs):
+        events.append(("encode", prefix))
+        return encode_(params, ids, positions, mask, cfg_, prefix, **kwargs)
+
+    def recording_backward(params, acts, d_hidden, cfg_, prefix="", **kwargs):
+        events.append(("backward", prefix, [len(a.hidden) for a in acts]))
+        assert len(d_hidden) == sum(events[-1][2])
         return encode_backward(params, acts, d_hidden, cfg_, prefix, **kwargs)
 
-    monkeypatch.setattr(train_mod, "encode_backward", recording)
+    monkeypatch.setattr(train_mod, "encode", recording_encode)
+    monkeypatch.setattr(train_mod, "encode_backward", recording_backward)
+    return events
+
+
+def assert_one_backward_per_encoder(events, batch):
+    """One generator backward over every plan with slots, then one main
+    backward over every plan in batch order, and the generator's backward
+    before the main model's first pass."""
+    backward = [e for e in events if e[0] == "backward"]
+    assert backward == [("backward", "gen_", [p.T for p in batch if p.targets_coarse]),
+                        ("backward", "", [p.T + p.Q for p in batch])]
+    assert events.index(backward[0]) < events.index(("encode", ""))
+
+
+def test_one_backward_per_encoder_covers_the_batch(small_pipeline, monkeypatch):
+    # the plan longer than max_positions joins the others' one backward
+    cfg, tcfg, batch = long_plan_batch(small_pipeline)
+    events = recorded_passes(monkeypatch)
     params = init_params(cfg, 4)
     batch_loss_and_grad(params, batch, cfg, tcfg, zero_grads(params), RngState(9))
-    main = [rows for prefix, rows in calls if not prefix]
-    gen = [rows for prefix, rows in calls if prefix == "gen_"]
-    for rows in main + gen:
-        assert sum(r * r for r in rows) <= cfg.max_positions ** 2 or len(rows) == 1, rows
-    long = batch[3].T + batch[3].Q
-    assert [long] in main
-    assert [r for rows in main for r in rows] == [p.T + p.Q for p in batch]
-    assert [r for rows in gen for r in rows] == [p.T for p in batch if p.targets_coarse]
-    assert len(main) < len(batch) and max(len(rows) for rows in main) > 1
+    assert_one_backward_per_encoder(events, batch)
+    assert max(p.T + p.Q for p in batch) > cfg.max_positions
 
 
 def mixed_length_batch(small_pipeline):
@@ -665,36 +689,20 @@ def mixed_length_batch(small_pipeline):
                                 plans[3], plans[4]])
 
 
-def test_area_bound_groups_equal_the_sum_of_each_plans_own(small_pipeline, monkeypatch):
-    # every group keeps the sum of its plans' squared lengths within
-    # max_positions ** 2 unless it is one plan, and some groups close on
-    # that bound with no plan longer than max_positions; in float64 the
-    # report and the gradients equal the sums of each plan's own
-    train_mod = importlib.import_module("ngramlm.train")
+def test_one_backward_per_encoder_equals_the_sum_of_each_plans_own(small_pipeline,
+                                                                   monkeypatch):
+    # one backward per encoder over plans of mixed lengths, their squares
+    # summing far past max_positions ** 2; in float64 the report and the
+    # gradients equal the sums of each plan's own
     cfg, tcfg, batch = mixed_length_batch(small_pipeline)
     lengths = [p.T + p.Q for p in batch]
     assert max(lengths) > cfg.max_positions >= sorted(lengths)[-2] > 25
-    encode_backward = train_mod.encode_backward
-    groups = []
-
-    def recording(params, acts, d_hidden, cfg_, prefix="", **kwargs):
-        groups.append((prefix, [len(a.hidden) for a in acts]))
-        return encode_backward(params, acts, d_hidden, cfg_, prefix, **kwargs)
-
-    monkeypatch.setattr(train_mod, "encode_backward", recording)
+    assert sum(r * r for r in lengths) > 3 * cfg.max_positions ** 2
+    events = recorded_passes(monkeypatch)
     params = init_params(cfg, 4, dtype=np.float64)
     grads = zero_grads(params)
     report = batch_loss_and_grad(params, batch, cfg, tcfg, grads, RngState(9))
-
-    bound = cfg.max_positions ** 2
-    for _, rows in groups:
-        assert sum(r * r for r in rows) <= bound or len(rows) == 1, rows
-    main = [rows for prefix, rows in groups if not prefix]
-    assert [r for rows in main for r in rows] == lengths
-    # a group that closed before a plan of at most max_positions rows
-    assert any(sum(r * r for r in rows) + after[0] ** 2 > bound and after[0] <= cfg.max_positions
-               for rows, after in zip(main, main[1:]))
-    assert max(sum(rows) for rows in main) > cfg.max_positions, main  # more rows than one plan
+    assert_one_backward_per_encoder(events, batch)
 
     assert_grads_close(grads, per_plan_reference_grads(params, batch, cfg, tcfg, RngState(9)))
     work, n = sampled_work(params, batch, cfg, tcfg, RngState(9))
@@ -714,11 +722,55 @@ def test_area_bound_groups_equal_the_sum_of_each_plans_own(small_pipeline, monke
                                                      rel=1e-12)
 
 
+def interleaved_sums(params, plans, cfg, tcfg, grads, sample_rng):
+    """A relation batch's loss sums by head, its gradients added into
+    ``grads``, in the order batch_loss_and_grad had before the generator
+    went first: plan by plan, the standard model's pass on the filled plan
+    and then the generator's on the original; then the standard model's
+    backward and the generator's, each over the whole batch."""
+    n_coarse, n_fine = int(plans.nc.sum()), int(plans.nf.sum())
+    scales = {"ngram": 1.0 / n_coarse, "fine": 1.0 / max(n_fine, 1),
+              "rtd": tcfg.rtd_weight / int(plans.T[plans.nc > 0].sum())}
+    main = BackwardGroup(params, cfg, grads, scales)
+    gen = BackwardGroup(params, cfg.generator_view(), grads, {"gen_ngram": 1.0 / n_coarse},
+                        prefix="gen_")
+    sampled = generator_forward_and_sample(params, plans, cfg, sample_rng)
+    filled = relation_from_comprehensive(plans, sampled)
+    filled.rtd = [labels if slots else None for labels, slots in zip(filled.rtd, plans.nc.tolist())]
+    for plan, original in zip(filled, plans):
+        plan_loss_terms(params, plan, cfg, main)
+        generator_loss_terms(params, original, cfg, gen)
+    main.backward()
+    gen.backward()
+    return {**main.sums, **gen.sums}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_generator_first_equals_interleaved_order_bitwise(small_pipeline, dtype):
+    # the two encoders write disjoint gradients and the draws still come
+    # first, so running the generator's passes and backward before the
+    # standard model's changes no bit of the report or the gradients
+    cfg, tcfg, batch = mixed_length_batch(small_pipeline)
+    assert batch.nf.any()
+    params = init_params(cfg, 4, dtype=dtype)
+    grads = zero_grads(params)
+    report = batch_loss_and_grad(params, batch, cfg, tcfg, grads, RngState(9))
+    want_grads = zero_grads(params)
+    sums = interleaved_sums(params, batch, cfg, tcfg, want_grads, RngState(9))
+    n_coarse, n_fine, n_rtd = report.n_coarse, report.n_fine, report.n_rtd
+    assert (report.coarse, report.fine, report.rtd, report.generator) == (
+        sums["ngram"] / n_coarse, sums["fine"] / n_fine, sums["rtd"] / n_rtd,
+        sums["gen_ngram"] / n_coarse)
+    assert report.comprehensive_sum == sums["ngram"] + sums["fine"]
+    for k in want_grads:
+        assert grads[k].tobytes() == want_grads[k].tobytes(), k
+
+
 @pytest.mark.parametrize("objective", list(Objective))
 def test_loss_report_does_not_depend_on_backward(small_pipeline, objective):
-    # logits and losses run per group of plans, but each plan's loss sums
-    # are formed apart and added in plan order, so the report is bitwise
-    # the plan-order sum of the loss terms of each plan in a group of its own
+    # logits and losses run once per batch, but each plan's loss sums are
+    # formed apart and added in plan order, so the report is bitwise the
+    # plan-order sum of the loss terms of each plan in a group of its own
     stream, vocab, lex, jv, cfg = small_pipeline
     plans = make_plans(stream, lex, jv, objective, seed=1)
     tcfg = TrainConfig(objective, total_steps=1, batch_size=6, warmup_steps=0, seed=0)
