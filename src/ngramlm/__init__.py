@@ -23,14 +23,12 @@ from .maskplan import (
     PlanStore,
     RngState,
     build_attention_mask,
-    parse_plan,
     plan_comprehensive,
     plan_contiguous,
     plan_explicit,
     plan_relation,
     sample_mask,
     segment_example,
-    serialize_plan,
 )
 from .model import (
     ModelConfig,

@@ -527,74 +527,69 @@ def _records(store: PlanStore) -> bytes:
     return b"".join(parts)
 
 
-def serialize_plan(plan: PlanView) -> bytes:
-    """One plan as a record (see the record format above)."""
-    return _records(plan.store.take([plan.k]))
-
-
-def _truncated(shift: int, end: int, *fields) -> PlanFormatError:
+def _truncated(end: int, *fields) -> PlanFormatError:
     """The error for a record cut at ``end``, placed at the first of the
     ``(start, size, item)`` fields that runs past it: at the field's start,
     or for a list of ``item``-byte pairs at its first incomplete pair."""
     offset = next(start + (end - start) // item * item
                   for start, size, item in fields if start + size > end)
-    return PlanFormatError("truncated plan record", shift + offset)
+    return PlanFormatError("truncated plan record", offset)
 
 
-def _scan(buf, pos: int, end: int, shift: int):
+def _scan(buf, pos: int, end: int):
     """Check the record whose payload spans ``buf[pos:end]``; returns its
     objective byte, the end of its u32 fields and its RTD labels or None.
-    An error's offset is ``shift`` plus its position in ``buf``."""
+    An error's offset is its position in ``buf``."""
     if pos + 11 > end:
-        raise _truncated(shift, end, (pos, 11, 11))
+        raise _truncated(end, (pos, 11, 11))
     version, objective, T, Q = struct.unpack_from("<HBII", buf, pos)
     if version != PLAN_VERSION:
         raise VersionError(f"plan record version {version}, expected {PLAN_VERSION}")
     if objective >= len(_OBJECTIVES):
-        raise PlanFormatError(f"unknown objective {objective}", shift + pos + 2)
+        raise PlanFormatError(f"unknown objective {objective}", pos + 2)
     pos += 11
     # context ids, positions, query ids and the coarse count
     n = 2 * T + 2 * Q
     if pos + 4 * n + 4 > end:
-        raise _truncated(shift, end, (pos, 4 * T, 4 * T), (pos + 4 * T, 4 * (T + Q), 4 * (T + Q)),
-                         (pos + 4 * (2 * T + Q), 4 * Q, 4 * Q), (pos + 4 * n, 4, 4))
+        raise _truncated(end, (pos, 4 * T, 4 * T), (pos + 4 * T, 4 * (T + Q), 4 * (T + Q)),
+                     (pos + 4 * (2 * T + Q), 4 * Q, 4 * Q), (pos + 4 * n, 4, 4))
     pos += 4 * n + 4
     # coarse pairs and the fine count, then fine pairs and the RTD flag
     (nc,) = struct.unpack_from("<I", buf, pos - 4)
     if pos + 8 * nc + 4 > end:
-        raise _truncated(shift, end, (pos, 8 * nc, 8), (pos + 8 * nc, 4, 4))
+        raise _truncated(end, (pos, 8 * nc, 8), (pos + 8 * nc, 4, 4))
     pos += 8 * nc + 4
     (nf,) = struct.unpack_from("<I", buf, pos - 4)
     if pos + 8 * nf + 1 > end:
-        raise _truncated(shift, end, (pos, 8 * nf, 8), (pos + 8 * nf, 1, 1))
+        raise _truncated(end, (pos, 8 * nf, 8), (pos + 8 * nf, 1, 1))
     fields_end = pos + 8 * nf
     pos = fields_end + 1
     labels = None
     if buf[fields_end]:
         k = (T + 7) // 8
         if pos + k > end:
-            raise _truncated(shift, end, (pos, k, k))
+            raise _truncated(end, (pos, k, k))
         labels = np.unpackbits(np.frombuffer(buf, np.uint8, k, pos), count=T, bitorder="little")
         pos += k
     if pos != end:
-        raise PlanFormatError("trailing bytes after plan record", shift + pos)
+        raise PlanFormatError("trailing bytes after plan record", pos)
     return objective, fields_end, labels
 
 
-def _decode(buf, pos: int, shift: int = 0) -> PlanStore:
+def _decode(buf, pos: int) -> PlanStore:
     """The store of the records from ``buf[pos:]`` on: one header walk, then
-    one array over the joined u32 fields.  An error's offset is ``shift``
-    plus its position in ``buf``."""
+    one array over the joined u32 fields.  An error's offset is its position
+    in ``buf``."""
     view = memoryview(buf)
     runs, starts, objectives, rtd = [], [0], bytearray(), []
     n = len(buf)
     while pos < n:
         if pos + 4 > n:
-            raise PlanFormatError("truncated record length prefix", shift + pos)
+            raise PlanFormatError("truncated record length prefix", pos)
         end = pos + 4 + struct.unpack_from("<I", buf, pos)[0]
         if end > n:
-            raise PlanFormatError("truncated plan record", shift + pos)
-        objective, fields_end, labels = _scan(buf, pos + 4, end, shift)
+            raise PlanFormatError("truncated plan record", pos)
+        objective, fields_end, labels = _scan(buf, pos + 4, end)
         runs.append(view[pos + 7 : fields_end])  # from T, after version and objective
         starts.append(starts[-1] + (fields_end - pos - 7) // 4)
         objectives.append(objective)
@@ -602,18 +597,6 @@ def _decode(buf, pos: int, shift: int = 0) -> PlanStore:
         pos = end
     return PlanStore(np.frombuffer(b"".join(runs), dtype="<u4"), np.array(starts, dtype=np.int64),
                      np.frombuffer(objectives, dtype=np.uint8), rtd)
-
-
-def parse_plan(data: bytes, base_offset: int = 0) -> PlanView:
-    """One length-prefixed record; error offsets count from ``base_offset``."""
-    if len(data) < 4:
-        raise PlanFormatError("truncated plan record", base_offset)
-    (payload_len,) = struct.unpack_from("<I", data)
-    if payload_len != len(data) - 4:
-        raise PlanFormatError(
-            f"record length {payload_len} does not match payload {len(data) - 4}", base_offset
-        )
-    return _decode(data, 0, base_offset)[0]
 
 
 def write_plan_file(path, plans: PlanStore, provenance: dict | None = None):

@@ -21,6 +21,7 @@ from .maskplan import (
     PlanStore,
     PlanView,
     RngState,
+    _segments,
     build_attention_mask,
     relation_from_comprehensive,
 )
@@ -119,80 +120,54 @@ def lr_at(step: int, tcfg: TrainConfig) -> float:
 # ---------------------------------------------------------------------------
 # per-plan forward; heads, losses and one backward per encoder per batch
 
-class BackwardGroup:
-    """A batch's plans for one encoder, whose heads and backward run packed.
+def heads_and_backward(params: dict, cfg: ModelConfig, acts: list, targets: dict,
+                       scales: dict, grads: dict, prefix: str = "") -> dict:
+    """One encoder's heads, losses and backward over a batch's passes.
 
-    Each plan's forward pass runs on its own; the group keeps the plans'
-    activations and, per head, their target rows, counted across the
-    group, and target ids or RTD labels.  :meth:`backward` then runs, per
-    head, one :func:`head_logits` product at the packed rows, one loss and
-    one head backward, with the dlogits scaled by ``scales`` (head name ->
-    factor, e.g. weight / batch target count), followed by one packed
-    :func:`encode_backward`.  It adds each plan's loss sums into ``sums``
-    (head name -> nats), plan by plan in group order.
-
-    The group holds every plan's forward caches until :meth:`backward`:
-    about rows x width per layer for the row-wise tensors, plus heads x
-    the sum of the plans' squared lengths for attention.
+    ``acts`` are the plans' forward passes, whose hidden states are packed
+    row after row.  ``targets`` maps a head to (rows, target ids or RTD
+    labels, plan of each row), the rows counted across the packed passes;
+    the heads run in its order, ``rtd`` last, as its rows overlap the
+    others'.  Per head: one :func:`head_logits` product at the rows, one
+    loss, each plan's loss sum (added in plan order into the head's entry of
+    the returned sums, which hold a 0.0 for every head of ``scales``), and
+    one head backward with the dlogits scaled by ``scales[head]`` (e.g.
+    weight / batch target count).  Then one packed :func:`encode_backward`.
+    Gradients add into ``grads``.
     """
+    hidden = np.concatenate([a.hidden for a in acts])
+    d_hidden = np.zeros_like(hidden)
+    sums = dict.fromkeys(scales, 0.0)
+    for head, (rows, values, owner) in targets.items():
+        if not len(rows):
+            continue
+        logits = head_logits(hidden[rows], params, head)
+        if head == "rtd":
+            nll, dlog = _bce_with_logits(logits, values)
+            dlog = (dlog * scales[head]).astype(hidden.dtype)
+        else:
+            nll, dlog = _xent(logits, values)
+            dlog *= scales[head]
+        for value in np.bincount(owner, nll).tolist():
+            sums[head] += value
+        head_backward(hidden, rows, dlog, head, params, d_hidden, grads=grads)
+    encode_backward(params, acts, d_hidden, cfg, prefix, grads=grads)
+    return sums
 
-    def __init__(self, params: dict, cfg: ModelConfig, grads: dict, scales: dict,
-                 prefix: str = ""):
-        self.params = params
-        self.cfg = cfg
-        self.grads = grads
-        self.scales = scales
-        self.prefix = prefix
-        self.sums = dict.fromkeys(scales, 0.0)
-        self._clear()
 
-    def _clear(self):
-        self.acts: list = []
-        self.rows = 0
-        self.targets: dict = {}  # head -> ([row arrays], [target arrays])
-
-    def add(self, acts: Activations, **targets):
-        """A plan's forward pass and, per head, the pair (rows, target ids
-        or RTD labels); a head without rows is left out."""
-        self.acts.append(acts)
-        offset = self.rows
-        self.rows += len(acts.hidden)
-        for head, (rows, values) in targets.items():
-            if len(rows):
-                parts = self.targets.setdefault(head, ([], []))
-                parts[0].append(offset + rows)
-                parts[1].append(values)
-
-    def backward(self):
-        """Run the pending plans' heads and losses, add their loss sums into
-        ``sums`` and their gradients into ``grads``, and empty the group."""
-        if not self.acts:
-            return
-        hidden = np.concatenate([a.hidden for a in self.acts])
-        d_hidden = np.zeros_like(hidden)
-        for head, (rows, values) in self.targets.items():
-            index = np.concatenate(rows)
-            logits = head_logits(hidden[index], self.params, head)
-            if head == "rtd":
-                nll, dlog = _bce_with_logits(logits, np.concatenate(values))
-                dlog = (dlog * self.scales[head]).astype(hidden.dtype)
-            else:
-                nll, dlog = _xent(logits, np.concatenate(values))
-                dlog *= self.scales[head]
-            # each plan's own sum, added in plan order, as the plans' terms add up
-            plan = np.repeat(np.arange(len(rows)), [len(r) for r in rows])
-            for value in np.bincount(plan, nll).tolist():
-                self.sums[head] += value
-            head_backward(hidden, index, dlog, head, self.params, d_hidden, grads=self.grads)
-        encode_backward(self.params, self.acts, d_hidden, self.cfg, self.prefix,
-                        grads=self.grads)
-        self._clear()
+def _packed_targets(plans: PlanStore, field: str, first):
+    """``plans.gather(field)`` as (rows, ids, plan of each row), each row
+    offset by ``first``, its plan's first row in the packed passes."""
+    pairs, owner = plans.gather(field)
+    return first[owner] + pairs[:, 0], pairs[:, 1], owner
 
 
 def check_plans(plans: PlanStore, cfg: ModelConfig, objective: Objective | None = None):
-    """Refuse a store, naming its first plan at fault.  DataError for an id,
-    position or target index outside ``cfg``'s sizes or the plan's own length
-    (a contiguous plan's fine targets lie in its context), then for a coarse
+    """Refuse a store, naming its first plan at fault.  DataError for an
+    empty context, RTD labels on a plan outside the relation layout (only
+    training derives them, from the comprehensive one), an id, position or
+    target index outside ``cfg``'s sizes or the plan's own length (a
+    contiguous plan's fine targets lie in its context), then for a coarse
     slot or fine index named twice.  Then UsageError for a plan outside the
     layout ``objective`` trains on (the comprehensive one for relation: its
     generator must see [M] at a slot), or a relation plan under evaluation (None)."""
@@ -201,8 +176,13 @@ def check_plans(plans: PlanStore, cfg: ModelConfig, objective: Objective | None 
     limit = np.where(plans.objectives == Objective.CONTIGUOUS, T, T + plans.Q)
     targets = plans.gather("coarse"), plans.gather("fine")
     (coarse, at_coarse), (fine_t, at_fine) = targets
-    checks = [(values >= joint, at, f"token id outside the joint vocabulary 0..{joint - 1}")
-              for values, at in (plans.gather("context_ids"), plans.gather("query_ids"))]
+    labelled = np.array([labels is not None for labels in plans.rtd], dtype=bool)
+    every = np.arange(len(plans))
+    checks = [(T == 0, every, "empty context"),
+              (labelled & (plans.objectives != Objective.RELATION), every,
+               "RTD labels on a plan outside the relation layout")]
+    checks += [(values >= joint, at, f"token id outside the joint vocabulary 0..{joint - 1}")
+               for values, at in (plans.gather("context_ids"), plans.gather("query_ids"))]
     positions, at_positions = plans.gather("positions")
     checks += [
         ((positions < 1) | (positions > max_pos), at_positions,
@@ -229,29 +209,20 @@ def check_plans(plans: PlanStore, cfg: ModelConfig, objective: Objective | None 
         raise UsageError(f"plan {bad.argmax()}: {what}")
 
 
-def plan_loss_terms(params: dict, plan: PlanView, cfg: ModelConfig, group: BackwardGroup):
-    """Add one plan to ``group``: the standard model's pass over its context
-    and queries under its length-hiding attention mask (a plan without
-    queries needs no mask), and the rows of its coarse, fine and RTD
-    targets.  The group's backward computes the loss sums.  The plan's
-    targets must be distinct (:func:`check_plans`)."""
+def plan_loss_terms(params: dict, plan: PlanView, cfg: ModelConfig) -> Activations:
+    """The standard model's pass over a plan's context and queries under
+    its length-hiding attention mask (a plan without queries needs no
+    mask), whose rows feed the coarse, fine and RTD heads."""
     mask = build_attention_mask(plan, dtype=params["tok_emb"].dtype) if plan.Q else None
-    labels = plan.labels
-    rtd = (np.arange(plan.T), labels) if labels is not None else ((), ())
-    group.add(encode(params, plan.ids, plan.positions, mask, cfg), ngram=plan.coarse.T,
-              fine=plan.fine.T, rtd=rtd)
+    return encode(params, plan.ids, plan.positions, mask, cfg)
 
 
-def generator_loss_terms(params: dict, plan: PlanView, cfg: ModelConfig, group: BackwardGroup):
-    """Add a plan with slots to the generator's ``group``: its pass over the
-    context, nothing masked out, and its slots, which predict y (the
-    explicit-MLM term, head ``gen_ngram``).  A plan without slots adds nothing."""
-    coarse = plan.coarse
-    if not len(coarse):
-        return
+def generator_loss_terms(params: dict, plan: PlanView, cfg: ModelConfig) -> Activations:
+    """The generator's pass over a plan's context, nothing masked out, whose
+    slots predict y (the explicit-MLM term, head ``gen_ngram``)."""
     T = plan.T
-    group.add(encode(params, plan.ids[:T], plan.positions[:T], None, cfg.generator_view(),
-                     prefix="gen_"), gen_ngram=coarse.T)
+    return encode(params, plan.ids[:T], plan.positions[:T], None, cfg.generator_view(),
+                  prefix="gen_")
 
 
 def generator_forward_and_sample(params: dict, plans: PlanStore, cfg: ModelConfig,
@@ -296,39 +267,44 @@ def batch_loss_and_grad(params: dict, plans: PlanStore, cfg: ModelConfig, tcfg: 
     are read from the plans first; sampling keeps every target.  The
     relation objective then samples every slot of the batch from the
     generator and fills the comprehensive-layout plans with the samples in
-    one pass.  The generator's passes on the unfilled plans run next, with
-    its heads, loss and one packed backward, and only then the standard
-    model's passes on the filled plans and its one packed backward, so the
-    two encoders' caches are never held together.  The two write disjoint
-    gradients, and sampling is non-differentiable, so the generator only
-    receives gradient from its own term.
+    one pass.  The generator's passes on the unfilled plans with slots run
+    next, with its heads and backward (:func:`heads_and_backward`), and only
+    then the standard model's passes on the filled plans and its heads and
+    backward, so the two encoders' caches are never held together.  The two
+    write disjoint gradients, and sampling is non-differentiable, so the
+    generator only receives gradient from its own term.  Every head's
+    targets are gathered from the store, and the RTD term covers the
+    context of each plan with slots: a plan without slots has none.
     """
     relation = tcfg.objective == Objective.RELATION
     n_coarse = int(plans.nc.sum())
     n_fine = int(plans.nf.sum())
     n_gen = n_coarse if relation else 0
-    n_rtd = int(plans.T[plans.nc > 0].sum()) if relation else 0
+    slotted = np.flatnonzero(plans.nc) if relation else np.zeros(0, dtype=np.int64)
+    n_rtd = int(plans.T[slotted].sum())
 
-    scales = {"ngram": 1.0 / max(n_coarse, 1), "fine": 1.0 / max(n_fine, 1),
-              "rtd": tcfg.rtd_weight / max(n_rtd, 1)}
-    gen = BackwardGroup(params, cfg.generator_view(), grads, {"gen_ngram": 1.0 / max(n_gen, 1)},
-                        prefix="gen_")
+    lengths = plans.T + plans.Q
+    first = np.cumsum(lengths) - lengths  # each plan's first row in the packed passes
+    targets = {"ngram": _packed_targets(plans, "coarse", first),
+               "fine": _packed_targets(plans, "fine", first)}
+    sums = {"gen_ngram": 0.0}
     filled = plans
-    if relation and n_coarse:
+    if len(slotted):
         sampled = generator_forward_and_sample(params, plans, cfg, sample_rng)
         filled = relation_from_comprehensive(plans, sampled)
-        # a plan without slots has no RTD term
-        filled.rtd = [labels if slots else None
-                      for labels, slots in zip(filled.rtd, plans.nc.tolist())]
-        for plan in plans:
-            generator_loss_terms(params, plan, cfg, gen)
-        gen.backward()
-    main = BackwardGroup(params, cfg, grads, scales)
-    for plan in filled:
-        plan_loss_terms(params, plan, cfg, main)
-    main.backward()
+        gen = plans.take(slotted)
+        sums |= heads_and_backward(
+            params, cfg.generator_view(), [generator_loss_terms(params, p, cfg) for p in gen],
+            {"gen_ngram": _packed_targets(gen, "coarse", np.cumsum(gen.T) - gen.T)},
+            {"gen_ngram": 1.0 / n_gen}, grads, prefix="gen_")
+        targets["rtd"] = (_segments(first[slotted], plans.T[slotted]),
+                          np.concatenate([filled.rtd[k] for k in slotted.tolist()]),
+                          np.repeat(slotted, plans.T[slotted]))
+    scales = {"ngram": 1.0 / max(n_coarse, 1), "fine": 1.0 / max(n_fine, 1),
+              "rtd": tcfg.rtd_weight / max(n_rtd, 1)}
+    sums |= heads_and_backward(params, cfg, [plan_loss_terms(params, p, cfg) for p in filled],
+                               targets, scales, grads)
 
-    sums = {**main.sums, **gen.sums}
     report = LossReport(
         fine=sums["fine"] / max(n_fine, 1),
         coarse=sums["ngram"] / max(n_coarse, 1),

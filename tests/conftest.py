@@ -12,7 +12,7 @@ from ngramlm import FineVocab, Objective, build_joint_vocab
 from ngramlm.lexicon import NGramLexicon, ScoredNGram
 from ngramlm.maskplan import PLAN_VERSION, PlanView, _decode, segment_example
 from ngramlm.model import FlatLayout, ModelConfig, _encoder_param_shapes
-from ngramlm.train import BackwardGroup
+from ngramlm.train import heads_and_backward
 
 
 # one "ACCEPTANCE nn ...: PASS/FAIL" line per criterion, printed after the
@@ -148,18 +148,48 @@ def zero_grads(params):
 HEADS = ("ngram", "fine", "rtd", "gen_ngram")
 
 
+def assembled_targets(plans, generator=False):
+    """Each head's (rows, target ids or RTD labels, plan of each row) for
+    the passes of ``plans`` packed in order, assembled plan by plan.  With
+    ``offset`` the rows of the passes before a plan: ``offset +
+    plan.coarse[:, 0]`` for ``ngram``, or for ``gen_ngram`` with
+    ``generator``, whose passes cover the context only; ``offset +
+    plan.fine[:, 0]`` for ``fine``; and ``offset + arange(T)`` for ``rtd``
+    on a plan with slots and RTD labels.  Heads come in the order ngram,
+    fine, rtd."""
+    parts = {}
+    offset = 0
+    for k, plan in enumerate(plans):
+        terms = ([("gen_ngram", plan.coarse[:, 0], plan.coarse[:, 1])] if generator else
+                 [("ngram", plan.coarse[:, 0], plan.coarse[:, 1]),
+                  ("fine", plan.fine[:, 0], plan.fine[:, 1])])
+        if not generator and len(plan.coarse) and plan.labels is not None:
+            terms.append(("rtd", np.arange(plan.T), plan.labels))
+        for head, rows, values in terms:
+            part = parts.setdefault(head, ([], [], []))
+            part[0].append(offset + rows.astype(np.int64))
+            part[1].append(values)
+            part[2].append(np.full(len(rows), k))
+        offset += plan.T if generator else plan.T + plan.Q
+    return {head: tuple(np.concatenate(x) for x in part) for head, part in parts.items()}
+
+
 def loss_and_grads(loss_terms, params, plan, cfg, scales=None, prefix=""):
     """One plan's loss sums by head (``ngram``, ``fine``, ``rtd``,
     ``gen_ngram``) and, with ``scales``, its gradients alone: ``loss_terms``
-    adds the plan to a group of its own, whose heads, losses and backward
-    run over zeroed gradients for every parameter.  Without ``scales`` the
-    dlogit scales are 1.0 and the gradient dict returned is empty."""
+    runs the plan's pass, and :func:`heads_and_backward` its heads, losses
+    and backward at the rows of :func:`assembled_targets`, over zeroed
+    gradients for every parameter.  A plan without slots gives the
+    generator nothing to do.  Without ``scales`` the dlogit scales are 1.0
+    and the gradient dict returned is empty."""
     grads = zero_grads(params)
-    group = BackwardGroup(params, cfg.generator_view() if prefix else cfg, grads,
-                          scales or dict.fromkeys(HEADS, 1.0), prefix)
-    loss_terms(params, plan, cfg, group)
-    group.backward()
-    return {**dict.fromkeys(HEADS, 0.0), **group.sums}, grads if scales is not None else {}
+    sums = dict.fromkeys(HEADS, 0.0)
+    if not prefix or len(plan.coarse):
+        sums |= heads_and_backward(params, cfg.generator_view() if prefix else cfg,
+                                   [loss_terms(params, plan, cfg)],
+                                   assembled_targets([plan], bool(prefix)),
+                                   scales or dict.fromkeys(HEADS, 1.0), grads, prefix)
+    return sums, grads if scales is not None else {}
 
 
 @pytest.fixture

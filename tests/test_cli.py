@@ -344,8 +344,13 @@ def test_vocabulary_blank_line_is_a_data_error(corpus_dir, tmp_path, capsys):
                + p.targets_coarse[2:]},
     lambda p: {"targets_fine": (p.targets_fine[0], (p.targets_fine[0][0], p.targets_fine[1][1]))
                + p.targets_fine[2:]},
+    lambda p: dict.fromkeys(("context_ids", "context_positions", "query_ids", "query_positions",
+                             "targets_coarse", "targets_fine"), ()),
+    # only training derives RTD labels, from a comprehensive plan
+    lambda p: {"rtd_labels": (1,) * p.T},
 ], ids=["context-id", "coarse-target", "coarse-slot", "fine-target", "context-position",
-        "query-position", "repeated-coarse-slot", "repeated-fine-index"])
+        "query-position", "repeated-coarse-slot", "repeated-fine-index", "empty-context",
+        "rtd-labels"])
 def test_out_of_range_plan_is_a_data_error(corpus_dir, tmp_path, edit):
     plans_path = run_pipeline(corpus_dir, tmp_path, objective="comprehensive")
     ck = tmp_path / "model.npz"

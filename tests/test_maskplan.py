@@ -23,14 +23,12 @@ from ngramlm import (
     count_ngrams,
     extract_lexicon,
     make_plans,
-    parse_plan,
     plan_comprehensive,
     plan_contiguous,
     plan_explicit,
     plan_relation,
     sample_mask,
     segment_example,
-    serialize_plan,
     subword_tokenize,
 )
 from ngramlm import corpus, pipeline
@@ -56,6 +54,32 @@ def fid(vocab, tok):
 def one(plan: RefPlan) -> PlanView:
     """A hand-made plan as the view of a one-plan store."""
     return store_of([plan])[0]
+
+
+def plan_file(path, plans, provenance=None) -> bytes:
+    """The bytes that write_plan_file writes for the store ``plans``: the
+    file header, then one record a plan."""
+    write_plan_file(path, plans, provenance)
+    return path.read_bytes()
+
+
+def header_size(data: bytes) -> int:
+    """The bytes before a plan file's first record: magic, u16 version,
+    u32 provenance length and the provenance."""
+    return 10 + int.from_bytes(data[6:10], "little")
+
+
+def read_back(path, data: bytes) -> list:
+    """The plans of a plan file holding ``data``, in the reference form;
+    error offsets count from the file's first byte."""
+    path.write_bytes(data)
+    return [ref_of(view) for view in read_plan_file(path)[1]]
+
+
+@pytest.fixture(scope="module")
+def plan_path(tmp_path_factory):
+    """One file path for the property tests, rewritten by each example."""
+    return tmp_path_factory.mktemp("records") / "plans.bin"
 
 
 # --- the four layouts on the toy example --------------------------------------
@@ -474,10 +498,11 @@ def pinned_pipeline():
 
 @pytest.mark.parametrize("ngram_only", [False, True])
 @pytest.mark.parametrize("objective", list(Objective))
-def test_plan_records_match_pinned_digests(pinned_pipeline, objective, ngram_only):
+def test_plan_records_match_pinned_digests(pinned_pipeline, objective, ngram_only, tmp_path):
     stream, lex, jv = pinned_pipeline
     plans = make_plans(stream, lex, jv, objective, rate=0.3, seed=7, ngram_only=ngram_only)
-    digest = hashlib.sha256(b"".join(serialize_plan(p) for p in plans)).hexdigest()[:16]
+    data = plan_file(tmp_path / "plans.bin", plans)
+    digest = hashlib.sha256(data[header_size(data):]).hexdigest()[:16]
     assert digest == PLAN_RECORD_DIGESTS[objective.name.lower(), ngram_only]
 
 
@@ -561,33 +586,38 @@ def plan_st(draw):
 
 @settings(max_examples=120, deadline=None)
 @given(plan_st())
-def test_serialization_roundtrip(plan):
-    assert ref_of(parse_plan(serialize_plan(one(plan)))) == plan
+def test_serialization_roundtrip(plan_path, plan):
+    assert read_back(plan_path, plan_file(plan_path, one(plan).store)) == [plan]
 
 
 @settings(max_examples=60, deadline=None)
 @given(plan_st(), st.integers(min_value=1, max_value=40))
-def test_truncation_always_detected(plan, cut):
-    data = serialize_plan(one(plan))
-    cut = min(cut, len(data) - 1)
+def test_truncation_always_detected(plan_path, plan, cut):
+    # a cut anywhere in the record, which a shorter valid file never ends in
+    data = plan_file(plan_path, one(plan).store)
+    cut = min(cut, len(data) - header_size(data) - 1)
     with pytest.raises(PlanFormatError):
-        parse_plan(data[:-cut])
+        read_back(plan_path, data[:-cut])
 
 
-def test_version_mismatch_detected(toy_example, toy_vocab):
-    data = bytearray(serialize_plan(plan_contiguous(toy_example, MASKED, toy_vocab)))
-    data[4] = 99  # version field follows the u32 length prefix
+def test_version_mismatch_detected(toy_example, toy_vocab, tmp_path):
+    path = tmp_path / "plans.bin"
+    data = bytearray(plan_file(path, plan_contiguous(toy_example, MASKED, toy_vocab).store))
+    data[header_size(data) + 4] = 99  # the record's version follows its u32 length prefix
     with pytest.raises(VersionError):
-        parse_plan(bytes(data))
+        read_back(path, bytes(data))
 
 
-def test_trailing_bytes_detected(toy_example, toy_vocab):
-    data = serialize_plan(plan_contiguous(toy_example, MASKED, toy_vocab))
+def test_trailing_bytes_detected(toy_example, toy_vocab, tmp_path):
+    path = tmp_path / "plans.bin"
+    data = plan_file(path, plan_contiguous(toy_example, MASKED, toy_vocab).store)
     # extend the payload by one byte and fix up the length prefix
-    new_len = int.from_bytes(data[:4], "little") + 1
-    corrupted = new_len.to_bytes(4, "little") + data[4:] + b"\x00"
-    with pytest.raises(PlanFormatError):
-        parse_plan(corrupted)
+    at = header_size(data)
+    new_len = int.from_bytes(data[at:at + 4], "little") + 1
+    corrupted = data[:at] + new_len.to_bytes(4, "little") + data[at + 4:] + b"\x00"
+    with pytest.raises(PlanFormatError) as e:
+        read_back(path, corrupted)
+    assert e.value.offset == len(data)
 
 
 @settings(max_examples=40, deadline=None)
@@ -727,8 +757,9 @@ def outcome(f, *args):
 
 @settings(max_examples=120, deadline=None)
 @given(plan_st())
-def test_serialize_matches_reference_encoder(plan):
-    assert serialize_plan(one(plan)) == reference_serialize(plan)
+def test_serialize_matches_reference_encoder(plan_path, plan):
+    data = plan_file(plan_path, one(plan).store)
+    assert data[header_size(data):] == reference_serialize(plan)
 
 
 @settings(max_examples=60, deadline=None)
@@ -746,16 +777,19 @@ def test_plan_file_reads_back_as_reference_decoder(tmp_path_factory, plans):
 
 @settings(max_examples=80, deadline=None)
 @given(plan_st(), st.integers(min_value=1, max_value=200), st.integers(min_value=0, max_value=99))
-def test_errors_keep_class_and_offset(plan, cut, base):
+def test_errors_keep_class_and_offset(plan_path, plan, cut, base):
     # truncation at any cut, trailing bytes, a length mismatch and a
-    # version mismatch, each against the per-field decoder
-    data = serialize_plan(one(plan))
+    # version mismatch, each against the per-field decoder, in a file
+    # whose header the provenance lengthens by ``base`` bytes
+    raw = plan_file(plan_path, one(plan).store, {"pad": "x" * base})
+    at = header_size(raw)
+    head, data = raw[:at], raw[at:]
     cut = min(cut, len(data) - 4)
     short = (len(data) - 4 - cut).to_bytes(4, "little") + data[4:-cut]  # prefix fixed up
     longer = (len(data) - 3).to_bytes(4, "little") + data[4:] + b"\x00"
     for bad in (short, data[:-cut], longer, longer[:4] + data[4:], data[:4] + b"\x63" + data[5:]):
-        got = outcome(parse_plan, bad, base)
-        assert got == outcome(reference_parse, bad, base)
+        got = outcome(read_back, plan_path, head + bad)
+        assert got == outcome(reference_read_records, head + bad, at)
         assert isinstance(got, tuple) and got[0] in (PlanFormatError, VersionError)
 
 
@@ -782,17 +816,15 @@ def test_file_error_offsets_match_reference(tmp_path_factory, plans, data):
 
 
 def test_unknown_objective_is_a_format_error(toy_example, toy_vocab, tmp_path):
-    data = bytearray(serialize_plan(plan_contiguous(toy_example, MASKED, toy_vocab)))
-    data[6] = 9  # objective byte: u32 length prefix, u16 version
-    with pytest.raises(PlanFormatError) as e:
-        parse_plan(bytes(data), 100)
-    assert e.value.offset == 106
     path = tmp_path / "plans.bin"
-    write_plan_file(path, store_of([]))
-    path.write_bytes(path.read_bytes() + bytes(data))
+    data = bytearray(plan_file(path, plan_contiguous(toy_example, MASKED, toy_vocab).store,
+                               {"note": "toy"}))
+    at = header_size(data)
+    assert at == 10 + len('{"note": "toy"}')
+    data[at + 6] = 9  # objective byte: u32 length prefix, u16 version
     with pytest.raises(PlanFormatError) as e:
-        read_plan_file(path)
-    assert e.value.offset == 12 + 6  # 10-byte file header, "{}" provenance
+        read_back(path, bytes(data))
+    assert e.value.offset == at + 6
 
 
 @settings(max_examples=200, deadline=None)

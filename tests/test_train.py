@@ -41,7 +41,6 @@ from ngramlm.train import (
     CLIP_NORM,
     WEIGHT_DECAY,
     AdamState,
-    BackwardGroup,
     _bce_with_logits,
     _contiguous_gram_groups,
     _decayable,
@@ -53,12 +52,21 @@ from ngramlm.train import (
     check_plans,
     generator_forward_and_sample,
     generator_loss_terms,
+    heads_and_backward,
     lr_at,
     plan_loss_terms,
 )
 from ngramlm.synth import collocation_corpus, CollocationSpec
 
-from conftest import RefPlan, loss_and_grads, ref_of, store_of, tiny_config, zero_grads
+from conftest import (
+    RefPlan,
+    assembled_targets,
+    loss_and_grads,
+    ref_of,
+    store_of,
+    tiny_config,
+    zero_grads,
+)
 
 
 # --- elementary losses ---------------------------------------------------------
@@ -593,7 +601,7 @@ def assert_grads_close(grads, want):
 
 @pytest.mark.parametrize("objective", list(Objective))
 def test_batch_grads_equal_plan_order_sum(small_pipeline, objective):
-    # the packed backward sums over the rows of a group of plans in
+    # the packed backward sums over the rows of a batch's plans in
     # another order than adding up per-plan gradients, so in float64 the
     # two agree to rounding; in float32 the gradients keep the dtype
     stream, vocab, lex, jv, cfg = small_pipeline
@@ -726,23 +734,24 @@ def interleaved_sums(params, plans, cfg, tcfg, grads, sample_rng):
     """A relation batch's loss sums by head, its gradients added into
     ``grads``, in the order batch_loss_and_grad had before the generator
     went first: plan by plan, the standard model's pass on the filled plan
-    and then the generator's on the original; then the standard model's
-    backward and the generator's, each over the whole batch."""
+    and then the generator's on the original if it has slots; then the
+    standard model's heads and backward and the generator's, each over the
+    whole batch, at the rows of :func:`assembled_targets`."""
     n_coarse, n_fine = int(plans.nc.sum()), int(plans.nf.sum())
     scales = {"ngram": 1.0 / n_coarse, "fine": 1.0 / max(n_fine, 1),
               "rtd": tcfg.rtd_weight / int(plans.T[plans.nc > 0].sum())}
-    main = BackwardGroup(params, cfg, grads, scales)
-    gen = BackwardGroup(params, cfg.generator_view(), grads, {"gen_ngram": 1.0 / n_coarse},
-                        prefix="gen_")
     sampled = generator_forward_and_sample(params, plans, cfg, sample_rng)
     filled = relation_from_comprehensive(plans, sampled)
-    filled.rtd = [labels if slots else None for labels, slots in zip(filled.rtd, plans.nc.tolist())]
+    main, gen = [], []
     for plan, original in zip(filled, plans):
-        plan_loss_terms(params, plan, cfg, main)
-        generator_loss_terms(params, original, cfg, gen)
-    main.backward()
-    gen.backward()
-    return {**main.sums, **gen.sums}
+        main.append(plan_loss_terms(params, plan, cfg))
+        if len(original.coarse):
+            gen.append(generator_loss_terms(params, original, cfg))
+    sums = heads_and_backward(params, cfg, main, assembled_targets(list(filled)), scales, grads)
+    return sums | heads_and_backward(
+        params, cfg.generator_view(), gen,
+        assembled_targets([p for p in plans if len(p.coarse)], generator=True),
+        {"gen_ngram": 1.0 / n_coarse}, grads, prefix="gen_")
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -766,11 +775,54 @@ def test_generator_first_equals_interleaved_order_bitwise(small_pipeline, dtype)
         assert grads[k].tobytes() == want_grads[k].tobytes(), k
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_gathered_targets_equal_plan_by_plan_rows_bitwise(fallback_pipeline, dtype):
+    # the heads' rows gathered from the store, and the RTD rows of the plans
+    # with slots only, give the report and gradients of rows assembled plan
+    # by plan, bit for bit, on a relation batch with a plan without slots and
+    # plans with slots and fallback [M]s, where the RTD rows overlap the
+    # fine head's
+    stream, lex, jv, cfg = fallback_pipeline
+    plans = make_plans(stream, lex, jv, Objective.RELATION, seed=1, rate=0.3)
+    fine, at = plans.gather("fine")
+    fallback = np.unique(at[fine[:, 0] < plans.T[at]])
+    mixed = fallback[plans.nc[fallback] > 0]
+    assert len(mixed) >= 2 and not plans.nc.all()
+    batch = plans.take([mixed[0], np.flatnonzero(plans.nc == 0)[0], *mixed[1:5]])
+    tcfg = TrainConfig(Objective.RELATION, total_steps=1, batch_size=len(batch), warmup_steps=0,
+                       seed=0, rtd_weight=0.5)
+    params = init_params(cfg, 4, dtype=dtype)
+    grads = zero_grads(params)
+    report = batch_loss_and_grad(params, batch, cfg, tcfg, grads, RngState(9))
+
+    want = zero_grads(params)
+    sampled = generator_forward_and_sample(params, batch, cfg, RngState(9))
+    filled = list(relation_from_comprehensive(batch, sampled))
+    slotted = [plan for plan in batch if len(plan.coarse)]
+    n_coarse, n_fine = int(batch.nc.sum()), int(batch.nf.sum())
+    n_rtd = sum(plan.T for plan in slotted)
+    sums = heads_and_backward(params, cfg.generator_view(),
+                              [generator_loss_terms(params, plan, cfg) for plan in slotted],
+                              assembled_targets(slotted, generator=True),
+                              {"gen_ngram": 1.0 / n_coarse}, want, prefix="gen_")
+    sums |= heads_and_backward(params, cfg, [plan_loss_terms(params, plan, cfg) for plan in filled],
+                               assembled_targets(filled),
+                               {"ngram": 1.0 / n_coarse, "fine": 1.0 / n_fine, "rtd": 0.5 / n_rtd},
+                               want)
+    assert (report.n_coarse, report.n_fine, report.n_rtd) == (n_coarse, n_fine, n_rtd)
+    assert (report.coarse, report.fine, report.rtd, report.generator) == (
+        sums["ngram"] / n_coarse, sums["fine"] / n_fine, sums["rtd"] / n_rtd,
+        sums["gen_ngram"] / n_coarse)
+    assert report.comprehensive_sum == sums["ngram"] + sums["fine"]
+    for k in want:
+        assert grads[k].tobytes() == want[k].tobytes(), k
+
+
 @pytest.mark.parametrize("objective", list(Objective))
 def test_loss_report_does_not_depend_on_backward(small_pipeline, objective):
     # logits and losses run once per batch, but each plan's loss sums are
     # formed apart and added in plan order, so the report is bitwise the
-    # plan-order sum of the loss terms of each plan in a group of its own
+    # plan-order sum of the loss terms of each plan's heads run alone
     stream, vocab, lex, jv, cfg = small_pipeline
     plans = make_plans(stream, lex, jv, objective, seed=1)
     tcfg = TrainConfig(objective, total_steps=1, batch_size=6, warmup_steps=0, seed=0)
