@@ -34,7 +34,7 @@ def name(jid):
     return surf if kind == "fine" else "<" + " ".join(surf) + ">"
 
 
-def show(title, plan):
+def show(title, plan, rtd_labels=None):
     T, ids, positions = plan.T, plan.ids.tolist(), plan.positions.tolist()
     print(f"\n{title}")
     print("  context:", " ".join(name(i) for i in ids[:T]))
@@ -45,8 +45,8 @@ def show(title, plan):
         print("  coarse targets:", [(s, name(y)) for s, y in plan.coarse.tolist()])
     if len(plan.fine):
         print("  fine targets:  ", [(i, name(x)) for i, x in plan.fine.tolist()])
-    if plan.labels is not None:
-        print("  rtd labels:    ", tuple(plan.labels.tolist()), "(1 = original)")
+    if rtd_labels is not None:
+        print("  rtd labels:    ", tuple(rtd_labels.tolist()), "(1 = original)")
 
 
 print("sentence:", " ".join(words))
@@ -61,8 +61,9 @@ comp = plan_comprehensive(ex, masked, jv)
 show("3. comprehensive: explicit layout + [Mi] queries at the slot position",
      comp)
 wrong = [jv.id_of_subword("x6"), jv.id_of_subword("x5")]
+# training derives the replaced-token labels with the filled plan
 show("4. relation: slots filled with sampled identities, detect replacements",
-     plan_relation(ex, masked, jv, wrong))
+     *plan_relation(ex, masked, jv, wrong))
 
 print("\nlength-hiding attention mask for the comprehensive plan")
 print("(rows attend to columns; '.' allowed, 'x' forbidden):")

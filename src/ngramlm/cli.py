@@ -16,7 +16,8 @@ import os
 import sys
 
 from . import __version__
-from .corpus import FineVocab, TokenizerConfig, _read_text, count_ngrams, ingest, tokenize_words
+from .corpus import (FineVocab, TokenizerConfig, _decode_text, _read_text, count_ngrams, ingest,
+                     tokenize_words)
 from .errors import DataError, NumericError, UsageError
 from .lexicon import NGramLexicon, build_joint_vocab, extract_lexicon
 from .maskplan import (
@@ -135,10 +136,12 @@ def cmd_make_masks(args):
 
 def cmd_segment(args):
     lex = NGramLexicon.load(args.lexicon)
-    # the whole file is read and decoded first, so a missing or non-UTF-8
-    # input fails before any output; newline=None splits lines as open() does
-    src = io.StringIO(_read_text(args.input), newline=None) if args.input else sys.stdin
-    for line in src:
+    # the whole input, a file or stdin's bytes, is read and decoded first, so
+    # a missing or non-UTF-8 input fails before any output, whatever stdin's
+    # encoding; newline=None splits lines as open() does
+    text = (_read_text(args.input) if args.input
+            else _decode_text(sys.stdin.buffer.read(), "<stdin>"))
+    for line in io.StringIO(text, newline=None):
         words = tokenize_words(line, not args.no_lowercase)
         if not words:
             continue

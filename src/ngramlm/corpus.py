@@ -71,10 +71,16 @@ def _read_text(path) -> str:
             raw = f.read()
     except OSError as e:
         raise DataError(f"cannot read {path}: {e}") from e
+    return _decode_text(raw, path)
+
+
+def _decode_text(raw: bytes, source) -> str:
+    """``raw`` decoded as strict UTF-8; an invalid byte raises
+    CorpusDecodeError naming ``source`` and the byte's offset."""
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as e:
-        raise CorpusDecodeError(path, e.start, e.reason) from e
+        raise CorpusDecodeError(source, e.start, e.reason) from e
 
 
 def ingest(paths, config: TokenizerConfig | None = None) -> WordStream:

@@ -3,9 +3,10 @@
 A plan fixes the context sequence (with masked segments collapsed,
 replaced or blanked according to the objective), appended query symbols
 [M1..Mn] sharing the owning slot's position id, the coarse/fine target
-sets, optional replaced-token-detection labels, and (reconstructed on
-demand) the additive {0, -inf} attention mask that hides n-gram length
-from the context.
+sets, and (reconstructed on demand) the additive {0, -inf} attention mask
+that hides n-gram length from the context.  Replaced-token-detection
+labels are no part of a plan: training derives them at each step, with
+the filled plans (``relation_from_comprehensive``).
 
 Plans have one form, the ``PlanStore``: the u32 fields of the binary
 record format in one array, with an offset per plan.  One layout pass
@@ -221,10 +222,9 @@ class PlanWriter:
         if self.fallbacks:
             log.warning("%d masked segments have more subwords than max query %d; "
                         "contiguous fallback", self.fallbacks, self.vocab.max_query)
-        n = len(self.starts) - 1
         return PlanStore(np.frombuffer(self.run, dtype=np.uintc).astype(np.uint32, copy=False),
                          np.array(self.starts, dtype=np.int64),
-                         np.full(n, self.objective, dtype=np.uint8), [None] * n)
+                         np.full(len(self.starts) - 1, self.objective, dtype=np.uint8))
 
 
 def _one_plan(objective, ex, masked, vocab, jv=None) -> "PlanView":
@@ -248,15 +248,15 @@ def plan_comprehensive(ex: SegmentedExample, masked: tuple, jv: JointVocab) -> "
     return _one_plan(Objective.COMPREHENSIVE, ex, masked, jv.fine, jv)
 
 
-def relation_from_comprehensive(store: "PlanStore", sampled) -> "PlanStore":
+def relation_from_comprehensive(store: "PlanStore", sampled) -> tuple["PlanStore", np.ndarray]:
     """Fill each [M] slot with a sampled joint identity and derive RTD labels.
 
     ``sampled`` aligns with the coarse targets of the store's plans, in the
-    order of ``gather("coarse")``.  Labels are per context position: 1
+    order of ``gather("coarse")``.  Returns (the filled store, the labels).
+    Every plan becomes a relation plan, in one copy of the store's fields.
+    The labels are uint8, one per context position, plan after plan: 1
     where the filled sequence matches the original-identity sequence, 0 at
-    slots holding a wrong identity and at fallback [M]s.  Every plan
-    becomes a relation plan, in one copy of the store's fields, returned as
-    a new store.
+    slots holding a wrong identity and at fallback [M]s.
     """
     coarse, owner = store.gather("coarse")
     if len(sampled) != len(coarse):
@@ -270,16 +270,20 @@ def relation_from_comprehensive(store: "PlanStore", sampled) -> "PlanStore":
     labels[first[owner] + coarse[:, 0]] = sampled == coarse[:, 1]
     run = store.run.copy()
     run[store.starts[owner] + 2 + coarse[:, 0]] = sampled  # the context ids start after T and Q
-    return PlanStore(run, store.starts, np.full(len(store), Objective.RELATION, dtype=np.uint8),
-                     np.split(labels, first[1:-1])[:len(store)])
+    filled = PlanStore(run, store.starts, np.full(len(store), Objective.RELATION, dtype=np.uint8))
+    return filled, labels
 
 
-def plan_relation(ex: SegmentedExample, masked: tuple, jv: JointVocab, sampled) -> "PlanView":
+def plan_relation(ex: SegmentedExample, masked: tuple, jv: JointVocab,
+                  sampled) -> tuple["PlanView", np.ndarray]:
+    """(the relation plan, its RTD labels): :func:`relation_from_comprehensive`
+    on the comprehensive plan of ``ex``."""
     base = plan_comprehensive(ex, masked, jv)
     for y_prime in sampled:
         if not 0 <= int(y_prime) < len(jv):
             raise UsageError(f"sampled id {y_prime} outside joint range 0..{len(jv) - 1}")
-    return relation_from_comprehensive(base.store, sampled)[0]
+    filled, labels = relation_from_comprehensive(base.store, sampled)
+    return filled[0], labels
 
 
 def build_attention_mask(plan: "PlanView", dtype=np.float32) -> np.ndarray:
@@ -299,10 +303,11 @@ def build_attention_mask(plan: "PlanView", dtype=np.float32) -> np.ndarray:
 # the plan store and the binary record format (little-endian, length-prefixed)
 #
 # A record is a u32 payload length, then the payload: u16 version, u8
-# objective, the plan's u32 fields, a u8 RTD flag and, when it is set, T
-# label bits packed low bit first.  The u32 fields, in order: T, Q, T
-# context ids, T + Q positions (context, then queries), Q query ids, the
-# coarse count and (slot, id) pairs, the fine count and (index, id) pairs.
+# objective, the plan's u32 fields and a u8 RTD flag.  The u32 fields, in
+# order: T, Q, T context ids, T + Q positions (context, then queries), Q
+# query ids, the coarse count and (slot, id) pairs, the fine count and
+# (index, id) pairs.  The flag is always 0: a set flag would be followed by
+# T stored RTD labels, which no plan holds, so the reader refuses it.
 
 _OBJECTIVES = tuple(Objective)  # indexed by the objective byte
 _RECORD_HEAD = struct.Struct("<IHB")  # length prefix, version, objective
@@ -314,28 +319,23 @@ def _segments(first, count):
     return np.arange(ends[-1] if len(ends) else 0) + np.repeat(first - ends + count, count)
 
 
-def _same_labels(a, b) -> bool:
-    """Whether two plans' RTD labels (arrays or None) are equal."""
-    return a is b or (a is not None and b is not None and np.array_equal(a, b))
-
-
 class PlanStore:
     """Plans held as arrays, in the plan file's own layout.
 
     ``run`` (uint32) holds the u32 fields of every plan, plan after plan;
     plan k's are ``run[starts[k]:starts[k + 1]]``.  ``objectives`` holds one
-    objective byte a plan and ``rtd`` each plan's RTD labels (uint8 0/1) or
-    None.  ``T``, ``Q``, ``nc`` and ``nf`` are each plan's context and
-    query lengths and coarse and fine target counts.  ``counts`` holds the
-    skip and fallback counts of the ``make_plans`` call that built the
-    store (provenance), and is empty for any other store.
+    objective byte a plan.  ``T``, ``Q``, ``nc`` and ``nf`` are each plan's
+    context and query lengths and coarse and fine target counts.
+    ``counts`` holds the skip and fallback counts of the ``make_plans``
+    call that built the store (provenance), and is empty for any other
+    store.
 
     An int index gives a :class:`PlanView`, a slice a new store, iteration
     views.  Stores compare equal when their plans do.
     """
 
-    def __init__(self, run, starts, objectives, rtd: list):
-        self.run, self.starts, self.objectives, self.rtd = run, starts, objectives, rtd
+    def __init__(self, run, starts, objectives):
+        self.run, self.starts, self.objectives = run, starts, objectives
         s = starts[:-1]
         self.T = run[s].astype(np.int64)
         self.Q = run[s + 1].astype(np.int64)
@@ -366,22 +366,22 @@ class PlanStore:
         count = (self.starts[1:] - self.starts[:-1])[idx]
         run = self.run[_segments(self.starts[:-1][idx], count)]
         starts = np.concatenate(([0], np.cumsum(count)))
-        return PlanStore(run, starts, self.objectives[idx], [self.rtd[k] for k in idx.tolist()])
+        return PlanStore(run, starts, self.objectives[idx])
 
     def __eq__(self, other):
         if not isinstance(other, PlanStore):
             return NotImplemented
         return (len(self) == len(other) and np.array_equal(self.objectives, other.objectives)
-                and np.array_equal(self.run, other.run)
-                and all(_same_labels(a, b) for a, b in zip(self.rtd, other.rtd)))
+                and np.array_equal(self.run, other.run))
 
     def sha256(self) -> str:
-        """Hex sha256 of ``run``, ``starts``, the objectives and each plan's RTD labels."""
+        """Hex sha256 of ``run``, ``starts``, the objectives and one zero byte a
+        plan (the byte that once told stored RTD labels from none, kept so
+        that the digests in older checkpoints still match)."""
         h = hashlib.sha256()
         for a, dtype in ((self.run, "<u4"), (self.starts, "<i8"), (self.objectives, "u1")):
             h.update(np.asarray(a, dtype).tobytes())
-        for labels in self.rtd:  # a byte tells labels (the plan's T bytes) from none
-            h.update(b"\0" if labels is None else b"\1" + np.asarray(labels, "u1").tobytes())
+        h.update(bytes(len(self)))
         return h.hexdigest()
 
     def gather(self, field: str):
@@ -426,9 +426,9 @@ class PlanView:
     plan has queries.
 
     ``ids`` holds the context then the queries, ``positions`` their position
-    ids, ``coarse`` and ``fine`` the (index, id) pairs of the targets as
-    (count, 2) arrays and ``labels`` the RTD labels or None.  Views compare
-    equal when their objective, u32 fields and labels are.
+    ids, and ``coarse`` and ``fine`` the (index, id) pairs of the targets as
+    (count, 2) arrays.  Views compare equal when their objective and u32
+    fields are.
     """
 
     __slots__ = ("store", "k", "_row")
@@ -479,10 +479,6 @@ class PlanView:
         return self._u32(4 + 2 * (T + Q + nc), 2 * nf).reshape(nf, 2)
 
     @property
-    def labels(self):
-        return self.store.rtd[self.k]
-
-    @property
     def context_ids(self) -> tuple:  # read by perfbench/workloads.py (ROADMAP item 1)
         return tuple(self._u32(2, self.T).tolist())
 
@@ -503,27 +499,20 @@ class PlanView:
     def __eq__(self, other):
         if not isinstance(other, PlanView):
             return NotImplemented
-        return (self._row[0] == other._row[0] and np.array_equal(self._fields(), other._fields())
-                and _same_labels(self.labels, other.labels))
+        return self._row[0] == other._row[0] and np.array_equal(self._fields(), other._fields())
 
     def __repr__(self) -> str:
-        labels = self.labels
-        return (f"PlanView({self.k}, {self.objective.name.lower()}, {self._fields().tolist()}, "
-                f"labels={None if labels is None else labels.tolist()})")
+        return f"PlanView({self.k}, {self.objective.name.lower()}, {self._fields().tolist()})"
 
 
 def _records(store: PlanStore) -> bytes:
-    """The store's plans as length-prefixed records."""
+    """The store's plans as length-prefixed records, each RTD flag 0."""
     raw = memoryview(store.run.astype("<u4", copy=False).tobytes())
     starts = store.starts.tolist()
     parts = []
     for k, objective in enumerate(store.objectives.tolist()):
         a, b = 4 * starts[k], 4 * starts[k + 1]
-        labels = store.rtd[k]
-        tail = (b"\x00" if labels is None
-                else b"\x01" + np.packbits(labels, bitorder="little").tobytes())
-        parts += (_RECORD_HEAD.pack(3 + b - a + len(tail), PLAN_VERSION, objective),
-                  raw[a:b], tail)
+        parts += (_RECORD_HEAD.pack(4 + b - a, PLAN_VERSION, objective), raw[a:b], b"\x00")
     return b"".join(parts)
 
 
@@ -538,8 +527,8 @@ def _truncated(end: int, *fields) -> PlanFormatError:
 
 def _scan(buf, pos: int, end: int):
     """Check the record whose payload spans ``buf[pos:end]``; returns its
-    objective byte, the end of its u32 fields and its RTD labels or None.
-    An error's offset is its position in ``buf``."""
+    objective byte and the end of its u32 fields.  A set RTD flag is
+    refused.  An error's offset is its position in ``buf``."""
     if pos + 11 > end:
         raise _truncated(end, (pos, 11, 11))
     version, objective, T, Q = struct.unpack_from("<HBII", buf, pos)
@@ -563,17 +552,11 @@ def _scan(buf, pos: int, end: int):
     if pos + 8 * nf + 1 > end:
         raise _truncated(end, (pos, 8 * nf, 8), (pos + 8 * nf, 1, 1))
     fields_end = pos + 8 * nf
-    pos = fields_end + 1
-    labels = None
     if buf[fields_end]:
-        k = (T + 7) // 8
-        if pos + k > end:
-            raise _truncated(end, (pos, k, k))
-        labels = np.unpackbits(np.frombuffer(buf, np.uint8, k, pos), count=T, bitorder="little")
-        pos += k
-    if pos != end:
-        raise PlanFormatError("trailing bytes after plan record", pos)
-    return objective, fields_end, labels
+        raise PlanFormatError("RTD labels in a plan record: training derives them", fields_end)
+    if fields_end + 1 != end:
+        raise PlanFormatError("trailing bytes after plan record", fields_end + 1)
+    return objective, fields_end
 
 
 def _decode(buf, pos: int) -> PlanStore:
@@ -581,7 +564,7 @@ def _decode(buf, pos: int) -> PlanStore:
     one array over the joined u32 fields.  An error's offset is its position
     in ``buf``."""
     view = memoryview(buf)
-    runs, starts, objectives, rtd = [], [0], bytearray(), []
+    runs, starts, objectives = [], [0], bytearray()
     n = len(buf)
     while pos < n:
         if pos + 4 > n:
@@ -589,14 +572,13 @@ def _decode(buf, pos: int) -> PlanStore:
         end = pos + 4 + struct.unpack_from("<I", buf, pos)[0]
         if end > n:
             raise PlanFormatError("truncated plan record", pos)
-        objective, fields_end, labels = _scan(buf, pos + 4, end)
+        objective, fields_end = _scan(buf, pos + 4, end)
         runs.append(view[pos + 7 : fields_end])  # from T, after version and objective
         starts.append(starts[-1] + (fields_end - pos - 7) // 4)
         objectives.append(objective)
-        rtd.append(labels)
         pos = end
     return PlanStore(np.frombuffer(b"".join(runs), dtype="<u4"), np.array(starts, dtype=np.int64),
-                     np.frombuffer(objectives, dtype=np.uint8), rtd)
+                     np.frombuffer(objectives, dtype=np.uint8))
 
 
 def write_plan_file(path, plans: PlanStore, provenance: dict | None = None):
@@ -634,8 +616,9 @@ def read_plan_file(path):
 
 
 def plan_to_json(plan: PlanView) -> str:
-    """Human-readable one-line JSON dump of a plan."""
-    T, ids, positions, labels = plan.T, plan.ids.tolist(), plan.positions.tolist(), plan.labels
+    """Human-readable one-line JSON dump of a plan.  ``rtd_labels`` is always
+    null: plans hold no RTD labels."""
+    T, ids, positions = plan.T, plan.ids.tolist(), plan.positions.tolist()
     return json.dumps(
         {
             "objective": plan.objective.name.lower(),
@@ -645,7 +628,7 @@ def plan_to_json(plan: PlanView) -> str:
             "query_positions": positions[T:],
             "targets_coarse": plan.coarse.tolist(),
             "targets_fine": plan.fine.tolist(),
-            "rtd_labels": None if labels is None else labels.tolist(),
+            "rtd_labels": None,
         },
         sort_keys=True,
     )

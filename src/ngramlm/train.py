@@ -164,23 +164,18 @@ def _packed_targets(plans: PlanStore, field: str, first):
 
 def check_plans(plans: PlanStore, cfg: ModelConfig, objective: Objective | None = None):
     """Refuse a store, naming its first plan at fault.  DataError for an
-    empty context, RTD labels on a plan outside the relation layout (only
-    training derives them, from the comprehensive one), an id, position or
-    target index outside ``cfg``'s sizes or the plan's own length (a
-    contiguous plan's fine targets lie in its context), then for a coarse
-    slot or fine index named twice.  Then UsageError for a plan outside the
-    layout ``objective`` trains on (the comprehensive one for relation: its
-    generator must see [M] at a slot), or a relation plan under evaluation (None)."""
+    empty context, an id, position or target index outside ``cfg``'s sizes
+    or the plan's own length (a contiguous plan's fine targets lie in its
+    context), then for a coarse slot or fine index named twice.  Then
+    UsageError for a plan outside the layout ``objective`` trains on (the
+    comprehensive one for relation: its generator must see [M] at a slot),
+    or a relation plan under evaluation (None)."""
     joint, fine, max_pos = cfg.joint_size, cfg.fine_vocab_size, cfg.max_positions
     T = plans.T
     limit = np.where(plans.objectives == Objective.CONTIGUOUS, T, T + plans.Q)
     targets = plans.gather("coarse"), plans.gather("fine")
     (coarse, at_coarse), (fine_t, at_fine) = targets
-    labelled = np.array([labels is not None for labels in plans.rtd], dtype=bool)
-    every = np.arange(len(plans))
-    checks = [(T == 0, every, "empty context"),
-              (labelled & (plans.objectives != Objective.RELATION), every,
-               "RTD labels on a plan outside the relation layout")]
+    checks = [(T == 0, np.arange(len(plans)), "empty context")]
     checks += [(values >= joint, at, f"token id outside the joint vocabulary 0..{joint - 1}")
                for values, at in (plans.gather("context_ids"), plans.gather("query_ids"))]
     positions, at_positions = plans.gather("positions")
@@ -274,7 +269,8 @@ def batch_loss_and_grad(params: dict, plans: PlanStore, cfg: ModelConfig, tcfg: 
     write disjoint gradients, and sampling is non-differentiable, so the
     generator only receives gradient from its own term.  Every head's
     targets are gathered from the store, and the RTD term covers the
-    context of each plan with slots: a plan without slots has none.
+    context of each plan with slots, at the labels that filling derived: a
+    plan without slots has none.
     """
     relation = tcfg.objective == Objective.RELATION
     n_coarse = int(plans.nc.sum())
@@ -291,14 +287,15 @@ def batch_loss_and_grad(params: dict, plans: PlanStore, cfg: ModelConfig, tcfg: 
     filled = plans
     if len(slotted):
         sampled = generator_forward_and_sample(params, plans, cfg, sample_rng)
-        filled = relation_from_comprehensive(plans, sampled)
+        filled, labels = relation_from_comprehensive(plans, sampled)
         gen = plans.take(slotted)
         sums |= heads_and_backward(
             params, cfg.generator_view(), [generator_loss_terms(params, p, cfg) for p in gen],
             {"gen_ngram": _packed_targets(gen, "coarse", np.cumsum(gen.T) - gen.T)},
             {"gen_ngram": 1.0 / n_gen}, grads, prefix="gen_")
+        context = np.cumsum(plans.T) - plans.T  # each plan's first label
         targets["rtd"] = (_segments(first[slotted], plans.T[slotted]),
-                          np.concatenate([filled.rtd[k] for k in slotted.tolist()]),
+                          labels[_segments(context[slotted], plans.T[slotted])],
                           np.repeat(slotted, plans.T[slotted]))
     scales = {"ngram": 1.0 / max(n_coarse, 1), "fine": 1.0 / max(n_fine, 1),
               "rtd": tcfg.rtd_weight / max(n_rtd, 1)}
@@ -612,7 +609,10 @@ def eval_ngram_ppl(params: dict, plans: PlanStore, cfg: ModelConfig) -> float:
     _score_pending(params, pending, log_ppls)
     if not log_ppls:
         raise UsageError("no masked n-grams in evaluation set")
-    return float(np.exp(np.mean(np.concatenate(log_ppls))))
+    ppl = float(np.exp(np.mean(np.concatenate(log_ppls))))
+    if not np.isfinite(ppl):
+        raise NumericError(f"non-finite n-gram perplexity {ppl}")
+    return ppl
 
 
 def _score_pending(params: dict, pending: dict, log_ppls: list):

@@ -53,7 +53,6 @@ class RefPlan:
     query_positions: tuple
     targets_coarse: tuple  # (context slot index, joint id)
     targets_fine: tuple  # (index into context+queries, fine id)
-    rtd_labels: tuple | None = None
 
     @property
     def T(self) -> int:
@@ -70,8 +69,11 @@ class RefPlan:
         return self.context_positions + self.query_positions
 
 
-def reference_serialize(plan: RefPlan) -> bytes:
-    """One plan as a length-prefixed record, field by field."""
+def reference_serialize(plan: RefPlan, rtd_labels=None) -> bytes:
+    """One plan as a length-prefixed record, field by field.  With
+    ``rtd_labels`` (T 0/1 values) the record's RTD flag is set and the
+    labels follow, packed low bit first: a record that the plan readers
+    refuse, as plans hold no labels."""
     T, Q = plan.T, plan.Q
     parts = [struct.pack("<HBII", PLAN_VERSION, int(plan.objective), T, Q)]
     parts.append(struct.pack(f"<{T}I", *plan.context_ids))
@@ -83,11 +85,11 @@ def reference_serialize(plan: RefPlan) -> bytes:
     parts.append(struct.pack("<I", len(plan.targets_fine)))
     for idx, x in plan.targets_fine:
         parts.append(struct.pack("<II", idx, x))
-    if plan.rtd_labels is None:
+    if rtd_labels is None:
         parts.append(b"\x00")
     else:
         bits = bytearray((T + 7) // 8)
-        for i, lab in enumerate(plan.rtd_labels):
+        for i, lab in enumerate(rtd_labels):
             if lab:
                 bits[i // 8] |= 1 << (i % 8)
         parts.append(b"\x01" + bytes(bits))
@@ -97,11 +99,10 @@ def reference_serialize(plan: RefPlan) -> bytes:
 
 def ref_of(view: PlanView) -> RefPlan:
     """A store's plan in the reference form."""
-    T, ids, positions, labels = view.T, view.ids.tolist(), view.positions.tolist(), view.labels
+    T, ids, positions = view.T, view.ids.tolist(), view.positions.tolist()
     return RefPlan(view.objective, tuple(ids[:T]), tuple(positions[:T]), tuple(ids[T:]),
                    tuple(positions[T:]), tuple(map(tuple, view.coarse.tolist())),
-                   tuple(map(tuple, view.fine.tolist())),
-                   None if labels is None else tuple(labels.tolist()))
+                   tuple(map(tuple, view.fine.tolist())))
 
 
 def store_of(plans):
@@ -148,23 +149,25 @@ def zero_grads(params):
 HEADS = ("ngram", "fine", "rtd", "gen_ngram")
 
 
-def assembled_targets(plans, generator=False):
+def assembled_targets(plans, generator=False, rtd_labels=None):
     """Each head's (rows, target ids or RTD labels, plan of each row) for
     the passes of ``plans`` packed in order, assembled plan by plan.  With
     ``offset`` the rows of the passes before a plan: ``offset +
     plan.coarse[:, 0]`` for ``ngram``, or for ``gen_ngram`` with
     ``generator``, whose passes cover the context only; ``offset +
-    plan.fine[:, 0]`` for ``fine``; and ``offset + arange(T)`` for ``rtd``
-    on a plan with slots and RTD labels.  Heads come in the order ngram,
-    fine, rtd."""
+    plan.fine[:, 0]`` for ``fine``; and, given ``rtd_labels`` (T a plan,
+    plan after plan, as ``relation_from_comprehensive`` returns them),
+    ``offset + arange(T)`` for ``rtd`` on a plan with slots.  Heads come in
+    the order ngram, fine, rtd."""
     parts = {}
-    offset = 0
+    offset = label = 0
     for k, plan in enumerate(plans):
         terms = ([("gen_ngram", plan.coarse[:, 0], plan.coarse[:, 1])] if generator else
                  [("ngram", plan.coarse[:, 0], plan.coarse[:, 1]),
                   ("fine", plan.fine[:, 0], plan.fine[:, 1])])
-        if not generator and len(plan.coarse) and plan.labels is not None:
-            terms.append(("rtd", np.arange(plan.T), plan.labels))
+        if rtd_labels is not None and len(plan.coarse):
+            terms.append(("rtd", np.arange(plan.T), rtd_labels[label : label + plan.T]))
+        label += plan.T
         for head, rows, values in terms:
             part = parts.setdefault(head, ([], [], []))
             part[0].append(offset + rows.astype(np.int64))
@@ -174,12 +177,13 @@ def assembled_targets(plans, generator=False):
     return {head: tuple(np.concatenate(x) for x in part) for head, part in parts.items()}
 
 
-def loss_and_grads(loss_terms, params, plan, cfg, scales=None, prefix=""):
+def loss_and_grads(loss_terms, params, plan, cfg, scales=None, prefix="", rtd_labels=None):
     """One plan's loss sums by head (``ngram``, ``fine``, ``rtd``,
     ``gen_ngram``) and, with ``scales``, its gradients alone: ``loss_terms``
     runs the plan's pass, and :func:`heads_and_backward` its heads, losses
     and backward at the rows of :func:`assembled_targets`, over zeroed
-    gradients for every parameter.  A plan without slots gives the
+    gradients for every parameter; ``rtd_labels`` are the plan's RTD
+    labels, if it has an RTD term.  A plan without slots gives the
     generator nothing to do.  Without ``scales`` the dlogit scales are 1.0
     and the gradient dict returned is empty."""
     grads = zero_grads(params)
@@ -187,7 +191,7 @@ def loss_and_grads(loss_terms, params, plan, cfg, scales=None, prefix=""):
     if not prefix or len(plan.coarse):
         sums |= heads_and_backward(params, cfg.generator_view() if prefix else cfg,
                                    [loss_terms(params, plan, cfg)],
-                                   assembled_targets([plan], bool(prefix)),
+                                   assembled_targets([plan], bool(prefix), rtd_labels),
                                    scales or dict.fromkeys(HEADS, 1.0), grads, prefix)
     return sums, grads if scales is not None else {}
 

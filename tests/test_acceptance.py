@@ -54,7 +54,6 @@ from conftest import (
     lex_from,
     loss_and_grads,
     param_count,
-    ref_of,
     store_of,
     tiny_config,
     vanilla_encoder_param_count,
@@ -201,19 +200,23 @@ def _grad_check_setup():
     comp = plans["comprehensive"]
     fill = [y for _, y in comp.targets_coarse]
     fill[0] = (fill[0] + 3) % len(jv)  # one wrong identity for real RTD labels
-    plans["relation"] = relation_from_comprehensive(comp.store, fill)[0]
-    return cfg, params, plans, comp
+    filled, labels = relation_from_comprehensive(comp.store, fill)
+    plans["relation"] = filled[0]
+    return cfg, params, plans, comp, labels
 
 
-def _config_loss_and_grads(name, params, cfg, plans, comp, want_grads):
+def _config_loss_and_grads(name, params, cfg, plans, comp, labels, want_grads):
+    """``labels`` are the relation plan's RTD labels, the RTD term's targets
+    under ``relation``."""
     rtd_weight = 0.7
     plan = plans[name]
+    labels = labels if name == "relation" else None
     n_c = max(len(plan.targets_coarse), 1)
     n_f = max(len(plan.fine), 1)
-    n_r = max(plan.T if plan.labels is not None else 0, 1)
+    n_r = max(plan.T if labels is not None else 0, 1)
     scales = {"ngram": 1.0 / n_c, "fine": 1.0 / n_f, "rtd": rtd_weight / n_r}
     terms, grads = loss_and_grads(plan_loss_terms, params, plan, cfg,
-                                  scales if want_grads else None)
+                                  scales if want_grads else None, rtd_labels=labels)
     loss = (terms["ngram"] / n_c + terms["fine"] / n_f
             + rtd_weight * terms["rtd"] / n_r)
     if name == "relation":
@@ -229,12 +232,12 @@ def _config_loss_and_grads(name, params, cfg, plans, comp, want_grads):
 
 def test_criterion_05_gradient_correctness():
     t0 = time.monotonic()
-    cfg, params, plans, comp = _grad_check_setup()
+    cfg, params, plans, comp, labels = _grad_check_setup()
     eps = 1e-5
     worst = 0.0
     g = np.random.default_rng(7)
     for name in ("contiguous", "explicit", "comprehensive", "relation"):
-        _, grads = _config_loss_and_grads(name, params, cfg, plans, comp, True)
+        _, grads = _config_loss_and_grads(name, params, cfg, plans, comp, labels, True)
         names = sorted(k for k, v in grads.items() if np.any(v))
         for _ in range(50):
             pname = names[int(g.integers(len(names)))]
@@ -243,9 +246,9 @@ def test_criterion_05_gradient_correctness():
             idx = np.unravel_index(flat, arr.shape)
             orig = arr[idx]
             arr[idx] = orig + eps
-            lp, _ = _config_loss_and_grads(name, params, cfg, plans, comp, False)
+            lp, _ = _config_loss_and_grads(name, params, cfg, plans, comp, labels, False)
             arr[idx] = orig - eps
-            lm, _ = _config_loss_and_grads(name, params, cfg, plans, comp, False)
+            lm, _ = _config_loss_and_grads(name, params, cfg, plans, comp, labels, False)
             arr[idx] = orig
             fd = (lp - lm) / (2 * eps)
             an = float(np.asarray(grads[pname])[idx])
@@ -335,8 +338,7 @@ def test_criterion_07_directional_replication(tmp_path):
 def test_criterion_08_rtd_sanity(toy_example, toy_jv):
     comp = plan_comprehensive(toy_example, (2, 4), toy_jv)
     truth = [y for _, y in comp.targets_coarse]
-    filled = relation_from_comprehensive(comp.store, truth)[0]
-    all_original = ref_of(filled).rtd_labels == (1,) * comp.T
+    all_original = relation_from_comprehensive(comp.store, truth)[1].tolist() == [1] * comp.T
     rtd_nll, _ = _bce_with_logits(np.zeros(7), [1, 0, 1, 0, 1, 0, 1])
     ln2_ok = float(np.abs(rtd_nll - math.log(2)).max()) <= 1e-9
 

@@ -31,7 +31,7 @@ from ngramlm.corpus import tokenize_words
 from ngramlm.maskplan import read_plan_file, relation_from_comprehensive, write_plan_file
 from ngramlm.synth import CollocationSpec, collocation_corpus, write_corpus
 
-from conftest import RefPlan, ref_of, store_of
+from conftest import RefPlan, ref_of, reference_serialize, store_of
 
 # a child interpreter that imports this checkout's package
 SRC_ENV = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
@@ -153,7 +153,8 @@ def test_make_masks_json_dump(corpus_dir, tmp_path):
         assert rec["objective"] == "comprehensive"
         # every other key equals the plan read back, tuples as JSON lists
         want = ref_of(plan)
-        assert sorted(rec) == sorted(names)
+        assert sorted(rec) == sorted(names + ["rtd_labels"])
+        assert rec["rtd_labels"] is None  # plans hold no RTD labels
         for name in names[1:]:
             assert rec[name] == json.loads(json.dumps(getattr(want, name))), name
         # queries share their slot's position id
@@ -346,7 +347,7 @@ def test_vocabulary_blank_line_is_a_data_error(corpus_dir, tmp_path, capsys):
                + p.targets_fine[2:]},
     lambda p: dict.fromkeys(("context_ids", "context_positions", "query_ids", "query_positions",
                              "targets_coarse", "targets_fine"), ()),
-    # only training derives RTD labels, from a comprehensive plan
+    # plans hold no RTD labels: only training derives them
     lambda p: {"rtd_labels": (1,) * p.T},
 ], ids=["context-id", "coarse-target", "coarse-slot", "fine-target", "context-position",
         "query-position", "repeated-coarse-slot", "repeated-fine-index", "empty-context",
@@ -358,8 +359,15 @@ def test_out_of_range_plan_is_a_data_error(corpus_dir, tmp_path, edit):
                  "--heads", "2", "--steps", "1", "--batch-size", "2", "--out", str(ck)]) == 0
     prov, plans = read_plan_file(plans_path)
     first = ref_of(plans[0])
+    changes = edit(first)
+    labels = changes.pop("rtd_labels", None)
+    # the edited plan as a raw reference record, before the other plans' records
     bad = tmp_path / "bad.bin"
-    write_plan_file(bad, store_of([dataclasses.replace(first, **edit(first)), *plans[1:]]), prov)
+    write_plan_file(bad, plans[1:], prov)
+    data = bad.read_bytes()
+    at = 10 + int.from_bytes(data[6:10], "little")
+    bad.write_bytes(data[:at] + reference_serialize(dataclasses.replace(first, **changes), labels)
+                    + data[at:])
     assert main(["eval-ppl", "--plans", str(bad), "--checkpoint", str(ck)]) == 3
     assert main(["train", "--plans", str(bad), "--layers", "1", "--hidden", "16",
                  "--heads", "2", "--steps", "1", "--batch-size", "2",
@@ -482,6 +490,14 @@ def test_segment_input_errors_are_data_errors(corpus_dir, tmp_path):
     bad.write_bytes("topic00 caf\xe9\n".encode("latin-1"))
     for src in (tmp_path / "missing.txt", bad):
         assert main(["segment", "--lexicon", lexicon, "--input", str(src)]) == 3
+    # the same bytes on stdin, under a strict UTF-8 stdin and under UTF-8
+    # mode, whose stdin would pass them through as surrogates
+    for mode in ({"PYTHONIOENCODING": "utf-8:strict"}, {"PYTHONUTF8": "1"}):
+        env = {k: v for k, v in SRC_ENV.items() if k not in ("PYTHONIOENCODING", "PYTHONUTF8")}
+        r = subprocess.run([sys.executable, "-m", "ngramlm", "segment", "--lexicon", lexicon],
+                           input=bad.read_bytes(), capture_output=True, env={**env, **mode})
+        assert r.returncode == 3 and r.stdout == b"", (mode, r.stderr)
+        assert r.stderr.startswith(b"data error: <stdin>: invalid UTF-8 at byte 11"), mode
 
 
 def test_segment_file_and_stdin_agree(corpus_dir, tmp_path, capsys, monkeypatch):
@@ -492,7 +508,7 @@ def test_segment_file_and_stdin_agree(corpus_dir, tmp_path, capsys, monkeypatch)
     capsys.readouterr()
     assert main(["segment", "--lexicon", lexicon, "--input", str(src)]) == 0
     from_file = capsys.readouterr().out
-    monkeypatch.setattr("sys.stdin", io.StringIO(text, newline=None))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(text.encode("utf-8"))))
     assert main(["segment", "--lexicon", lexicon]) == 0
     assert capsys.readouterr().out == from_file
     # lines split as a text-mode file splits them: \r\n, \r and \n only
@@ -574,6 +590,20 @@ def test_malformed_checkpoint_is_a_data_error(trained, tmp_path, capsys, edit, c
     capsys.readouterr()
     assert main(argv) == 3
     assert capsys.readouterr().err.startswith("data error: ")
+
+
+def test_non_finite_perplexity_is_a_numeric_error(trained, tmp_path, capsys):
+    # a NaN n-gram bias makes every n-gram perplexity NaN: eval-ppl exits 4
+    # and prints no result (NaN is no JSON number), as a resumed train does
+    plans, ck, _ = trained
+    bad = tmp_path / "nan.npz"
+    rewrite_store(ck, bad, lambda s: s.update({"p/ngram_b": np.full_like(s["p/ngram_b"], np.nan)}))
+    capsys.readouterr()
+    assert main(["eval-ppl", "--plans", str(plans), "--checkpoint", str(bad)]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("numeric error: non-finite n-gram perplexity nan")
+    assert main(TRAIN_SMALL + ["--plans", str(plans), "--steps", "3", "--resume", str(bad),
+                               "--out", str(tmp_path / "resumed.npz")]) == 4
 
 
 def flipped(data: bytes, offset: int, mask: int) -> bytes:
@@ -715,8 +745,8 @@ def test_relation_layout_plan_file_is_refused(trained, tmp_path, capsys):
     plans_path, ck, _ = trained
     prov, plans = read_plan_file(plans_path)
     filled = tmp_path / "filled.bin"
-    write_plan_file(filled, relation_from_comprehensive(plans, plans.gather("coarse")[0][:, 1]),
-                    prov)
+    write_plan_file(filled,
+                    relation_from_comprehensive(plans, plans.gather("coarse")[0][:, 1])[0], prov)
     out, metrics = tmp_path / "model.npz", tmp_path / "metrics.jsonl"
     capsys.readouterr()
     assert main(TRAIN_SMALL + ["--plans", str(filled), "--objective", "relation",

@@ -123,13 +123,14 @@ def test_comprehensive_layout(toy_example, toy_vocab, toy_jv):
 def test_relation_layout_and_rtd_labels(toy_example, toy_jv):
     base = plan_comprehensive(toy_example, MASKED, toy_jv)
     right = [y for _, y in base.targets_coarse]
-    plan = ref_of(relation_from_comprehensive(base.store, right)[0])
+    filled, labels = relation_from_comprehensive(base.store, right)
+    plan = ref_of(filled[0])
     assert plan.objective == Objective.RELATION
-    assert plan.rtd_labels == (1,) * plan.T  # correct identities everywhere
+    assert labels.dtype == np.uint8
+    assert labels.tolist() == [1] * plan.T  # correct identities everywhere
     assert plan.context_ids[1] == right[0] and plan.context_ids[3] == right[1]
     wrong = [right[0] + 1, right[1]]
-    plan2 = ref_of(relation_from_comprehensive(base.store, wrong)[0])
-    assert plan2.rtd_labels == (1, 0, 1, 1, 1)
+    assert relation_from_comprehensive(base.store, wrong)[1].tolist() == [1, 0, 1, 1, 1]
     with pytest.raises(UsageError):
         relation_from_comprehensive(base.store, right[:1])
 
@@ -148,12 +149,14 @@ def test_plan_relation_equals_its_row_of_the_batch_fill(toy_example, toy_jv):
         comps.append(plan_comprehensive(ex, masked, jv))
         sampled.append(g.integers(0, len(jv), len(comps[-1].targets_coarse)).tolist())
     assert [len(s) for s in sampled] == [2, 3, 0, 1, 1]
-    filled = relation_from_comprehensive(store_of(comps), [y for ids in sampled for y in ids])
-    assert len(filled) == len(cases)
+    filled, labels = relation_from_comprehensive(store_of(comps),
+                                                 [y for ids in sampled for y in ids])
+    assert len(filled) == len(cases) and len(labels) == filled.T.sum()
+    per_plan = np.split(labels, np.cumsum(filled.T)[:-1])
     for k, (ex, masked, jv) in enumerate(cases):
-        want = plan_relation(ex, masked, jv, sampled[k])
-        assert filled[k] == want and ref_of(filled[k]).rtd_labels == ref_of(want).rtd_labels, k
-    assert ref_of(filled[2]).rtd_labels == (0, 0, 1)
+        want, want_labels = plan_relation(ex, masked, jv, sampled[k])
+        assert filled[k] == want and per_plan[k].tolist() == want_labels.tolist(), k
+    assert per_plan[2].tolist() == [0, 0, 1]
     with pytest.raises(UsageError):
         relation_from_comprehensive(store_of(comps), [0] * 6)
 
@@ -191,8 +194,7 @@ def test_multi_subword_word_falls_back_to_contiguous():
     assert plan.targets_fine == ((0, vocab.index["a"]), (1, vocab.index["##b"]))
     # relation labels mark fallback [M] positions as replaced
     comp = plan_comprehensive(ex, (1,), build_joint_vocab(vocab, lex))
-    rel = relation_from_comprehensive(comp.store, [])[0]
-    assert ref_of(rel).rtd_labels == (0, 0, 1)
+    assert relation_from_comprehensive(comp.store, [])[1].tolist() == [0, 0, 1]
 
 
 def test_segment_example_tokenizes_through_the_corpus_module(toy_vocab, monkeypatch):
@@ -220,7 +222,8 @@ LAYOUT_WORDS = ["a", "b", "c", "ab", "ba", "abc", "cab", "abcab", "z"]
 
 
 def reference_plan(objective, ex, masked, vocab, jv, sampled=None):
-    """The plan of ``objective`` as the README defines it, segment by segment.
+    """(the plan of ``objective``, its RTD labels or None) as the README
+    defines them, segment by segment.
 
     contiguous: each masked subword becomes its own [M] with a fine target.
     explicit: a masked segment with one joint identity (a lexicon n-gram,
@@ -229,8 +232,8 @@ def reference_plan(objective, ex, masked, vocab, jv, sampled=None):
     falls back to the contiguous layout.  comprehensive: explicit plus
     [M1..Mn] queries at the slot's position id, their fine targets after
     the fallback ones.  relation: comprehensive with each slot filled by
-    its sampled identity, RTD label 0 at a wrong identity or a fallback
-    [M], 1 elsewhere.
+    its sampled identity, and RTD labels, one per context position: 0 at a
+    wrong identity or a fallback [M], 1 elsewhere.
     """
     b = ex.boundaries.boundaries
     seg_words = [ex.words[b[k] - 1 : b[k + 1] - 1] for k in range(len(b) - 1)]
@@ -280,7 +283,7 @@ def reference_plan(objective, ex, masked, vocab, jv, sampled=None):
                 rtd[idx] = 0
         rtd = tuple(rtd)
     return RefPlan(objective, tuple(context), tuple(range(1, T + 1)), tuple(query_ids),
-                   tuple(query_positions), tuple(coarse), tuple(fine), rtd_labels=rtd)
+                   tuple(query_positions), tuple(coarse), tuple(fine)), rtd
 
 
 @st.composite
@@ -306,25 +309,27 @@ def layout_case_st(draw):
 @given(layout_case_st(), st.data())
 def test_every_layout_equals_the_reference(case, data):
     ex, masked, vocab, jv = case
-    build = {Objective.CONTIGUOUS: lambda: plan_contiguous(ex, masked, vocab),
-             Objective.EXPLICIT: lambda: plan_explicit(ex, masked, jv),
-             Objective.COMPREHENSIVE: lambda: plan_comprehensive(ex, masked, jv)}
+    build = {Objective.CONTIGUOUS: lambda: (plan_contiguous(ex, masked, vocab), None),
+             Objective.EXPLICIT: lambda: (plan_explicit(ex, masked, jv), None),
+             Objective.COMPREHENSIVE: lambda: (plan_comprehensive(ex, masked, jv), None)}
     try:
-        slots = len(reference_plan(Objective.EXPLICIT, ex, masked, vocab, jv).targets_coarse)
+        slots = len(reference_plan(Objective.EXPLICIT, ex, masked, vocab, jv)[0].targets_coarse)
     except PlanError:
         slots = 0
     sampled = data.draw(st.lists(st.integers(0, len(jv) - 1), min_size=slots, max_size=slots))
     build[Objective.RELATION] = lambda: plan_relation(ex, masked, jv, sampled)
     for objective in Objective:
         try:
-            want = reference_plan(objective, ex, masked, vocab, jv, sampled)
+            want, want_labels = reference_plan(objective, ex, masked, vocab, jv, sampled)
         except PlanError:
             with pytest.raises(PlanError):
                 build[objective]()
             continue
-        got = ref_of(build[objective]())
+        got, labels = build[objective]()
+        got = ref_of(got)
         for f in dataclasses.fields(RefPlan):
             assert getattr(got, f.name) == getattr(want, f.name), (objective, f.name)
+        assert (None if labels is None else tuple(labels.tolist())) == want_labels, objective
 
 
 # --- attention mask ------------------------------------------------------------
@@ -506,6 +511,23 @@ def test_plan_records_match_pinned_digests(pinned_pipeline, objective, ngram_onl
     assert digest == PLAN_RECORD_DIGESTS[objective.name.lower(), ngram_only]
 
 
+# PlanStore.sha256() of the pinned pipeline's stores, as a training
+# checkpoint records it: a resume compares the digest of its plans with
+# the checkpoint's, so a checkpoint written before plans lost their RTD
+# labels keeps resuming only while these hold
+STORE_DIGESTS = {
+    "explicit": "0af7878a49c63995eaa3bb7dbe858529609d93da53b93f6c3589da9a3e66a453",
+    "comprehensive": "a900d89f31964e2747a8792b932496339ca12ff1c6e496af0f7ffd1eb2c0d0f3",
+}
+
+
+@pytest.mark.parametrize("objective", sorted(STORE_DIGESTS))
+def test_plan_store_digest_is_pinned(pinned_pipeline, objective):
+    stream, lex, jv = pinned_pipeline
+    plans = make_plans(stream, lex, jv, Objective[objective.upper()], rate=0.3, seed=7)
+    assert plans.sha256() == STORE_DIGESTS[objective]
+
+
 @pytest.mark.parametrize("max_positions", [None, 21])
 @pytest.mark.parametrize("ngram_only", [False, True])
 @pytest.mark.parametrize("objective", list(Objective))
@@ -577,11 +599,8 @@ def plan_st(draw):
     n_f = draw(st.integers(min_value=0, max_value=3))
     fine = tuple((draw(st.integers(min_value=0, max_value=T + Q - 1)), draw(u32))
                  for _ in range(n_f))
-    rtd = None
-    if draw(st.booleans()):
-        rtd = tuple(draw(st.integers(min_value=0, max_value=1)) for _ in range(T))
     objective = draw(st.sampled_from(list(Objective)))
-    return RefPlan(objective, ctx, cpos, qids, qpos, coarse, fine, rtd_labels=rtd)
+    return RefPlan(objective, ctx, cpos, qids, qpos, coarse, fine)
 
 
 @settings(max_examples=120, deadline=None)
@@ -624,16 +643,14 @@ def test_trailing_bytes_detected(toy_example, toy_vocab, tmp_path):
 @given(st.lists(plan_st(), min_size=1, max_size=4))
 def test_plan_store_digest_changes_with_any_plan_field(plans):
     # the digest a training checkpoint records: equal stores share it, and
-    # a change to one plan's objective, a u32 field or its RTD labels moves it
+    # a change to one plan's objective or a u32 field moves it
     store = store_of(plans)
     digest = store.sha256()
     assert digest == store_of(plans).sha256() == store.take(range(len(plans))).sha256()
     plan = plans[0]
     for other in (dataclasses.replace(plan, objective=Objective((plan.objective + 1) % 4)),
                   dataclasses.replace(plan, context_ids=(plan.context_ids[0] ^ 1,)
-                                      + plan.context_ids[1:]),
-                  dataclasses.replace(plan, rtd_labels=None if plan.rtd_labels
-                                      else (0,) * plan.T)):
+                                      + plan.context_ids[1:])):
         assert store_of([other, *plans[1:]]).sha256() != digest
 
 
@@ -658,13 +675,10 @@ def test_plan_store_indexes_like_the_list(plans, data):
     for k, plan in enumerate(plans):
         view = store[k - len(plans) if k % 2 else k]
         assert ref_of(view) == plan and view == one(plan)
-        # a view differs from one that differs in its objective, a u32
-        # field or its RTD labels
+        # a view differs from one that differs in its objective or a u32 field
         for other in (dataclasses.replace(plan, objective=Objective((plan.objective + 1) % 4)),
                       dataclasses.replace(plan, context_ids=(plan.context_ids[0] ^ 1,)
-                                          + plan.context_ids[1:]),
-                      dataclasses.replace(plan, rtd_labels=None if plan.rtd_labels
-                                          else (0,) * plan.T)):
+                                          + plan.context_ids[1:])):
             assert view != one(other)
         assert view.ids.tolist() == list(plan.all_ids())
         assert view.positions.tolist() == list(plan.all_positions())
@@ -723,14 +737,12 @@ def reference_parse(data, base_offset=0):
     (n_fine,) = take("<I")
     fine = tuple(take("<II") for _ in range(n_fine))
     (has_rtd,) = take("<B")
-    rtd = None
-    if has_rtd:
-        (raw,) = take(f"<{(T + 7) // 8}s")
-        rtd = tuple((raw[i // 8] >> (i % 8)) & 1 for i in range(T))
+    if has_rtd:  # plans hold no RTD labels
+        raise PlanFormatError("RTD labels in a plan record", base_offset + pos - 1)
     if pos != len(data):
         raise PlanFormatError("trailing bytes after plan record", base_offset + pos)
     return RefPlan(Objective(objective), context_ids, positions[:T], query_ids, positions[T:],
-                   coarse, fine, rtd_labels=rtd)
+                   coarse, fine)
 
 
 def reference_read_records(data, pos):
@@ -815,6 +827,27 @@ def test_file_error_offsets_match_reference(tmp_path_factory, plans, data):
         assert got[0] is PlanFormatError
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(plan_st(), min_size=1, max_size=3), st.data())
+def test_set_rtd_flag_is_refused_like_the_reference(plan_path, plans, data):
+    # plans hold no RTD labels: a record whose RTD flag is set, with or
+    # without the label bytes the format once let follow it, is refused at
+    # the flag's byte by the package's decoder and by the reference reader
+    k = data.draw(st.integers(0, len(plans) - 1))
+    plan = plans[k]
+    flagged = reference_serialize(plan)[:-1] + b"\x01"
+    if data.draw(st.booleans()):
+        flagged = reference_serialize(plan, data.draw(st.lists(st.integers(0, 1),
+                                                               min_size=plan.T, max_size=plan.T)))
+    head = plan_file(plan_path, store_of([]), {"pad": "x" * data.draw(st.integers(0, 99))})
+    before = head + b"".join(map(reference_serialize, plans[:k]))
+    raw = before + flagged + b"".join(map(reference_serialize, plans[k + 1:]))
+    got = outcome(read_back, plan_path, raw)
+    assert got == outcome(reference_read_records, raw, header_size(raw))
+    flag = len(before) + len(reference_serialize(plan)) - 1
+    assert got == (PlanFormatError, flag) and raw[flag] == 1
+
+
 def test_unknown_objective_is_a_format_error(toy_example, toy_vocab, tmp_path):
     path = tmp_path / "plans.bin"
     data = bytearray(plan_file(path, plan_contiguous(toy_example, MASKED, toy_vocab).store,
@@ -852,7 +885,7 @@ def test_every_single_byte_flip_raises_only_package_errors(tmp_path, toy_example
     comp = plan_comprehensive(toy_example, MASKED, toy_jv)
     plans = store_of([plan_contiguous(toy_example, MASKED, toy_vocab),
                       plan_explicit(toy_example, MASKED, toy_jv),
-                      comp, relation_from_comprehensive(comp.store, [0, 1])[0]])
+                      comp, relation_from_comprehensive(comp.store, [0, 1])[0][0]])
     path = tmp_path / "plans.bin"
     write_plan_file(path, plans, {"note": "flip"})
     good = path.read_bytes()

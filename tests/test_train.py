@@ -548,23 +548,26 @@ def test_model_computes_in_parameter_dtype(small_pipeline, objective, dtype, mon
 
 
 def sampled_work(params, batch, cfg, tcfg, rng):
-    """(plan, generator plan) pairs and target counts, as a batch sees them:
-    the relation objective fills each plan with generator samples drawn
-    from ``rng``, in plan order."""
+    """(plan, generator plan, RTD labels) triples and target counts, as a
+    batch sees them: the relation objective fills each plan with slots with
+    generator samples drawn from ``rng``, in plan order, which gives it RTD
+    labels; every other plan has none."""
     relation = tcfg.objective == Objective.RELATION
     work, n = [], {"coarse": 0, "fine": 0, "rtd": 0, "gen": 0}
     for k, plan in enumerate(batch):
         gen_plan = plan if relation else None
+        labels = None
         if relation and plan.targets_coarse:
             one = batch.take([k])
             sampled = generator_forward_and_sample(params, one, cfg, rng)
-            plan = relation_from_comprehensive(one, sampled)[0]
+            filled, labels = relation_from_comprehensive(one, sampled)
+            plan = filled[0]
+            n["rtd"] += plan.T
         if relation:
-            n["rtd"] += plan.T if plan.labels is not None else 0
             n["gen"] += len(plan.targets_coarse)
         n["coarse"] += len(plan.targets_coarse)
         n["fine"] += len(plan.fine)
-        work.append((plan, gen_plan))
+        work.append((plan, gen_plan, labels))
     return work, n
 
 
@@ -578,8 +581,9 @@ def per_plan_reference_grads(params, batch, cfg, tcfg, rng):
               "fine": 1.0 / max(n["fine"], 1),
               "rtd": tcfg.rtd_weight / max(n["rtd"], 1)}
     per_plan = []
-    for plan, gen_plan in work:
-        per_plan.append(loss_and_grads(plan_loss_terms, params, plan, cfg, scales)[1])
+    for plan, gen_plan, labels in work:
+        per_plan.append(loss_and_grads(plan_loss_terms, params, plan, cfg, scales,
+                                       rtd_labels=labels)[1])
         if gen_plan is not None:
             per_plan.append(loss_and_grads(generator_loss_terms, params, gen_plan, cfg,
                                            {"gen_ngram": 1.0 / max(n["gen"], 1)}, "gen_")[1])
@@ -715,8 +719,8 @@ def test_one_backward_per_encoder_equals_the_sum_of_each_plans_own(small_pipelin
     assert_grads_close(grads, per_plan_reference_grads(params, batch, cfg, tcfg, RngState(9)))
     work, n = sampled_work(params, batch, cfg, tcfg, RngState(9))
     sums = dict.fromkeys(("ngram", "fine", "rtd", "gen_ngram"), 0.0)
-    for plan, gen_plan in work:
-        terms, _ = loss_and_grads(plan_loss_terms, params, plan, cfg)
+    for plan, gen_plan, labels in work:
+        terms, _ = loss_and_grads(plan_loss_terms, params, plan, cfg, rtd_labels=labels)
         terms["gen_ngram"] = loss_and_grads(generator_loss_terms, params, gen_plan, cfg,
                                             prefix="gen_")[0]["gen_ngram"]
         for key in sums:
@@ -741,13 +745,14 @@ def interleaved_sums(params, plans, cfg, tcfg, grads, sample_rng):
     scales = {"ngram": 1.0 / n_coarse, "fine": 1.0 / max(n_fine, 1),
               "rtd": tcfg.rtd_weight / int(plans.T[plans.nc > 0].sum())}
     sampled = generator_forward_and_sample(params, plans, cfg, sample_rng)
-    filled = relation_from_comprehensive(plans, sampled)
+    filled, labels = relation_from_comprehensive(plans, sampled)
     main, gen = [], []
     for plan, original in zip(filled, plans):
         main.append(plan_loss_terms(params, plan, cfg))
         if len(original.coarse):
             gen.append(generator_loss_terms(params, original, cfg))
-    sums = heads_and_backward(params, cfg, main, assembled_targets(list(filled)), scales, grads)
+    sums = heads_and_backward(params, cfg, main, assembled_targets(filled, rtd_labels=labels),
+                              scales, grads)
     return sums | heads_and_backward(
         params, cfg.generator_view(), gen,
         assembled_targets([p for p in plans if len(p.coarse)], generator=True),
@@ -797,7 +802,7 @@ def test_gathered_targets_equal_plan_by_plan_rows_bitwise(fallback_pipeline, dty
 
     want = zero_grads(params)
     sampled = generator_forward_and_sample(params, batch, cfg, RngState(9))
-    filled = list(relation_from_comprehensive(batch, sampled))
+    filled, labels = relation_from_comprehensive(batch, sampled)
     slotted = [plan for plan in batch if len(plan.coarse)]
     n_coarse, n_fine = int(batch.nc.sum()), int(batch.nf.sum())
     n_rtd = sum(plan.T for plan in slotted)
@@ -806,7 +811,7 @@ def test_gathered_targets_equal_plan_by_plan_rows_bitwise(fallback_pipeline, dty
                               assembled_targets(slotted, generator=True),
                               {"gen_ngram": 1.0 / n_coarse}, want, prefix="gen_")
     sums |= heads_and_backward(params, cfg, [plan_loss_terms(params, plan, cfg) for plan in filled],
-                               assembled_targets(filled),
+                               assembled_targets(filled, rtd_labels=labels),
                                {"ngram": 1.0 / n_coarse, "fine": 1.0 / n_fine, "rtd": 0.5 / n_rtd},
                                want)
     assert (report.n_coarse, report.n_fine, report.n_rtd) == (n_coarse, n_fine, n_rtd)
@@ -832,8 +837,8 @@ def test_loss_report_does_not_depend_on_backward(small_pipeline, objective):
                                  RngState(9))
     work, _ = sampled_work(params, batch, cfg, tcfg, RngState(9))
     coarse_sum = fine_sum = 0.0
-    for plan, _ in work:
-        terms, _ = loss_and_grads(plan_loss_terms, params, plan, cfg)
+    for plan, _, labels in work:
+        terms, _ = loss_and_grads(plan_loss_terms, params, plan, cfg, rtd_labels=labels)
         coarse_sum += terms["ngram"]
         fine_sum += terms["fine"]
     assert report.comprehensive_sum == coarse_sum + fine_sum
@@ -853,8 +858,8 @@ def test_relation_total_is_weighted_sum(small_pipeline):
                                  RngState(9))
     work, n = sampled_work(params, batch, cfg, tcfg, RngState(9))
     sums = {"ngram": 0.0, "fine": 0.0, "rtd": 0.0, "gen_ngram": 0.0}
-    for plan, gen_plan in work:
-        terms, _ = loss_and_grads(plan_loss_terms, params, plan, cfg)
+    for plan, gen_plan, labels in work:
+        terms, _ = loss_and_grads(plan_loss_terms, params, plan, cfg, rtd_labels=labels)
         for key in ("ngram", "fine", "rtd"):
             sums[key] += terms[key]
         sums["gen_ngram"] += loss_and_grads(generator_loss_terms, params, gen_plan, cfg,
