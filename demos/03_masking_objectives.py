@@ -60,7 +60,7 @@ show("2. explicit: one [M] per segment, joint-identity targets",
 comp = plan_comprehensive(ex, masked, jv)
 show("3. comprehensive: explicit layout + [Mi] queries at the slot position",
      comp)
-wrong = [jv.id_of_subword("x6"), jv.id_of_subword("x5")]
+wrong = [vocab.index["x6"], vocab.index["x5"]]
 # training derives the replaced-token labels with the filled plan
 show("4. relation: slots filled with sampled identities, detect replacements",
      *plan_relation(ex, masked, jv, wrong))

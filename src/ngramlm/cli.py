@@ -10,21 +10,19 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import io
 import json
 import os
 import sys
 
 from . import __version__
 from .corpus import (FineVocab, TokenizerConfig, _decode_text, _read_text, count_ngrams, ingest,
-                     tokenize_words)
+                     split_documents, subword_tokenize, tokenize_words)
 from .errors import DataError, NumericError, UsageError
-from .lexicon import NGramLexicon, build_joint_vocab, extract_lexicon
+from .lexicon import DEFAULT_MIN_COUNT, NGramLexicon, build_joint_vocab, extract_lexicon
 from .maskplan import (
     Objective,
     plan_to_json,
     read_plan_file,
-    segment_example,
     write_plan_file,
 )
 from .model import (
@@ -35,7 +33,7 @@ from .model import (
     load_checkpoint,
     save_checkpoint,
 )
-from .pipeline import make_plans
+from .pipeline import DEFAULT_MASK_RATE, make_plans
 from .segmenter import extract_boundaries
 from .train import TrainConfig, eval_ngram_ppl, train
 
@@ -138,13 +136,10 @@ def cmd_segment(args):
     lex = NGramLexicon.load(args.lexicon)
     # the whole input, a file or stdin's bytes, is read and decoded first, so
     # a missing or non-UTF-8 input fails before any output, whatever stdin's
-    # encoding; newline=None splits lines as open() does
+    # encoding
     text = (_read_text(args.input) if args.input
             else _decode_text(sys.stdin.buffer.read(), "<stdin>"))
-    for line in io.StringIO(text, newline=None):
-        words = tokenize_words(line, not args.no_lowercase)
-        if not words:
-            continue
+    for words in split_documents(text, TokenizerConfig(lowercase=not args.no_lowercase)):
         b = extract_boundaries(words, lex)
         fields = [",".join(str(x) for x in b.boundaries)]
         fields += [" ".join(seg) for seg in b.segments()]
@@ -211,10 +206,15 @@ def cmd_train(args):
 
 
 def cmd_eval_ppl(args):
-    _, plans = read_plan_file(args.plans)
+    prov, plans = read_plan_file(args.plans)
+    _, *sizes = _plan_header(args.plans, prov, None)
     params, cfg, extra, _ = load_checkpoint(args.checkpoint)
     if extra.get("exported"):
         raise DataError(f"{args.checkpoint}: an exported checkpoint has no n-gram head")
+    if sizes != [cfg.fine_vocab_size, cfg.ngram_vocab_size]:
+        raise DataError(f"{args.plans}: plans for vocabulary sizes fine {sizes[0]} and n-gram "
+                        f"{sizes[1]}, but {args.checkpoint} has fine {cfg.fine_vocab_size} "
+                        f"and n-gram {cfg.ngram_vocab_size}")
     ppl = eval_ngram_ppl(params, plans, cfg)
     print(json.dumps({"ngram_ppl": ppl, "plans": len(plans)}))
     return 0
@@ -231,18 +231,16 @@ def cmd_export(args):
 
 def cmd_inspect_attention(args):
     params, cfg, _, _ = load_checkpoint(args.checkpoint)
-    lex = NGramLexicon.load(args.lexicon)
     vocab = FineVocab.load(args.vocab)
     words = tokenize_words(args.text, not args.no_lowercase)
     if not words:
         raise UsageError("empty input text")
-    ex = segment_example(words, lex, vocab)
-    ids = list(ex.subword_ids)
+    ids, _ = subword_tokenize(words, vocab)
     n = len(ids)
     acts = encode(params, ids, range(1, n + 1), None, cfg)
     mean_attn = acts.attn_probs[-1].mean(axis=0)  # head-mean, last layer
     tokens = [vocab.tokens[i] for i in ids]
-    prov = provenance("inspect-attention", args, [args.checkpoint, args.lexicon, args.vocab])
+    prov = provenance("inspect-attention", args, [args.checkpoint, args.vocab])
     with open(args.out, "w", encoding="utf-8") as f:
         f.write("# " + json.dumps(prov, sort_keys=True) + "\n")
         f.write("," + ",".join(tokens) + "\n")
@@ -262,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k2", type=int, default=2000)
     p.add_argument("--k3", type=int, default=1000)
     p.add_argument("--k4", type=int, default=0)
-    p.add_argument("--min-count", type=int, default=5)
+    p.add_argument("--min-count", type=int, default=DEFAULT_MIN_COUNT)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_extract_lexicon)
 
@@ -271,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lexicon", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--objective", default="explicit", choices=OBJECTIVES)
-    p.add_argument("--rate", type=float, default=0.15)
+    p.add_argument("--rate", type=float, default=DEFAULT_MASK_RATE)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--ngram-only", action="store_true",
                    help="mask only multi-word segments (perplexity evaluation sets)")
@@ -320,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("inspect-attention", help="dump last-layer head-mean attention as CSV")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--lexicon", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--text", required=True)
     p.add_argument("--no-lowercase", action="store_true")

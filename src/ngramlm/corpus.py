@@ -83,23 +83,24 @@ def _decode_text(raw: bytes, source) -> str:
         raise CorpusDecodeError(source, e.start, e.reason) from e
 
 
-def ingest(paths, config: TokenizerConfig | None = None) -> WordStream:
-    """Read UTF-8 text files into a WordStream.
+def split_documents(text: str, config: TokenizerConfig | None = None) -> list[list[str]]:
+    """The word lists of ``text``'s documents, empty ones dropped.
 
-    Deterministic for fixed inputs and config.  Empty documents are dropped.
+    A line ends at ``\\r\\n``, ``\\r`` or ``\\n`` only, as in a file read in
+    text mode: a form feed or U+2028 stays inside its line.
     """
     config = config or TokenizerConfig()
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    chunks = text.split("\n") if config.doc_per_line else re.split(r"\n\s*\n", text)
+    return [words for words in (tokenize_words(c, config.lowercase) for c in chunks) if words]
+
+
+def ingest(paths, config: TokenizerConfig | None = None) -> WordStream:
+    """Read UTF-8 text files into a WordStream, documents split by
+    ``split_documents``.  Deterministic for fixed inputs and config."""
     docs: list[list[str]] = []
     for path in paths:
-        text = _read_text(path)
-        if config.doc_per_line:
-            chunks = text.splitlines()
-        else:
-            chunks = re.split(r"\n\s*\n", text)
-        for chunk in chunks:
-            words = tokenize_words(chunk, config.lowercase)
-            if words:
-                docs.append(words)
+        docs += split_documents(_read_text(path), config)
     return WordStream(docs)
 
 
@@ -193,23 +194,9 @@ class CountTables:
     def unigram_count(self, word: str) -> int:
         return self.counts.get(1, {}).get((word,), 0)
 
-    def merge(self, other: "CountTables") -> "CountTables":
-        if other.n_max != self.n_max:
-            raise UsageError("cannot merge tables with different n_max")
-        out = CountTables(self.n_max)
-        for l in range(1, self.n_max + 1):
-            c = Counter(self.counts.get(l, {}))
-            c.update(other.counts.get(l, {}))
-            out.counts[l] = c
-            out.totals[l] = self.totals.get(l, 0) + other.totals.get(l, 0)
-        return out
-
 
 def count_ngrams(stream: WordStream, n_max: int) -> CountTables:
-    """Count all word l-grams, 1 <= l <= n_max, within documents.
-
-    Mergeable: counting shards and merging equals counting the whole.
-    """
+    """Count all word l-grams, 1 <= l <= n_max, within documents."""
     if n_max < 2:
         raise UsageError(f"n_max must be >= 2, got {n_max}")
     docs = list(stream)

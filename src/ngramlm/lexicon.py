@@ -87,10 +87,6 @@ class NGramLexicon:
     def __contains__(self, words: tuple):
         return tuple(words) in self.index
 
-    def ngram_index(self, words: tuple):
-        """Rank of an n-gram in the merged lexicon, or None."""
-        return self.index.get(tuple(words))
-
     @property
     def max_order(self) -> int:
         return max(self.per_order, default=1)
@@ -165,11 +161,8 @@ class JointVocab:
     def __len__(self):
         return len(self.fine) + len(self.ngrams)
 
-    def id_of_subword(self, subword: str):
-        return self.fine.index.get(subword)
-
     def id_of_ngram(self, words: tuple):
-        idx = self.ngrams.ngram_index(words)
+        idx = self.ngrams.index.get(tuple(words))
         if idx is None:
             return None
         return len(self.fine) + idx

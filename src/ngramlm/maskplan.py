@@ -22,7 +22,6 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-import logging
 import struct
 from array import array
 from dataclasses import dataclass, field
@@ -35,8 +34,6 @@ from .corpus import FineVocab
 from .errors import PlanError, PlanFormatError, UsageError, VersionError
 from .lexicon import JointVocab
 from .segmenter import BoundarySeq, extract_boundaries
-
-log = logging.getLogger(__name__)
 
 PLAN_VERSION = 1
 FILE_MAGIC = b"NGPL"
@@ -219,9 +216,6 @@ class PlanWriter:
         self.fallbacks += over
 
     def store(self) -> "PlanStore":
-        if self.fallbacks:
-            log.warning("%d masked segments have more subwords than max query %d; "
-                        "contiguous fallback", self.fallbacks, self.vocab.max_query)
         return PlanStore(np.frombuffer(self.run, dtype=np.uintc).astype(np.uint32, copy=False),
                          np.array(self.starts, dtype=np.int64),
                          np.full(len(self.starts) - 1, self.objective, dtype=np.uint8))

@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import DataError, UsageError, VersionError
+from .errors import DataError, NumericError, UsageError, VersionError
 
 CHECKPOINT_VERSION = 2
 INIT_STD = 0.02
@@ -548,7 +548,8 @@ def load_checkpoint(path):
 
     A file that cannot be read as a checkpoint, or whose metadata or tensors
     do not match a ModelConfig, raises DataError; an npz file of another
-    format or version raises its subclass VersionError.
+    format or version raises its subclass VersionError.  A non-finite
+    parameter raises NumericError.
     """
     try:
         z = np.load(path, allow_pickle=False)
@@ -586,7 +587,8 @@ def load_checkpoint(path):
 
 def checked_tensors(where: str, tensors: dict, shapes: dict) -> dict:
     """``tensors`` in the order of ``shapes``, which they must match name for
-    name, all float32 or all float64; otherwise DataError."""
+    name, all float32 or all float64; otherwise DataError.  A non-finite
+    entry raises NumericError."""
     found = {name: a.shape for name, a in tensors.items()}
     wrong = sorted(n for n in found.keys() | shapes.keys() if found.get(n) != shapes.get(n))
     if wrong:
@@ -596,4 +598,7 @@ def checked_tensors(where: str, tensors: dict, shapes: dict) -> dict:
     if dtypes not in ({"float32"}, {"float64"}):
         raise DataError(f"{where}: tensors of dtype {sorted(dtypes)}, "
                         "expected all float32 or all float64")
+    bad = next((n for n in shapes if not np.isfinite(tensors[n]).all()), None)
+    if bad is not None:
+        raise NumericError(f"{where}: tensor {bad} holds a non-finite value")
     return {name: tensors[name] for name in shapes}

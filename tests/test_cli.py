@@ -22,13 +22,16 @@ from ngramlm import (
     NGramLexicon,
     Objective,
     build_joint_vocab,
+    eval_ngram_ppl,
     ingest,
     load_checkpoint,
     make_plans,
 )
 from ngramlm.cli import main
 from ngramlm.corpus import tokenize_words
-from ngramlm.maskplan import read_plan_file, relation_from_comprehensive, write_plan_file
+from ngramlm.errors import NumericError
+from ngramlm.maskplan import (read_plan_file, relation_from_comprehensive, segment_example,
+                              write_plan_file)
 from ngramlm.synth import CollocationSpec, collocation_corpus, write_corpus
 
 from conftest import RefPlan, ref_of, reference_serialize, store_of
@@ -201,14 +204,17 @@ def test_train_eval_export_inspect(corpus_dir, tmp_path):
     assert params["tok_emb"].shape[0] == cfg.fine_vocab_size
 
     csv = tmp_path / "attn.csv"
+    text = "topic00 t00p0a t00p0b fill00"
     for source in (exported, ck):
         assert main(["inspect-attention", "--checkpoint", str(source),
-                     "--lexicon", str(corpus_dir / "lex.tsv"),
                      "--vocab", str(corpus_dir / "vocab.txt"),
-                     "--text", "topic00 t00p0a t00p0b fill00",
-                     "--out", str(csv)]) == 0
+                     "--text", text, "--out", str(csv)]) == 0
     lines = csv.read_text().splitlines()
     assert lines[0].startswith("# ")
+    # the subwords a lexicon segmentation gives: segmenting never changes them
+    vocab = FineVocab.load(corpus_dir / "vocab.txt")
+    ex = segment_example(tokenize_words(text), NGramLexicon.load(corpus_dir / "lex.tsv"), vocab)
+    assert lines[1] == "," + ",".join(vocab.tokens[i] for i in ex.subword_ids)
     rows = [list(map(float, ln.split(",")[1:])) for ln in lines[2:]]
     for row in rows:
         assert sum(row) == pytest.approx(1.0, abs=1e-5)  # row-stochastic
@@ -515,6 +521,19 @@ def test_segment_file_and_stdin_agree(corpus_dir, tmp_path, capsys, monkeypatch)
     assert len(from_file.splitlines()) == 4
 
 
+def test_ingest_and_segment_agree_on_where_a_document_ends(corpus_dir, tmp_path, capsys):
+    # a form feed and U+2028 end no document: make-masks and extract-lexicon
+    # (through ingest) and segment see one line here
+    line = "topic00 t00p0a t00p0b\x0cfill01\u2028t00p0a t00p0b\n"
+    src = tmp_path / "in.txt"
+    src.write_bytes(line.encode("utf-8"))
+    assert ingest([src]).documents == [tokenize_words(line)]
+    capsys.readouterr()
+    assert main(["segment", "--lexicon", str(corpus_dir / "lex.tsv"), "--input", str(src)]) == 0
+    [out] = capsys.readouterr().out.splitlines()
+    assert " ".join(out.split("\t")[1:]).split() == tokenize_words(line)
+
+
 TRAIN_SMALL = ["train", "--layers", "1", "--hidden", "16", "--heads", "2", "--steps", "2",
                "--batch-size", "2"]
 
@@ -593,17 +612,80 @@ def test_malformed_checkpoint_is_a_data_error(trained, tmp_path, capsys, edit, c
 
 
 def test_non_finite_perplexity_is_a_numeric_error(trained, tmp_path, capsys):
-    # a NaN n-gram bias makes every n-gram perplexity NaN: eval-ppl exits 4
-    # and prints no result (NaN is no JSON number), as a resumed train does
+    # a NaN n-gram bias makes every n-gram perplexity NaN; the checkpoint
+    # holding it is refused as it loads: eval-ppl exits 4 and prints no
+    # result (NaN is no JSON number), as a resumed train does
     plans, ck, _ = trained
+    params, cfg, _, _ = load_checkpoint(ck)
+    params["ngram_b"][...] = np.nan
+    with pytest.raises(NumericError, match="non-finite n-gram perplexity nan"):
+        eval_ngram_ppl(params, read_plan_file(plans)[1], cfg)
     bad = tmp_path / "nan.npz"
     rewrite_store(ck, bad, lambda s: s.update({"p/ngram_b": np.full_like(s["p/ngram_b"], np.nan)}))
     capsys.readouterr()
     assert main(["eval-ppl", "--plans", str(plans), "--checkpoint", str(bad)]) == 4
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("numeric error: non-finite n-gram perplexity nan")
+    assert out == "" and err.startswith(f"numeric error: checkpoint {bad}: tensor ngram_b holds")
     assert main(TRAIN_SMALL + ["--plans", str(plans), "--steps", "3", "--resume", str(bad),
                                "--out", str(tmp_path / "resumed.npz")]) == 4
+
+
+@pytest.mark.parametrize("key, value", [("p/l0_wq", np.nan), ("p/ngram_b", -np.inf),
+                                        ("a/v/l0_wq", np.inf), ("a/m/ngram_b", np.nan)],
+                         ids=["nan-weight", "inf-bias", "inf-moment", "nan-moment"])
+def test_non_finite_checkpoint_is_a_numeric_error(trained, corpus_dir, tmp_path, capsys,
+                                                  key, value):
+    # every command that reads the tensor exits 4 and writes no output file
+    plans, ck, _ = trained
+    bad = tmp_path / "bad.npz"
+
+    def poison(store):
+        store[key] = store[key].copy()
+        store[key].flat[0] = value
+    rewrite_store(ck, bad, poison)
+    out, metrics = tmp_path / "out", tmp_path / "metrics.jsonl"
+    commands = [TRAIN_SMALL + ["--plans", str(plans), "--steps", "3", "--resume", str(bad),
+                               "--metrics", str(metrics), "--out", str(out)]]
+    if key.startswith("p/"):  # only a resume reads the Adam moments
+        commands += [
+            ["eval-ppl", "--plans", str(plans), "--checkpoint", str(bad)],
+            ["export", "--checkpoint", str(bad), "--out", str(out)],
+            ["inspect-attention", "--checkpoint", str(bad), "--vocab",
+             str(corpus_dir / "vocab.txt"), "--text", "topic00 fill00", "--out", str(out)],
+        ]
+    name = key.split("/")[-1]
+    for argv in commands:
+        capsys.readouterr()
+        assert main(argv) == 4, argv[0]
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.startswith("numeric error: checkpoint "), (argv[0], err)
+        assert f"tensor {name} holds a non-finite value" in err, (argv[0], err)
+        assert not out.exists() and not metrics.exists(), argv[0]
+
+
+def test_eval_ppl_refuses_plans_for_another_vocabulary(trained, tmp_path, capsys, monkeypatch):
+    # plans made from another corpus name other vocabulary sizes in their
+    # header: refused before any encoder pass, as train --resume refuses them
+    _, ck, _ = trained
+    spec = CollocationSpec(n_topics=4, phrases_per_topic=3)
+    stream, inventory, _ = collocation_corpus(60, seed=9, spec=spec)
+    write_corpus(stream, tmp_path / "corpus.txt")
+    FineVocab.from_subwords(inventory).save(tmp_path / "vocab.txt")
+    assert main(["extract-lexicon", "--corpus", str(tmp_path / "corpus.txt"), "--k2", "10",
+                 "--k3", "4", "--min-count", "3", "--out", str(tmp_path / "lex.tsv")]) == 0
+    foreign = run_pipeline(tmp_path, tmp_path)
+    prov, _ = read_plan_file(foreign)
+    _, cfg, _, _ = load_checkpoint(ck)
+    theirs = (prov["fine_vocab_size"], prov["ngram_vocab_size"])
+    ours = (cfg.fine_vocab_size, cfg.ngram_vocab_size)
+    assert theirs[0] < ours[0] and theirs[1] < ours[1]
+    monkeypatch.setattr("ngramlm.cli.eval_ngram_ppl", lambda *a: pytest.fail("plans evaluated"))
+    capsys.readouterr()
+    assert main(["eval-ppl", "--plans", str(foreign), "--checkpoint", str(ck)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("data error: ")
+    assert (f"fine {theirs[0]} and n-gram {theirs[1]}" in err
+            and f"fine {ours[0]} and n-gram {ours[1]}" in err), err
 
 
 def flipped(data: bytes, offset: int, mask: int) -> bytes:
@@ -913,7 +995,7 @@ def test_output_in_a_missing_directory_is_a_data_error(trained, corpus_dir, tmp_
         "make-masks": ["--corpus", corpus, "--lexicon", lexicon, "--vocab", vocab],
         "train": TRAIN_SMALL[1:] + ["--plans", str(plans)],
         "export": ["--checkpoint", str(ck)],
-        "inspect-attention": ["--checkpoint", str(ck), "--lexicon", lexicon, "--vocab", vocab,
+        "inspect-attention": ["--checkpoint", str(ck), "--vocab", vocab,
                               "--text", "topic00 t00p0a t00p0b fill00"],
     }
     missing = tmp_path / "missing" / "output"

@@ -178,7 +178,7 @@ def test_joint_vocab_id_layout():
                             ScoredNGram(("b", "c"), 2, 0.5, 2)]})
     jv = build_joint_vocab(vocab, lex)
     assert len(jv) == len(vocab) + 2
-    assert jv.id_of_subword("a") == vocab.index["a"]
+    assert jv.surface(vocab.index["a"]) == ("fine", "a")
     assert jv.id_of_ngram(("a", "b")) == len(vocab)
     assert jv.id_of_ngram(("b", "c")) == len(vocab) + 1
     assert jv.id_of_ngram(("c", "a")) is None
@@ -197,6 +197,6 @@ def test_joint_vocab_surface_roundtrip(offset):
     jid = offset % len(jv)
     kind, surf = jv.surface(jid)
     if kind == "fine":
-        assert jv.id_of_subword(surf) == jid
+        assert vocab.index[surf] == jid
     else:
         assert jv.id_of_ngram(surf) == jid

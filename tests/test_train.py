@@ -970,8 +970,13 @@ def test_nan_aborts_with_diagnostic_checkpoint(small_pipeline, tmp_path):
     ck = tmp_path / "run.npz"
     with pytest.raises(NumericError):
         train(tcfg, plans, params, cfg, checkpoint_path=ck)
-    diag = load_checkpoint(str(ck) + ".diag")
-    assert diag[2]["step"] == 0
+    # the diagnostic checkpoint holds the NaN: numpy reads it, the loader refuses it
+    with np.load(str(ck) + ".diag") as z:
+        meta = json.loads(z["__meta__"].tobytes().decode("utf-8"))
+        assert np.isnan(z["p/ngram_b"][0])
+    assert meta["extra"]["step"] == 0
+    with pytest.raises(NumericError, match="tensor ngram_b holds a non-finite value"):
+        load_checkpoint(str(ck) + ".diag")
 
 
 def test_metrics_file_is_json_lines(small_pipeline, tmp_path):
