@@ -106,6 +106,10 @@ def cmd_extract_lexicon(args):
 
 
 def cmd_make_masks(args):
+    # both outputs' directories are refused before either file is written
+    for path in filter(None, (args.out, args.dump_json)):
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise DataError(f"cannot write {path}: no such directory")
     stream = ingest(args.corpus, _tok_config(args))
     lex = NGramLexicon.load(args.lexicon)
     vocab = FineVocab.load(args.vocab)
@@ -231,6 +235,8 @@ def cmd_export(args):
 
 def cmd_inspect_attention(args):
     params, cfg, _, _ = load_checkpoint(args.checkpoint)
+    if not cfg.layers:
+        raise UsageError(f"{args.checkpoint} has no attention layer: it was trained with 0 layers")
     vocab = FineVocab.load(args.vocab)
     words = tokenize_words(args.text, not args.no_lowercase)
     if not words:

@@ -1,7 +1,8 @@
 """Loss functions, generator sampling, the joint training loop and n-gram perplexity.
 
-Every cross-entropy term goes through ``_xent`` and every replaced-token
-term through ``_bce_with_logits``; each plan's terms are kept as sums
+Every training cross-entropy term goes through ``_xent`` and every
+replaced-token term through ``_bce_with_logits``, and evaluation reads
+``_log_softmax`` at its targets; each plan's terms are kept as sums
 (sum convention), so the comprehensive loss is exactly its coarse and
 fine parts, and per-target means are reported alongside for logging.
 """
@@ -220,27 +221,39 @@ def generator_loss_terms(params: dict, plan: PlanView, cfg: ModelConfig) -> Acti
                   prefix="gen_")
 
 
+def _context_rows(params: dict, plans: PlanStore, rows, owner, cfg: ModelConfig,
+                  prefix: str = ""):
+    """The last-layer states at ``rows``, stacked: one forward-only
+    :func:`encode` over each plan's context alone, nothing masked out, for
+    each plan that owns a row.  ``owner`` holds each row's plan, sorted, as
+    :meth:`PlanStore.gather` returns it."""
+    ks, first = np.unique(owner, return_index=True)
+    return np.concatenate([
+        encode(params, plan.ids[:plan.T], plan.positions[:plan.T], None, cfg, prefix,
+               rows=at).hidden
+        for plan, at in zip(map(plans.__getitem__, ks.tolist()), np.split(rows, first[1:]))])
+
+
 def generator_forward_and_sample(params: dict, plans: PlanStore, cfg: ModelConfig,
                                  rng: RngState):
     """Sample one joint identity per masked slot from the generator softmax,
     for every slot of ``plans``.
 
     The generator runs over each plan's context only, with nothing masked
-    out, under ``cfg.generator_view()``, and its last layer at the slots.
-    One stacked softmax and cumulative sum then cover every slot.  Each plan
-    with slots takes one keyed draw from ``rng``, in plan order, and draws
-    its slots at once, exactly as ``g.choice(V, p=row)`` draws them slot by
-    slot: one uniform each, in slot order, against the row's normalised
-    cumulative sum.  A plan without slots takes no draw.  The ids come in
-    the order of ``PlanStore.gather("coarse")``.  Sampling is a
-    non-differentiable boundary: no gradient flows back through them.
+    out, under ``cfg.generator_view()``, and its last layer at the slots
+    (:func:`_context_rows` on ``plans.gather("coarse")``).  One stacked
+    softmax and cumulative sum then cover every slot.  Each plan with slots
+    takes one keyed draw from ``rng``, in plan order, and draws its slots at
+    once, exactly as ``g.choice(V, p=row)`` draws them slot by slot: one
+    uniform each, in slot order, against the row's normalised cumulative
+    sum.  A plan without slots takes no draw.  The ids come in the order of
+    ``PlanStore.gather("coarse")``.  Sampling is a non-differentiable
+    boundary: no gradient flows back through them.
     """
-    if not plans.nc.any():
+    slots, owner = plans.gather("coarse")
+    if not len(owner):
         raise UsageError("no masked slots to sample for")
-    gcfg = cfg.generator_view()
-    states = np.concatenate([encode(params, plan.ids[:plan.T], plan.positions[:plan.T], None,
-                                    gcfg, prefix="gen_", rows=plan.coarse[:, 0]).hidden
-                             for plan in plans if len(plan.coarse)])
+    states = _context_rows(params, plans, slots[:, 0], owner, cfg.generator_view(), "gen_")
     z = head_logits(states, params, "gen_ngram").astype(np.float64)
     z -= z.max(-1, keepdims=True)
     probs = np.exp(z)
@@ -560,68 +573,48 @@ def _save_train_checkpoint(path, params, cfg, tcfg, state, step, sample_rng, pla
 # ---------------------------------------------------------------------------
 # evaluation
 
-def _contiguous_gram_groups(plan: PlanView):
-    """A contiguous plan's masked n-grams as runs of consecutive targets:
-    (rows, targets, bounds), the fine targets sorted by row and the n-grams
-    split at ``bounds``.  Exact because the mask sampler never selects
-    adjacent segments."""
-    fine = plan.fine.astype(np.int64)
-    fine = fine[np.argsort(fine[:, 0], kind="stable")]
-    rows = fine[:, 0]
-    return rows, fine[:, 1], np.flatnonzero(np.diff(rows) != 1) + 1
-
-
 def eval_ngram_ppl(params: dict, plans: PlanStore, cfg: ModelConfig) -> float:
     """Geometric mean of per-masked-n-gram perplexities, in log space.
 
-    Contiguous plans: PPL(w) = exp(mean token NLL within w).  Explicit
-    and comprehensive plans: PPL(w) = exp(NLL of the identity).
+    Contiguous plans: PPL(w) = exp(mean token NLL within w), their fine
+    targets scored by the ``fine`` head.  Explicit and comprehensive plans:
+    PPL(w) = exp(NLL of the identity), each coarse slot scored by the
+    ``ngram`` head.  The targets are gathered from the store, as training
+    gathers them.  Sorted by plan and row, the fine targets start a new
+    n-gram wherever a row is not the previous row + 1 of the same plan:
+    exact, as the mask sampler never selects adjacent segments.
 
-    Every scored row, a coarse slot or a contiguous plan's fine target,
-    lies in the context, and the length-hiding mask hides the queries from
-    the context.  So each plan's context is encoded alone, unmasked, and
-    its last layer runs at the scored rows only.  The scored states of
-    consecutive plans, up to ``cfg.max_positions`` rows at a time, then
-    share one head product per head.
+    Every scored row lies in the context, and the length-hiding mask hides
+    the queries from the context, so the states come from
+    :func:`_context_rows`, which passes over no plan without a scored row.
+    The logits are formed at most ``cfg.max_positions`` rows at a time.
     """
     check_plans(plans, cfg)
-    log_ppls: list = []
-    # head -> the pending plans' (states, targets, n-gram sizes)
-    pending: dict = {"fine": [], "ngram": []}
-    size = 0
-    for plan in plans:
-        head = "fine" if plan.objective == Objective.CONTIGUOUS else "ngram"
-        if head == "fine":
-            rows, targets, bounds = _contiguous_gram_groups(plan)
-            sizes = np.diff(bounds, prepend=0, append=len(rows))
-        else:
-            rows, targets = plan.coarse.T
-            sizes = np.ones(len(rows), dtype=np.int64)
-        if not len(rows):  # nothing to score: no encoder pass
+    contiguous = plans.objectives == Objective.CONTIGUOUS
+    log_ppls = []
+    for head, field in (("fine", "fine"), ("ngram", "coarse")):
+        pairs, owner = plans.gather(field)
+        scored = contiguous[owner] == (head == "fine")
+        pairs, owner = pairs[scored], owner[scored]
+        if not len(owner):
             continue
-        T = plan.T
-        acts = encode(params, plan.ids[:T], plan.positions[:T], None, cfg, rows=rows)
-        if size + len(rows) > cfg.max_positions:
-            _score_pending(params, pending, log_ppls)
-            size = 0
-        pending[head].append((acts.hidden, targets, sizes))
-        size += len(rows)
-    _score_pending(params, pending, log_ppls)
+        starts = np.ones(len(owner), dtype=bool)
+        if head == "fine":
+            order = np.lexsort((pairs[:, 0], owner))
+            pairs, owner = pairs[order], owner[order]
+            starts[1:] = (owner[1:] != owner[:-1]) | (pairs[1:, 0] != pairs[:-1, 0] + 1)
+        rows, targets = pairs.T
+        states = _context_rows(params, plans, rows, owner, cfg)
+        nll = np.empty(len(rows))
+        for lo in range(0, len(rows), cfg.max_positions):
+            at = slice(lo, lo + cfg.max_positions)
+            logp = _log_softmax(head_logits(states[at], params, head))
+            nll[at] = -logp[np.arange(len(logp)), targets[at]]
+        gram = np.cumsum(starts) - 1
+        log_ppls.append(np.bincount(gram, nll) / np.bincount(gram))
     if not log_ppls:
         raise UsageError("no masked n-grams in evaluation set")
     ppl = float(np.exp(np.mean(np.concatenate(log_ppls))))
     if not np.isfinite(ppl):
         raise NumericError(f"non-finite n-gram perplexity {ppl}")
     return ppl
-
-
-def _score_pending(params: dict, pending: dict, log_ppls: list):
-    """Append to ``log_ppls`` the mean NLL of each pending n-gram's targets,
-    with one :func:`head_logits` product per head, and empty ``pending``."""
-    for head, parts in pending.items():
-        if not parts:
-            continue
-        states, targets, sizes = (np.concatenate(x) for x in zip(*parts))
-        nll, _ = _xent(head_logits(states, params, head), targets)
-        log_ppls.append(np.bincount(np.repeat(np.arange(len(sizes)), sizes), nll) / sizes)
-        parts.clear()

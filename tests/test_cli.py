@@ -220,6 +220,22 @@ def test_train_eval_export_inspect(corpus_dir, tmp_path):
         assert sum(row) == pytest.approx(1.0, abs=1e-5)  # row-stochastic
 
 
+def test_inspect_attention_on_a_zero_layer_checkpoint_is_a_usage_error(corpus_dir, tmp_path,
+                                                                       capsys):
+    # a zero-layer model trains and evaluates, but has no attention to dump
+    plans = run_pipeline(corpus_dir, tmp_path, objective="relation")
+    ck, csv = tmp_path / "model.npz", tmp_path / "attn.csv"
+    assert main(["train", "--plans", str(plans), "--layers", "0", "--generator-layers", "0",
+                 "--hidden", "16", "--heads", "2", "--steps", "2", "--batch-size", "4",
+                 "--out", str(ck)]) == 0
+    assert main(["eval-ppl", "--plans", str(plans), "--checkpoint", str(ck)]) == 0
+    capsys.readouterr()
+    assert main(["inspect-attention", "--checkpoint", str(ck), "--vocab",
+                 str(corpus_dir / "vocab.txt"), "--text", "topic00 fill00", "--out", str(csv)]) == 2
+    assert "no attention layer" in capsys.readouterr().err
+    assert not csv.exists()
+
+
 def test_segment_command(corpus_dir, tmp_path, capsys):
     src = tmp_path / "in.txt"
     src.write_text("topic00 t00p0a t00p0b fill01\n", encoding="utf-8")
@@ -1006,8 +1022,11 @@ def test_output_in_a_missing_directory_is_a_data_error(trained, corpus_dir, tmp_
     assert main([command, *inputs[command], *(x for pair in outputs.items() for x in pair)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and str(missing) in err and "Traceback" not in err, err
-    # a checkpoint path in a missing directory is refused before the first step
+    # a checkpoint path in a missing directory is refused before the first
+    # step, and a dump path before the plan file is written
     assert not (tmp_path / "metrics.jsonl").exists()
+    if flag != "--out":
+        assert not (tmp_path / "output").exists()
 
 
 def test_make_masks_records_what_it_skipped(corpus_dir, tmp_path, capsys):

@@ -42,7 +42,6 @@ from ngramlm.train import (
     WEIGHT_DECAY,
     AdamState,
     _bce_with_logits,
-    _contiguous_gram_groups,
     _decayable,
     _reachable,
     _save_train_checkpoint,
@@ -1058,12 +1057,24 @@ def test_eval_ppl_contiguous_uses_per_token_mean():
     assert ppl == pytest.approx(4.0, abs=1e-9)
 
 
-def test_contiguous_gram_groups():
-    plan = RefPlan(Objective.CONTIGUOUS, (0,) * 8, tuple(range(1, 9)), (), (),
-                   (), ((1, 0), (2, 0), (4, 0), (6, 0), (7, 0)))
-    rows, targets, bounds = _contiguous_gram_groups(store_of([plan])[0])
-    assert [group.tolist() for group in np.split(rows, bounds)] == [[1, 2], [4], [6, 7]]
-    assert targets.tolist() == [0] * 5
+def test_eval_ppl_contiguous_grams_stop_at_plans_and_ignore_storage_order():
+    # [DERIVED] token probabilities 1/2 (id 5), 1/8 (id 6) and 1/4 (id 7);
+    # in units of ln 2, the masked n-grams' mean NLLs are: plan a, rows 1-2
+    # (1 + 3) / 2 = 2; plan b, row 3 after a's row 2, its own n-gram, 1;
+    # plan c, stored as rows 2, 1, 4: rows 1-2 3 and row 4 2.  The mean
+    # (2 + 1 + 3 + 2) / 4 = 2 gives PPL = 2^2 = 4.  Joining a's rows with
+    # b's gives 2^(20/9), and taking c's rows in stored order 2^(11/5)
+    cfg = tiny_config(15, 3)
+    qf = np.full(cfg.fine_vocab_size, (1 - 0.5 - 0.125 - 0.25) / 12)
+    qf[5], qf[6], qf[7] = 0.5, 0.125, 0.25
+    params = controlled_params(cfg, probs_fine=qf)
+
+    def contiguous(*fine):
+        return RefPlan(Objective.CONTIGUOUS, (0, 4, 4, 4, 4), (1, 2, 3, 4, 5), (), (), (), fine)
+
+    plans = [contiguous((1, 5), (2, 6)), contiguous((3, 5)), contiguous((2, 6), (1, 6), (4, 7))]
+    ppl = eval_ngram_ppl(params, store_of(plans), cfg)
+    assert ppl == pytest.approx(4.0, abs=1e-9)
 
 
 def test_untrained_explicit_ppl_near_joint_size(small_pipeline):
@@ -1122,8 +1133,8 @@ def test_eval_ppl_equals_whole_plan_reference(small_pipeline, objective):
 
 
 def test_eval_ppl_mixed_objectives_equal_whole_plan_reference(small_pipeline):
-    # contiguous and explicit plans, interleaved, share runs of scored rows
-    # with one product per head
+    # contiguous and explicit plans, interleaved: each head scores the rows
+    # of its own plans, gathered from the whole store
     stream, vocab, lex, jv, cfg = small_pipeline
     contiguous = make_plans(stream, lex, jv, Objective.CONTIGUOUS, seed=5)[:20]
     explicit = make_plans(stream, lex, jv, Objective.EXPLICIT, seed=5)[:20]
