@@ -11,11 +11,10 @@ import numpy as np
 
 from ngramlm import (
     FineVocab,
+    Objective,
     build_attention_mask,
     build_joint_vocab,
-    plan_comprehensive,
-    plan_contiguous,
-    plan_explicit,
+    build_plan,
     plan_relation,
 )
 from ngramlm.lexicon import NGramLexicon, ScoredNGram
@@ -54,10 +53,10 @@ print("segments:", [" ".join(s) for s in ex.boundaries.segments()],
       "masked:", masked)
 
 show("1. contiguous: one [M] per token, token targets",
-     plan_contiguous(ex, masked, vocab))
+     build_plan(Objective.CONTIGUOUS, ex, masked, jv))
 show("2. explicit: one [M] per segment, joint-identity targets",
-     plan_explicit(ex, masked, jv))
-comp = plan_comprehensive(ex, masked, jv)
+     build_plan(Objective.EXPLICIT, ex, masked, jv))
+comp = build_plan(Objective.COMPREHENSIVE, ex, masked, jv)
 show("3. comprehensive: explicit layout + [Mi] queries at the slot position",
      comp)
 wrong = [vocab.index["x6"], vocab.index["x5"]]

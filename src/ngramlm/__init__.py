@@ -23,9 +23,7 @@ from .maskplan import (
     PlanStore,
     RngState,
     build_attention_mask,
-    plan_comprehensive,
-    plan_contiguous,
-    plan_explicit,
+    build_plan,
     plan_relation,
     sample_mask,
     segment_example,

@@ -51,9 +51,30 @@ def _file_hash(path) -> str:
     return h.hexdigest()[:16]
 
 
-# arguments that name files; provenance keeps only their file names
-_PATH_ARGS = frozenset({"corpus", "lexicon", "vocab", "input", "plans", "checkpoint",
-                       "resume", "metrics", "dump_json", "out"})
+# arguments that name files read and files written; provenance keeps only
+# their file names
+_INPUT_ARGS = ("corpus", "lexicon", "vocab", "input", "plans", "checkpoint", "resume")
+_OUTPUT_ARGS = ("out", "dump_json", "metrics")
+_PATH_ARGS = frozenset(_INPUT_ARGS + _OUTPUT_ARGS)
+
+
+def _check_outputs(args: argparse.Namespace):
+    """Refuse, before any file is read, an output path that names an input
+    or another output (UsageError, naming both flags) or lies in a missing
+    directory (DataError)."""
+    named = {}  # real path -> the first flag that names it
+    for name in _INPUT_ARGS + _OUTPUT_ARGS:
+        value = getattr(args, name, None)
+        flag = "--" + name.replace("_", "-")
+        for path in value if isinstance(value, list) else filter(None, [value]):
+            real = os.path.realpath(path)
+            if name in _OUTPUT_ARGS:
+                if real in named:
+                    raise UsageError(f"{flag} {path} names the same file as {named[real]}, "
+                                     "which it would overwrite")
+                if not os.path.isdir(os.path.dirname(path) or "."):
+                    raise DataError(f"cannot write {path}: no such directory")
+            named.setdefault(real, flag)
 
 
 def _file_names(value):
@@ -106,10 +127,6 @@ def cmd_extract_lexicon(args):
 
 
 def cmd_make_masks(args):
-    # both outputs' directories are refused before either file is written
-    for path in filter(None, (args.out, args.dump_json)):
-        if not os.path.isdir(os.path.dirname(path) or "."):
-            raise DataError(f"cannot write {path}: no such directory")
     stream = ingest(args.corpus, _tok_config(args))
     lex = NGramLexicon.load(args.lexicon)
     vocab = FineVocab.load(args.vocab)
@@ -238,6 +255,9 @@ def cmd_inspect_attention(args):
     if not cfg.layers:
         raise UsageError(f"{args.checkpoint} has no attention layer: it was trained with 0 layers")
     vocab = FineVocab.load(args.vocab)
+    if len(vocab) != cfg.fine_vocab_size:
+        raise DataError(f"{args.vocab} holds {len(vocab)} subwords, but {args.checkpoint} was "
+                        f"trained on {cfg.fine_vocab_size}")
     words = tokenize_words(args.text, not args.no_lowercase)
     if not words:
         raise UsageError("empty input text")
@@ -335,6 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_outputs(args)
         return args.func(args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)

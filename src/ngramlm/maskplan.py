@@ -10,11 +10,11 @@ the filled plans (``relation_from_comprehensive``).
 
 Plans have one form, the ``PlanStore``: the u32 fields of the binary
 record format in one array, with an offset per plan.  One layout pass
-(``PlanWriter``) writes those fields for ``make_plans`` and for each plan
-builder, which returns a one-plan ``PlanView``.  Plan files decode into a
-store and are written from one; training, evaluation and the command
-line's checks take a store and read its arrays, and the functions of one
-plan take one of its elements, a ``PlanView``.
+(``PlanWriter``) writes those fields for ``make_plans`` and for
+``build_plan``, which returns a one-plan ``PlanView``.  Plan files decode
+into a store and are written from one; training, evaluation and the
+command line's checks take a store and read its arrays, and the functions
+of one plan take one of its elements, a ``PlanView``.
 """
 
 from __future__ import annotations
@@ -45,6 +45,12 @@ class Objective(enum.IntEnum):
     EXPLICIT = 1
     COMPREHENSIVE = 2
     RELATION = 3
+
+    @property
+    def layout(self) -> "Objective":
+        """The layout of this objective's plans: its own, but comprehensive
+        for relation, whose slots training fills with the generator's samples."""
+        return Objective.COMPREHENSIVE if self == Objective.RELATION else self
 
 
 _MASK64 = (1 << 64) - 1
@@ -87,22 +93,18 @@ class RngState:
 
 @dataclass
 class SegmentedExample:
-    """A word sequence with its n-gram boundaries and subword alignment."""
+    """A word sequence's n-gram boundaries (which hold its words) and its
+    subword alignment."""
 
-    words: tuple
     boundaries: BoundarySeq
     subword_ids: tuple
     word_spans: tuple  # per word: (lo, hi) into subword_ids
-
-    @property
-    def num_segments(self) -> int:
-        return self.boundaries.num_segments
 
 
 def segment_example(words, lex, vocab: FineVocab) -> SegmentedExample:
     b = extract_boundaries(words, lex)
     ids, spans = corpus.subword_tokenize(b.words, vocab)
-    return SegmentedExample(b.words, b, tuple(ids), tuple(spans))
+    return SegmentedExample(b, tuple(ids), tuple(spans))
 
 
 def sample_mask(b: BoundarySeq, rate: float, rng: RngState, candidates=None) -> tuple:
@@ -137,10 +139,10 @@ def sample_mask(b: BoundarySeq, rate: float, rng: RngState, candidates=None) -> 
 
 
 class PlanWriter:
-    """Plans of one layout (contiguous, explicit or comprehensive), written
+    """Plans in one objective's layout (:attr:`Objective.layout`), written
     by one pass over each example's segments as the store's u32 record
     fields into one growing array, then taken out once as a
-    :class:`PlanStore`.
+    :class:`PlanStore`.  The fine ids are those of ``jv.fine``.
 
     A masked segment becomes one [M] slot with a coarse target when the
     layout is not contiguous and the segment has a joint identity (an
@@ -151,24 +153,24 @@ class PlanWriter:
     segments whose identity fell back for exceeding the query budget.
     """
 
-    def __init__(self, objective: Objective, vocab: FineVocab, jv: JointVocab | None = None):
-        self.objective, self.vocab = objective, vocab
-        self.jv = None if objective == Objective.CONTIGUOUS else jv
-        self.queries = ([vocab.query_id(i) for i in range(1, vocab.max_query + 1)]
-                        if objective == Objective.COMPREHENSIVE else None)
+    def __init__(self, objective: Objective, jv: JointVocab):
+        self.layout, self.vocab = Objective(objective).layout, jv.fine
+        self.jv = None if self.layout == Objective.CONTIGUOUS else jv
+        self.queries = ([jv.fine.query_id(i) for i in range(1, jv.fine.max_query + 1)]
+                        if self.layout == Objective.COMPREHENSIVE else None)
         self.run, self.starts = array("I"), [0]
         self.fallbacks = 0
 
     def add(self, ex: SegmentedExample, masked):
         """Append the plan of ``ex`` with the segments ``masked`` (1-based)."""
-        n = ex.num_segments
+        n = ex.boundaries.num_segments
         if not masked:
             raise UsageError("masked set is empty")
         for j in masked:
             if not 1 <= j <= n:
                 raise UsageError(f"masked index {j} outside 1..{n}")
         chosen = set(masked)
-        b = ex.boundaries.boundaries
+        words, b = ex.boundaries.words, ex.boundaries.boundaries
         sub, spans, jv, mask_id = ex.subword_ids, ex.word_spans, self.jv, self.vocab.mask_id
         max_query = self.vocab.max_query
         ids: list = []
@@ -185,9 +187,9 @@ class PlanWriter:
             jid = None
             if jv is not None:
                 if whi - wlo > 1:
-                    jid = jv.id_of_ngram(ex.words[wlo:whi])
+                    jid = jv.id_of_ngram(words[wlo:whi])
                     if jid is None:
-                        raise PlanError(f"masked n-gram {ex.words[wlo:whi]} absent from lexicon")
+                        raise PlanError(f"masked n-gram {words[wlo:whi]} absent from lexicon")
                 elif hi - lo == 1:
                     jid = sub[lo]
                 if jid is not None and hi - lo > max_query:
@@ -218,28 +220,15 @@ class PlanWriter:
     def store(self) -> "PlanStore":
         return PlanStore(np.frombuffer(self.run, dtype=np.uintc).astype(np.uint32, copy=False),
                          np.array(self.starts, dtype=np.int64),
-                         np.full(len(self.starts) - 1, self.objective, dtype=np.uint8))
+                         np.full(len(self.starts) - 1, self.layout, dtype=np.uint8))
 
 
-def _one_plan(objective, ex, masked, vocab, jv=None) -> "PlanView":
-    writer = PlanWriter(objective, vocab, jv)
+def build_plan(objective: Objective, ex: SegmentedExample, masked, jv: JointVocab) -> "PlanView":
+    """The plan of ``ex`` with the segments ``masked`` (1-based) in
+    ``objective``'s layout, as the view of a one-plan store."""
+    writer = PlanWriter(objective, jv)
     writer.add(ex, masked)
     return writer.store()[0]
-
-
-def plan_contiguous(ex: SegmentedExample, masked: tuple, vocab: FineVocab) -> "PlanView":
-    """Each masked subword replaced by [M]; one fine target per subword."""
-    return _one_plan(Objective.CONTIGUOUS, ex, masked, vocab)
-
-
-def plan_explicit(ex: SegmentedExample, masked: tuple, jv: JointVocab) -> "PlanView":
-    """One [M] slot per masked segment; targets are joint identities."""
-    return _one_plan(Objective.EXPLICIT, ex, masked, jv.fine, jv)
-
-
-def plan_comprehensive(ex: SegmentedExample, masked: tuple, jv: JointVocab) -> "PlanView":
-    """Explicit layout plus [M1..Mn] queries sharing each slot's position."""
-    return _one_plan(Objective.COMPREHENSIVE, ex, masked, jv.fine, jv)
 
 
 def relation_from_comprehensive(store: "PlanStore", sampled) -> tuple["PlanStore", np.ndarray]:
@@ -272,7 +261,7 @@ def plan_relation(ex: SegmentedExample, masked: tuple, jv: JointVocab,
                   sampled) -> tuple["PlanView", np.ndarray]:
     """(the relation plan, its RTD labels): :func:`relation_from_comprehensive`
     on the comprehensive plan of ``ex``."""
-    base = plan_comprehensive(ex, masked, jv)
+    base = build_plan(Objective.RELATION, ex, masked, jv)
     for y_prime in sampled:
         if not 0 <= int(y_prime) < len(jv):
             raise UsageError(f"sampled id {y_prime} outside joint range 0..{len(jv) - 1}")

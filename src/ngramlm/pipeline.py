@@ -18,12 +18,12 @@ def make_plans(stream: WordStream, lex: NGramLexicon, jv: JointVocab,
     """One plan per document, in a store.  ``ngram_only`` restricts
     masking to multi-word segments (used for n-gram perplexity evaluation).
 
-    Relation-objective plans use the comprehensive layout; generator
-    samples are filled in at training time.  The store's ``counts`` give
-    the documents skipped for having no segment, for exceeding
-    ``max_positions`` subwords or, under ``ngram_only``, for having no
-    multi-word segment, and the masked segments that fell back to the
-    contiguous layout for exceeding the query budget.
+    The plans are in the objective's layout (:attr:`Objective.layout`); a
+    relation plan's generator samples are filled in at training time.  The
+    store's ``counts`` give the documents skipped for having no segment,
+    for exceeding ``max_positions`` subwords or, under ``ngram_only``, for
+    having no multi-word segment, and the masked segments that fell back
+    to the contiguous layout for exceeding the query budget.
     """
     if max_positions is not None and max_positions < 1:
         raise UsageError(f"max_positions must be positive, got {max_positions}")
@@ -32,13 +32,12 @@ def make_plans(stream: WordStream, lex: NGramLexicon, jv: JointVocab,
     if objective not in tuple(Objective):
         raise UsageError(f"unknown objective {objective}")
     vocab = jv.fine
-    writer = PlanWriter(Objective.COMPREHENSIVE if objective == Objective.RELATION else objective,
-                        vocab, jv)
+    writer = PlanWriter(objective, jv)
     rng = RngState(seed)
     no_segment = too_long = no_candidate = 0
     for doc in stream:
         ex = segment_example(doc, lex, vocab)
-        if ex.num_segments == 0:
+        if ex.boundaries.num_segments == 0:
             no_segment += 1
             continue
         if max_positions is not None and len(ex.subword_ids) > max_positions:

@@ -198,7 +198,7 @@ def check_plans(plans: PlanStore, cfg: ModelConfig, objective: Objective | None 
         bad = plans.objectives == Objective.RELATION
         what = "evaluation takes no relation-layout plans: their slots hold an identity"
     else:
-        layout = Objective.COMPREHENSIVE if objective == Objective.RELATION else objective
+        layout = objective.layout
         bad = plans.objectives != layout
         what = f"{objective.name.lower()} training needs {layout.name.lower()}-layout plans"
     if bad.any():
@@ -464,6 +464,9 @@ def train(tcfg: TrainConfig, plans: PlanStore, params: dict, cfg: ModelConfig,
     start_step = 0
     if resume_from is not None:
         params_r, cfg_r, extra, arrays = checkpoint or load_checkpoint(resume_from)
+        if extra.get("exported"):
+            raise DataError(f"{resume_from}: an exported checkpoint has no heads, generator or "
+                            "Adam moments to resume")
         if cfg_r != cfg:
             raise UsageError(f"checkpoint {resume_from} has model config {asdict(cfg_r)}, "
                              f"not {asdict(cfg)}")
@@ -475,7 +478,6 @@ def train(tcfg: TrainConfig, plans: PlanStore, params: dict, cfg: ModelConfig,
     grads_flat, grads = layout.zeros()
     state = AdamState(layout)
     if resume_from is not None:
-        # an exported checkpoint has no moments, so it stops here
         shapes = {name: a.shape for name, a in params.items()}
         for key, vec in (("m", state.m), ("v", state.v)):
             saved = {k[2:]: a for k, a in arrays.items() if k.startswith(key + "/")}

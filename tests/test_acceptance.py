@@ -18,6 +18,7 @@ from ngramlm import (
     TrainConfig,
     build_attention_mask,
     build_joint_vocab,
+    build_plan,
     count_ngrams,
     encode,
     eval_ngram_ppl,
@@ -27,9 +28,6 @@ from ngramlm import (
     head_logits,
     init_params,
     make_plans,
-    plan_comprehensive,
-    plan_contiguous,
-    plan_explicit,
     train,
 )
 from ngramlm.cli import main as cli_main
@@ -168,7 +166,7 @@ def test_criterion_04_mask_soundness(toy_example, toy_jv):
     for seed in range(20):
         cfg = tiny_config(len(toy_jv.fine), len(toy_jv.ngrams))
         params = init_params(cfg, seed)
-        plan = plan_comprehensive(toy_example, (2, 4), toy_jv)
+        plan = build_plan(Objective.COMPREHENSIVE, toy_example, (2, 4), toy_jv)
         acts = encode(params, plan.all_ids(), plan.all_positions(),
                       build_attention_mask(plan), cfg)
         T, Q = plan.T, plan.Q
@@ -192,11 +190,8 @@ def _grad_check_setup():
     cfg = tiny_config(len(vocab), len(lex), layers=2, hidden=16, heads=2, ffn=24)
     params = init_params(cfg, 42, dtype=np.float64)
     masked = (2, 4)
-    plans = {
-        "contiguous": plan_contiguous(ex, masked, vocab),
-        "explicit": plan_explicit(ex, masked, jv),
-        "comprehensive": plan_comprehensive(ex, masked, jv),
-    }
+    plans = {objective.name.lower(): build_plan(objective, ex, masked, jv)
+             for objective in (Objective.CONTIGUOUS, Objective.EXPLICIT, Objective.COMPREHENSIVE)}
     comp = plans["comprehensive"]
     fill = [y for _, y in comp.targets_coarse]
     fill[0] = (fill[0] + 3) % len(jv)  # one wrong identity for real RTD labels
@@ -336,7 +331,7 @@ def test_criterion_07_directional_replication(tmp_path):
 # 8. RTD sanity and generator sampling statistics
 
 def test_criterion_08_rtd_sanity(toy_example, toy_jv):
-    comp = plan_comprehensive(toy_example, (2, 4), toy_jv)
+    comp = build_plan(Objective.COMPREHENSIVE, toy_example, (2, 4), toy_jv)
     truth = [y for _, y in comp.targets_coarse]
     all_original = relation_from_comprehensive(comp.store, truth)[1].tolist() == [1] * comp.T
     rtd_nll, _ = _bce_with_logits(np.zeros(7), [1, 0, 1, 0, 1, 0, 1])
@@ -351,8 +346,8 @@ def test_criterion_08_rtd_sanity(toy_example, toy_jv):
     # a second example masking 2, 4 to cover five slots total
     cfg = tiny_config(len(vocab), len(lex), layers=1, hidden=16, heads=2)
     params = init_params(cfg, 1)
-    plans = [plan_comprehensive(ex, (1, 3, 5), jv),
-             plan_comprehensive(ex, (2, 4), jv)]
+    plans = [build_plan(Objective.COMPREHENSIVE, ex, (1, 3, 5), jv),
+             build_plan(Objective.COMPREHENSIVE, ex, (2, 4), jv)]
     gcfg = cfg.generator_view()
     expected = np.zeros(cfg.joint_size)
     slots_total = 0

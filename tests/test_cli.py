@@ -1029,6 +1029,79 @@ def test_output_in_a_missing_directory_is_a_data_error(trained, corpus_dir, tmp_
         assert not (tmp_path / "output").exists()
 
 
+@pytest.mark.parametrize("command, first, second", [
+    ("make-masks", "--out", "--dump-json"), ("train", "--plans", "--out"),
+    ("train", "--out", "--metrics"), ("train", "--resume", "--out"),
+    ("extract-lexicon", "--corpus", "--out"), ("export", "--checkpoint", "--out"),
+    ("inspect-attention", "--vocab", "--out"),
+])
+def test_an_output_that_names_an_input_or_output_is_a_usage_error(trained, corpus_dir, tmp_path,
+                                                                   capsys, command, first,
+                                                                   second):
+    # the two flags name one file, the second through another spelling of
+    # its path; refused before any file is read, so every input keeps its
+    # bytes and no output is written
+    plans, ck, _ = trained
+    for src in (corpus_dir / "corpus.txt", corpus_dir / "lex.tsv", corpus_dir / "vocab.txt",
+                plans, ck):
+        shutil.copy(src, tmp_path / src.name)
+    paths = {"--corpus": "corpus.txt", "--lexicon": "lex.tsv", "--vocab": "vocab.txt",
+             "--plans": "plans.bin", "--checkpoint": "model.npz", "--resume": "model.npz",
+             "--out": "output", "--dump-json": "dump.jsonl", "--metrics": "metrics.jsonl"}
+    flags = {
+        "make-masks": ["--corpus", "--lexicon", "--vocab", "--out"],
+        "train": ["--plans", "--out"],
+        "extract-lexicon": ["--corpus", "--out"],
+        "export": ["--checkpoint", "--out"],
+        "inspect-attention": ["--checkpoint", "--vocab", "--out"],
+    }[command]
+    argv = TRAIN_SMALL if command == "train" else [command]
+    if command == "inspect-attention":
+        argv = argv + ["--text", "topic00 fill00"]
+    for flag in dict.fromkeys(flags + [first, second]):
+        name = paths[first] if flag == second else paths[flag]
+        argv = argv + [flag, os.path.join(tmp_path, "." if flag == second else "", name)]
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {second} ") and f"as {first}," in err, err
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("extra", [20, -5])
+def test_inspect_attention_refuses_a_vocabulary_of_another_size(trained, corpus_dir, tmp_path,
+                                                                capsys, extra):
+    # entries added after the reserved symbols move every subword's id, past
+    # the checkpoint's fine ids into its n-gram rows; no CSV is written
+    _, ck, _ = trained
+    tokens = FineVocab.load(corpus_dir / "vocab.txt").tokens
+    if extra > 0:
+        tokens = [f"extra{i:02d}" for i in range(extra)] + tokens
+    vocab = FineVocab.from_subwords(tokens[:len(tokens) + min(extra, 0)])
+    vocab.save(tmp_path / "vocab.txt")
+    csv = tmp_path / "attn.csv"
+    capsys.readouterr()
+    assert main(["inspect-attention", "--checkpoint", str(ck), "--vocab",
+                 str(tmp_path / "vocab.txt"), "--text", "topic04 t04p1a t04p1b t04p2a",
+                 "--out", str(csv)]) == 3
+    fine = load_checkpoint(ck)[1].fine_vocab_size
+    assert capsys.readouterr().err == (f"data error: {tmp_path / 'vocab.txt'} holds {len(vocab)} "
+                                       f"subwords, but {ck} was trained on {fine}\n")
+    assert len(vocab) == fine + extra and not csv.exists()
+
+
+def test_train_resume_refuses_an_exported_checkpoint_by_name(trained, tmp_path, capsys):
+    plans, _, exported = trained
+    out = tmp_path / "resumed.npz"
+    capsys.readouterr()
+    assert main(TRAIN_SMALL + ["--plans", str(plans), "--steps", "3", "--resume", str(exported),
+                               "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (f"data error: {exported}: an exported checkpoint has no "
+                                       "heads, generator or Adam moments to resume\n")
+    assert not out.exists()
+
+
 def test_make_masks_records_what_it_skipped(corpus_dir, tmp_path, capsys):
     # the provenance header and the summary line carry make_plans' counts
     stream = ingest([corpus_dir / "corpus.txt"])

@@ -20,12 +20,10 @@ from ngramlm import (
     WordStream,
     build_attention_mask,
     build_joint_vocab,
+    build_plan,
     count_ngrams,
     extract_lexicon,
     make_plans,
-    plan_comprehensive,
-    plan_contiguous,
-    plan_explicit,
     plan_relation,
     sample_mask,
     segment_example,
@@ -84,8 +82,8 @@ def plan_path(tmp_path_factory):
 
 # --- the four layouts on the toy example --------------------------------------
 
-def test_contiguous_layout(toy_example, toy_vocab):
-    plan = ref_of(plan_contiguous(toy_example, MASKED, toy_vocab))
+def test_contiguous_layout(toy_example, toy_vocab, toy_jv):
+    plan = ref_of(build_plan(Objective.CONTIGUOUS, toy_example, MASKED, toy_jv))
     m = toy_vocab.mask_id
     x = {i: fid(toy_vocab, f"x{i}") for i in range(1, 7)}
     # z = {x1, [M], [M], x4, [M], x6}
@@ -96,7 +94,7 @@ def test_contiguous_layout(toy_example, toy_vocab):
 
 
 def test_explicit_layout(toy_example, toy_vocab, toy_jv):
-    plan = ref_of(plan_explicit(toy_example, MASKED, toy_jv))
+    plan = ref_of(build_plan(Objective.EXPLICIT, toy_example, MASKED, toy_jv))
     m = toy_vocab.mask_id
     x = {i: fid(toy_vocab, f"x{i}") for i in range(1, 7)}
     y2 = toy_jv.id_of_ngram(("x2", "x3"))
@@ -108,7 +106,7 @@ def test_explicit_layout(toy_example, toy_vocab, toy_jv):
 
 
 def test_comprehensive_layout(toy_example, toy_vocab, toy_jv):
-    plan = ref_of(plan_comprehensive(toy_example, MASKED, toy_jv))
+    plan = ref_of(build_plan(Objective.COMPREHENSIVE, toy_example, MASKED, toy_jv))
     x = {i: fid(toy_vocab, f"x{i}") for i in range(1, 7)}
     assert plan.T == 5 and plan.Q == 3
     # [M1][M2] for the bigram slot, [M1] for the unigram slot
@@ -121,7 +119,7 @@ def test_comprehensive_layout(toy_example, toy_vocab, toy_jv):
 
 
 def test_relation_layout_and_rtd_labels(toy_example, toy_jv):
-    base = plan_comprehensive(toy_example, MASKED, toy_jv)
+    base = build_plan(Objective.COMPREHENSIVE, toy_example, MASKED, toy_jv)
     right = [y for _, y in base.targets_coarse]
     filled, labels = relation_from_comprehensive(base.store, right)
     plan = ref_of(filled[0])
@@ -146,7 +144,7 @@ def test_plan_relation_equals_its_row_of_the_batch_fill(toy_example, toy_jv):
     g = np.random.default_rng(4)
     comps, sampled = [], []
     for ex, masked, jv in cases:
-        comps.append(plan_comprehensive(ex, masked, jv))
+        comps.append(build_plan(Objective.COMPREHENSIVE, ex, masked, jv))
         sampled.append(g.integers(0, len(jv), len(comps[-1].targets_coarse)).tolist())
     assert [len(s) for s in sampled] == [2, 3, 0, 1, 1]
     filled, labels = relation_from_comprehensive(store_of(comps),
@@ -166,11 +164,11 @@ def test_plan_relation_validates_sampled_range(toy_example, toy_jv):
         plan_relation(toy_example, MASKED, toy_jv, [len(toy_jv), 0])
 
 
-def test_invalid_masked_sets(toy_example, toy_vocab):
+def test_invalid_masked_sets(toy_example, toy_jv):
     with pytest.raises(UsageError):
-        plan_contiguous(toy_example, (), toy_vocab)
+        build_plan(Objective.CONTIGUOUS, toy_example, (), toy_jv)
     with pytest.raises(UsageError):
-        plan_contiguous(toy_example, (6,), toy_vocab)
+        build_plan(Objective.CONTIGUOUS, toy_example, (6,), toy_jv)
 
 
 def test_masked_ngram_missing_from_lexicon_is_an_error(toy_vocab, toy_jv):
@@ -179,7 +177,7 @@ def test_masked_ngram_missing_from_lexicon_is_an_error(toy_vocab, toy_jv):
                          lex_from([("x2", "x3"), ("x5", "x6")]), toy_vocab)
     jv_small = toy_jv  # knows only ("x2","x3")
     with pytest.raises(PlanError):
-        plan_explicit(ex, (4,), jv_small)
+        build_plan(Objective.EXPLICIT, ex, (4,), jv_small)
 
 
 def test_multi_subword_word_falls_back_to_contiguous():
@@ -187,13 +185,13 @@ def test_multi_subword_word_falls_back_to_contiguous():
     vocab = FineVocab.from_subwords(["a", "##b", "c"])
     lex = lex_from([("c", "c")])
     ex = segment_example(("ab", "c"), lex, vocab)
-    plan = ref_of(plan_explicit(ex, (1,), build_joint_vocab(vocab, lex)))
+    plan = ref_of(build_plan(Objective.EXPLICIT, ex, (1,), build_joint_vocab(vocab, lex)))
     m = vocab.mask_id
     assert plan.context_ids == (m, m, vocab.index["c"])
     assert plan.targets_coarse == ()
     assert plan.targets_fine == ((0, vocab.index["a"]), (1, vocab.index["##b"]))
     # relation labels mark fallback [M] positions as replaced
-    comp = plan_comprehensive(ex, (1,), build_joint_vocab(vocab, lex))
+    comp = build_plan(Objective.COMPREHENSIVE, ex, (1,), build_joint_vocab(vocab, lex))
     assert relation_from_comprehensive(comp.store, [])[1].tolist() == [0, 0, 1]
 
 
@@ -210,7 +208,7 @@ def test_segment_example_tokenizes_through_the_corpus_module(toy_vocab, monkeypa
     monkeypatch.setattr(corpus, "subword_tokenize", spy)
     words = ["x1", "x2", "x3"]
     ex = segment_example(words, lex_from([("x2", "x3")]), toy_vocab)
-    assert calls == [("x1", "x2", "x3")] and calls[0] is ex.words is ex.boundaries.words
+    assert calls == [("x1", "x2", "x3")] and calls[0] is ex.boundaries.words
     assert ex.subword_ids == tuple(toy_vocab.index[w] for w in words)
 
 
@@ -236,7 +234,7 @@ def reference_plan(objective, ex, masked, vocab, jv, sampled=None):
     wrong identity or a fallback [M], 1 elsewhere.
     """
     b = ex.boundaries.boundaries
-    seg_words = [ex.words[b[k] - 1 : b[k + 1] - 1] for k in range(len(b) - 1)]
+    seg_words = ex.boundaries.segments()
     seg_subs = [[s for w in range(b[k] - 1, b[k + 1] - 1)
                  for s in ex.subword_ids[ex.word_spans[w][0] : ex.word_spans[w][1]]]
                 for k in range(len(b) - 1)]
@@ -297,7 +295,7 @@ def layout_case_st(draw):
     known = [g for g in ngrams if draw(st.booleans()) or draw(st.booleans())]
     vocab = FineVocab.from_subwords(LAYOUT_SUBWORDS, max_query=draw(st.integers(1, 4)))
     ex = segment_example(tuple(words), lex_from(ngrams), vocab)
-    masked = draw(st.lists(st.integers(1, ex.num_segments), min_size=1, max_size=6))
+    masked = draw(st.lists(st.integers(1, ex.boundaries.num_segments), min_size=1, max_size=6))
     if draw(st.booleans()):  # mask every multi-word segment too
         b = ex.boundaries.boundaries
         masked = draw(st.permutations(masked + [j for j in range(1, len(b))
@@ -309,23 +307,25 @@ def layout_case_st(draw):
 @given(layout_case_st(), st.data())
 def test_every_layout_equals_the_reference(case, data):
     ex, masked, vocab, jv = case
-    build = {Objective.CONTIGUOUS: lambda: (plan_contiguous(ex, masked, vocab), None),
-             Objective.EXPLICIT: lambda: (plan_explicit(ex, masked, jv), None),
-             Objective.COMPREHENSIVE: lambda: (plan_comprehensive(ex, masked, jv), None)}
     try:
         slots = len(reference_plan(Objective.EXPLICIT, ex, masked, vocab, jv)[0].targets_coarse)
     except PlanError:
         slots = 0
     sampled = data.draw(st.lists(st.integers(0, len(jv) - 1), min_size=slots, max_size=slots))
-    build[Objective.RELATION] = lambda: plan_relation(ex, masked, jv, sampled)
+
+    def build(objective):
+        if objective == Objective.RELATION:
+            return plan_relation(ex, masked, jv, sampled)
+        return build_plan(objective, ex, masked, jv), None
+
     for objective in Objective:
         try:
             want, want_labels = reference_plan(objective, ex, masked, vocab, jv, sampled)
         except PlanError:
             with pytest.raises(PlanError):
-                build[objective]()
+                build(objective)
             continue
-        got, labels = build[objective]()
+        got, labels = build(objective)
         got = ref_of(got)
         for f in dataclasses.fields(RefPlan):
             assert getattr(got, f.name) == getattr(want, f.name), (objective, f.name)
@@ -335,7 +335,7 @@ def test_every_layout_equals_the_reference(case, data):
 # --- attention mask ------------------------------------------------------------
 
 def test_attention_mask_structure(toy_example, toy_jv):
-    plan = plan_comprehensive(toy_example, MASKED, toy_jv)
+    plan = build_plan(Objective.COMPREHENSIVE, toy_example, MASKED, toy_jv)
     m = build_attention_mask(plan)
     T, Q = plan.T, plan.Q
     assert m.shape == (T + Q, T + Q)
@@ -347,8 +347,8 @@ def test_attention_mask_structure(toy_example, toy_jv):
     assert np.all(np.diag(m[T:, T:]) == 0.0)  # but do see themselves
 
 
-def test_attention_mask_no_queries_is_all_zero(toy_example, toy_vocab):
-    plan = plan_contiguous(toy_example, MASKED, toy_vocab)
+def test_attention_mask_no_queries_is_all_zero(toy_example, toy_jv):
+    plan = build_plan(Objective.CONTIGUOUS, toy_example, MASKED, toy_jv)
     assert not build_attention_mask(plan).any()
 
 
@@ -533,7 +533,7 @@ def test_plan_store_digest_is_pinned(pinned_pipeline, objective):
 @pytest.mark.parametrize("objective", list(Objective))
 def test_make_plans_equal_the_builders_views(pinned_pipeline, objective, ngram_only,
                                              max_positions):
-    # make_plans' store equals the builders' one-plan views of the same
+    # make_plans' store equals build_plan's one-plan views of the same
     # examples and masked sets, joined in order, and its counts name each
     # document it left out and each masked identity over the query budget
     stream, lex, jv = pinned_pipeline
@@ -544,13 +544,6 @@ def test_make_plans_equal_the_builders_views(pinned_pipeline, objective, ngram_o
     docs[200:200] = [["zz"]]
     got = make_plans(WordStream(docs), lex, jv, objective, rate=0.3, seed=7,
                      ngram_only=ngram_only, max_positions=max_positions)
-
-    def build(ex, masked):
-        if objective == Objective.CONTIGUOUS:
-            return plan_contiguous(ex, masked, vocab)
-        if objective == Objective.EXPLICIT:
-            return plan_explicit(ex, masked, jv)
-        return plan_comprehensive(ex, masked, jv)  # relation plans use this layout
 
     rng = RngState(7)
     views, counts = [], dict.fromkeys(("skipped_no_segment", "skipped_over_max_positions",
@@ -567,7 +560,7 @@ def test_make_plans_equal_the_builders_views(pinned_pipeline, objective, ngram_o
             counts["skipped_no_candidate"] += 1
         else:
             masked = sample_mask(ex.boundaries, 0.3, rng, multiword if ngram_only else None)
-            views.append(build(ex, masked))
+            views.append(build_plan(objective, ex, masked, jv))
             for j in masked if objective != Objective.CONTIGUOUS else ():
                 lo, hi = ex.word_spans[b[j - 1] - 1][0], ex.word_spans[b[j] - 2][1]
                 identity = j in multiword or hi - lo == 1
@@ -619,17 +612,18 @@ def test_truncation_always_detected(plan_path, plan, cut):
         read_back(plan_path, data[:-cut])
 
 
-def test_version_mismatch_detected(toy_example, toy_vocab, tmp_path):
+def test_version_mismatch_detected(toy_example, toy_jv, tmp_path):
     path = tmp_path / "plans.bin"
-    data = bytearray(plan_file(path, plan_contiguous(toy_example, MASKED, toy_vocab).store))
+    data = bytearray(plan_file(path, build_plan(Objective.CONTIGUOUS, toy_example, MASKED,
+                                                toy_jv).store))
     data[header_size(data) + 4] = 99  # the record's version follows its u32 length prefix
     with pytest.raises(VersionError):
         read_back(path, bytes(data))
 
 
-def test_trailing_bytes_detected(toy_example, toy_vocab, tmp_path):
+def test_trailing_bytes_detected(toy_example, toy_jv, tmp_path):
     path = tmp_path / "plans.bin"
-    data = plan_file(path, plan_contiguous(toy_example, MASKED, toy_vocab).store)
+    data = plan_file(path, build_plan(Objective.CONTIGUOUS, toy_example, MASKED, toy_jv).store)
     # extend the payload by one byte and fix up the length prefix
     at = header_size(data)
     new_len = int.from_bytes(data[at:at + 4], "little") + 1
@@ -654,11 +648,11 @@ def test_plan_store_digest_changes_with_any_plan_field(plans):
         assert store_of([other, *plans[1:]]).sha256() != digest
 
 
-def test_plan_file_roundtrip(tmp_path, toy_example, toy_vocab, toy_jv):
+def test_plan_file_roundtrip(tmp_path, toy_example, toy_jv):
     plans = store_of([
-        plan_contiguous(toy_example, MASKED, toy_vocab),
-        plan_explicit(toy_example, MASKED, toy_jv),
-        plan_comprehensive(toy_example, MASKED, toy_jv),
+        build_plan(Objective.CONTIGUOUS, toy_example, MASKED, toy_jv),
+        build_plan(Objective.EXPLICIT, toy_example, MASKED, toy_jv),
+        build_plan(Objective.COMPREHENSIVE, toy_example, MASKED, toy_jv),
     ])
     path = tmp_path / "plans.bin"
     write_plan_file(path, plans, {"note": "toy"})
@@ -848,10 +842,10 @@ def test_set_rtd_flag_is_refused_like_the_reference(plan_path, plans, data):
     assert got == (PlanFormatError, flag) and raw[flag] == 1
 
 
-def test_unknown_objective_is_a_format_error(toy_example, toy_vocab, tmp_path):
+def test_unknown_objective_is_a_format_error(toy_example, toy_jv, tmp_path):
     path = tmp_path / "plans.bin"
-    data = bytearray(plan_file(path, plan_contiguous(toy_example, MASKED, toy_vocab).store,
-                               {"note": "toy"}))
+    data = bytearray(plan_file(path, build_plan(Objective.CONTIGUOUS, toy_example, MASKED,
+                                                toy_jv).store, {"note": "toy"}))
     at = header_size(data)
     assert at == 10 + len('{"note": "toy"}')
     data[at + 6] = 9  # objective byte: u32 length prefix, u16 version
@@ -880,11 +874,10 @@ def test_damaged_plan_file_raises_only_package_errors(tmp_path_factory, plans, d
         pass
 
 
-def test_every_single_byte_flip_raises_only_package_errors(tmp_path, toy_example, toy_vocab,
-                                                           toy_jv):
-    comp = plan_comprehensive(toy_example, MASKED, toy_jv)
-    plans = store_of([plan_contiguous(toy_example, MASKED, toy_vocab),
-                      plan_explicit(toy_example, MASKED, toy_jv),
+def test_every_single_byte_flip_raises_only_package_errors(tmp_path, toy_example, toy_jv):
+    comp = build_plan(Objective.COMPREHENSIVE, toy_example, MASKED, toy_jv)
+    plans = store_of([build_plan(Objective.CONTIGUOUS, toy_example, MASKED, toy_jv),
+                      build_plan(Objective.EXPLICIT, toy_example, MASKED, toy_jv),
                       comp, relation_from_comprehensive(comp.store, [0, 1])[0][0]])
     path = tmp_path / "plans.bin"
     write_plan_file(path, plans, {"note": "flip"})

@@ -9,13 +9,13 @@ from ngramlm import (
     Objective,
     RngState,
     build_attention_mask,
+    build_plan,
     encode,
     export_finetune_weights,
     generator_forward_and_sample,
     head_logits,
     init_params,
     load_checkpoint,
-    plan_comprehensive,
     save_checkpoint,
 )
 from ngramlm.errors import DataError, NumericError, UsageError, VersionError
@@ -109,7 +109,7 @@ def test_encode_validates_inputs():
 @pytest.mark.parametrize("layers", [0, 1, 2])
 def test_rows_pass_equals_full_pass_at_those_rows(toy_example, toy_jv, dtype, tol, layers):
     # rows in any order, a repeat included, with and without a mask
-    plan = plan_comprehensive(toy_example, MASKED, toy_jv)
+    plan = build_plan(Objective.COMPREHENSIVE, toy_example, MASKED, toy_jv)
     cfg = tiny_config(len(toy_jv.fine), len(toy_jv.ngrams), layers=layers)
     params = init_params(cfg, 4, dtype=dtype)
     n = plan.T + plan.Q
@@ -128,7 +128,7 @@ def test_rows_pass_equals_full_pass_at_those_rows(toy_example, toy_jv, dtype, to
 
 
 def test_no_mask_equals_all_zero_mask(toy_example, toy_jv):
-    plan = plan_comprehensive(toy_example, MASKED, toy_jv)
+    plan = build_plan(Objective.COMPREHENSIVE, toy_example, MASKED, toy_jv)
     cfg = tiny_config(len(toy_jv.fine), len(toy_jv.ngrams))
     params = init_params(cfg, 6)
     n = plan.T + plan.Q
@@ -139,7 +139,7 @@ def test_no_mask_equals_all_zero_mask(toy_example, toy_jv):
 
 
 def test_encode_backward_refuses_a_rows_pass(toy_example, toy_jv):
-    plan = plan_comprehensive(toy_example, MASKED, toy_jv)
+    plan = build_plan(Objective.COMPREHENSIVE, toy_example, MASKED, toy_jv)
     cfg = tiny_config(len(toy_jv.fine), len(toy_jv.ngrams))
     params = init_params(cfg, 6)
     acts = encode(params, plan.ids[:plan.T], plan.positions[:plan.T], None, cfg, rows=[1])
@@ -150,7 +150,7 @@ def test_encode_backward_refuses_a_rows_pass(toy_example, toy_jv):
 
 def test_mask_soundness_exact_zeros(toy_example, toy_jv):
     # forbidden attention entries are exactly zero after softmax; rows sum to 1
-    plan = plan_comprehensive(toy_example, MASKED, toy_jv)
+    plan = build_plan(Objective.COMPREHENSIVE, toy_example, MASKED, toy_jv)
     cfg = tiny_config(len(toy_jv.fine), len(toy_jv.ngrams))
     params = init_params(cfg, 3)
     mask = build_attention_mask(plan)
@@ -180,7 +180,7 @@ def test_query_count_cannot_leak_into_context():
 
 
 def test_heads_shapes(toy_example, toy_jv):
-    plan = plan_comprehensive(toy_example, MASKED, toy_jv)
+    plan = build_plan(Objective.COMPREHENSIVE, toy_example, MASKED, toy_jv)
     cfg = tiny_config(len(toy_jv.fine), len(toy_jv.ngrams))
     params = init_params(cfg, 0)
     acts = encode(params, plan.all_ids(), plan.all_positions(),
@@ -478,7 +478,7 @@ def test_batch_draws_equal_per_plan_choice():
 
 
 def test_generator_non_finite_probabilities_are_numeric_errors(toy_example, toy_jv):
-    plan = plan_comprehensive(toy_example, MASKED, toy_jv)
+    plan = build_plan(Objective.COMPREHENSIVE, toy_example, MASKED, toy_jv)
     cfg = tiny_config(len(toy_jv.fine), len(toy_jv.ngrams))
     for bad in (np.nan, np.inf):
         params = init_params(cfg, 5)
@@ -488,7 +488,7 @@ def test_generator_non_finite_probabilities_are_numeric_errors(toy_example, toy_
 
 
 def test_generator_sampling_is_deterministic_per_counter(toy_example, toy_jv):
-    plan = plan_comprehensive(toy_example, MASKED, toy_jv)
+    plan = build_plan(Objective.COMPREHENSIVE, toy_example, MASKED, toy_jv)
     cfg = tiny_config(len(toy_jv.fine), len(toy_jv.ngrams))
     params = init_params(cfg, 5)
     a = generator_forward_and_sample(params, plan.store, cfg, RngState(7))
