@@ -15,10 +15,9 @@ from ngramlm import (
     build_attention_mask,
     build_joint_vocab,
     build_plan,
-    plan_relation,
 )
 from ngramlm.lexicon import NGramLexicon, ScoredNGram
-from ngramlm.maskplan import segment_example
+from ngramlm.maskplan import relation_from_comprehensive, segment_example
 
 words = tuple(f"x{i}" for i in range(1, 7))
 vocab = FineVocab.from_subwords(words)
@@ -60,9 +59,11 @@ comp = build_plan(Objective.COMPREHENSIVE, ex, masked, jv)
 show("3. comprehensive: explicit layout + [Mi] queries at the slot position",
      comp)
 wrong = [vocab.index["x6"], vocab.index["x5"]]
-# training derives the replaced-token labels with the filled plan
+# training fills the comprehensive plan's slots and derives the
+# replaced-token labels in one step
+filled, rtd_labels = relation_from_comprehensive(comp.store, wrong)
 show("4. relation: slots filled with sampled identities, detect replacements",
-     *plan_relation(ex, masked, jv, wrong))
+     filled[0], rtd_labels)
 
 print("\nlength-hiding attention mask for the comprehensive plan")
 print("(rows attend to columns; '.' allowed, 'x' forbidden):")

@@ -24,7 +24,6 @@ from .maskplan import (
     RngState,
     build_attention_mask,
     build_plan,
-    plan_relation,
     sample_mask,
     segment_example,
 )

@@ -263,6 +263,9 @@ def cmd_inspect_attention(args):
         raise UsageError("empty input text")
     ids, _ = subword_tokenize(words, vocab)
     n = len(ids)
+    if n > cfg.max_positions:
+        raise UsageError(f"--text has {n} subwords, but {args.checkpoint} takes at most "
+                         f"{cfg.max_positions}")
     acts = encode(params, ids, range(1, n + 1), None, cfg)
     mean_attn = acts.attn_probs[-1].mean(axis=0)  # head-mean, last layer
     tokens = [vocab.tokens[i] for i in ids]

@@ -257,18 +257,6 @@ def relation_from_comprehensive(store: "PlanStore", sampled) -> tuple["PlanStore
     return filled, labels
 
 
-def plan_relation(ex: SegmentedExample, masked: tuple, jv: JointVocab,
-                  sampled) -> tuple["PlanView", np.ndarray]:
-    """(the relation plan, its RTD labels): :func:`relation_from_comprehensive`
-    on the comprehensive plan of ``ex``."""
-    base = build_plan(Objective.RELATION, ex, masked, jv)
-    for y_prime in sampled:
-        if not 0 <= int(y_prime) < len(jv):
-            raise UsageError(f"sampled id {y_prime} outside joint range 0..{len(jv) - 1}")
-    filled, labels = relation_from_comprehensive(base.store, sampled)
-    return filled[0], labels
-
-
 def build_attention_mask(plan: "PlanView", dtype=np.float32) -> np.ndarray:
     """Additive mask over {0, -inf}: context never sees queries; queries
     see the context and themselves only."""

@@ -578,6 +578,12 @@ def load_checkpoint(path):
     try:
         cfg = ModelConfig(**meta["config"])
         extra = dict(meta["extra"])
+        # a layer holds 16 tensors: a config that names more layers than the
+        # file holds tensors for is refused before its shape table is built
+        layers = cfg.layers + (0 if extra.get("exported") else cfg.generator_layers)
+        if 16 * layers > len(params):
+            raise DataError(f"checkpoint {path}: config names {layers} layers of 16 tensors, "
+                            f"but the file holds {len(params)} tensors")
         shapes = (_encoder_param_shapes(cfg, cfg.fine_vocab_size) if extra.get("exported")
                   else param_shapes(cfg))
     except (KeyError, TypeError, ValueError, UsageError) as e:

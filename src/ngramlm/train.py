@@ -493,6 +493,9 @@ def train(tcfg: TrainConfig, plans: PlanStore, params: dict, cfg: ModelConfig,
         if extra["sample_counter"] > 2**64 - 1:
             raise DataError(f"checkpoint {resume_from}: sample_counter {extra['sample_counter']} "
                             "is above 2**64 - 1")
+        if extra["step"] > tcfg.total_steps:
+            raise UsageError(f"checkpoint {resume_from} has run {extra['step']} steps, more "
+                             f"than the {tcfg.total_steps} asked for")
         # total_steps and checkpoint_every may grow on a resume; nothing else may change
         now = {**asdict(tcfg), "objective": int(tcfg.objective)}
         changed = [f"{key} {train_cfg.get(key)!r} (now {value!r})" for key, value in now.items()

@@ -1102,6 +1102,86 @@ def test_train_resume_refuses_an_exported_checkpoint_by_name(trained, tmp_path, 
     assert not out.exists()
 
 
+def test_resume_refuses_fewer_steps_than_the_checkpoint_has_run(trained, tmp_path, capsys):
+    # the checkpoint has run 2 steps: --steps 1 would write a step-1
+    # checkpoint holding two steps' Adam and sampler state; --steps 2
+    # trains nothing
+    plans, ck, _ = trained
+    out, metrics = tmp_path / "resumed.npz", tmp_path / "metrics.jsonl"
+    argv = TRAIN_SMALL + ["--plans", str(plans), "--resume", str(ck), "--out", str(out),
+                          "--metrics", str(metrics)]
+    capsys.readouterr()
+    assert main(argv + ["--steps", "1"]) == 2
+    assert capsys.readouterr().err == (f"error: checkpoint {ck} has run 2 steps, more than the "
+                                       "1 asked for\n")
+    assert not out.exists() and not metrics.exists()
+    assert main(argv + ["--steps", "2"]) == 0
+    assert metrics.read_text() == "" and load_checkpoint(out)[2]["step"] == 2
+
+
+BIG = 10**12  # layers claimed by a checkpoint's metadata
+
+
+@pytest.mark.parametrize("field", ["layers", "generator_layers"])
+@pytest.mark.parametrize("command", ["eval-ppl", "export", "inspect-attention", "resume"])
+def test_a_checkpoint_claiming_more_layers_than_it_holds_is_a_data_error(
+        trained, corpus_dir, tmp_path, capsys, monkeypatch, command, field):
+    # refused before the shape table is built: the spy fails the test if
+    # a table for the claimed layers is ever started
+    plans, ck, _ = trained
+    bad = tmp_path / "bad.npz"
+    rewrite_meta(ck, bad, lambda m: m["config"].update({field: BIG}))
+    model_module = importlib.import_module("ngramlm.model")
+    shapes = model_module._encoder_param_shapes
+
+    def spy(cfg, vocab_rows):
+        assert cfg.layers < BIG, "shape table built for the claimed layers"
+        return shapes(cfg, vocab_rows)
+
+    monkeypatch.setattr(model_module, "_encoder_param_shapes", spy)
+    out = tmp_path / "out"
+    argv = {
+        "eval-ppl": ["eval-ppl", "--plans", str(plans), "--checkpoint", str(bad)],
+        "export": ["export", "--checkpoint", str(bad), "--out", str(out)],
+        "inspect-attention": ["inspect-attention", "--checkpoint", str(bad), "--vocab",
+                              str(corpus_dir / "vocab.txt"), "--text", "topic00 fill00",
+                              "--out", str(out)],
+        "resume": TRAIN_SMALL + ["--plans", str(plans), "--steps", "3", "--resume", str(bad),
+                                 "--out", str(out)],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: checkpoint {bad}: config names ") and "layers" in err, err
+    assert not out.exists()
+
+
+def test_an_exported_checkpoint_is_not_held_to_its_generator_layers(trained, corpus_dir,
+                                                                    tmp_path):
+    # an export keeps no generator tensors, so its generator layer count is
+    # never checked against the file
+    _, _, exported = trained
+    edited = tmp_path / "export.npz"
+    rewrite_meta(exported, edited, lambda m: m["config"].update(generator_layers=BIG))
+    assert main(["inspect-attention", "--checkpoint", str(edited), "--vocab",
+                 str(corpus_dir / "vocab.txt"), "--text", "topic00 fill00",
+                 "--out", str(tmp_path / "attn.csv")]) == 0
+
+
+def test_inspect_attention_names_a_text_longer_than_the_model_takes(trained, corpus_dir,
+                                                                    tmp_path, capsys):
+    _, ck, _ = trained
+    longest = load_checkpoint(ck)[1].max_positions
+    csv = tmp_path / "attn.csv"
+    capsys.readouterr()
+    assert main(["inspect-attention", "--checkpoint", str(ck), "--vocab",
+                 str(corpus_dir / "vocab.txt"), "--text", " ".join(["topic00"] * (longest + 8)),
+                 "--out", str(csv)]) == 2
+    assert capsys.readouterr().err == (f"error: --text has {longest + 8} subwords, but {ck} "
+                                       f"takes at most {longest}\n")
+    assert not csv.exists()
+
+
 def test_make_masks_records_what_it_skipped(corpus_dir, tmp_path, capsys):
     # the provenance header and the summary line carry make_plans' counts
     stream = ingest([corpus_dir / "corpus.txt"])

@@ -24,7 +24,6 @@ from ngramlm import (
     count_ngrams,
     extract_lexicon,
     make_plans,
-    plan_relation,
     sample_mask,
     segment_example,
     subword_tokenize,
@@ -133,9 +132,10 @@ def test_relation_layout_and_rtd_labels(toy_example, toy_jv):
         relation_from_comprehensive(base.store, right[:1])
 
 
-def test_plan_relation_equals_its_row_of_the_batch_fill(toy_example, toy_jv):
+def test_one_plan_fills_equal_their_rows_of_the_batch_fill(toy_example, toy_jv):
     # one copy of a store's fields fills every plan; each filled plan
-    # equals plan_relation on that plan alone, one without slots included
+    # equals the fill of that plan's one-plan store, one without slots
+    # included
     vocab = FineVocab.from_subwords(["a", "##b", "c"])
     lex = lex_from([("c", "c")])
     fallback = (segment_example(("ab", "c"), lex, vocab), (1,), build_joint_vocab(vocab, lex))
@@ -152,16 +152,12 @@ def test_plan_relation_equals_its_row_of_the_batch_fill(toy_example, toy_jv):
     assert len(filled) == len(cases) and len(labels) == filled.T.sum()
     per_plan = np.split(labels, np.cumsum(filled.T)[:-1])
     for k, (ex, masked, jv) in enumerate(cases):
-        want, want_labels = plan_relation(ex, masked, jv, sampled[k])
-        assert filled[k] == want and per_plan[k].tolist() == want_labels.tolist(), k
+        one, want_labels = relation_from_comprehensive(
+            build_plan(Objective.RELATION, ex, masked, jv).store, sampled[k])
+        assert filled[k] == one[0] and per_plan[k].tolist() == want_labels.tolist(), k
     assert per_plan[2].tolist() == [0, 0, 1]
     with pytest.raises(UsageError):
         relation_from_comprehensive(store_of(comps), [0] * 6)
-
-
-def test_plan_relation_validates_sampled_range(toy_example, toy_jv):
-    with pytest.raises(UsageError):
-        plan_relation(toy_example, MASKED, toy_jv, [len(toy_jv), 0])
 
 
 def test_invalid_masked_sets(toy_example, toy_jv):
@@ -314,9 +310,11 @@ def test_every_layout_equals_the_reference(case, data):
     sampled = data.draw(st.lists(st.integers(0, len(jv) - 1), min_size=slots, max_size=slots))
 
     def build(objective):
+        plan = build_plan(objective, ex, masked, jv)
         if objective == Objective.RELATION:
-            return plan_relation(ex, masked, jv, sampled)
-        return build_plan(objective, ex, masked, jv), None
+            filled, labels = relation_from_comprehensive(plan.store, sampled)
+            return filled[0], labels
+        return plan, None
 
     for objective in Objective:
         try:
