@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -31,6 +32,7 @@ from .model import (
     export_finetune_weights,
     init_params,
     load_checkpoint,
+    param_shapes,
     save_checkpoint,
 )
 from .pipeline import DEFAULT_MASK_RATE, make_plans
@@ -60,8 +62,10 @@ _PATH_ARGS = frozenset(_INPUT_ARGS + _OUTPUT_ARGS)
 
 def _check_outputs(args: argparse.Namespace):
     """Refuse, before any file is read, an output path that names an input
-    or another output (UsageError, naming both flags) or lies in a missing
-    directory (DataError)."""
+    or another output, or whose ``.tmp`` sibling names an input (UsageError,
+    naming both flags), or that lies in a missing directory (DataError).
+    Plan files and checkpoints are written to ``--out``'s ``.tmp`` sibling,
+    then renamed onto ``--out``."""
     named = {}  # real path -> the first flag that names it
     for name in _INPUT_ARGS + _OUTPUT_ARGS:
         value = getattr(args, name, None)
@@ -72,6 +76,10 @@ def _check_outputs(args: argparse.Namespace):
                 if real in named:
                     raise UsageError(f"{flag} {path} names the same file as {named[real]}, "
                                      "which it would overwrite")
+                tmp = os.path.realpath(path + ".tmp")
+                if name == "out" and tmp in named:
+                    raise UsageError(f"{flag} {path} is written through {path}.tmp, the file "
+                                     f"that {named[tmp]} names, which it would overwrite")
                 if not os.path.isdir(os.path.dirname(path) or "."):
                     raise DataError(f"cannot write {path}: no such directory")
             named.setdefault(real, flag)
@@ -199,6 +207,13 @@ def cmd_train(args):
     prov_in, plans = read_plan_file(args.plans)
     objective, fine_size, ngram_size = _plan_header(args.plans, prov_in, args.objective)
     cfg = _model_config(args, fine_size, ngram_size)
+    # counted from the shapes, so a header's sizes are refused before anything is allocated
+    need = 4 * sum(math.prod(shape) for shape in param_shapes(cfg).values())
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > memory:
+        raise DataError(f"{args.plans}: plan header vocabulary sizes fine {fine_size} and "
+                        f"n-gram {ngram_size} need {need} bytes of float32 parameters, more "
+                        f"than the {memory} bytes of physical memory")
     warmup = args.warmup
     # a resume reads its checkpoint here, once, and train() takes it over
     checkpoint = load_checkpoint(args.resume) if args.resume else None

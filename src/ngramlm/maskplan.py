@@ -22,6 +22,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
+import os
 import struct
 from array import array
 from dataclasses import dataclass, field
@@ -279,6 +280,11 @@ def build_attention_mask(plan: "PlanView", dtype=np.float32) -> np.ndarray:
 # query ids, the coarse count and (slot, id) pairs, the fine count and
 # (index, id) pairs.  The flag is always 0: a set flag would be followed by
 # T stored RTD labels, which no plan holds, so the reader refuses it.
+#
+# With W u32 fields a record is 8 + 4 * W bytes, so all records share one
+# 4-byte alignment: the fields of every record lie on one grid of u32
+# words, and two words (RTD flag, length prefix, version and objective)
+# separate one record's fields from the next's.
 
 _OBJECTIVES = tuple(Objective)  # indexed by the objective byte
 _RECORD_HEAD = struct.Struct("<IHB")  # length prefix, version, objective
@@ -497,9 +503,9 @@ def _truncated(end: int, *fields) -> PlanFormatError:
 
 
 def _scan(buf, pos: int, end: int):
-    """Check the record whose payload spans ``buf[pos:end]``; returns its
-    objective byte and the end of its u32 fields.  A set RTD flag is
-    refused.  An error's offset is its position in ``buf``."""
+    """Raise the error of the record whose payload spans ``buf[pos:end]``,
+    if it has one.  A set RTD flag is refused.  An error's offset is its
+    position in ``buf``."""
     if pos + 11 > end:
         raise _truncated(end, (pos, 11, 11))
     version, objective, T, Q = struct.unpack_from("<HBII", buf, pos)
@@ -527,40 +533,81 @@ def _scan(buf, pos: int, end: int):
         raise PlanFormatError("RTD labels in a plan record: training derives them", fields_end)
     if fields_end + 1 != end:
         raise PlanFormatError("trailing bytes after plan record", fields_end + 1)
-    return objective, fields_end
+
+
+_LENGTH_PREFIX = struct.Struct("<I").unpack_from
 
 
 def _decode(buf, pos: int) -> PlanStore:
-    """The store of the records from ``buf[pos:]`` on: one header walk, then
-    one array over the joined u32 fields.  An error's offset is its position
-    in ``buf``."""
-    view = memoryview(buf)
-    runs, starts, objectives = [], [0], bytearray()
-    n = len(buf)
-    while pos < n:
-        if pos + 4 > n:
-            raise PlanFormatError("truncated record length prefix", pos)
-        end = pos + 4 + struct.unpack_from("<I", buf, pos)[0]
-        if end > n:
-            raise PlanFormatError("truncated plan record", pos)
-        objective, fields_end = _scan(buf, pos + 4, end)
-        runs.append(view[pos + 7 : fields_end])  # from T, after version and objective
-        starts.append(starts[-1] + (fields_end - pos - 7) // 4)
-        objectives.append(objective)
-        pos = end
-    return PlanStore(np.frombuffer(b"".join(runs), dtype="<u4"), np.array(starts, dtype=np.int64),
-                     np.frombuffer(objectives, dtype=np.uint8))
+    """The store of the records from ``buf[pos:]`` on.  One loop walks the
+    length prefixes; array passes then check all records at once and take
+    their u32 fields out in one compress.  The first record that fails a
+    check is passed to ``_scan``, which raises its error; a cut length
+    prefix or a record past the end is raised after the records before it
+    pass.  An error's offset is its position in ``buf``."""
+    n, bounds = len(buf), [pos]  # each record's start, then the last one's end
+    while pos + 4 <= n:
+        pos += 4 + _LENGTH_PREFIX(buf, pos)[0]
+        bounds.append(pos)
+    tail = None
+    if pos > n:
+        bounds.pop()
+        tail = PlanFormatError("truncated plan record", bounds[-1])
+    elif pos < n:
+        tail = PlanFormatError("truncated record length prefix", pos)
+    bounds = np.array(bounds, dtype=np.int64)
+    start, end = bounds[:-1], bounds[1:]
+    # u32 words on the grid of the first record's fields; a gather past the
+    # last word reads the last, a value that the exact-end check refuses
+    grid = min((bounds[0] + 7) % 4, n)
+    words = np.frombuffer(buf, dtype="<u4", count=(n - grid) // 4, offset=grid)
+
+    def u32(index):
+        return words[np.minimum(index, len(words) - 1)].astype(np.int64)
+
+    first = (start + 7 - grid) // 4  # each record's T
+    head = u32(first - 1)  # the length prefix's top byte, the version, the objective
+    T, Q = u32(first), u32(first + 1)
+    coarse = first + 2 + 2 * (T + Q)
+    nc = u32(coarse)
+    nf = u32(coarse + 1 + 2 * nc)
+    W = 4 + 2 * (T + Q + nc + nf)  # u32 fields
+    # The exact end implies the 11-byte floor and each count's bound, since
+    # the counts are non-negative.  Records after a failed one may lie off
+    # the grid, where these reads mean nothing; only the first failure counts.
+    ok = ((end - start == 8 + 4 * W) & ((head >> 8 & 0xFFFF) == PLAN_VERSION)
+          & (head >> 24 < len(_OBJECTIVES)) & (np.frombuffer(buf, np.uint8)[end - 1] == 0))
+    if not ok.all():
+        k = int(np.argmin(ok))
+        _scan(buf, int(start[k]) + 4, int(end[k]))
+    if tail is not None:
+        raise tail
+    if not len(start):
+        return PlanStore(np.empty(0, dtype="<u4"), np.zeros(1, dtype=np.int64),
+                         np.empty(0, dtype=np.uint8))
+    # the fields from the first record's T to the last record's last fine
+    # pair, less the two words before each later record's T
+    keep = np.ones(first[-1] + W[-1] - first[0], dtype=bool)
+    keep[first[1:] - first[0] - 1] = keep[first[1:] - first[0] - 2] = False
+    return PlanStore(words[first[0] : first[0] + len(keep)][keep],
+                     np.concatenate(([0], np.cumsum(W))), (head >> 24).astype(np.uint8))
 
 
 def write_plan_file(path, plans: PlanStore, provenance: dict | None = None):
     """Plan container: magic, file version, provenance JSON, then records."""
     header = json.dumps(provenance or {}, sort_keys=True).encode("utf-8")
     records = _records(plans)
-    with open(path, "wb") as f:
-        f.write(FILE_MAGIC)
-        f.write(struct.pack("<HI", PLAN_VERSION, len(header)))
-        f.write(header)
-        f.write(records)
+    tmp = f"{path}.tmp"  # renamed onto the path, so a failed write leaves no part of a file
+    try:
+        with open(tmp, "wb") as f:
+            f.write(FILE_MAGIC)
+            f.write(struct.pack("<HI", PLAN_VERSION, len(header)))
+            f.write(header)
+            f.write(records)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def read_plan_file(path):

@@ -1,6 +1,7 @@
 """Command line front end: end-to-end pipeline, determinism, exit codes."""
 
 import dataclasses
+import errno
 import hashlib
 import importlib
 import io
@@ -453,6 +454,67 @@ def test_train_header_objective_is_used_unless_given(corpus_dir, tmp_path):
     assert main(["train", "--plans", str(bad), "--objective", "explicit", "--layers", "1",
                  "--hidden", "16", "--heads", "2", "--steps", "1", "--batch-size", "2",
                  "--out", str(tmp_path / "m.npz")]) == 0
+
+
+def test_train_refuses_a_header_whose_parameters_exceed_memory(corpus_dir, tmp_path, capsys,
+                                                               monkeypatch):
+    # the header's sizes are refused from the parameter shapes alone: no
+    # parameter is built, so no large allocation is ever tried
+    prov, plans = read_plan_file(run_pipeline(corpus_dir, tmp_path))
+    prov["fine_vocab_size"] = 10**12
+    bad = tmp_path / "bad.bin"
+    write_plan_file(bad, plans, prov)
+    calls = []
+    monkeypatch.setattr(importlib.import_module("ngramlm.cli"), "init_params",
+                        lambda *args, **kw: calls.append(args))
+    capsys.readouterr()
+    out = tmp_path / "m.npz"
+    assert main(["train", "--plans", str(bad), "--layers", "1", "--hidden", "16",
+                 "--heads", "2", "--steps", "1", "--batch-size", "2", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "physical memory" in err
+    assert f"fine {10**12} and n-gram {prov['ngram_vocab_size']}" in err
+    assert calls == [] and not out.exists()
+
+
+class FullDisk:
+    """A file that takes ``room`` bytes, then fails a write with ENOSPC
+    after writing the part that fits."""
+
+    def __init__(self, path, mode, room):
+        self.f, self.room = open(path, mode), room
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, data):
+        part = data[: self.room]
+        self.room -= self.f.write(part)
+        if len(part) < len(data):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("existed", [False, True])
+def test_make_masks_leaves_no_half_written_plan_file(corpus_dir, tmp_path, capsys, monkeypatch,
+                                                     existed):
+    # a write that fails part-way through the records exits 3 and leaves
+    # --out as it was: absent, or with its earlier bytes
+    out = run_pipeline(corpus_dir, tmp_path, seed=1)
+    before = out.read_bytes()
+    if not existed:
+        out.unlink()
+    monkeypatch.setattr(importlib.import_module("ngramlm.maskplan"), "open",
+                        lambda path, mode: FullDisk(path, mode, len(before) // 2), raising=False)
+    capsys.readouterr()
+    assert main(["make-masks", "--corpus", str(corpus_dir / "corpus.txt"),
+                 "--lexicon", str(corpus_dir / "lex.tsv"), "--vocab", str(corpus_dir / "vocab.txt"),
+                 "--seed", "2", "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("data error: ")
+    assert (out.read_bytes() == before) if existed else not out.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["plans.bin"] * existed
 
 
 def test_train_unknown_objective_is_a_usage_error(corpus_dir, tmp_path, capsys):
@@ -1067,6 +1129,29 @@ def test_an_output_that_names_an_input_or_output_is_a_usage_error(trained, corpu
     err = capsys.readouterr().err
     assert err.startswith(f"error: {second} ") and f"as {first}," in err, err
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("make-masks", "--lexicon"), ("train", "--resume"), ("export", "--checkpoint"),
+])
+def test_an_input_at_the_outputs_temporary_path_is_a_usage_error(trained, corpus_dir, tmp_path,
+                                                                  capsys, command, flag):
+    # plan files and checkpoints are written to --out's .tmp sibling and
+    # renamed onto --out, which would take an input of that name away
+    plans, ck, _ = trained
+    source = corpus_dir / "lex.tsv" if command == "make-masks" else ck
+    shutil.copy(source, tmp_path / "output.tmp")
+    argv = {"make-masks": ["make-masks", "--corpus", str(corpus_dir / "corpus.txt"),
+                           "--vocab", str(corpus_dir / "vocab.txt")],
+            "train": TRAIN_SMALL + ["--plans", str(plans), "--steps", "3"],
+            "export": ["export"]}[command]
+    capsys.readouterr()
+    assert main(argv + [flag, str(tmp_path / "output.tmp"),
+                        "--out", str(tmp_path / "output")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out ") and f"that {flag} names" in err, err
+    assert [p.name for p in tmp_path.iterdir()] == ["output.tmp"]
+    assert (tmp_path / "output.tmp").read_bytes() == source.read_bytes()
 
 
 @pytest.mark.parametrize("extra", [20, -5])

@@ -10,7 +10,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ngramlm import (
@@ -838,6 +838,84 @@ def test_set_rtd_flag_is_refused_like_the_reference(plan_path, plans, data):
     assert got == outcome(reference_read_records, raw, header_size(raw))
     flag = len(before) + len(reference_serialize(plan)) - 1
     assert got == (PlanFormatError, flag) and raw[flag] == 1
+
+
+# --- the decoder at the scale of a shard file -----------------------------------
+
+@pytest.fixture(scope="module")
+def big_store(plan_pipeline):
+    """Over 2,000 plans, the four layouts in turn."""
+    stream, lex, jv = plan_pipeline
+    stores = [make_plans(stream, lex, jv, objective, seed=5) for objective in
+              (Objective.CONTIGUOUS, Objective.EXPLICIT, Objective.COMPREHENSIVE)]
+    sampled = np.random.default_rng(0).integers(0, len(jv), len(stores[2].gather("coarse")[0]))
+    stores.append(relation_from_comprehensive(stores[2], sampled)[0])
+    return store_of([s[k] for k in range(min(map(len, stores))) for s in stores])
+
+
+@pytest.fixture(scope="module")
+def big_records(big_store):
+    """The reference record of each plan of ``big_store``."""
+    return [reference_serialize(ref_of(view)) for view in big_store]
+
+
+def test_a_large_file_reads_back_equal_to_the_store_written(tmp_path, big_store):
+    # every alignment of the first record, which the provenance's length sets
+    assert len(big_store) >= 2000 and set(big_store.objectives.tolist()) == set(Objective)
+    path = tmp_path / "plans.bin"
+    for pad in range(4):
+        data = plan_file(path, big_store, {"pad": "x" * pad})
+        prov, back = read_plan_file(path)
+        assert prov == {"pad": "x" * pad} and back == big_store
+        assert back.run.dtype == np.uint32 and back.objectives.dtype == np.uint8
+        assert np.array_equal(back.starts, big_store.starts)
+    assert [ref_of(view) for view in back] == reference_read_records(data, header_size(data))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_damage_late_in_a_large_file_raises_like_the_reference(plan_path, big_records, data):
+    # one flipped byte, an unknown objective byte, a bad length prefix or a
+    # cut inside a record past the 900th, against the per-field decoder, at
+    # every alignment; a flip followed by a cut further on raises at the
+    # flip's record first
+    head = plan_file(plan_path, store_of([]), {"pad": "x" * data.draw(st.integers(0, 3))})
+    k = data.draw(st.integers(900, len(big_records) - 1))
+    start = len(head) + sum(map(len, big_records[:k]))
+    end = start + len(big_records[k])
+    raw = bytearray(head + b"".join(big_records))
+    kind = data.draw(st.sampled_from(["flip", "objective", "prefix", "cut", "flip-then-cut"]))
+    if kind in ("flip", "flip-then-cut"):
+        raw[data.draw(st.integers(start, end - 1))] ^= data.draw(st.integers(1, 255))
+    if kind == "objective":
+        raw[start + 6] = data.draw(st.integers(len(Objective), 255))
+    if kind == "prefix":
+        length = end - start - 4
+        bad = data.draw(st.integers(0, length + 12) | st.integers(0, 2**32 - 1))
+        assume(bad != length)
+        raw[start : start + 4] = bad.to_bytes(4, "little")
+    if kind == "cut":
+        raw = raw[: data.draw(st.integers(start + 1, end - 1))]
+    if kind == "flip-then-cut":
+        raw = raw[: data.draw(st.integers(min(end + 1, len(raw) - 1), len(raw) - 1))]
+    got = outcome(read_back, plan_path, bytes(raw))
+    try:
+        want = outcome(reference_read_records, bytes(raw), len(head))
+    except ValueError:  # the reference's Objective(byte) on record k's unknown objective
+        assert raw[start + 6] >= len(Objective)
+        want = (PlanFormatError, start + 6)
+    assert got == want
+    if kind in ("objective", "prefix", "cut"):
+        assert got[0] in (PlanFormatError, VersionError) and got[1] >= start
+
+
+def test_a_file_of_no_records_reads_as_an_empty_store(tmp_path):
+    path = tmp_path / "plans.bin"
+    write_plan_file(path, store_of([]), {"note": "empty"})
+    prov, back = read_plan_file(path)
+    assert prov == {"note": "empty"} and len(back) == 0 and list(back) == []
+    assert back == store_of([]) and back.starts.tolist() == [0]
+    assert back.run.dtype == np.uint32 and len(back.run) == 0
 
 
 def test_unknown_objective_is_a_format_error(toy_example, toy_jv, tmp_path):
